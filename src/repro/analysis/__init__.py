@@ -23,9 +23,7 @@ messages hide.  This package turns that debugging into tooling:
 * :mod:`repro.analysis.lifetime` — a zero-copy lifetime pass over the same
   CFGs tracking views derived from ``deserialize(copy=False)``, arena
   blocks, and pool handles: view-escapes past the owning block's release,
-  release-while-borrowed, writes through read-only views, and
-  ``LaneHeaderQueue`` call sites violating their CONTROL_BLOCK /
-  CONTROL_UNBOUNDED reclaim contracts (``lane-contract``);
+  release-while-borrowed, and writes through read-only views;
 * :mod:`repro.analysis.topology` — static extraction of the communication
   topology (which component sends which ``MsgType`` to which role), the
   ``docs/topology.json``/DOT artifacts, the ``orphan-destination`` and

@@ -9,7 +9,7 @@ CFGs from :mod:`repro.analysis.dataflow` tracking which variables hold
 views, which hold the blocks/handles that own them, and where the owning
 storage is released.
 
-Four rules:
+Three rules:
 
 ``view-escape`` (warning)
     A zero-copy view leaves the function that created it — returned, stored
@@ -30,14 +30,6 @@ Four rules:
     contract; at runtime the write raises ``TypeError``, and "fixing" it by
     copying first is what ``copy=True`` is for.
 
-``lane-contract`` (error)
-    A :class:`~repro.core.flowcontrol.LaneHeaderQueue` call site violating
-    the declared reclaim-ownership contract: CONTROL_BLOCK queues
-    self-reclaim rejected/shed headers and therefore need a ``reclaim=``
-    callback at construction; CONTROL_UNBOUNDED queues put reclaim on the
-    caller, so discarding the boolean result of ``put``/``put_many`` drops
-    the only signal that a header (and its store share) was rejected.
-
 Findings inside ``with pytest.raises(...)`` blocks are suppressed — tests
 provoke these failures on purpose.
 """
@@ -54,7 +46,6 @@ from .findings import Finding, Severity
 VIEW_ESCAPE = "view-escape"
 RELEASE_WHILE_BORROWED = "release-while-borrowed"
 WRITE_THROUGH_READONLY_VIEW = "write-through-readonly-view"
-LANE_CONTRACT = "lane-contract"
 
 #: Decorator leaf names declaring view intent (see ``core/ownership.py``).
 BORROWS_DECORATOR = "borrows_view"
@@ -496,146 +487,6 @@ class _LifetimeAnalysis:
                 self._check_stale_use(node.id, getattr(node, "lineno", 0), state)
 
 
-# -- lane-contract rule ---------------------------------------------------------
-
-
-def _scoped_walk(root: ast.AST):
-    """Walk ``root`` without descending into nested function scopes.
-
-    Each function is its own analysis scope (``iter_functions`` yields it
-    separately); the module scope covers only statements outside every
-    function, so constructor sites are reported exactly once.
-    """
-    stack: List[ast.AST] = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            stack.append(child)
-
-
-def _lane_policy(call: ast.Call) -> str:
-    """Declared control policy of a ``LaneHeaderQueue(...)`` call site."""
-    for keyword in call.keywords:
-        if keyword.arg != "control_policy":
-            continue
-        value = keyword.value
-        if isinstance(value, ast.Constant) and value.value == "unbounded":
-            return "unbounded"
-        leaf = value.attr if isinstance(value, ast.Attribute) else getattr(
-            value, "id", ""
-        )
-        if leaf == "CONTROL_UNBOUNDED":
-            return "unbounded"
-        return "block"
-    return "block"
-
-
-def _has_reclaim(call: ast.Call) -> bool:
-    return any(keyword.arg == "reclaim" for keyword in call.keywords)
-
-
-def _lane_constructor_findings(
-    path: str, scope: str, node: ast.AST, findings: List[Finding]
-) -> Dict[str, ast.Call]:
-    """Report contract violations at constructor sites inside ``node``.
-
-    Returns ``dotted target -> constructor call`` for CONTROL_UNBOUNDED
-    queues assigned in this scope, for the discarded-put check.
-    """
-    unbounded: Dict[str, ast.Call] = {}
-    for child in _scoped_walk(node):
-        if not (isinstance(child, ast.Call) and _call_leaf(child) == "LaneHeaderQueue"):
-            continue
-        policy = _lane_policy(child)
-        if policy == "block" and not _has_reclaim(child):
-            findings.append(
-                Finding(
-                    path,
-                    child.lineno,
-                    Severity.ERROR,
-                    LANE_CONTRACT,
-                    "LaneHeaderQueue with CONTROL_BLOCK policy has no "
-                    "reclaim= callback — rejected/shed headers self-reclaim "
-                    "through it (pass reclaim=..., or an explicit "
-                    "reclaim=None to declare the headers own nothing)",
-                    scope,
-                )
-            )
-    # Map assigned names to unbounded constructor calls (same walk, but on
-    # Assign statements so we know the target spelling).
-    for child in _scoped_walk(node):
-        if not isinstance(child, ast.Assign) or len(child.targets) != 1:
-            continue
-        value = child.value
-        if not (isinstance(value, ast.Call) and _call_leaf(value) == "LaneHeaderQueue"):
-            continue
-        if _lane_policy(value) != "unbounded":
-            continue
-        target = child.targets[0]
-        name = _dotted(target) if isinstance(
-            target, (ast.Name, ast.Attribute)
-        ) else ""
-        if name:
-            unbounded[name] = value
-    return unbounded
-
-
-def _lane_discard_findings(
-    path: str,
-    scope: str,
-    node: ast.AST,
-    unbounded: Dict[str, ast.Call],
-    findings: List[Finding],
-) -> None:
-    """Flag bare ``q.put(...)`` statements on CONTROL_UNBOUNDED queues."""
-    if not unbounded:
-        return
-    for child in _scoped_walk(node):
-        if not isinstance(child, ast.Expr):
-            continue
-        value = child.value
-        if not (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr in ("put", "put_many")
-        ):
-            continue
-        receiver = _dotted(value.func.value)
-        if receiver in unbounded:
-            findings.append(
-                Finding(
-                    path,
-                    value.lineno,
-                    Severity.ERROR,
-                    LANE_CONTRACT,
-                    f"result of {value.func.attr}() on a CONTROL_UNBOUNDED "
-                    "lane is discarded — on False the caller owns the "
-                    "rejected header's reclaim (check the return value)",
-                    scope,
-                )
-            )
-
-
-def run_lane_contract_rules(
-    sources: List[Tuple[str, ast.AST]]
-) -> List[Finding]:
-    """Check ``LaneHeaderQueue`` call sites against reclaim contracts."""
-    findings: List[Finding] = []
-    for path, tree in sources:
-        if "LaneHeaderQueue" not in ast.dump(tree):
-            continue
-        scopes: List[Tuple[str, ast.AST]] = [("<module>", tree)]
-        for info in iter_functions([(path, tree)]):
-            scopes.append((info.qualname, info.node))
-        for scope, node in scopes:
-            unbounded = _lane_constructor_findings(path, scope, node, findings)
-            _lane_discard_findings(path, scope, node, unbounded, findings)
-    return findings
-
-
 # -- entry point -----------------------------------------------------------------
 
 
@@ -703,7 +554,6 @@ def run_lifetime_rules(
                     info.qualname,
                 )
             )
-    findings.extend(run_lane_contract_rules(sources))
     suppress: Dict[str, List[Tuple[int, int]]] = {}
     for path, tree in sources:
         ranges = _pytest_raises_ranges(tree)

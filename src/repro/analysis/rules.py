@@ -49,7 +49,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from .configcheck import UNKNOWN_CONFIG_KEY, UNREGISTERED_NAME
 from .findings import Finding, Severity
 from .lifetime import (
-    LANE_CONTRACT,
     RELEASE_WHILE_BORROWED,
     VIEW_ESCAPE,
     WRITE_THROUGH_READONLY_VIEW,
@@ -138,10 +137,6 @@ RULES: Dict[str, RuleInfo] = {
         WRITE_THROUGH_READONLY_VIEW, Severity.ERROR,
         "element/slice write through a read-only deserialize view",
     ),
-    LANE_CONTRACT: RuleInfo(
-        LANE_CONTRACT, Severity.ERROR,
-        "LaneHeaderQueue call site violates its reclaim-ownership contract",
-    ),
 }
 
 #: Attribute calls that always block.
@@ -165,10 +160,9 @@ THREADED_CLASS_NAMES = {
     "CenterController",
     "ShareMemCommunicator",
     "HeaderQueue",
+    "MessageBuffer",
     "ThrottledLink",
     "LaneChannel",
-    "LaneHeaderQueue",
-    "FlowMessageBuffer",
     "WireCompressor",
     "FlowController",
     "SocketLink",

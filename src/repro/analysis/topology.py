@@ -20,9 +20,10 @@ derives two findings:
 
 ``bounded-queue-cycle`` (warning)
     The role graph contains a send/recv cycle *and* the analyzed tree
-    constructs a bounded queue (``maxsize > 0``).  Two components that both
-    block on full queues in a cycle can deadlock; unbounded queues (the
-    framework default) cannot.
+    constructs a queue whose producers block when it is full (a literal
+    ``Queue(maxsize > 0)`` or ``LaneChannel(control_watermark > 0)``).  Two
+    components that both block on full queues in a cycle can deadlock;
+    unbounded queues (the framework default) cannot.
 
 The extracted graph is emitted as a deterministic JSON artifact
 (``docs/topology.json``) plus Graphviz DOT, and
@@ -58,8 +59,11 @@ ROLE_BY_CLASS: Dict[str, str] = {
 #: Roles the framework routes to; only these can be orphaned.
 KNOWN_ROLES = ("explorer", "learner", "controller")
 
-#: Queue-like constructors whose ``maxsize`` argument bounds them.
-_QUEUE_CONSTRUCTORS = {"Queue", "MessageBuffer", "HeaderQueue", "SendBuffer", "ReceiveBuffer"}
+#: Queue constructor -> the keyword whose positive value makes producers
+#: block on a full queue.  A LaneChannel's bulk watermark sheds, it never
+#: blocks; HeaderQueue/MessageBuffer take their watermarks from a
+#: FlowControlSpec object, which is not a literal this pass can read.
+_BLOCKING_BOUND = {"Queue": "maxsize", "LaneChannel": "control_watermark"}
 
 
 def role_for_name(name: str) -> str:
@@ -212,21 +216,20 @@ class _TopologyVisitor(ast.NodeVisitor):
                 self.topology.edges.setdefault(edge, []).append(
                     (self.path, node.lineno)
                 )
-        elif name in _QUEUE_CONSTRUCTORS:
-            self._check_bounded(node)
+        elif name in _BLOCKING_BOUND:
+            self._check_bounded(node, _BLOCKING_BOUND[name])
         self.generic_visit(node)
 
-    def _check_bounded(self, node: ast.Call) -> None:
+    def _check_bounded(self, node: ast.Call, bound: str) -> None:
         for keyword in node.keywords:
-            if keyword.arg == "maxsize":
-                value = keyword.value
-                if isinstance(value, ast.Constant) and isinstance(value.value, int):
-                    if value.value > 0:
-                        self.topology.bounded_queues.append((self.path, node.lineno))
-                elif not isinstance(value, ast.Constant):
-                    # Non-literal maxsize: conservatively treated as bounded
-                    # only when it cannot be the unbounded default literal 0.
-                    pass
+            value = keyword.value
+            if (
+                keyword.arg == bound
+                and isinstance(value, ast.Constant)
+                and isinstance(value.value, int)
+                and value.value > 0
+            ):
+                self.topology.bounded_queues.append((self.path, node.lineno))
 
     # -- handle side --------------------------------------------------------
     def _record_handled(self, member: str) -> None:

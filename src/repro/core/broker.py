@@ -16,9 +16,8 @@ from typing import Any, Dict, Optional
 from ..transport.fabric import Fabric
 from .communicator import HeaderQueue, ShareMemCommunicator
 from .concurrency import make_lock, runtime_checks_enabled
-from .errors import LifecycleError, UnknownObjectError
-from .flowcontrol import WireCompressor, wire_decode
-from .message import DST, OBJECT_ID
+from .errors import LifecycleError
+from .flowcontrol import WireCompressor, release_header_shares, wire_decode
 from .object_store import ObjectStore
 from .ownership import receives_ownership
 from .router import AlgorithmAgnosticRouter
@@ -45,8 +44,8 @@ class Broker:
         #: every endpoint registered against this broker
         self.coalescing = coalescing
         #: :class:`~repro.core.config.FlowControlSpec` (or None); when set,
-        #: the communicator's queues grow priority lanes and watermarks and
-        #: endpoints registered against this broker use flow-aware buffers
+        #: the lanes of the communicator's queues, and of the buffers of
+        #: endpoints registered against this broker, have watermarks
         self.flow = flow if flow is not None and flow.enabled else None
         self.communicator = ShareMemCommunicator(
             f"{name}.comm", store=store, flow=self.flow
@@ -93,13 +92,10 @@ class Broker:
                 return
             self._stopped = True
         self.router.stop()
-        if self.flow is not None:
-            # Wake senders blocked on control-lane admission and wait for
-            # them to finish their queue-side reclaims, so the refcount
-            # audit below cannot race a woken producer.
-            queue = self.communicator.header_queue
-            queue.close()
-            queue.join_producers(timeout=2.0)
+        # The router closed the header queue, waking any sender blocked on
+        # control-lane admission; wait for them to finish their queue-side
+        # reclaims, so the refcount audit below cannot race a woken producer.
+        self.communicator.header_queue.join_producers(timeout=2.0)
         self._release_undispatched()
         try:
             if runtime_checks_enabled():
@@ -132,27 +128,14 @@ class Broker:
         """
         store = self.communicator.object_store
         for header in self.communicator.header_queue.drain():
-            object_id = header.get(OBJECT_ID)
-            if object_id is None:
-                continue
-            for _ in range(max(1, len(header.get(DST) or []))):
-                try:
-                    store.release(object_id)
-                except UnknownObjectError:
-                    break
+            release_header_shares(store, header)
         # Headers already routed into an ID queue nobody drained (e.g. a
         # registered sink with no endpoint) hold one share each.
         for header in self.communicator.drain_parked():
-            object_id = header.get(OBJECT_ID)
-            if object_id is None:
-                continue
-            try:
-                store.release(object_id)
-            except UnknownObjectError:
-                pass
+            release_header_shares(store, header, shares=1)
 
     # -- registration -------------------------------------------------------
-    def register_process(self, process_name: str) -> "HeaderQueue":
+    def register_process(self, process_name: str) -> HeaderQueue:
         """Register a local explorer/learner; returns its ID queue."""
         return self.communicator.register(process_name)
 

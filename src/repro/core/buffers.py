@@ -1,151 +1,113 @@
 """Send and receive buffers for intra-process staging.
 
 Each explorer/learner process maintains a send buffer and a receive buffer
-(§3.2.1).  Message headers go into the buffer's header queue; message bodies
-into the data list.  The workhorse threads only ever touch these local
-buffers — the sender/receiver threads move data between the buffers and the
-broker's communicator.
+(§3.2.1).  The workhorse threads only ever touch these local buffers — the
+sender/receiver threads move data between the buffers and the broker's
+communicator.
 
-The header queue is ``queue.Queue``-based so monitoring threads can block on
-``get`` and wake event-driven the moment a new header arrives (§4.1).
+Both are a :class:`MessageBuffer`: whole messages on a two-lane
+:class:`~repro.core.flowcontrol.LaneChannel`, so monitoring threads block on
+``get`` and wake event-driven the moment a message arrives (§4.1).
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import time
+from typing import Callable, Dict, List, Optional, Sequence
 
-from .concurrency import make_lock
-from .message import Message
-
-
-class _Closed:
-    """Sentinel placed on the header queue to unblock waiters at shutdown."""
-
-
-_CLOSED = _Closed()
+from .config import FlowControlSpec
+from .errors import BufferClosedError
+from .flowcontrol import TERMINAL_SHED, LaneChannel, lane_of
+from .message import TYPE, Message
 
 
 class MessageBuffer:
-    """A header queue plus a body table keyed by sequence number.
+    """A closeable blocking buffer of whole messages.
 
-    ``put`` stages a whole message; ``get`` blocks until a message is
-    available (or the buffer is closed) and hands back header and body
-    together.  FIFO per producer is guaranteed by the underlying queue.
+    Queued control messages (WEIGHTS/COMMAND/HEARTBEAT/STATS) are handed
+    out before queued bulk ones; each lane is FIFO.  ``spec`` sets the
+    lanes' watermarks (docs/FLOW_CONTROL.md): a send buffer built from one
+    blocks a control ``put`` at the watermark — up to the deadline, then
+    :class:`~repro.core.errors.BackpressureError`; this is where
+    backpressure reaches the workhorse — and sheds its oldest staged bulk
+    message, reporting each to ``on_shed``.  Messages hold no object-store
+    shares, so a shed loses only the message itself.  Without a spec
+    nothing is ever shed or blocked.
     """
 
-    def __init__(self, name: str = "", maxsize: int = 0):
+    def __init__(
+        self,
+        name: str = "",
+        spec: Optional[FlowControlSpec] = None,
+        *,
+        on_shed: Optional[Callable[[Message], None]] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ):
         self.name = name
-        self._headers: "queue.Queue[object]" = queue.Queue(maxsize=maxsize)
-        #: seq -> (body, cached frame): both survive the queue crossing so
-        #: the sender thread can reuse the workhorse's serialization work.
-        self._bodies: Dict[int, Tuple[object, object]] = {}
-        self._lock = make_lock(f"buffer.{name}" if name else "buffer")
-        self._closed = threading.Event()
-        self.total_put = 0
-        self.total_got = 0
+        self._on_shed = on_shed
+        self._deadline = None if spec is None else spec.control_deadline_s
+        self._channel = LaneChannel.from_spec(
+            f"buffer.{name}", spec, on_drop=self._dropped, clock=clock
+        )
 
-    def put(self, message: Message, timeout: Optional[float] = None) -> None:
-        if self._closed.is_set():
-            raise RuntimeError(f"buffer {self.name!r} is closed")
-        with self._lock:
-            self._bodies[message.seq] = (message.body, message.frame)
-            self.total_put += 1
-        try:
-            self._headers.put(message.header, timeout=timeout)
-        except queue.Full:
-            with self._lock:
-                self._bodies.pop(message.seq, None)
-                self.total_put -= 1
-            raise
+    def _dropped(self, outcome: str, messages: Sequence[Message]) -> None:
+        # Expired and rejected puts reach the producer as exceptions.
+        if outcome == TERMINAL_SHED and self._on_shed is not None:
+            for message in messages:
+                self._on_shed(message)
+
+    def put(self, message: Message) -> None:
+        self.put_many((message,))
 
     def put_many(self, messages: Sequence[Message]) -> None:
-        """Stage several messages with one body-table lock acquisition.
+        """Stage several messages under one lock acquisition.
 
-        Only for unbounded buffers (the framework default) — bounded ones
-        need the per-message blocking of :meth:`put`.
+        Raises :class:`~repro.core.errors.BufferClosedError` (a
+        ``RuntimeError``) on a closed buffer — including a blocked control
+        put woken by ``close()`` — which shutdown paths treat as the end of
+        the world.
         """
-        if self._headers.maxsize > 0:
-            for message in messages:
-                self.put(message)
-            return
-        if self._closed.is_set():
-            raise RuntimeError(f"buffer {self.name!r} is closed")
-        with self._lock:
-            for message in messages:
-                self._bodies[message.seq] = (message.body, message.frame)
-            self.total_put += len(messages)
-        headers = self._headers
-        with headers.mutex:
-            headers.queue.extend(message.header for message in messages)
-            headers.unfinished_tasks += len(messages)
-            headers.not_empty.notify(len(messages))
+        admitted = self._channel.offer_many(
+            messages,
+            [lane_of(message.header[TYPE]) for message in messages],
+            deadline_s=self._deadline,
+        )
+        if admitted < len(messages):
+            raise BufferClosedError(f"buffer {self.name!r} is closed")
 
     def get(self, timeout: Optional[float] = None) -> Optional[Message]:
-        """Blocking fetch; returns ``None`` once the buffer is closed and
-        drained, mirroring a ``Queue.get`` that was woken by shutdown."""
-        try:
-            header = self._headers.get(timeout=timeout)
-        except queue.Empty:
-            return None
-        if header is _CLOSED:
-            # Re-insert so every waiter wakes up.
-            self._headers.put(_CLOSED)
-            return None
-        with self._lock:
-            body, frame = self._bodies.pop(header["seq"], (None, None))
-            self.total_got += 1
-        return Message(header, body, frame)
+        """Blocking fetch; returns ``None`` on timeout or once the buffer is
+        closed and drained."""
+        return self._channel.take(timeout=timeout)
 
     def get_many(
         self, max_items: int, timeout: Optional[float] = None
     ) -> List[Message]:
-        """One blocking :meth:`get` plus a non-blocking drain up to
+        """One blocking :meth:`get` plus a same-lock drain up to
         ``max_items`` — the sender thread's per-wakeup batch."""
-        first = self.get(timeout=timeout)
-        if first is None:
-            return []
-        messages = [first]
-        while len(messages) < max_items:
-            extra = self.get(timeout=0.0)
-            if extra is None:
-                break
-            messages.append(extra)
-        return messages
+        return self._channel.take_many(max_items, timeout=timeout)
 
     def get_nowait(self) -> Optional[Message]:
-        return self.get(timeout=0.0) if not self.empty() else None
+        return self._channel.take(timeout=0.0)
 
-    def drain(self) -> Iterator[Message]:
-        """Yield currently-queued messages without blocking."""
-        while True:
-            message = self.get(timeout=0.0)
-            if message is None:
-                return
-            yield message
+    def drain(self) -> List[Message]:
+        """Pop every currently-queued message without blocking."""
+        return self._channel.drain()
 
     def empty(self) -> bool:
-        return self._headers.empty()
+        return self._channel.qsize() == 0
 
     def qsize(self) -> int:
-        return self._headers.qsize()
+        return self._channel.qsize()
+
+    def flow_stats(self) -> Dict[str, float]:
+        return self._channel.flow_stats()
 
     def close(self) -> None:
-        """Wake all blocked getters; subsequent ``get`` returns ``None`` once
-        the queue is drained of real messages."""
-        if not self._closed.is_set():
-            self._closed.set()
-            self._headers.put(_CLOSED)
+        """Wake all blocked getters and putters; ``get`` returns ``None``
+        once the buffer is drained of queued messages."""
+        self._channel.close()
 
     @property
     def closed(self) -> bool:
-        return self._closed.is_set()
-
-
-class SendBuffer(MessageBuffer):
-    """Staging area for messages a workhorse thread has produced."""
-
-
-class ReceiveBuffer(MessageBuffer):
-    """Staging area for messages delivered to a process, awaiting use."""
+        return self._channel.closed

@@ -15,134 +15,137 @@ continues immediately (§4.1).
 
 from __future__ import annotations
 
-import queue
-import threading
-from typing import Any, Dict, List, Optional, Sequence
+import time
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .concurrency import make_lock, runtime_checks_enabled
 from .config import FlowControlSpec
 from .errors import RoutingError
 from .flowcontrol import (
-    CONTROL_UNBOUNDED,
-    LaneHeaderQueue,
+    TERMINAL_REJECTED,
+    LaneChannel,
+    lane_of,
+    never_blocking,
     release_header_shares,
+    trace_terminal,
 )
+from .message import TYPE
 from .object_store import InMemoryObjectStore, ObjectStore
 from .ownership import receives_ownership
+from .tracing import Tracer
 
 
 class HeaderQueue:
-    """A closeable blocking queue of message headers."""
+    """A closeable blocking queue of message headers, on a two-lane channel.
 
-    _CLOSED = object()
+    Queued control headers (WEIGHTS/COMMAND/HEARTBEAT/STATS) are handed out
+    before queued bulk ones; each lane is FIFO.  ``spec`` sets the lanes'
+    watermarks (docs/FLOW_CONTROL.md); without one nothing is ever shed,
+    blocked or expired.
 
-    def __init__(self, name: str = "", maxsize: int = 0):
+    One ownership contract: the queue owns every header it is handed.  A
+    header it does not enqueue — shed at the bulk watermark, expired at the
+    control deadline, or rejected because the queue is closed — is passed
+    to ``reclaim`` (outside the channel lock), which releases the
+    object-store shares the header carries; ``put``/``put_many`` return how
+    many headers were enqueued and callers release nothing.
+    """
+
+    def __init__(
+        self,
+        name: str = "",
+        spec: Optional[FlowControlSpec] = None,
+        *,
+        reclaim: Optional[Callable[[Dict[str, Any]], None]] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ):
         self.name = name
-        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=maxsize)
-        self._closed = threading.Event()
+        self._reclaim = reclaim
+        self._deadline = None if spec is None else spec.control_deadline_s
+        self._channel = LaneChannel.from_spec(
+            name, spec, on_drop=self._dropped, clock=clock
+        )
+        #: optional :class:`Tracer` — records one terminal event per header
+        #: this queue sheds or expires, so span aggregation sees a definite
+        #: outcome instead of a forever-pending entry
+        self.tracer: Optional[Tracer] = None
 
-    def put(self, header: Dict[str, Any]) -> bool:
-        """Enqueue ``header``; returns ``False`` when dropped (queue closed).
+    @receives_ownership("dropped headers still carry their senders' shares")
+    def _dropped(self, outcome: str, headers: Sequence[Dict[str, Any]]) -> None:
+        tracer = self.tracer
+        # A put bounced off a closed queue is traced by its caller, who
+        # knows which destination (of a fan-out) the header was for.
+        if tracer is not None and outcome != TERMINAL_REJECTED:
+            for header in headers:
+                trace_terminal(tracer, outcome, self.name, header)
+        if self._reclaim is not None:
+            for header in headers:
+                self._reclaim(header)
 
-        Callers that inserted a body into the object store on behalf of this
-        header must release its refcount when the put is dropped, or the
-        body leaks (the destination will never fetch-and-release it).
+    def put(self, header: Dict[str, Any]) -> int:
+        """Admit one header; 0 when it was not enqueued (queue closed)."""
+        return self.put_many((header,))
+
+    def put_many(self, headers: Sequence[Dict[str, Any]]) -> int:
+        """Admit several headers in order under one lock acquisition;
+        returns how many were enqueued.
+
+        Admission stops when the queue closes mid-batch (the count is
+        returned) or a control header's deadline expires (the raised
+        :class:`~repro.core.errors.BackpressureError` carries the count as
+        ``accepted``); either way the unenqueued remainder has already been
+        reclaimed when this returns or raises.
         """
-        if self._closed.is_set():
-            return False  # drop late headers during shutdown
-        self._queue.put(header)
-        return True
+        return self._channel.offer_many(
+            headers,
+            [lane_of(header.get(TYPE)) for header in headers],
+            deadline_s=self._deadline,
+        )
 
     def get(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
         """Blocking get; returns ``None`` on timeout or once closed."""
-        try:
-            item = self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
-        if item is self._CLOSED:
-            self._queue.put(self._CLOSED)  # wake any other waiters
-            return None
-        return item
-
-    def put_many(self, headers: Sequence[Dict[str, Any]]) -> bool:
-        """Enqueue several headers under one lock acquisition.
-
-        Returns ``False`` (enqueuing nothing) when the queue is closed —
-        the same all-or-nothing drop contract as :meth:`put`, so callers
-        release every affected refcount, not a guessed subset.  Bounded
-        queues fall back to per-item blocking puts.
-        """
-        if self._closed.is_set():
-            return False
-        if not headers:
-            return True
-        inner = self._queue
-        if inner.maxsize > 0:
-            for header in headers:
-                inner.put(header)
-            return True
-        with inner.mutex:
-            inner.queue.extend(headers)
-            inner.unfinished_tasks += len(headers)
-            inner.not_empty.notify(len(headers))
-        return True
+        return self._channel.take(timeout=timeout)
 
     def get_many(
         self, max_items: int, timeout: Optional[float] = None
     ) -> List[Dict[str, Any]]:
-        """One blocking :meth:`get` plus a same-lock drain up to
-        ``max_items`` — consumers (router, receiver threads) amortize the
-        queue lock over a whole wakeup's worth of headers."""
-        first = self.get(timeout=timeout)
-        if first is None:
-            return []
-        items = [first]
-        if max_items <= 1:
-            return items
-        inner = self._queue
-        with inner.mutex:
-            while len(items) < max_items and inner._qsize():
-                item = inner.queue[0]
-                if item is self._CLOSED:
-                    break  # leave the sentinel for other waiters
-                inner.queue.popleft()
-                inner.not_full.notify()
-                items.append(item)
-        return items
-
-    def close(self) -> None:
-        if not self._closed.is_set():
-            self._closed.set()
-            self._queue.put(self._CLOSED)
+        """One blocking get plus a same-lock drain up to ``max_items`` —
+        consumers (router, receiver threads) amortize the queue lock over a
+        whole wakeup's worth of headers."""
+        return self._channel.take_many(max_items, timeout=timeout)
 
     @receives_ownership("drained headers still carry their senders' shares")
     def drain(self) -> List[Dict[str, Any]]:
         """Pop and return every queued header without blocking.
 
-        Used at endpoint shutdown to recover headers nobody will consume so
-        their object-store refcounts can be released.  Sentinel markers are
-        discarded; one is re-inserted afterwards when the queue is closed so
-        late waiters still wake up.
+        Used at shutdown to recover headers nobody will consume so their
+        object-store refcounts can be released.
         """
-        items: List[Dict[str, Any]] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is self._CLOSED:
-                continue
-            items.append(item)
-        if self._closed.is_set():
-            self._queue.put(self._CLOSED)
-        return items
+        return self._channel.drain()
+
+    def set_pressure(self, active: bool) -> None:
+        self._channel.set_pressure(active)
+
+    def close(self) -> None:
+        self._channel.close()
+
+    def join_producers(self, timeout: float = 2.0) -> bool:
+        """After :meth:`close`: wait until every producer it woke has
+        finished reclaiming (see :meth:`LaneChannel.join_producers`)."""
+        return self._channel.join_producers(timeout)
 
     @property
     def closed(self) -> bool:
-        return self._closed.is_set()
+        return self._channel.closed
 
     def qsize(self) -> int:
-        return self._queue.qsize()
+        return self._channel.qsize()
+
+    def lane_depths(self) -> Dict[str, int]:
+        return self._channel.lane_depths()
+
+    def flow_stats(self) -> Dict[str, float]:
+        return self._channel.flow_stats()
 
 
 class ShareMemCommunicator:
@@ -163,63 +166,51 @@ class ShareMemCommunicator:
         self.name = name
         self.flow = flow if flow is not None and flow.enabled else None
         self.object_store: ObjectStore = store if store is not None else InMemoryObjectStore()
-        if self.flow is not None:
-            # Senders feel backpressure here: control blocks with a
-            # deadline, bulk sheds its oldest headers (whose shares the
-            # reclaim callback releases — bounded admission must not leak).
-            self.header_queue: Any = LaneHeaderQueue(
-                f"{name}.headers", self.flow, reclaim=self._reclaim_header
-            )
-        else:
-            self.header_queue = HeaderQueue(f"{name}.headers")
-        self._id_queues: Dict[str, Any] = {}
+        # Under a spec senders feel backpressure here: control blocks with
+        # a deadline, bulk sheds its oldest headers.  Whatever the queue
+        # does not enqueue it reclaims — admission must not leak shares.
+        self.header_queue = HeaderQueue(
+            f"{name}.headers", self.flow, reclaim=self._reclaim_header
+        )
+        self._id_flow = never_blocking(self.flow)
+        self._id_queues: Dict[str, HeaderQueue] = {}
         self._lock = make_lock(f"{name}.registry")
-        self._tracer: Any = None
+        self._tracer: Optional[Tracer] = None
 
     # -- tracing -----------------------------------------------------------
-    def set_tracer(self, tracer: Any) -> None:
-        """Attach a tracer to every flow-controlled queue (current and
-        future): shed/expired/rejected headers then leave terminal trace
-        events instead of silently vanishing.  A no-op for plain queues —
-        they never drop admitted headers."""
+    def set_tracer(self, tracer: Optional[Tracer]) -> None:
+        """Attach a tracer to every queue (current and future): shed and
+        expired headers then leave terminal trace events instead of
+        silently vanishing."""
         with self._lock:
             self._tracer = tracer
             queues = list(self._id_queues.values())
         for queue in [self.header_queue, *queues]:
-            if isinstance(queue, LaneHeaderQueue):
-                queue.tracer = tracer
+            queue.tracer = tracer
 
-    # -- flow-control reclaim ----------------------------------------------
-    @receives_ownership("shed headers still carry their senders' shares")
+    # -- reclaim -------------------------------------------------------------
+    @receives_ownership("unrouted headers still carry their senders' shares")
     def _reclaim_header(self, header: Dict[str, Any]) -> None:
-        """Release every share of a header shed before it crossed the router."""
+        """Release every share of a header that never crossed the router."""
         release_header_shares(self.object_store, header)
 
-    @receives_ownership("shed headers still carry one routed share")
+    @receives_ownership("routed headers still carry one share")
     def _reclaim_routed_header(self, header: Dict[str, Any]) -> None:
-        """Release the single share of a header shed from an ID queue."""
+        """Release the single share of a header dropped at an ID queue."""
         release_header_shares(self.object_store, header, shares=1)
 
     # -- registration -----------------------------------------------------
-    def register(self, process_name: str) -> Any:
+    def register(self, process_name: str) -> HeaderQueue:
         """Create (or return) the ID queue for a local process."""
         with self._lock:
             id_queue = self._id_queues.get(process_name)
             if id_queue is None:
-                if self.flow is not None:
-                    # ID queues never block the router (one slow
-                    # destination must not stall every other lane), so
-                    # their control lane is unbounded; the broker header
-                    # queue already bounds control volume upstream.
-                    id_queue = LaneHeaderQueue(
-                        f"{self.name}.id.{process_name}",
-                        self.flow,
-                        reclaim=self._reclaim_routed_header,
-                        control_policy=CONTROL_UNBOUNDED,
-                    )
-                    id_queue.tracer = self._tracer
-                else:
-                    id_queue = HeaderQueue(f"{self.name}.id.{process_name}")
+                id_queue = HeaderQueue(
+                    f"{self.name}.id.{process_name}",
+                    self._id_flow,
+                    reclaim=self._reclaim_routed_header,
+                )
+                id_queue.tracer = self._tracer
                 self._id_queues[process_name] = id_queue
             return id_queue
 
@@ -229,7 +220,7 @@ class ShareMemCommunicator:
         if id_queue is not None:
             id_queue.close()
 
-    def id_queue(self, process_name: str) -> Any:
+    def id_queue(self, process_name: str) -> HeaderQueue:
         with self._lock:
             try:
                 return self._id_queues[process_name]
@@ -249,12 +240,7 @@ class ShareMemCommunicator:
         return {name: id_queue.qsize() for name, id_queue in queues.items()}
 
     def lane_depths(self) -> Dict[str, Dict[str, int]]:
-        """Per-lane depth of every flow-controlled queue (telemetry probe).
-
-        Empty when flow control is off — plain queues have no lanes.
-        """
-        if self.flow is None:
-            return {}
+        """Per-lane depth of every queue (telemetry probe)."""
         with self._lock:
             queues = dict(self._id_queues)
         depths = {"headers": self.header_queue.lane_depths()}
@@ -263,9 +249,7 @@ class ShareMemCommunicator:
         return depths
 
     def flow_stats(self) -> Dict[str, Dict[str, float]]:
-        """Backpressure counters of every flow-controlled queue."""
-        if self.flow is None:
-            return {}
+        """Backpressure counters of every queue."""
         with self._lock:
             queues = dict(self._id_queues)
         stats = {"headers": self.header_queue.flow_stats()}
@@ -274,13 +258,11 @@ class ShareMemCommunicator:
         return stats
 
     def set_pressure(self, active: bool) -> None:
-        """Tighten (or relax) bulk admission on every flow-controlled queue.
+        """Tighten (or relax) bulk admission on every queue.
 
         Pulled by the FlowController when arena occupancy crosses its high
-        watermark; a no-op without flow control.
+        watermark; lanes without a watermark have nothing to tighten.
         """
-        if self.flow is None:
-            return
         with self._lock:
             queues = list(self._id_queues.values())
         self.header_queue.set_pressure(active)

@@ -144,17 +144,17 @@ class CoalescingSpec:
 class FlowControlSpec:
     """Overload-control knobs (see docs/FLOW_CONTROL.md).
 
-    When attached to a config, every broker header queue, per-destination
-    ID queue, and endpoint buffer becomes a two-lane bounded channel:
-    control traffic (weights, commands, heartbeats, stats) overtakes bulk
-    experience under load, bulk admission sheds the oldest trajectory past
-    the watermark, and control admission blocks its producer up to
-    ``control_deadline_s`` before failing loudly with
+    Every broker header queue, per-destination ID queue, and endpoint
+    buffer is a two-lane channel in which control traffic (weights,
+    commands, heartbeats, stats) overtakes bulk experience.  Attached to a
+    config, this spec bounds those lanes: bulk admission sheds the oldest
+    trajectory past the watermark, and control admission blocks its
+    producer up to ``control_deadline_s`` before failing loudly with
     :class:`~repro.core.errors.BackpressureError`.  A
     :class:`~repro.obs.flowcontroller.FlowController` polls the metrics
     registry and adapts coalescing/compression/admission at runtime.
-    ``None`` (the default) keeps the seed behaviour — unbounded FIFO
-    queues, no lanes, no adaptation.
+    ``None`` (the default) leaves both lanes of every queue unbounded —
+    nothing sheds, blocks or expires — with no adaptation.
     """
 
     enabled: bool = True

@@ -16,7 +16,7 @@ from typing import Any, Callable, List, Optional
 
 from ..transport.fabric import Fabric
 from .broker import Broker
-from .concurrency import spawn_thread
+from .concurrency import make_lock, spawn_thread
 from .config import StopCondition
 from .endpoint import ProcessEndpoint
 from .message import CMD_SHUTDOWN, Command, MsgType
@@ -31,33 +31,42 @@ class Controller:
         self.name = name
         self.broker = broker
         self._control_fabric = control_fabric
+        # The supervisor thread replaces processes while the launch thread
+        # may be starting or stopping them.
         self._processes: List[Any] = []
+        self._processes_lock = make_lock(f"{name}.processes")
         self._stopped = threading.Event()
         if control_fabric is not None:
             control_fabric.register(self.name, self._on_command)
 
     def manage(self, process: Any) -> None:
         """Track a process (Explorer/Learner/...) for lifecycle handling."""
-        self._processes.append(process)
+        with self._processes_lock:
+            self._processes.append(process)
 
     def replace(self, old: Any, new: Any) -> None:
         """Swap a restarted process into the managed set (supervision)."""
-        for index, process in enumerate(self._processes):
-            if process is old:
-                self._processes[index] = new
-                return
-        self._processes.append(new)
+        with self._processes_lock:
+            for index, process in enumerate(self._processes):
+                if process is old:
+                    self._processes[index] = new
+                    return
+            self._processes.append(new)
+
+    def _managed(self) -> List[Any]:
+        with self._processes_lock:
+            return list(self._processes)
 
     def start_all(self) -> None:
         self.broker.start()
-        for process in self._processes:
+        for process in self._managed():
             process.start()
 
     def stop_all(self) -> None:
         if self._stopped.is_set():
             return
         self._stopped.set()
-        for process in self._processes:
+        for process in self._managed():
             process.stop()
         self.broker.stop()
 
@@ -137,13 +146,15 @@ class CenterController(Controller):
 
     # -- stats & stop condition ----------------------------------------------
     def _monitor_loop(self) -> None:
+        collector = self.collector
         while not self._monitor_stop.is_set():
             message = self.endpoint.receive(timeout=0.1)
             if message is None:
                 continue
             if message.msg_type == MsgType.STATS:
-                self.collector.add(message.body)
-                # A stats report proves the sender is alive too.
+                collector.add(message.body)
+                # A stats message, even a body-less one the collector
+                # skips, proves the sender is alive too.
                 if self.supervisor is not None:
                     self.supervisor.observe_heartbeat(message.src)
             elif message.msg_type == MsgType.HEARTBEAT:

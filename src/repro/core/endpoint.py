@@ -19,16 +19,23 @@ import time
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .broker import Broker
-from .buffers import ReceiveBuffer, SendBuffer
+from .buffers import MessageBuffer
 from .concurrency import make_lock, spawn_thread
 from .config import CoalescingSpec
 from .errors import BackpressureError, LifecycleError
-from .flowcontrol import Lane, FlowReceiveBuffer, FlowSendBuffer, lane_of
+from .flowcontrol import (
+    TERMINAL_REJECTED,
+    TERMINAL_SHED,
+    Lane,
+    lane_of,
+    never_blocking,
+    release_header_shares,
+    trace_terminal,
+)
 from .message import (
     BODY_SIZE,
     COMPRESSED,
     DST,
-    LANE,
     OBJECT_ID,
     SEQ,
     SPAN,
@@ -45,9 +52,9 @@ from .serialization import measure
 from .stats import LatencyRecorder, ThroughputMeter
 from .tracing import Tracer, flight_dump, flight_recorder
 
-#: One staged header: (header, object_id, refcount, originals) — ``originals``
-#: are the workhorse-visible messages the header carries (one, or a batch).
-_Staged = Tuple[dict, Optional[str], int, List[Message]]
+#: One staged header: (header, originals) — ``originals`` are the
+#: workhorse-visible messages the header carries (one, or a batch).
+_Staged = Tuple[dict, List[Message]]
 
 #: Per-wakeup drain bound when coalescing is off (amortizes queue locks
 #: without changing what crosses the wire).
@@ -75,23 +82,31 @@ class ProcessEndpoint:
             else getattr(broker, "coalescing", None)
         )
         #: :class:`~repro.core.config.FlowControlSpec` inherited from the
-        #: broker; when set, the local buffers grow priority lanes and the
-        #: workhorse feels backpressure at :meth:`send`
+        #: broker; when set, the local buffers' lanes have watermarks and
+        #: the workhorse feels backpressure at :meth:`send`
         self.flow = getattr(broker, "flow", None)
         #: per-process flight recorder (None when disabled via env)
         self._flightrec = flight_recorder()
-        if self.flow is not None:
-            self.send_buffer: Any = FlowSendBuffer(
-                f"{name}.send", self.flow,
-                on_shed=lambda lost: self._record_shed(lost, f"{name}.send"),
-            )
-            self.receive_buffer: Any = FlowReceiveBuffer(
-                f"{name}.recv", self.flow,
-                on_shed=lambda lost: self._record_shed(lost, f"{name}.recv"),
-            )
-        else:
-            self.send_buffer = SendBuffer(f"{name}.send")
-            self.receive_buffer = ReceiveBuffer(f"{name}.recv")
+        #: staging for messages the workhorse produced: under a spec,
+        #: control sends block it at the watermark (deadline bounded) and
+        #: bulk sends shed the oldest staged rollout instead
+        self.send_buffer = MessageBuffer(
+            f"{name}.send", self.flow,
+            on_shed=lambda lost: self._record_terminal(
+                TERMINAL_SHED, lost.header, f"{name}.send"
+            ),
+        )
+        #: staging for delivered messages awaiting use.  The receiver
+        #: thread must never block on a deadline (it would stall deliveries
+        #: for every lane); a slow consumer sheds its own oldest bulk
+        #: deliveries, which keeps memory bounded end-to-end instead of
+        #: moving the unbounded queue one hop downstream.
+        self.receive_buffer = MessageBuffer(
+            f"{name}.recv", never_blocking(self.flow),
+            on_shed=lambda lost: self._record_terminal(
+                TERMINAL_SHED, lost.header, f"{name}.recv"
+            ),
+        )
         #: control-lane sends abandoned because their backpressure deadline
         #: expired (written by the sender thread, read by telemetry)
         self.backpressure_expired = 0
@@ -117,18 +132,13 @@ class ProcessEndpoint:
         self._delivery_histogram: Optional[Any] = None
         self._coalesce_histogram: Optional[Any] = None
 
-    def _record_shed(self, message: Message, source: str) -> None:
-        """Terminal "shed" event for a message lost in a local flow buffer."""
-        header = message.header
+    def _record_terminal(self, outcome: str, header: dict, source: str) -> None:
+        """Terminal event for a message this endpoint knows is lost."""
         if self.tracer is not None:
-            self.tracer.record(
-                "shed", source, seq=header.get(SEQ),
-                trace=header.get(TRACE), dst=",".join(header.get(DST) or ()),
-                type=str(header.get(TYPE)), lane=header.get(LANE),
-            )
+            trace_terminal(self.tracer, outcome, source, header)
         if self._flightrec is not None:
             self._flightrec.record(
-                "shed", source, header.get(SEQ, -1), header.get(TRACE) or 0,
+                outcome, source, header.get(SEQ, -1), header.get(TRACE) or 0,
             )
 
     def attach_metrics(self, registry: Any) -> None:
@@ -189,12 +199,7 @@ class ProcessEndpoint:
         """
         store = self.broker.communicator.object_store
         for header in self._id_queue.drain():
-            object_id = header.get(OBJECT_ID)
-            if object_id is not None:
-                try:
-                    store.release(object_id)
-                except Exception:  # noqa: BLE001 - already released elsewhere
-                    pass
+            release_header_shares(store, header, shares=1)
 
     # -- workhorse-facing API ------------------------------------------------
     def send(self, message: Message) -> None:
@@ -287,11 +292,10 @@ class ProcessEndpoint:
         represents — for a BATCH envelope, the coalesced sub-messages.
         """
         store = self.broker.communicator.object_store
-        refcount = max(1, len(message.dst))
         if message.body is not None:
             object_id: Optional[str] = store.put(
                 message.body,
-                refcount=refcount,
+                refcount=max(1, len(message.dst)),
                 nbytes=message.body_size,
                 frame=message.frame,
             )
@@ -299,8 +303,7 @@ class ProcessEndpoint:
             object_id = None
         header = dict(message.header)
         header[OBJECT_ID] = object_id
-        originals = [message]
-        return header, object_id, refcount, originals
+        return header, [message]
 
     def _stage_coalesced(
         self, messages: Sequence[Message], spec: CoalescingSpec
@@ -321,10 +324,10 @@ class ProcessEndpoint:
                 message.body is not None
                 and message.body_size <= spec.max_message_bytes
                 and message.msg_type is not MsgType.BATCH
-                # Under flow control a BATCH envelope rides the bulk lane,
-                # so packing a control message into one would forfeit its
-                # priority: control traffic always travels individually.
-                and (self.flow is None or lane_of(message.msg_type) is Lane.BULK)
+                # A BATCH envelope rides the bulk lane, so packing a control
+                # message into one would forfeit its priority: control
+                # traffic always travels individually.
+                and lane_of(message.header[TYPE]) is Lane.BULK
             )
             dst_key = tuple(message.header.get(DST, ())) if packable else None
             if packable and dst_key == run_dst and len(run) < spec.max_batch:
@@ -348,8 +351,8 @@ class ProcessEndpoint:
             staged.append(self._stage(run[0]))
             return
         envelope = pack_batch(run)
-        header, object_id, refcount, _ = self._stage(envelope)
-        staged.append((header, object_id, refcount, list(run)))
+        header, _ = self._stage(envelope)
+        staged.append((header, list(run)))
         if self._coalesce_histogram is not None:
             self._coalesce_histogram.observe(len(run))
 
@@ -381,10 +384,10 @@ class ProcessEndpoint:
                 staged = [self._stage(message) for message in messages]
             headers = [entry[0] for entry in staged]
             try:
-                result = communicator.header_queue.put_many(headers)
+                accepted = communicator.header_queue.put_many(headers)
             except BackpressureError as exc:
                 # A control header hit its admission deadline: fail loudly
-                # (once) and drop it plus the unenqueued remainder below.
+                # (once); it and the unenqueued remainder are dropped.
                 with self._backpressure_lock:
                     self.backpressure_expired += 1
                 if not self._backpressure_warned:
@@ -397,28 +400,25 @@ class ProcessEndpoint:
                     # First escalation only: snapshot the last seconds of
                     # channel activity for post-mortem (docs/OBSERVABILITY.md).
                     flight_dump("backpressure")
-                result = exc.accepted
-            # Plain HeaderQueue.put_many returns all-or-nothing booleans;
-            # LaneHeaderQueue returns the admitted prefix length.  Normalize
-            # before slicing — bool is an int and True would slice at 1.
-            accepted = len(staged) if result is True else int(result)
-            if accepted < len(staged):
-                if self.flow is None:
-                    # Plain HeaderQueue: headers dropped because the
-                    # communicator is closing — we still own their shares,
-                    # so undo the store inserts or the bodies leak with
-                    # their full fan-out refcounts.
-                    for _, object_id, refcount, _ in staged[accepted:]:
-                        if object_id is not None:
-                            for _ in range(refcount):
-                                communicator.object_store.release(object_id)
-                # LaneHeaderQueue (CONTROL_BLOCK) reclaimed the rejected
-                # remainder itself — releasing here would double-free.
-                if accepted == 0:
-                    continue
-            self.sent_meter.record_many(
-                [max(message.body_size, 1) for message in messages]
-            )
+                accepted = exc.accepted
+                rejected = staged[accepted + 1:]  # the queue traced the expiry
+            else:
+                rejected = staged[accepted:]
+            # The queue reclaimed the store shares of what it did not
+            # enqueue; the messages themselves are lost (the communicator is
+            # closing, or they queued up behind an expired control send).
+            for _, originals in rejected:
+                for message in originals:
+                    self._record_terminal(
+                        TERMINAL_REJECTED, message.header, self.name
+                    )
+            sent = [
+                max(message.body_size, 1)
+                for _, originals in staged[:accepted]
+                for message in originals
+            ]
+            if sent:
+                self.sent_meter.record_many(sent)
 
     @receives_ownership("releases the shares the senders acquired for us")
     def _receiver_loop(self) -> None:

@@ -27,8 +27,8 @@ class BackpressureError(TransportError):
     producers at the high watermark; if the queue has not drained below the
     low watermark within the configured deadline the put fails loudly with
     this error instead of waiting forever.  ``accepted`` carries how many
-    headers of a batched put were admitted before the expiry so callers can
-    release the object-store shares of the unenqueued remainder.
+    entries of a batched put were admitted before the expiry; the queue has
+    already reclaimed the unenqueued remainder.
     """
 
     def __init__(self, message: str, accepted: int = 0):
@@ -37,7 +37,7 @@ class BackpressureError(TransportError):
 
 
 class BufferClosedError(TransportError, RuntimeError):
-    """Raised by flow-controlled buffers on ``put`` after ``close()``.
+    """Raised by message buffers on ``put`` after ``close()``.
 
     Subclasses ``RuntimeError`` so existing callers that treat a closed
     :class:`~repro.core.buffers.MessageBuffer` as a shutdown signal keep

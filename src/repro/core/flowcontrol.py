@@ -1,31 +1,24 @@
 """Adaptive overload control: priority lanes, watermarks, backpressure.
 
 The broker degrades *gracefully* instead of silently when producers outrun
-consumers (docs/FLOW_CONTROL.md).  Three pieces live here:
+consumers (docs/FLOW_CONTROL.md).  Two pieces live here:
 
-* :class:`LaneChannel` — the bounded two-lane primitive every flow-aware
-  queue is built on.  The **control** lane (weights, commands, heartbeats,
-  stats) drains first and blocks its producer with a deadline at the high
+* :class:`LaneChannel` — the two-lane primitive every queue and buffer of
+  the data plane is built on (:class:`~repro.core.communicator.HeaderQueue`
+  for header dicts, :class:`~repro.core.buffers.MessageBuffer` for whole
+  messages).  The **control** lane (weights, commands, heartbeats, stats)
+  drains first and blocks its producer with a deadline at the high
   watermark; the **bulk** lane (rollouts, generic data, batch envelopes)
   sheds its *oldest* entry past the watermark — in DRL the freshest
   trajectory is the most on-policy one, so old experience is the right
-  thing to lose.  Within a lane FIFO order is untouched, so
-  per-(destination, lane) ordering is exactly what it was without lanes.
+  thing to lose.  Within a lane FIFO order is untouched, so ordering is
+  per-(destination, lane) FIFO.  A lane without a watermark is unbounded:
+  with no :class:`~repro.core.config.FlowControlSpec` neither lane has
+  one, so nothing ever sheds, blocks or expires.
 
-* :class:`LaneHeaderQueue` — a drop-in for
-  :class:`~repro.core.communicator.HeaderQueue` carrying header dicts.
-  Shed headers still own their senders' object-store shares; a ``reclaim``
-  callback releases them so bounded admission never turns into a refcount
-  leak.
-
-* :class:`FlowSendBuffer` / :class:`FlowReceiveBuffer` — drop-ins for the
-  endpoint's :class:`~repro.core.buffers.MessageBuffer` subclasses, and
-  :class:`WireCompressor` — the broker's adaptive fabric-boundary codec
+* :class:`WireCompressor` — the broker's adaptive fabric-boundary codec
   the :class:`~repro.obs.flowcontroller.FlowController` switches on when
   link throughput sags.
-
-Everything is opt-in via :class:`~repro.core.config.FlowControlSpec`; with
-the spec unset none of these classes is ever constructed.
 """
 
 from __future__ import annotations
@@ -33,17 +26,16 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from dataclasses import replace
 from enum import Enum
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .compression import get_codec
 from .concurrency import make_lock
 from .config import FlowControlSpec
-from .errors import BackpressureError, BufferClosedError
-from .message import DST, LANE, OBJECT_ID, SEQ, TRACE, TYPE, WIRE_CODEC, Message, MsgType
-from .ownership import receives_ownership
+from .errors import BackpressureError
+from .message import DST, OBJECT_ID, SEQ, TRACE, TYPE, WIRE_CODEC, MsgType
 from .serialization import deserialize, serialize
-from .tracing import Tracer
 
 #: Terminal trace-event kinds: a message that hits one of these will never
 #: see "delivered"/"consumed", so span aggregation closes its pending state
@@ -64,6 +56,9 @@ class Lane(str, Enum):
         return self.value
 
 
+_CONTROL = Lane.CONTROL
+_BULK = Lane.BULK
+
 #: Message types that ride the control lane.  Weight broadcasts are control
 #: traffic: a stale-weights explorer produces off-policy rollouts, which is
 #: strictly worse than a late trajectory.
@@ -73,23 +68,39 @@ CONTROL_TYPES = frozenset(
 
 
 def lane_of(msg_type: Any) -> Lane:
-    """The lane a message type rides (unknown types default to bulk)."""
+    """The lane a message type rides (unknown types default to bulk).
+
+    Takes the raw header value: ``MsgType`` members hash and compare as
+    their string values, so no enum construction is needed per message.
+    """
     try:
-        msg_type = MsgType(msg_type)
-    except (ValueError, TypeError):
-        return Lane.BULK
-    return Lane.CONTROL if msg_type in CONTROL_TYPES else Lane.BULK
+        return _CONTROL if msg_type in CONTROL_TYPES else _BULK
+    except TypeError:  # unhashable garbage in a header's type field
+        return _BULK
 
 
-def header_lane(header: Dict[str, Any]) -> Lane:
-    """The lane of a header: its stamped LANE field, else its type's lane."""
-    stamped = header.get(LANE)
-    if stamped is not None:
-        try:
-            return Lane(stamped)
-        except ValueError:
-            return Lane.BULK
-    return lane_of(header.get(TYPE))
+def trace_terminal(
+    tracer: Any, outcome: str, source: str, header: Dict[str, Any]
+) -> None:
+    """Record the terminal event of a message that will never be consumed."""
+    msg_type = header.get(TYPE)
+    tracer.record(
+        outcome, source,
+        seq=header.get(SEQ), trace=header.get(TRACE),
+        dst=",".join(header.get(DST) or ()),
+        type=str(msg_type), lane=lane_of(msg_type).value,
+    )
+
+
+def never_blocking(spec: Optional[FlowControlSpec]) -> Optional[FlowControlSpec]:
+    """``spec`` with an unbounded control lane (``control_watermark == 0``).
+
+    For queues whose producer must never wait: per-destination ID queues
+    (one slow destination must not stall the router for every other one)
+    and receive buffers (the receiver thread delivers every lane).  Their
+    control volume is already bounded upstream, at the broker header queue.
+    """
+    return None if spec is None else replace(spec, control_watermark=0)
 
 
 class _LaneCounters:
@@ -106,30 +117,40 @@ class _LaneCounters:
         self.expired = 0
 
 
-class LaneChannel:
-    """Bounded two-lane channel with watermark admission control.
+#: ``on_drop(outcome, entries)``: entries a channel refused or discarded
+Drop = Callable[[str, Sequence[Any]], None]
 
-    ``control_watermark == 0`` leaves the control lane unbounded (used by
-    per-destination ID queues, where blocking would stall the router for
-    every destination; the bound is enforced upstream at the broker header
-    queue).  ``set_pressure(True)`` scales the bulk watermark by
-    ``pressure_scale`` — the admission-tightening hook the FlowController
-    pulls when arena occupancy crosses its watermark.
+
+class LaneChannel:
+    """Two-lane channel with watermark admission control.
+
+    A watermark of 0 leaves its lane unbounded.  ``set_pressure(True)``
+    scales the bulk watermark by ``pressure_scale`` — the
+    admission-tightening hook the FlowController pulls when arena occupancy
+    crosses its watermark.
+
+    Every entry handed to :meth:`offer`/:meth:`offer_many` is either
+    enqueued or given back through ``on_drop`` with its terminal outcome
+    (shed, expired, rejected) — outside the channel lock, because owners
+    release object-store shares and record trace events there, and counted
+    as in flight until the hook returns (see :meth:`join_producers`).
     """
 
     def __init__(
         self,
         name: str,
         *,
-        bulk_watermark: int,
-        control_watermark: int,
+        bulk_watermark: int = 0,
+        control_watermark: int = 0,
         low_fraction: float = 0.5,
         pressure_scale: float = 0.5,
+        on_drop: Optional[Drop] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.name = name
         self._clock = clock
-        self._bulk_high = max(1, int(bulk_watermark))
+        self._on_drop = on_drop
+        self._bulk_high = max(0, int(bulk_watermark))
         self._control_high = max(0, int(control_watermark))
         # The release point must sit strictly below the gate point or the
         # hysteresis latch opens the instant it closes (degenerate at
@@ -142,24 +163,47 @@ class LaneChannel:
         self._lock = make_lock(f"flow.{name}")
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
-        self._lanes: Dict[Lane, Deque[Any]] = {
-            Lane.CONTROL: deque(),
-            Lane.BULK: deque(),
-        }
-        self._counters = {Lane.CONTROL: _LaneCounters(), Lane.BULK: _LaneCounters()}
+        self._idle = threading.Condition(self._lock)
+        self._control: Deque[Any] = deque()
+        self._bulk: Deque[Any] = deque()
+        self._counters = {_CONTROL: _LaneCounters(), _BULK: _LaneCounters()}
         self._gated = False  # control-lane hysteresis latch
         self._pressure = False
         self._closed = False
+        #: producers waiting for admission or still inside ``on_drop``
+        self._inflight = 0
+
+    @classmethod
+    def from_spec(
+        cls,
+        name: str,
+        spec: Optional[FlowControlSpec],
+        *,
+        on_drop: Optional[Drop] = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> "LaneChannel":
+        """The channel ``spec`` describes; no spec means no watermarks."""
+        if spec is None:
+            return cls(name, on_drop=on_drop, clock=clock)
+        return cls(
+            name,
+            bulk_watermark=spec.bulk_watermark,
+            control_watermark=spec.control_watermark,
+            low_fraction=spec.low_fraction,
+            pressure_scale=spec.pressure_scale,
+            on_drop=on_drop,
+            clock=clock,
+        )
 
     # -- admission -----------------------------------------------------------
     def _effective_bulk_high(self) -> int:
-        if self._pressure:
+        if self._pressure and self._bulk_high:
             return max(1, int(self._bulk_high * self._pressure_scale))
         return self._bulk_high
 
     def _control_gated(self) -> bool:
         """Hysteresis: gate at the high watermark, release below the low."""
-        depth = len(self._lanes[Lane.CONTROL])
+        depth = len(self._control)
         if self._gated:
             if depth <= self._control_low:
                 self._gated = False
@@ -167,140 +211,201 @@ class LaneChannel:
             self._gated = True
         return self._gated
 
+    def _await_control(self, deadline_s: Optional[float]) -> bool:
+        """Wait (lock held) for the control gate to open or the channel to
+        close; ``False`` once ``deadline_s`` has elapsed."""
+        counters = self._counters[_CONTROL]
+        counters.blocked += 1
+        wait_start = self._clock()
+        try:
+            while not self._closed and self._control_gated():
+                if deadline_s is None:
+                    self._not_full.wait(1.0)
+                    continue
+                remaining = wait_start + deadline_s - self._clock()
+                if remaining <= 0:
+                    counters.expired += 1
+                    return False
+                self._not_full.wait(remaining)
+            return True
+        finally:
+            counters.block_seconds += self._clock() - wait_start
+
+    def _hand_back(self, drops: List[Tuple[str, Sequence[Any]]]) -> None:
+        """Run ``on_drop`` for entries the caller counted in flight while it
+        held the lock."""
+        if not drops:
+            return
+        try:
+            for outcome, entries in drops:
+                self._on_drop(outcome, entries)
+        finally:
+            with self._lock:
+                self._inflight -= 1
+                self._idle.notify_all()
+
     def offer(
         self, item: Any, lane: Lane, *, deadline_s: Optional[float] = None
-    ) -> Tuple[bool, List[Any]]:
-        """Admit ``item`` to ``lane``; returns ``(admitted, shed)``.
+    ) -> bool:
+        """Admit one entry; ``False`` when the channel is closed."""
+        return self.offer_many((item,), (lane,), deadline_s=deadline_s) == 1
+
+    def offer_many(
+        self,
+        items: Sequence[Any],
+        lanes: Sequence[Lane],
+        *,
+        deadline_s: Optional[float] = None,
+    ) -> int:
+        """Admit ``items[i]`` to ``lanes[i]`` in order, under one lock
+        acquisition and one consumer wake-up; returns how many were enqueued.
 
         Bulk admission always succeeds on an open channel but may shed the
-        oldest queued bulk entries (returned so the caller can reclaim any
-        resources they own — never under the channel lock).  Control
-        admission blocks until the lane drains below its low watermark, the
-        channel closes (``admitted=False``), or ``deadline_s`` elapses
-        (:class:`~repro.core.errors.BackpressureError`).
+        oldest queued bulk entries.  Control admission waits until the lane
+        drains below its low watermark, the channel closes, or
+        ``deadline_s`` elapses — then :class:`BackpressureError` is raised
+        with the enqueued prefix length as ``accepted``.  Admission stops at
+        the first entry that is not enqueued; it and everything after it go
+        to ``on_drop`` (the expired one as such, the rest as rejected).
         """
         shed: List[Any] = []
+        admitted = announced = 0
+        expired = False
         with self._lock:
-            if self._closed:
-                return False, shed
-            counters = self._counters[lane]
-            queue = self._lanes[lane]
-            if lane is Lane.BULK:
-                high = self._effective_bulk_high()
-                while len(queue) >= high:
-                    shed.append(queue.popleft())
-                    counters.shed += 1
-                queue.append(item)
-                counters.put += 1
-                self._not_empty.notify()
-                return True, shed
-            if self._control_high > 0 and self._control_gated():
-                counters.blocked += 1
-                wait_start = self._clock()
-                deadline = (
-                    None if deadline_s is None else wait_start + deadline_s
-                )
-                try:
-                    while not self._closed and self._control_gated():
-                        if deadline is None:
-                            self._not_full.wait(1.0)
-                            continue
-                        remaining = deadline - self._clock()
-                        if remaining <= 0:
-                            counters.expired += 1
-                            raise BackpressureError(
-                                f"channel {self.name!r}: control-lane "
-                                f"admission deadline ({deadline_s}s) expired "
-                                f"at depth {len(queue)}"
-                            )
-                        self._not_full.wait(remaining)
-                finally:
-                    counters.block_seconds += self._clock() - wait_start
+            control, bulk = self._control, self._bulk
+            control_put = 0
+            high = self._effective_bulk_high()
+            for item, lane in zip(items, lanes):
                 if self._closed:
-                    return False, shed
-            queue.append(item)
-            counters.put += 1
-            self._not_empty.notify()
-            return True, shed
+                    break
+                if lane is _BULK:
+                    if high:
+                        while len(bulk) >= high:
+                            shed.append(bulk.popleft())
+                    bulk.append(item)
+                else:
+                    if self._control_high and self._control_gated():
+                        # Consumers must learn of what this call already
+                        # queued, or nobody drains the gate open.
+                        if admitted > announced:
+                            self._not_empty.notify(admitted - announced)
+                            announced = admitted
+                        # wait() releases the lock, so join_producers()
+                        # must see this producer; a joiner woken below looks
+                        # again only once this call lets go of the lock, when
+                        # the count says whether a hand-back is still owed.
+                        self._inflight += 1
+                        opened = self._await_control(deadline_s)
+                        self._inflight -= 1
+                        self._idle.notify_all()
+                        if not opened:
+                            expired = True
+                            break
+                        if self._closed:
+                            break
+                        high = self._effective_bulk_high()  # lock was released
+                    control.append(item)
+                    control_put += 1
+                admitted += 1
+            self._counters[_CONTROL].put += control_put
+            counters = self._counters[_BULK]
+            counters.put += admitted - control_put
+            counters.shed += len(shed)
+            if admitted > announced:
+                self._not_empty.notify(admitted - announced)
+            drops: List[Tuple[str, Sequence[Any]]] = []
+            if self._on_drop is not None and (shed or admitted < len(items)):
+                if shed:
+                    drops.append((TERMINAL_SHED, shed))
+                refused = items[admitted:]
+                if expired:
+                    drops.append((TERMINAL_EXPIRED, refused[:1]))
+                    refused = refused[1:]
+                if refused:
+                    drops.append((TERMINAL_REJECTED, refused))
+                self._inflight += 1  # until _hand_back() has run on_drop
+            depth = len(control)
+        self._hand_back(drops)
+        if expired:
+            raise BackpressureError(
+                f"channel {self.name!r}: control-lane admission deadline "
+                f"({deadline_s}s) expired at depth {depth}",
+                accepted=admitted,
+            )
+        return admitted
 
     # -- consumption ---------------------------------------------------------
-    def _pop_locked(self) -> Tuple[bool, Any]:
-        for lane in (Lane.CONTROL, Lane.BULK):
-            queue = self._lanes[lane]
-            if queue:
-                item = queue.popleft()
-                self._counters[lane].got += 1
-                if lane is Lane.CONTROL:
-                    self._not_full.notify()
-                return True, item
-        return False, None
-
     def take(self, timeout: Optional[float] = None) -> Optional[Any]:
         """Blocking control-first pop; None on timeout or once closed+empty."""
-        deadline = None if timeout is None else self._clock() + timeout
-        with self._lock:
-            while True:
-                found, item = self._pop_locked()
-                if found:
-                    return item
-                if self._closed:
-                    return None
-                if deadline is None:
-                    self._not_empty.wait(1.0)
-                    continue
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    return None
-                self._not_empty.wait(remaining)
+        items = self.take_many(1, timeout=timeout)
+        return items[0] if items else None
 
     def take_many(
         self, max_items: int, timeout: Optional[float] = None
     ) -> List[Any]:
-        """One blocking :meth:`take` plus a same-lock control-first drain."""
-        first = self.take(timeout=timeout)
-        if first is None:
-            return []
-        items = [first]
-        if max_items <= 1:
-            return items
+        """Block for the first entry, then pop up to ``max_items`` that are
+        already queued (control first) under the same lock acquisition;
+        empty on timeout or once closed and drained."""
+        deadline: Optional[float] = None
         with self._lock:
-            while len(items) < max_items:
-                found, item = self._pop_locked()
-                if not found:
-                    break
-                items.append(item)
-        return items
+            control, bulk = self._control, self._bulk
+            while not control and not bulk:
+                if self._closed:
+                    return []
+                if timeout is None:
+                    self._not_empty.wait(1.0)
+                    continue
+                if deadline is None:
+                    deadline = self._clock() + timeout
+                    remaining = timeout
+                else:
+                    remaining = deadline - self._clock()
+                if remaining <= 0:
+                    return []
+                self._not_empty.wait(remaining)
+            items: List[Any] = []
+            max_items = max(1, max_items)
+            for lane, queue in ((_CONTROL, control), (_BULK, bulk)):
+                count = min(len(queue), max_items - len(items))
+                if count <= 0:
+                    continue
+                if count == len(queue):
+                    items.extend(queue)
+                    queue.clear()
+                else:
+                    items.extend(queue.popleft() for _ in range(count))
+                self._counters[lane].got += count
+                if lane is _CONTROL and self._control_high:
+                    self._not_full.notify_all()
+            return items
 
     def drain(self) -> List[Any]:
         """Pop everything without blocking (control lane first)."""
         with self._lock:
-            items = list(self._lanes[Lane.CONTROL]) + list(self._lanes[Lane.BULK])
-            self._lanes[Lane.CONTROL].clear()
-            self._lanes[Lane.BULK].clear()
+            items = list(self._control) + list(self._bulk)
+            self._control.clear()
+            self._bulk.clear()
             self._not_full.notify_all()
             return items
 
     # -- pressure / lifecycle -------------------------------------------------
-    def set_pressure(self, active: bool) -> List[Any]:
-        """Tighten (or relax) bulk admission; returns freshly shed entries."""
+    def set_pressure(self, active: bool) -> None:
+        """Tighten (or relax) bulk admission, shedding down to the scaled
+        watermark when tightening."""
         shed: List[Any] = []
         with self._lock:
             if self._pressure == active:
-                return shed
+                return
             self._pressure = active
-            if active:
-                queue = self._lanes[Lane.BULK]
-                high = self._effective_bulk_high()
-                counters = self._counters[Lane.BULK]
-                while len(queue) > high:
-                    shed.append(queue.popleft())
-                    counters.shed += 1
-            return shed
-
-    @property
-    def pressure(self) -> bool:
-        with self._lock:
-            return self._pressure
+            high = self._effective_bulk_high()
+            if active and high:
+                while len(self._bulk) > high:
+                    shed.append(self._bulk.popleft())
+                self._counters[_BULK].shed += len(shed)
+            drops = [(TERMINAL_SHED, shed)] if shed and self._on_drop else []
+            if drops:
+                self._inflight += 1
+        self._hand_back(drops)
 
     def close(self) -> None:
         """Close and wake every blocked producer and consumer."""
@@ -316,22 +421,42 @@ class LaneChannel:
         with self._lock:
             return self._closed
 
+    def join_producers(self, timeout: float = 2.0) -> bool:
+        """Wait until no producer is blocked on admission or still inside
+        ``on_drop``.
+
+        Called by ``Broker.stop()`` after :meth:`close`: once this returns
+        ``True``, every producer woken by the close has finished reclaiming
+        its rejected entries, so a refcount audit cannot race them.
+        """
+        deadline = self._clock() + timeout
+        with self._lock:
+            while self._inflight:
+                remaining = deadline - self._clock()
+                if remaining <= 0:
+                    return False
+                self._idle.wait(remaining)
+        return True
+
     # -- introspection --------------------------------------------------------
     def qsize(self) -> int:
         with self._lock:
-            return sum(len(queue) for queue in self._lanes.values())
+            return len(self._control) + len(self._bulk)
 
     def lane_depths(self) -> Dict[str, int]:
         with self._lock:
-            return {str(lane): len(queue) for lane, queue in self._lanes.items()}
+            return {"control": len(self._control), "bulk": len(self._bulk)}
 
     def flow_stats(self) -> Dict[str, float]:
         """Backpressure accounting for the telemetry sampler."""
         with self._lock:
             stats: Dict[str, float] = {"pressure": float(self._pressure)}
-            for lane, counters in self._counters.items():
-                prefix = str(lane)
-                stats[f"{prefix}_depth"] = float(len(self._lanes[lane]))
+            for lane, depth in (
+                (_CONTROL, len(self._control)), (_BULK, len(self._bulk))
+            ):
+                counters = self._counters[lane]
+                prefix = lane.value
+                stats[f"{prefix}_depth"] = float(depth)
                 stats[f"{prefix}_put"] = float(counters.put)
                 stats[f"{prefix}_got"] = float(counters.got)
                 stats[f"{prefix}_shed"] = float(counters.shed)
@@ -339,360 +464,6 @@ class LaneChannel:
                 stats[f"{prefix}_block_seconds"] = counters.block_seconds
                 stats[f"{prefix}_expired"] = float(counters.expired)
             return stats
-
-
-#: How a flow-aware queue treats its control lane.
-CONTROL_BLOCK = "block"  # block-with-deadline (header queue, send buffer)
-CONTROL_UNBOUNDED = "unbounded"  # never block (ID queues, receive buffer)
-
-
-class LaneHeaderQueue:
-    """Flow-controlled drop-in for :class:`~repro.core.communicator.HeaderQueue`.
-
-    Headers are stamped with their lane on admission.  ``reclaim`` is
-    invoked (outside the channel lock) for every shed header so its
-    object-store shares are released — bounded admission must not leak.
-
-    Ownership of *rejected* headers depends on the control policy:
-
-    * ``CONTROL_BLOCK`` (the broker header queue) — the queue owns every
-      header handed to ``put``: shed, deadline-expired, and
-      rejected-on-close headers are all reclaimed internally, and
-      :meth:`join_producers` lets ``Broker.stop()`` wait until every
-      blocked producer has been woken *and* finished reclaiming, so the
-      shutdown refcount audit is deterministic.
-    * ``CONTROL_UNBOUNDED`` (per-destination ID queues) — the classic
-      ``HeaderQueue`` contract: the caller releases on a ``False`` return
-      (the router already does exactly that for dead destinations).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        spec: FlowControlSpec,
-        *,
-        reclaim: Optional[Callable[[Dict[str, Any]], None]] = None,
-        control_policy: str = CONTROL_BLOCK,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.name = name
-        self._spec = spec
-        self._reclaim = reclaim
-        self._blocking = control_policy == CONTROL_BLOCK
-        self._clock = clock
-        self._channel = LaneChannel(
-            name,
-            bulk_watermark=spec.bulk_watermark,
-            control_watermark=spec.control_watermark if self._blocking else 0,
-            low_fraction=spec.low_fraction,
-            pressure_scale=spec.pressure_scale,
-            clock=clock,
-        )
-        self._inflight = 0
-        self._inflight_lock = make_lock(f"{name}.inflight")
-        self._inflight_idle = threading.Condition(self._inflight_lock)
-        #: optional :class:`Tracer` — records one terminal event per header
-        #: this queue sheds, expires, or rejects, so span aggregation sees a
-        #: definite outcome instead of a forever-pending entry
-        self.tracer: Optional[Tracer] = None
-
-    def _record_terminal(
-        self, outcome: str, headers: Sequence[Dict[str, Any]]
-    ) -> None:
-        tracer = self.tracer
-        if tracer is None or not headers:
-            return
-        for header in headers:
-            tracer.record(
-                outcome, self.name,
-                seq=header.get(SEQ), trace=header.get(TRACE),
-                dst=",".join(header.get(DST) or ()),
-                type=str(header.get(TYPE)), lane=header.get(LANE),
-            )
-
-    @receives_ownership("shed headers still carry their senders' shares")
-    def _reclaim_all(self, shed: Sequence[Dict[str, Any]]) -> None:
-        if self._reclaim is None:
-            return
-        for header in shed:
-            self._reclaim(header)
-
-    def _enter_put(self) -> None:
-        with self._inflight_lock:
-            self._inflight += 1
-
-    def _exit_put(self) -> None:
-        with self._inflight_lock:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._inflight_idle.notify_all()
-
-    def put(self, header: Dict[str, Any]) -> bool:
-        """Admit one header; ``False`` when dropped (queue closed).
-
-        See the class docstring for who releases a rejected header's
-        shares: this queue itself under ``CONTROL_BLOCK``, the caller
-        under ``CONTROL_UNBOUNDED``.
-        """
-        self._enter_put()
-        try:
-            return self._put_locked_out(header)
-        finally:
-            self._exit_put()
-
-    def _put_locked_out(self, header: Dict[str, Any]) -> bool:
-        lane = header_lane(header)
-        header[LANE] = str(lane)
-        deadline = (
-            self._spec.control_deadline_s
-            if self._blocking and lane is Lane.CONTROL
-            else None
-        )
-        try:
-            admitted, shed = self._channel.offer(
-                header, lane, deadline_s=deadline
-            )
-        except BackpressureError:
-            self._record_terminal(TERMINAL_EXPIRED, [header])
-            if self._blocking:
-                self._reclaim_all([header])
-            raise
-        self._record_terminal(TERMINAL_SHED, shed)
-        self._reclaim_all(shed)
-        if not admitted and self._blocking:
-            # Non-blocking (ID-queue) rejects are terminal-traced by the
-            # caller, who owns the header's shares on a False return.
-            self._record_terminal(TERMINAL_REJECTED, [header])
-            self._reclaim_all([header])
-        return admitted
-
-    def put_many(self, headers: Sequence[Dict[str, Any]]) -> int:
-        """Admit several headers; returns how many were enqueued.
-
-        Unlike ``HeaderQueue.put_many`` (all-or-nothing on an unbounded
-        queue), bounded admission can stop part-way: when the queue closes
-        mid-batch the count is returned, and when a control deadline
-        expires the raised :class:`BackpressureError` carries it as
-        ``accepted``.  Under ``CONTROL_BLOCK`` the unenqueued remainder is
-        reclaimed here; under ``CONTROL_UNBOUNDED`` the caller releases
-        ``headers[accepted:]``.
-        """
-        self._enter_put()
-        try:
-            accepted = 0
-            total = len(headers)
-            for index, header in enumerate(headers):
-                try:
-                    if not self._put_locked_out(header):
-                        break
-                except BackpressureError as exc:
-                    if self._blocking:
-                        self._record_terminal(
-                            TERMINAL_REJECTED, headers[index + 1 :]
-                        )
-                        self._reclaim_all(headers[index + 1 :])
-                    exc.accepted = accepted
-                    raise
-                accepted += 1
-            if accepted < total and self._blocking:
-                # _put_locked_out reclaimed the rejected header itself;
-                # the untried remainder is reclaimed here.
-                self._record_terminal(
-                    TERMINAL_REJECTED, headers[accepted + 1 :]
-                )
-                self._reclaim_all(headers[accepted + 1 :])
-            return accepted
-        finally:
-            self._exit_put()
-
-    def join_producers(self, timeout: float = 2.0) -> bool:
-        """Wait until no ``put``/``put_many`` is in flight.
-
-        Called by ``Broker.stop()`` after :meth:`close`: once this returns
-        ``True``, every producer woken by the close has finished reclaiming
-        its rejected headers, so a refcount audit cannot race them.
-        """
-        deadline = self._clock() + timeout
-        with self._inflight_lock:
-            while self._inflight > 0:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    return False
-                self._inflight_idle.wait(remaining)
-        return True
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
-        return self._channel.take(timeout=timeout)
-
-    def get_many(
-        self, max_items: int, timeout: Optional[float] = None
-    ) -> List[Dict[str, Any]]:
-        return self._channel.take_many(max_items, timeout=timeout)
-
-    @receives_ownership("drained headers still carry their senders' shares")
-    def drain(self) -> List[Dict[str, Any]]:
-        return self._channel.drain()
-
-    def set_pressure(self, active: bool) -> None:
-        shed = self._channel.set_pressure(active)
-        self._record_terminal(TERMINAL_SHED, shed)
-        self._reclaim_all(shed)
-
-    def close(self) -> None:
-        self._channel.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._channel.closed
-
-    def qsize(self) -> int:
-        return self._channel.qsize()
-
-    def lane_depths(self) -> Dict[str, int]:
-        return self._channel.lane_depths()
-
-    def flow_stats(self) -> Dict[str, float]:
-        return self._channel.flow_stats()
-
-
-class FlowMessageBuffer:
-    """Flow-controlled drop-in for :class:`~repro.core.buffers.MessageBuffer`.
-
-    Holds whole :class:`~repro.core.message.Message` objects (no
-    object-store shares, so sheds only lose the message itself).  ``put``
-    raises :class:`~repro.core.errors.BufferClosedError` on a closed
-    buffer — including a blocked control put woken by ``close()`` — which
-    existing shutdown paths already treat as the end of the world
-    (``RuntimeError`` subclass).
-    """
-
-    def __init__(
-        self,
-        name: str,
-        spec: FlowControlSpec,
-        *,
-        control_policy: str = CONTROL_BLOCK,
-        on_shed: Optional[Callable[[Message], None]] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.name = name
-        self._spec = spec
-        self._blocking = control_policy == CONTROL_BLOCK
-        self._on_shed = on_shed
-        self._channel = LaneChannel(
-            f"buffer.{name}",
-            bulk_watermark=spec.bulk_watermark,
-            control_watermark=spec.control_watermark if self._blocking else 0,
-            low_fraction=spec.low_fraction,
-            pressure_scale=spec.pressure_scale,
-            clock=clock,
-        )
-        self.total_put = 0
-        self.total_got = 0
-        self.total_shed = 0
-        self._totals_lock = make_lock(f"buffer.{name}.totals")
-
-    def put(self, message: Message, timeout: Optional[float] = None) -> None:
-        del timeout  # admission is watermark-driven, not queue.Full-driven
-        if self._channel.closed:
-            raise BufferClosedError(f"buffer {self.name!r} is closed")
-        lane = lane_of(message.msg_type)
-        message.header[LANE] = str(lane)
-        deadline = (
-            self._spec.control_deadline_s
-            if self._blocking and lane is Lane.CONTROL
-            else None
-        )
-        admitted, shed = self._channel.offer(message, lane, deadline_s=deadline)
-        if shed:
-            with self._totals_lock:
-                self.total_shed += len(shed)
-            if self._on_shed is not None:
-                for lost in shed:
-                    self._on_shed(lost)
-        if not admitted:
-            raise BufferClosedError(
-                f"buffer {self.name!r} closed while a send awaited admission"
-            )
-        with self._totals_lock:
-            self.total_put += 1
-
-    def put_many(self, messages: Sequence[Message]) -> None:
-        for message in messages:
-            self.put(message)
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Message]:
-        message = self._channel.take(timeout=timeout)
-        if message is not None:
-            with self._totals_lock:
-                self.total_got += 1
-        return message
-
-    def get_many(
-        self, max_items: int, timeout: Optional[float] = None
-    ) -> List[Message]:
-        messages = self._channel.take_many(max_items, timeout=timeout)
-        if messages:
-            with self._totals_lock:
-                self.total_got += len(messages)
-        return messages
-
-    def get_nowait(self) -> Optional[Message]:
-        return self.get(timeout=0.0) if not self.empty() else None
-
-    def drain(self) -> Iterator[Message]:
-        while True:
-            message = self.get(timeout=0.0)
-            if message is None:
-                return
-            yield message
-
-    def empty(self) -> bool:
-        return self._channel.qsize() == 0
-
-    def qsize(self) -> int:
-        return self._channel.qsize()
-
-    def lane_depths(self) -> Dict[str, int]:
-        return self._channel.lane_depths()
-
-    def flow_stats(self) -> Dict[str, float]:
-        return self._channel.flow_stats()
-
-    def close(self) -> None:
-        self._channel.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._channel.closed
-
-
-class FlowSendBuffer(FlowMessageBuffer):
-    """Send-side staging with real producer backpressure.
-
-    Control/weights sends block the *workhorse* at the watermark (deadline
-    bounded — this is where "explicit backpressure propagated to senders"
-    reaches the API surface); bulk trajectory sends shed the oldest staged
-    rollout instead.
-    """
-
-    def __init__(self, name: str, spec: FlowControlSpec, **kwargs: Any):
-        super().__init__(name, spec, control_policy=CONTROL_BLOCK, **kwargs)
-
-
-class FlowReceiveBuffer(FlowMessageBuffer):
-    """Receive-side staging: control consumed first, bulk bounded.
-
-    The receiver thread must never block on a deadline (it would stall
-    deliveries for every lane), so the control lane is unbounded here — its
-    volume is already bounded upstream by the header-queue watermark.  A
-    slow consumer sheds its own oldest bulk deliveries, which keeps memory
-    bounded end-to-end instead of moving the unbounded queue one hop
-    downstream.
-    """
-
-    def __init__(self, name: str, spec: FlowControlSpec, **kwargs: Any):
-        super().__init__(name, spec, control_policy=CONTROL_UNBOUNDED, **kwargs)
 
 
 class WireCompressor:
@@ -731,7 +502,7 @@ class WireCompressor:
             and body is not None
             and nbytes >= self.min_bytes
             and header.get(WIRE_CODEC) is None
-            and header_lane(header) is Lane.BULK
+            and lane_of(header.get(TYPE)) is _BULK
         )
 
     def encode(

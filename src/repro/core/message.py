@@ -59,9 +59,6 @@ BATCH_SEQS = "batch_seqs"
 TRACE = "trace"
 SPAN = "span"
 PARENT_SPAN = "parent_span"
-#: priority lane ("control" or "bulk") stamped by flow-controlled queues;
-#: absent when overload control is off, so default headers are unchanged
-LANE = "lane"
 #: codec name set by the broker when a body was compressed at the fabric
 #: boundary (adaptive wire compression; see docs/FLOW_CONTROL.md)
 WIRE_CODEC = "wire_codec"

@@ -23,7 +23,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .communicator import ShareMemCommunicator
 from .concurrency import make_lock, spawn_thread
 from .ownership import receives_ownership, transfers_ownership
-from .errors import RoutingError, UnknownDestinationError, UnknownObjectError
+from .errors import RoutingError, UnknownDestinationError
+from .flowcontrol import release_header_shares
 from .message import BATCH_SEQS, COMPRESSED, DST, OBJECT_ID, SEQ, TRACE, TYPE
 from .tracing import Tracer, flight_recorder
 
@@ -166,16 +167,23 @@ class AlgorithmAgnosticRouter:
                 header.get(TRACE) or 0,
             )
 
-    @receives_ownership("releases the share of an undeliverable destination")
+    @receives_ownership("releases the share of an unregistered destination")
     def _deliver_local(self, destination: str, header: Dict[str, Any]) -> None:
-        """Put ``header`` on one local ID queue, releasing its refcount share
-        when the destination is gone (queue closed or unregistered mid-route
-        — routine when the supervisor is tearing a dead process down)."""
-        delivered = False
+        """Put ``header`` on one local ID queue.
+
+        A destination that is gone (queue closed or unregistered mid-route —
+        routine when the supervisor is tearing a dead process down) is
+        counted and traced as rejected.  A closed queue reclaims the
+        header's refcount share itself; only with no queue left to do so is
+        the share released here.
+        """
         try:
             delivered = self.communicator.id_queue(destination).put(header)
         except RoutingError:
-            delivered = False
+            delivered = 0
+            release_header_shares(
+                self.communicator.object_store, header, shares=1
+            )
         if delivered:
             with self._counters_lock:
                 self._routed_local += 1
@@ -190,12 +198,6 @@ class AlgorithmAgnosticRouter:
                 trace=header.get(TRACE), dst=destination,
                 type=str(header.get(TYPE)),
             )
-        object_id = header.get(OBJECT_ID)
-        if object_id is not None:
-            try:
-                self.communicator.object_store.release(object_id)
-            except UnknownObjectError:
-                pass
 
     def _partition(
         self, destinations: List[str]

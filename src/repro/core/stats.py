@@ -240,6 +240,9 @@ class StatsCollector:
         self.total_env_steps = 0
         self.total_trained_steps = 0
         self.total_train_iterations = 0
+        #: STATS messages whose body was not a report (lost or mangled in
+        #: transit) and was therefore skipped
+        self.malformed_reports = 0
         # Fault-tolerance counters (filled by the supervisor).
         self.failures = 0
         self.restarts = 0
@@ -247,7 +250,12 @@ class StatsCollector:
         self._restarts_by: Dict[str, int] = {}
 
     def add(self, report: ProcessStats) -> None:
+        """Fold one report in; anything that is not a report (a faulty link
+        can deliver a STATS header with no body) is counted and skipped."""
         with self._lock:
+            if not isinstance(report, ProcessStats):
+                self.malformed_reports += 1
+                return
             self._reports.append(report)
             self._returns.extend(report.episode_returns)
             self.total_env_steps += report.steps

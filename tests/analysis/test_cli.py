@@ -137,7 +137,6 @@ class TestBaselineWorkflow:
             "view-escape",
             "release-while-borrowed",
             "write-through-readonly-view",
-            "lane-contract",
         ):
             assert rule in out
 

@@ -9,11 +9,9 @@ from pathlib import Path
 
 from repro.analysis.engine import parse_tree_reporting_errors
 from repro.analysis.lifetime import (
-    LANE_CONTRACT,
     RELEASE_WHILE_BORROWED,
     VIEW_ESCAPE,
     WRITE_THROUGH_READONLY_VIEW,
-    run_lane_contract_rules,
     run_lifetime_rules,
 )
 
@@ -258,75 +256,6 @@ class TestReadonlyWrite:
             )
             == []
         )
-
-
-class TestLaneContract:
-    def test_block_policy_without_reclaim(self):
-        assert (
-            rules_for(
-                """
-                def f(spec):
-                    return LaneHeaderQueue("q", spec)
-                """
-            )
-            == [LANE_CONTRACT]
-        )
-
-    def test_explicit_reclaim_none_declares_intent(self):
-        assert (
-            rules_for(
-                """
-                def f(spec):
-                    return LaneHeaderQueue("q", spec, reclaim=None)
-                """
-            )
-            == []
-        )
-
-    def test_discarded_put_on_unbounded(self):
-        assert (
-            rules_for(
-                """
-                def f(spec, header):
-                    q = LaneHeaderQueue(
-                        "q", spec, control_policy=CONTROL_UNBOUNDED
-                    )
-                    q.put(header)
-                """
-            )
-            == [LANE_CONTRACT]
-        )
-
-    def test_checked_put_on_unbounded_is_clean(self):
-        assert (
-            rules_for(
-                """
-                def f(spec, header):
-                    q = LaneHeaderQueue(
-                        "q", spec, control_policy=CONTROL_UNBOUNDED
-                    )
-                    if not q.put(header):
-                        reclaim(header)
-                """
-            )
-            == []
-        )
-
-    def test_constructor_reported_once_not_per_scope(self):
-        # The module scope must not re-report sites inside functions.
-        findings = findings_for(
-            """
-            def f(spec):
-                return LaneHeaderQueue("q", spec)
-            """
-        )
-        assert len(findings) == 1
-
-    def test_module_level_constructor_covered(self):
-        tree = ast.parse('QUEUE = LaneHeaderQueue("q", SPEC)\n')
-        findings = run_lane_contract_rules([("mod.py", tree)])
-        assert [f.rule for f in findings] == [LANE_CONTRACT]
-        assert findings[0].scope == "<module>"
 
 
 class TestSourceTreeGate:

@@ -9,7 +9,6 @@ from pathlib import Path
 from repro.analysis import analyze_path, analyze_source
 from repro.analysis.findings import Severity
 from repro.analysis.lifetime import (
-    LANE_CONTRACT,
     RELEASE_WHILE_BORROWED,
     VIEW_ESCAPE,
     WRITE_THROUGH_READONLY_VIEW,
@@ -62,7 +61,6 @@ class TestFixtures:
             "trigger_view_escape.py": VIEW_ESCAPE,
             "trigger_release_while_borrowed.py": RELEASE_WHILE_BORROWED,
             "trigger_readonly_write.py": WRITE_THROUGH_READONLY_VIEW,
-            "trigger_lane_contract.py": LANE_CONTRACT,
         }
         for trigger_file, rule in expected_rules.items():
             findings = grouped.get(trigger_file, [])
@@ -84,7 +82,6 @@ class TestFixtures:
         assert counts[VIEW_ESCAPE] == 3
         assert counts[RELEASE_WHILE_BORROWED] == 4
         assert counts[WRITE_THROUGH_READONLY_VIEW] == 2
-        assert counts[LANE_CONTRACT] == 3
 
 
 class TestContainerMutation:

@@ -1,4 +1,4 @@
-"""Tests for small-message coalescing and batched queue operations."""
+"""Tests for small-message coalescing (batched queue operations: test_queues.py)."""
 
 import time
 
@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.broker import Broker
-from repro.core.buffers import MessageBuffer
-from repro.core.communicator import HeaderQueue
 from repro.core.config import CoalescingSpec
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.errors import ConfigError
@@ -72,73 +70,6 @@ class TestCoalescingSpec:
             CoalescingSpec(max_message_bytes=-1).validate()
         with pytest.raises(ConfigError):
             CoalescingSpec(max_batch=1).validate()
-
-
-class TestHeaderQueueBatchOps:
-    def test_put_many_get_many_roundtrip(self):
-        queue = HeaderQueue("q")
-        headers = [{"seq": i} for i in range(10)]
-        assert queue.put_many(headers)
-        assert queue.get_many(10, timeout=1) == headers
-
-    def test_get_many_respects_max_items(self):
-        queue = HeaderQueue("q")
-        queue.put_many([{"seq": i} for i in range(10)])
-        first = queue.get_many(3, timeout=1)
-        assert [h["seq"] for h in first] == [0, 1, 2]
-        rest = queue.get_many(100, timeout=1)
-        assert [h["seq"] for h in rest] == list(range(3, 10))
-
-    def test_put_many_on_closed_queue_drops_all(self):
-        queue = HeaderQueue("q")
-        queue.close()
-        assert not queue.put_many([{"seq": 0}, {"seq": 1}])
-        assert queue.get_many(10, timeout=0.05) == []
-
-    def test_put_many_empty_is_noop(self):
-        queue = HeaderQueue("q")
-        assert queue.put_many([])
-        assert queue.qsize() == 0
-
-    def test_get_many_stops_at_close_sentinel(self):
-        queue = HeaderQueue("q")
-        queue.put({"seq": 0})
-        queue.close()
-        # The drain must not swallow the sentinel: later getters still wake.
-        assert queue.get_many(10, timeout=1) == [{"seq": 0}]
-        assert queue.get(timeout=0.2) is None
-
-    def test_bounded_queue_falls_back(self):
-        queue = HeaderQueue("q", maxsize=16)
-        assert queue.put_many([{"seq": i} for i in range(4)])
-        assert len(queue.get_many(4, timeout=1)) == 4
-
-
-class TestMessageBufferBatchOps:
-    def test_put_many_get_many_roundtrip(self):
-        buffer = MessageBuffer("b")
-        messages = [
-            make_message("a", ["b"], MsgType.DATA, {"i": i}) for i in range(6)
-        ]
-        buffer.put_many(messages)
-        drained = buffer.get_many(10, timeout=1)
-        assert [m.body for m in drained] == [{"i": i} for i in range(6)]
-
-    def test_put_many_on_closed_buffer_raises(self):
-        buffer = MessageBuffer("b")
-        buffer.close()
-        with pytest.raises(RuntimeError):
-            buffer.put_many([make_message("a", ["b"], MsgType.DATA, 1)])
-
-    def test_frame_survives_the_crossing(self):
-        from repro.core.serialization import make_frame
-
-        buffer = MessageBuffer("b")
-        message = make_message("a", ["b"], MsgType.DATA, {"k": 1})
-        message.frame = make_frame(message.body)
-        buffer.put(message)
-        fetched = buffer.get(timeout=1)
-        assert fetched.frame is message.frame
 
 
 def _coalescing_broker(spec=None):

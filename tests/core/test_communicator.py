@@ -1,62 +1,9 @@
-"""Tests for the shared-memory communicator."""
-
-import threading
-import time
+"""Tests for the shared-memory communicator (its queues: test_queues.py)."""
 
 import pytest
 
-from repro.core.communicator import HeaderQueue, ShareMemCommunicator
+from repro.core.communicator import ShareMemCommunicator
 from repro.core.errors import RoutingError
-
-
-class TestHeaderQueue:
-    def test_put_get(self):
-        queue = HeaderQueue("q")
-        queue.put({"seq": 1})
-        assert queue.get(timeout=1) == {"seq": 1}
-
-    def test_timeout_returns_none(self):
-        assert HeaderQueue("q").get(timeout=0.01) is None
-
-    def test_close_wakes_all_waiters(self):
-        queue = HeaderQueue("q")
-        results = []
-
-        def waiter():
-            results.append(queue.get(timeout=5))
-
-        threads = [threading.Thread(target=waiter) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.05)
-        queue.close()
-        for thread in threads:
-            thread.join(timeout=2)
-        assert results == [None, None, None]
-
-    def test_put_after_close_is_dropped(self):
-        queue = HeaderQueue("q")
-        queue.close()
-        queue.put({"seq": 1})
-        assert queue.get(timeout=0.05) is None
-
-    def test_event_driven_wakeup_latency(self):
-        """The paper's design: a blocked get returns the moment data lands."""
-        queue = HeaderQueue("q")
-        latency = {}
-
-        def waiter():
-            started = time.monotonic()
-            queue.get(timeout=5)
-            latency["value"] = time.monotonic() - started
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.2)
-        queue.put({"seq": 1})
-        thread.join(timeout=2)
-        # Woke well before the 5s timeout: event-driven, not polled.
-        assert latency["value"] < 1.0
 
 
 class TestShareMemCommunicator:

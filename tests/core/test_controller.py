@@ -92,6 +92,45 @@ class TestCenterController:
             reporter.stop()
             center.stop_all()
 
+    def test_bodyless_stats_is_skipped_counted_and_still_a_heartbeat(self):
+        # Regression: a faulty link can deliver a STATS header whose body is
+        # gone; the monitor thread used to die on it (None.episode_returns).
+        class _Heartbeats:
+            def __init__(self):
+                self.seen = []
+
+            def start(self):
+                pass
+
+            def stop(self):
+                pass
+
+            def observe_heartbeat(self, source):
+                self.seen.append(source)
+
+        broker, center = self._make(StopCondition(max_seconds=60))
+        heartbeats = _Heartbeats()
+        center.attach_supervisor(heartbeats)
+        center.start_all()
+        reporter = ProcessEndpoint("reporter", broker)
+        reporter.start()
+        try:
+            for body in (None, {"not": "a report"}, ProcessStats(source="e0", steps=7)):
+                reporter.send(
+                    make_message("reporter", ["controller"], MsgType.STATS, body)
+                )
+            deadline = time.monotonic() + 3
+            while center.collector.total_env_steps == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert center._monitor.is_alive()
+            assert center.collector.total_env_steps == 7
+            assert center.collector.malformed_reports == 2
+            assert center.collector.report_count() == 1
+            assert heartbeats.seen == ["reporter"] * 3
+        finally:
+            reporter.stop()
+            center.stop_all()
+
     def test_should_stop_on_env_steps(self):
         broker, center = self._make(StopCondition(total_env_steps=100))
         center.collector.add(ProcessStats(source="e", steps=150))

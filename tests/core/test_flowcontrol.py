@@ -1,4 +1,7 @@
-"""Tests for the overload-control subsystem (docs/FLOW_CONTROL.md)."""
+"""Tests for the overload-control subsystem (docs/FLOW_CONTROL.md).
+
+The queue and buffer built on LaneChannel are covered by test_queues.py.
+"""
 
 import threading
 import time
@@ -6,17 +9,15 @@ import time
 import pytest
 
 from repro.core.broker import Broker
-from repro.core.communicator import HeaderQueue
 from repro.core.config import FlowControlSpec
 from repro.core.endpoint import ProcessEndpoint
-from repro.core.errors import BackpressureError, BufferClosedError
+from repro.core.errors import BackpressureError
 from repro.core.flowcontrol import (
-    CONTROL_UNBOUNDED,
-    FlowReceiveBuffer,
-    FlowSendBuffer,
+    TERMINAL_EXPIRED,
+    TERMINAL_REJECTED,
+    TERMINAL_SHED,
     Lane,
     LaneChannel,
-    LaneHeaderQueue,
     WireCompressor,
     lane_of,
     release_header_shares,
@@ -24,7 +25,6 @@ from repro.core.flowcontrol import (
 )
 from repro.core.message import (
     DST,
-    LANE,
     OBJECT_ID,
     SRC,
     TYPE,
@@ -63,20 +63,42 @@ class TestLanes:
 
 class TestLaneChannel:
     def make(self, **kwargs):
-        defaults = dict(bulk_watermark=4, control_watermark=3)
+        self.drops = []
+        defaults = dict(
+            bulk_watermark=4, control_watermark=3,
+            on_drop=lambda outcome, entries: self.drops.append(
+                (outcome, list(entries))
+            ),
+        )
         defaults.update(kwargs)
         return LaneChannel("test", **defaults)
 
+    def test_raw_type_values_pick_the_lane(self):
+        assert lane_of("weights") is Lane.CONTROL
+        assert lane_of("rollout") is Lane.BULK
+        assert lane_of(["unhashable"]) is Lane.BULK
+
+    def test_no_watermarks_is_unbounded(self):
+        channel = LaneChannel("test")
+        lanes = [Lane.BULK, Lane.CONTROL] * 500
+        assert channel.offer_many(list(range(1000)), lanes) == 1000
+        channel.set_pressure(True)
+        assert channel.lane_depths() == {"control": 500, "bulk": 500}
+        assert channel.flow_stats()["bulk_shed"] == 0
+
     def test_bulk_sheds_oldest_at_watermark(self):
         channel = self.make()
-        shed_all = []
         for index in range(7):
-            admitted, shed = channel.offer(index, Lane.BULK)
-            assert admitted
-            shed_all.extend(shed)
+            assert channel.offer(index, Lane.BULK)
         # Watermark 4: the three oldest were shed, the four newest remain.
-        assert shed_all == [0, 1, 2]
+        assert self.drops == [(TERMINAL_SHED, [i]) for i in (0, 1, 2)]
         assert [channel.take(timeout=0) for _ in range(4)] == [3, 4, 5, 6]
+
+    def test_offer_many_sheds_once_per_batch(self):
+        channel = self.make()
+        assert channel.offer_many(list(range(7)), [Lane.BULK] * 7) == 7
+        assert self.drops == [(TERMINAL_SHED, [0, 1, 2])]
+        assert channel.take_many(10, timeout=0) == [3, 4, 5, 6]
 
     def test_control_drains_before_bulk(self):
         channel = self.make()
@@ -95,6 +117,17 @@ class TestLaneChannel:
         assert drained == [("c", 0), ("c", 1), ("c", 2), ("c", 3),
                            ("b", 0), ("b", 1), ("b", 2), ("b", 3)]
 
+    def test_take_many_splits_a_lane_at_max_items(self):
+        channel = self.make(bulk_watermark=16, control_watermark=16)
+        channel.offer_many(
+            ["c0", "c1", "b0", "b1", "b2"],
+            [Lane.CONTROL] * 2 + [Lane.BULK] * 3,
+        )
+        assert channel.take_many(3, timeout=0) == ["c0", "c1", "b0"]
+        assert channel.take_many(0, timeout=0) == ["b1"]  # at least one
+        assert channel.take_many(5, timeout=0) == ["b2"]
+        assert channel.take_many(5, timeout=0) == []
+
     def test_control_deadline_expires(self):
         channel = self.make(control_watermark=2)
         channel.offer("c1", Lane.CONTROL)
@@ -106,6 +139,19 @@ class TestLaneChannel:
         stats = channel.flow_stats()
         assert stats["control_expired"] == 1
         assert stats["control_blocked"] == 1
+        assert self.drops == [(TERMINAL_EXPIRED, ["c3"])]
+
+    def test_expiry_mid_batch_hands_back_the_rest(self):
+        channel = self.make(control_watermark=2)
+        items = ["b0", "c1", "c2", "c3", "b4"]
+        lanes = [Lane.BULK, Lane.CONTROL, Lane.CONTROL, Lane.CONTROL, Lane.BULK]
+        with pytest.raises(BackpressureError) as exc_info:
+            channel.offer_many(items, lanes, deadline_s=0.05)
+        assert exc_info.value.accepted == 3
+        assert self.drops == [
+            (TERMINAL_EXPIRED, ["c3"]), (TERMINAL_REJECTED, ["b4"])
+        ]
+        assert channel.take_many(10, timeout=0) == ["c1", "c2", "b0"]
 
     def test_control_unblocks_below_low_watermark(self):
         channel = self.make(control_watermark=2, low_fraction=0.5)
@@ -114,8 +160,7 @@ class TestLaneChannel:
         admitted = []
 
         def blocked_put():
-            ok, _ = channel.offer("c3", Lane.CONTROL, deadline_s=5.0)
-            admitted.append(ok)
+            admitted.append(channel.offer("c3", Lane.CONTROL, deadline_s=5.0))
 
         thread = threading.Thread(target=blocked_put)
         thread.start()
@@ -126,6 +171,24 @@ class TestLaneChannel:
         thread.join(timeout=2)
         assert admitted == [True]
         channel.close()
+
+    def test_blocked_batch_announces_what_it_already_queued(self):
+        # The consumer only drains the gate open if it hears of the entries
+        # queued before the batch blocked.
+        channel = self.make(control_watermark=2, low_fraction=0.5)
+        got = []
+        consumer = threading.Thread(
+            target=lambda: got.extend(
+                channel.take(timeout=5) for _ in range(3)
+            )
+        )
+        consumer.start()
+        time.sleep(0.05)  # consumer is waiting on an empty channel
+        assert channel.offer_many(
+            ["c1", "c2", "c3"], [Lane.CONTROL] * 3, deadline_s=5.0
+        ) == 3
+        consumer.join(timeout=5)
+        assert got == ["c1", "c2", "c3"]
 
     def test_close_wakes_blocked_control_producer(self):
         channel = self.make(control_watermark=1)
@@ -141,19 +204,22 @@ class TestLaneChannel:
         channel.close()
         thread.join(timeout=2)
         assert not thread.is_alive(), "close() must wake blocked producers"
-        assert results[0][0] is False  # woken with a clean rejection
+        assert results == [False]  # woken with a clean rejection
+        assert self.drops == [(TERMINAL_REJECTED, ["c2"])]
 
     def test_set_pressure_scales_watermark_and_sheds(self):
         channel = self.make(bulk_watermark=8, pressure_scale=0.5)
         for index in range(8):
             channel.offer(index, Lane.BULK)
-        shed = channel.set_pressure(True)
-        assert shed == [0, 1, 2, 3]  # scaled watermark 4 keeps the newest 4
+        channel.set_pressure(True)
+        # scaled watermark 4 keeps the newest 4
+        assert self.drops == [(TERMINAL_SHED, [0, 1, 2, 3])]
         assert channel.qsize() == 4
-        assert channel.set_pressure(True) == []  # idempotent
+        channel.set_pressure(True)  # idempotent
+        assert len(self.drops) == 1
         channel.set_pressure(False)
-        admitted, shed = channel.offer(99, Lane.BULK)
-        assert admitted and shed == []  # back to the full watermark
+        assert channel.offer(99, Lane.BULK)
+        assert len(self.drops) == 1  # back to the full watermark
 
     def test_lane_depths_and_stats(self):
         channel = self.make()
@@ -162,125 +228,6 @@ class TestLaneChannel:
         assert channel.lane_depths() == {"control": 1, "bulk": 1}
         stats = channel.flow_stats()
         assert stats["bulk_put"] == 1 and stats["control_put"] == 1
-
-
-class TestLaneHeaderQueue:
-    def test_put_stamps_lane(self):
-        # reclaim=None: these headers carry no store shares to reclaim.
-        queue = LaneHeaderQueue("q", spec(), reclaim=None)
-        header = make_header("a", ["b"], MsgType.WEIGHTS)
-        assert queue.put(header)
-        assert queue.get(timeout=0)[LANE] == "control"
-
-    def test_shed_headers_reclaimed(self):
-        store = InMemoryObjectStore()
-        reclaimed = []
-
-        def reclaim(header):
-            reclaimed.append(header)
-            release_header_shares(store, header)
-
-        queue = LaneHeaderQueue("q", spec(bulk_watermark=2), reclaim=reclaim)
-        object_ids = []
-        for index in range(4):
-            object_id = store.put({"i": index}, refcount=1)
-            header = make_header("a", ["b"], MsgType.DATA)
-            header[OBJECT_ID] = object_id
-            object_ids.append(object_id)
-            queue.put(header)
-        assert len(reclaimed) == 2  # two oldest shed at watermark 2
-        # Their store entries were released; the two newest remain live.
-        assert len(store) == 2
-        assert store.leak_report()[0][0] in object_ids[2:]
-
-    def test_put_many_returns_accepted_count(self):
-        queue = LaneHeaderQueue("q", spec(bulk_watermark=16), reclaim=None)
-        headers = [make_header("a", ["b"], MsgType.DATA) for _ in range(5)]
-        assert queue.put_many(headers) == 5
-        queue.close()
-        assert queue.put_many(headers) == 0
-
-    def test_backpressure_error_carries_accepted_prefix(self):
-        queue = LaneHeaderQueue(
-            "q", spec(control_watermark=2, control_deadline_s=0.05), reclaim=None
-        )
-        headers = [make_header("a", ["b"], MsgType.COMMAND) for _ in range(4)]
-        with pytest.raises(BackpressureError) as exc_info:
-            queue.put_many(headers)
-        assert exc_info.value.accepted == 2  # gated at the watermark
-
-    def test_unbounded_control_policy_never_blocks(self):
-        queue = LaneHeaderQueue(
-            "q", spec(control_watermark=2), control_policy=CONTROL_UNBOUNDED
-        )
-        for _ in range(10):
-            assert queue.put(make_header("a", ["b"], MsgType.COMMAND))
-        assert queue.qsize() == 10
-
-    def test_drain_returns_everything(self):
-        queue = LaneHeaderQueue("q", spec(), reclaim=None)
-        queue.put(make_header("a", ["b"], MsgType.DATA))
-        queue.put(make_header("a", ["b"], MsgType.WEIGHTS))
-        drained = queue.drain()
-        assert len(drained) == 2
-        assert drained[0][LANE] == "control"  # control lane first
-
-
-class TestFlowBuffers:
-    def test_send_buffer_sheds_bulk_keeps_control(self):
-        buffer = FlowSendBuffer("s", spec(bulk_watermark=2))
-        for index in range(5):
-            buffer.put(make_message("a", ["b"], MsgType.ROLLOUT, index))
-        buffer.put(make_message("a", ["b"], MsgType.WEIGHTS, "w"))
-        assert buffer.total_shed == 3
-        got = buffer.get_many(10, timeout=0)
-        # Control first, then the two newest rollouts.
-        assert [message.body for message in got] == ["w", 3, 4]
-
-    def test_put_after_close_raises_buffer_closed(self):
-        buffer = FlowSendBuffer("s", spec())
-        buffer.close()
-        with pytest.raises(BufferClosedError):
-            buffer.put(make_message("a", ["b"], MsgType.DATA, 1))
-        # BufferClosedError is a RuntimeError: legacy shutdown paths that
-        # catch RuntimeError keep working.
-        assert issubclass(BufferClosedError, RuntimeError)
-
-    def test_close_wakes_blocked_control_send(self):
-        buffer = FlowSendBuffer(
-            "s", spec(control_watermark=1, control_deadline_s=30.0)
-        )
-        buffer.put(make_message("a", ["b"], MsgType.WEIGHTS, 0))
-        errors = []
-
-        def blocked_send():
-            try:
-                buffer.put(make_message("a", ["b"], MsgType.WEIGHTS, 1))
-            except BufferClosedError as exc:
-                errors.append(exc)
-
-        thread = threading.Thread(target=blocked_send)
-        thread.start()
-        time.sleep(0.05)
-        buffer.close()
-        thread.join(timeout=2)
-        assert not thread.is_alive()
-        assert len(errors) == 1  # clean shutdown error, not a 30 s hang
-
-    def test_receive_buffer_control_is_unbounded(self):
-        buffer = FlowReceiveBuffer("r", spec(control_watermark=2))
-        for index in range(10):
-            buffer.put(make_message("a", ["b"], MsgType.WEIGHTS, index))
-        assert buffer.qsize() == 10  # no blocking, no shedding
-
-    def test_on_shed_callback(self):
-        lost = []
-        buffer = FlowReceiveBuffer(
-            "r", spec(bulk_watermark=1), on_shed=lost.append
-        )
-        buffer.put(make_message("a", ["b"], MsgType.DATA, "old"))
-        buffer.put(make_message("a", ["b"], MsgType.DATA, "new"))
-        assert [message.body for message in lost] == ["old"]
 
 
 class TestWireCompressor:
@@ -314,21 +261,28 @@ class TestWireCompressor:
         assert same_header is header and same_body == "body"
 
 
-class TestOptIn:
-    def test_no_spec_means_plain_queues_and_buffers(self):
-        broker = Broker("b")
-        endpoint = ProcessEndpoint("p", broker)
-        assert isinstance(broker.communicator.header_queue, HeaderQueue)
-        assert not isinstance(broker.communicator.header_queue, LaneHeaderQueue)
-        assert broker.wire is None
+class TestDegenerateSetting:
+    def test_no_spec_is_the_same_classes_without_watermarks(self):
+        plain = Broker("b")
+        bounded = Broker("f", flow=spec())
+        endpoint = ProcessEndpoint("p", plain)
+        assert type(plain.communicator.header_queue) is type(
+            bounded.communicator.header_queue
+        )
+        assert plain.wire is None
         assert endpoint.flow is None
-        assert broker.communicator.flow_stats() == {}
-        broker.communicator.close()
+        queue = plain.communicator.header_queue
+        assert queue.put_many(
+            [make_header("a", ["p"], MsgType.COMMAND) for _ in range(1000)]
+        ) == 1000  # far past any default watermark: nothing blocked
+        assert plain.communicator.flow_stats()["headers"]["control_blocked"] == 0
+        plain.communicator.close()
+        bounded.communicator.close()
 
-    def test_disabled_spec_means_plain_queues(self):
+    def test_disabled_spec_means_no_watermarks(self):
         broker = Broker("b", flow=FlowControlSpec(enabled=False))
         assert broker.flow is None
-        assert isinstance(broker.communicator.header_queue, HeaderQueue)
+        assert broker.communicator.flow is None
         broker.communicator.close()
 
 
