@@ -92,9 +92,14 @@ class Broker:
                 return
             self._stopped = True
         self.router.stop()
-        # The router closed the header queue, waking any sender blocked on
-        # control-lane admission; wait for them to finish their queue-side
-        # reclaims, so the refcount audit below cannot race a woken producer.
+        # Sender threads insert into the ID queues themselves: close those
+        # too, so an endpoint that outlives its broker has its inserts
+        # refused (and reclaimed) instead of parking headers behind the
+        # drain below.
+        self.communicator.close_queues()
+        # Closing the header queue woke any sender blocked on control-lane
+        # admission; wait for them to finish their queue-side reclaims, so
+        # the refcount audit below cannot race a woken producer.
         self.communicator.header_queue.join_producers(timeout=2.0)
         self._release_undispatched()
         try:
@@ -122,9 +127,8 @@ class Broker:
     def _release_undispatched(self) -> None:
         """Release refcounts of headers the router never got to dispatch.
 
-        The sender inserts each body with ``refcount == fan-out`` before the
-        header crosses the header queue; a header still parked there at
-        shutdown strands that full fan-out in the object store.
+        A header parked on the header queue at shutdown still holds one
+        share of its body per (remote) destination it names.
         """
         store = self.communicator.object_store
         for header in self.communicator.header_queue.drain():

@@ -57,7 +57,11 @@ class MessageBuffer:
                 self._on_shed(message)
 
     def put(self, message: Message) -> None:
-        self.put_many((message,))
+        """Stage one message; raises like :meth:`put_many`."""
+        if not self._channel.offer(
+            message, lane_of(message.header[TYPE]), deadline_s=self._deadline
+        ):
+            raise BufferClosedError(f"buffer {self.name!r} is closed")
 
     def put_many(self, messages: Sequence[Message]) -> None:
         """Stage several messages under one lock acquisition.

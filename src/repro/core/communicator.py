@@ -2,11 +2,13 @@
 
 The broker process creates a shared-memory communicator holding:
 
-* a **header queue** — senders push message headers here the instant a body
-  has been inserted into the object store;
+* a **header queue** — senders push here, the instant a body has been
+  inserted into the object store, the headers that still have remote
+  destinations; the router thread ships them over the fabric;
 * an **object store** — message bodies live here for zero-copy transfer;
-* one **ID queue per explorer/learner process** — the router drops headers
-  (carrying the body's object ID) into the queues of all destinations.
+* one **ID queue per explorer/learner process** — the router (run by the
+  sender thread for local destinations) drops headers, carrying the body's
+  object ID, into the queues of all destinations.
 
 All queues expose a blocking ``get`` so monitoring threads run event-driven:
 the moment a header lands, the blocked ``get`` returns and transmission
@@ -84,7 +86,9 @@ class HeaderQueue:
 
     def put(self, header: Dict[str, Any]) -> int:
         """Admit one header; 0 when it was not enqueued (queue closed)."""
-        return self.put_many((header,))
+        return int(self._channel.offer(
+            header, lane_of(header.get(TYPE)), deadline_s=self._deadline
+        ))
 
     def put_many(self, headers: Sequence[Dict[str, Any]]) -> int:
         """Admit several headers in order under one lock acquisition;
@@ -166,9 +170,10 @@ class ShareMemCommunicator:
         self.name = name
         self.flow = flow if flow is not None and flow.enabled else None
         self.object_store: ObjectStore = store if store is not None else InMemoryObjectStore()
-        # Under a spec senders feel backpressure here: control blocks with
-        # a deadline, bulk sheds its oldest headers.  Whatever the queue
-        # does not enqueue it reclaims — admission must not leak shares.
+        # Under a spec senders of remote-bound headers feel backpressure
+        # here: control blocks with a deadline, bulk sheds its oldest
+        # headers.  Whatever the queue does not enqueue it reclaims —
+        # admission must not leak shares.
         self.header_queue = HeaderQueue(
             f"{name}.headers", self.flow, reclaim=self._reclaim_header
         )
@@ -228,6 +233,13 @@ class ShareMemCommunicator:
                 raise RoutingError(
                     f"no ID queue registered for {process_name!r} on {self.name!r}"
                 ) from None
+
+    def local_queue(self, process_name: str) -> Optional[HeaderQueue]:
+        """The ID queue of ``process_name``, or ``None`` when it is not a
+        local process — routing's "is it local, and where" in one registry
+        lookup."""
+        with self._lock:
+            return self._id_queues.get(process_name)
 
     def local_names(self) -> List[str]:
         with self._lock:
@@ -290,12 +302,17 @@ class ShareMemCommunicator:
         return headers
 
     # -- shutdown ----------------------------------------------------------
-    def close(self) -> None:
+    def close_queues(self) -> None:
+        """Close the header queue and every ID queue: whatever a sender or
+        router thread offers from now on is refused and reclaimed."""
         self.header_queue.close()
         with self._lock:
             queues = list(self._id_queues.values())
         for id_queue in queues:
             id_queue.close()
+
+    def close(self) -> None:
+        self.close_queues()
         # OS-backed stores hold segments / arena slabs that outlive their
         # entries; in-memory stores make this a no-op.  Under runtime checks
         # the close also audits the arena's block accounting.

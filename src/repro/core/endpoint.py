@@ -4,7 +4,10 @@ An explorer or learner process holds a send buffer, a receive buffer, a
 sender thread and a receiver thread (§3.2.1).  The workhorse thread (rollout
 worker or trainer) deals only with local buffer reads and writes; the
 sender/receiver threads move data between the local buffers and the broker's
-communicator, event-driven off blocking queue gets.
+communicator, event-driven off blocking queue gets.  The sender thread also
+routes: it inserts into the ID queues of local destinations itself, and only
+headers with remote destinations go through the header queue and the
+broker's router thread.
 
 The endpoint is thread-backed: the paper runs these as OS processes, but the
 push-vs-pull ordering and the communication-computation overlap — the
@@ -274,11 +277,9 @@ class ProcessEndpoint:
                     span=message.header.get(SPAN),
                 )
         if self._flightrec is not None:
-            for message in messages:
-                self._flightrec.record(
-                    "consumed", self.name, message.seq,
-                    message.header.get(TRACE) or 0,
-                )
+            self._flightrec.record_many(
+                "consumed", self.name, _flight_entries(messages)
+            )
         return messages
 
     # -- internal threads -----------------------------------------------------
@@ -287,7 +288,8 @@ class ProcessEndpoint:
         """Insert ``message``'s body into the object store; build its header.
 
         The body goes in with a refcount equal to the destination fan-out;
-        the returned header carries the object ID across the header queue.
+        the returned header — a copy this thread owns and hands on — carries
+        the object ID to the destinations' ID queues.
         ``originals`` is the list of workhorse-level messages this header
         represents — for a BATCH envelope, the coalesced sub-messages.
         """
@@ -356,17 +358,19 @@ class ProcessEndpoint:
         if self._coalesce_histogram is not None:
             self._coalesce_histogram.observe(len(run))
 
-    @transfers_ownership("headers carry the object IDs across the queue")
+    @transfers_ownership("headers carry the object IDs to the ID queues")
     def _sender_loop(self) -> None:
-        """Monitor the send buffer; push staged messages into the communicator.
+        """Monitor the send buffer; push staged messages to their destinations.
 
         Each wakeup drains the send buffer (up to the batch cap), coalesces
         small same-destination runs when configured, inserts bodies into the
         object store with refcounts equal to their destination fan-out, and
-        pushes all resulting headers onto the communicator's header queue in
-        one batched put (§3.2.1).
+        routes the whole batch on this thread: every local destination's ID
+        queue takes its headers in one insert.  Only what is left of a
+        header after that — its remote destinations — crosses the header
+        queue to the router thread (§3.2.1).
         """
-        communicator = self.broker.communicator
+        router = self.broker.router
         while not self._stop.is_set():
             # Re-read the spec every wakeup: the FlowController retunes the
             # coalescing threshold at runtime by swapping self.coalescing.
@@ -382,43 +386,68 @@ class ProcessEndpoint:
                 staged = self._stage_coalesced(messages, spec)
             else:
                 staged = [self._stage(message) for message in messages]
-            headers = [entry[0] for entry in staged]
-            try:
-                accepted = communicator.header_queue.put_many(headers)
-            except BackpressureError as exc:
-                # A control header hit its admission deadline: fail loudly
-                # (once); it and the unenqueued remainder are dropped.
-                with self._backpressure_lock:
-                    self.backpressure_expired += 1
-                if not self._backpressure_warned:
-                    self._backpressure_warned = True
-                    _LOG.warning(
-                        "endpoint %s: control-lane send expired under "
-                        "backpressure (%s); further expiries counted silently",
-                        self.name, exc,
-                    )
-                    # First escalation only: snapshot the last seconds of
-                    # channel activity for post-mortem (docs/OBSERVABILITY.md).
-                    flight_dump("backpressure")
-                accepted = exc.accepted
-                rejected = staged[accepted + 1:]  # the queue traced the expiry
-            else:
-                rejected = staged[accepted:]
-            # The queue reclaimed the store shares of what it did not
-            # enqueue; the messages themselves are lost (the communicator is
-            # closing, or they queued up behind an expired control send).
-            for _, originals in rejected:
-                for message in originals:
-                    self._record_terminal(
-                        TERMINAL_REJECTED, message.header, self.name
-                    )
-            sent = [
+            remainders = router.route_local([entry[0] for entry in staged])
+            if remainders:
+                staged = self._forward_remote(staged, remainders)
+            self.sent_meter.record_many([
                 max(message.body_size, 1)
-                for _, originals in staged[:accepted]
+                for _, originals in staged
                 for message in originals
-            ]
-            if sent:
-                self.sent_meter.record_many(sent)
+            ])
+
+    def _forward_remote(
+        self, staged: List[_Staged], remainders: List[Tuple[int, dict]]
+    ) -> List[_Staged]:
+        """Queue the remote-bound remainders of ``staged`` — ``(index in
+        staged, header)`` pairs — for the router thread; returns ``staged``
+        without the entries the header queue refused.
+
+        This is where a slow link pushes back on the sender: under a spec a
+        control remainder waits at the header queue's watermark up to its
+        deadline and bulk ones shed the oldest queued.  The queue reclaims
+        the store shares of what it does not enqueue; the messages
+        themselves are lost (the communicator is closing, or they queued
+        up behind an expired control send).
+        """
+        header_queue = self.broker.communicator.header_queue
+        try:
+            accepted = header_queue.put_many(
+                [header for _, header in remainders]
+            )
+        except BackpressureError as exc:
+            # A control header hit its admission deadline: fail loudly
+            # (once); it and the unenqueued remainder are dropped.
+            with self._backpressure_lock:
+                self.backpressure_expired += 1
+            if not self._backpressure_warned:
+                self._backpressure_warned = True
+                _LOG.warning(
+                    "endpoint %s: control-lane send expired under "
+                    "backpressure (%s); further expiries counted silently",
+                    self.name, exc,
+                )
+                # First escalation only: snapshot the last seconds of
+                # channel activity for post-mortem (docs/OBSERVABILITY.md).
+                flight_dump("backpressure")
+            accepted = exc.accepted
+            rejected = remainders[accepted + 1:]  # the queue traced the expiry
+        else:
+            rejected = remainders[accepted:]
+        for index, header in rejected:
+            for message in staged[index][1]:
+                # Local destinations (if any) were delivered: the terminal
+                # event names only the ones that were not reached.
+                self._record_terminal(
+                    TERMINAL_REJECTED,
+                    {**message.header, DST: header[DST]},
+                    self.name,
+                )
+        if accepted == len(remainders):
+            return staged
+        refused = {index for index, _ in remainders[accepted:]}
+        return [
+            entry for index, entry in enumerate(staged) if index not in refused
+        ]
 
     @receives_ownership("releases the shares the senders acquired for us")
     def _receiver_loop(self) -> None:
@@ -428,7 +457,7 @@ class ProcessEndpoint:
         run, then each restored sub-message lands in the receive buffer
         individually, so workhorses never see the transport envelope.
         """
-        communicator = self.broker.communicator
+        store = self.broker.communicator.object_store
         while not self._stop.is_set():
             headers = self._id_queue.get_many(_DRAIN_LIMIT, timeout=0.25)
             if not headers:
@@ -439,15 +468,16 @@ class ProcessEndpoint:
             for header in headers:
                 object_id = header.get(OBJECT_ID)
                 if object_id is not None:
-                    body = communicator.object_store.get(object_id)
-                    communicator.object_store.release(object_id)
+                    body = store.get(object_id)
+                    store.release(object_id)
                 else:
                     body = None
                 if header.get(TYPE) == MsgType.BATCH and body is not None:
-                    envelope = Message(dict(header), body)
-                    deliveries.extend(unpack_batch(envelope))
+                    deliveries.extend(unpack_batch(Message(header, body)))
                     continue
-                header = dict(header)
+                # The router gave this destination its own header: it
+                # becomes the delivered message's, scrubbed of transport
+                # fields.
                 header[OBJECT_ID] = None
                 header[COMPRESSED] = False
                 deliveries.append(Message(header, body))
@@ -473,15 +503,21 @@ class ProcessEndpoint:
                         span=message.header.get(SPAN),
                     )
             if self._flightrec is not None:
-                for message in deliveries:
-                    self._flightrec.record(
-                        "delivered", self.name, message.seq,
-                        message.header.get(TRACE) or 0,
-                    )
+                self._flightrec.record_many(
+                    "delivered", self.name, _flight_entries(deliveries)
+                )
             try:
                 self.receive_buffer.put_many(deliveries)
             except RuntimeError:
                 return  # receive buffer closed during shutdown
+
+
+def _flight_entries(messages: Sequence[Message]) -> List[Tuple[int, int]]:
+    """``(seq, trace)`` of each message, as the flight recorder takes them."""
+    return [
+        (message.header[SEQ], message.header.get(TRACE) or 0)
+        for message in messages
+    ]
 
 
 class WorkhorseThread:

@@ -96,9 +96,11 @@ def never_blocking(spec: Optional[FlowControlSpec]) -> Optional[FlowControlSpec]
     """``spec`` with an unbounded control lane (``control_watermark == 0``).
 
     For queues whose producer must never wait: per-destination ID queues
-    (one slow destination must not stall the router for every other one)
-    and receive buffers (the receiver thread delivers every lane).  Their
-    control volume is already bounded upstream, at the broker header queue.
+    (one slow destination must not stall whoever is routing — a sender
+    thread or the router thread — for every other one) and receive buffers
+    (the receiver thread delivers every lane).  Their control volume is
+    already bounded upstream, at the send buffers (and, for what arrives
+    from other brokers, at the header queue of the sending side).
     """
     return None if spec is None else replace(spec, control_watermark=0)
 
@@ -247,7 +249,26 @@ class LaneChannel:
     def offer(
         self, item: Any, lane: Lane, *, deadline_s: Optional[float] = None
     ) -> bool:
-        """Admit one entry; ``False`` when the channel is closed."""
+        """Admit one entry; ``False`` when the channel is closed.
+
+        The common case — an open channel and a lane with room — appends
+        under the lock and returns; anything that sheds, waits at the
+        control gate or is refused takes :meth:`offer_many`'s path.
+        """
+        with self._lock:
+            if not self._closed:
+                if lane is _BULK:
+                    high = self._effective_bulk_high()
+                    if not high or len(self._bulk) < high:
+                        self._bulk.append(item)
+                        self._counters[_BULK].put += 1
+                        self._not_empty.notify()
+                        return True
+                elif not self._control_high:
+                    self._control.append(item)
+                    self._counters[_CONTROL].put += 1
+                    self._not_empty.notify()
+                    return True
         return self.offer_many((item,), (lane,), deadline_s=deadline_s) == 1
 
     def offer_many(
@@ -335,10 +356,40 @@ class LaneChannel:
         return admitted
 
     # -- consumption ---------------------------------------------------------
+    def _await_entry(self, timeout: Optional[float]) -> bool:
+        """Wait (lock held) until either lane holds an entry; ``False`` on
+        timeout or once the channel is closed and drained."""
+        control, bulk = self._control, self._bulk
+        deadline: Optional[float] = None
+        while not control and not bulk:
+            if self._closed:
+                return False
+            if timeout is None:
+                self._not_empty.wait(1.0)
+                continue
+            if deadline is None:
+                deadline = self._clock() + timeout
+                remaining = timeout
+            else:
+                remaining = deadline - self._clock()
+            if remaining <= 0:
+                return False
+            self._not_empty.wait(remaining)
+        return True
+
     def take(self, timeout: Optional[float] = None) -> Optional[Any]:
         """Blocking control-first pop; None on timeout or once closed+empty."""
-        items = self.take_many(1, timeout=timeout)
-        return items[0] if items else None
+        with self._lock:
+            if not self._await_entry(timeout):
+                return None
+            if self._control:
+                item = self._control.popleft()
+                self._counters[_CONTROL].got += 1
+                if self._control_high:
+                    self._not_full.notify_all()
+                return item
+            self._counters[_BULK].got += 1
+            return self._bulk.popleft()
 
     def take_many(
         self, max_items: int, timeout: Optional[float] = None
@@ -346,23 +397,10 @@ class LaneChannel:
         """Block for the first entry, then pop up to ``max_items`` that are
         already queued (control first) under the same lock acquisition;
         empty on timeout or once closed and drained."""
-        deadline: Optional[float] = None
         with self._lock:
+            if not self._await_entry(timeout):
+                return []
             control, bulk = self._control, self._bulk
-            while not control and not bulk:
-                if self._closed:
-                    return []
-                if timeout is None:
-                    self._not_empty.wait(1.0)
-                    continue
-                if deadline is None:
-                    deadline = self._clock() + timeout
-                    remaining = timeout
-                else:
-                    remaining = deadline - self._clock()
-                if remaining <= 0:
-                    return []
-                self._not_empty.wait(remaining)
             items: List[Any] = []
             max_items = max(1, max_items)
             for lane, queue in ((_CONTROL, control), (_BULK, bulk)):
@@ -552,9 +590,9 @@ def release_header_shares(
 ) -> None:
     """Release ``shares`` object-store refcounts held by ``header``.
 
-    ``shares=None`` releases the full destination fan-out (a header that
-    never crossed the router still owns one share per destination); ID
-    queues pass ``shares=1`` (the router already split the fan-out).
+    ``shares=None`` releases one share per destination the header names (a
+    header on the header queue names exactly the destinations not routed
+    yet); ID queues pass ``shares=1`` (the router already split the fan-out).
     Already-released bodies are tolerated — reclamation races shutdown.
     """
     object_id = header.get(OBJECT_ID)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,6 +61,10 @@ PARENT_SPAN = "parent_span"
 #: codec name set by the broker when a body was compressed at the fabric
 #: boundary (adaptive wire compression; see docs/FLOW_CONTROL.md)
 WIRE_CODEC = "wire_codec"
+#: set on the remote-bound remainder of a header whose local destinations a
+#: sender thread already dispatched: its ``routed`` event is on record, so
+#: the router thread that ships the remainder must not emit a second one
+ROUTED = "routed"
 #: name of the socket link a message crossed, stamped by
 #: :class:`repro.transport.tcp.SocketLink` so receiver-side trace events
 #: can attribute the message to a real wire hop (docs/NETWORKING.md)
@@ -72,26 +75,26 @@ WIRE_HOP = "wire_hop"
 # Trace/span ids are u64 ints: (32-bit per-process nonce << 32) | 32-bit
 # counter.  Ints pack straight into the flight recorder's fixed-size records
 # (no allocation, no string interning) and render as hex in exports.  The
-# nonce mixes the pid with random bits and is re-derived after fork, so ids
-# from forked explorers never collide even though the counter state is
-# inherited.
+# nonce mixes the pid with random bits and is re-derived in a forked child
+# (``os.register_at_fork``), so ids from forked explorers never collide even
+# though the counter state is inherited.
 _TRACE_COUNTER = itertools.count(1)
-_TRACE_NONCE: Dict[str, Any] = {"pid": None, "bits": 0}
+_TRACE_NONCE = 0
 
 
-def _trace_nonce() -> int:
-    pid = os.getpid()
-    if _TRACE_NONCE["pid"] != pid:
-        _TRACE_NONCE["pid"] = pid
-        _TRACE_NONCE["bits"] = (
-            ((pid & 0xFFFF) << 16) | random.getrandbits(16)
-        ) << 32
-    return _TRACE_NONCE["bits"]
+def _reset_trace_nonce() -> None:
+    global _TRACE_NONCE
+    bits = int.from_bytes(os.urandom(2), "little")
+    _TRACE_NONCE = (((os.getpid() & 0xFFFF) << 16) | bits) << 32
+
+
+_reset_trace_nonce()
+os.register_at_fork(after_in_child=_reset_trace_nonce)
 
 
 def new_trace_id() -> int:
     """A fresh process-unique u64 trace (or span) id."""
-    return _trace_nonce() | (next(_TRACE_COUNTER) & 0xFFFFFFFF)
+    return _TRACE_NONCE | (next(_TRACE_COUNTER) & 0xFFFFFFFF)
 
 
 def format_trace_id(trace_id: Optional[int]) -> str:

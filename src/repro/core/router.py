@@ -1,7 +1,6 @@
 """The algorithm-agnostic router (§3.2.1).
 
-The router monitors the communicator's header queue.  For every new header
-it resolves the destination list:
+For every header the router resolves the destination list:
 
 * **local destinations** — the header (already carrying the body's object
   ID) is dropped into each destination's ID queue; the body never moves.
@@ -11,6 +10,19 @@ it resolves the destination list:
   header to local ID queues.  Workhorse threads "will not perceive any
   difference" (§3.2.1).
 
+Routing runs in two stages on two threads.  Sender threads call
+:meth:`AlgorithmAgnosticRouter.route_local` on the batch they just staged:
+local destinations are served right there, one ID-queue insert per
+destination per wake-up.  Only what is left of a header — its remote
+destinations — crosses the communicator's header queue to the router
+thread, which monitors that queue and ships it over the fabric.  A
+destination whose registration does not change while its messages are in
+flight is reached by exactly one of the two paths, so per-(sender,
+destination, lane) FIFO holds for any mix of local and remote names.  (A
+name that registers locally after a sender found it remote or unroutable
+is still served — the router thread resolves the remainder again — but
+that message can be overtaken by later ones routed on the sender.)
+
 The router never inspects bodies — it is algorithm agnostic.
 """
 
@@ -18,18 +30,45 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from .communicator import ShareMemCommunicator
+from .communicator import HeaderQueue, ShareMemCommunicator
 from .concurrency import make_lock, spawn_thread
 from .ownership import receives_ownership, transfers_ownership
-from .errors import RoutingError, UnknownDestinationError
+from .errors import UnknownDestinationError
 from .flowcontrol import release_header_shares
-from .message import BATCH_SEQS, COMPRESSED, DST, OBJECT_ID, SEQ, TRACE, TYPE
+from .message import (
+    BATCH_SEQS, COMPRESSED, DST, OBJECT_ID, ROUTED, SEQ, TRACE, TYPE,
+)
 from .tracing import Tracer, flight_recorder
 
 RemoteSend = Callable[[str, Dict[str, Any], Any, int], None]
 """(remote_broker, header, body, nbytes) -> ship over the fabric."""
+
+
+class _Remainder(NamedTuple):
+    """What dispatching its local destinations leaves of a header."""
+
+    #: position of the header in the batch that was routed
+    index: int
+    #: the header, cut down to the destinations that are not local (and to
+    #: the store shares that belong to them)
+    header: Dict[str, Any]
+    #: its remote destinations, grouped by the broker they live behind
+    remote_groups: Dict[str, List[str]]
+    #: its destinations with no route at all
+    unroutable: List[str]
+
+
+#: one destination's share of a routed batch: (its ID queue, its headers)
+_Delivery = Tuple[HeaderQueue, List[Dict[str, Any]]]
+#: a resolved destination list: (local ``(name, ID queue)`` pairs, remote
+#: names grouped by the broker they live behind, names with no route)
+_Partition = Tuple[
+    List[Tuple[str, HeaderQueue]], Dict[str, List[str]], List[str]
+]
 
 #: headers drained from the header queue per router wakeup — amortizes the
 #: queue lock without starving shutdown checks
@@ -37,7 +76,7 @@ _ROUTE_DRAIN = 128
 
 
 class AlgorithmAgnosticRouter:
-    """Routes headers from the communicator's header queue to ID queues.
+    """Routes headers to local ID queues and, over the fabric, to remote ones.
 
     ``remote_table`` maps destination process names to remote broker names;
     ``remote_send`` performs the actual cross-machine transfer.  Both are
@@ -112,27 +151,129 @@ class AlgorithmAgnosticRouter:
                 if header_queue.closed:
                     return
                 continue
+            # Each header is settled whole — delivered, shipped, rejected —
+            # before the next; an unroutable name surfaces ("raise" mode)
+            # only once the drained batch is.
+            unroutable: Optional[UnknownDestinationError] = None
             for header in headers:
                 try:
                     self.route(header)
-                except UnknownDestinationError:
-                    if self._on_unroutable == "raise":
-                        raise
-                    with self._counters_lock:
-                        self._dropped += 1
+                except UnknownDestinationError as exc:
+                    unroutable = unroutable or exc
+            if unroutable is not None:
+                raise unroutable
 
     def route(self, header: Dict[str, Any]) -> None:
-        """Dispatch one header to all destinations (public for tests)."""
-        if self.tracer is not None or self._flightrec is not None:
-            self._record_routed(header)
-        local, remote_groups = self._partition(header[DST])
-        if remote_groups:
-            self._route_remote(header, remote_groups)
-        for destination in local:
-            self._deliver_local(destination, dict(header))
+        """Dispatch one header to all destinations: the router thread's unit
+        of work, also called directly by tests."""
+        self._route_remainders(self._dispatch_local((header,)))
 
-    def _record_routed(self, header: Dict[str, Any]) -> None:
-        """Trace the routing decision.
+    def route_local(
+        self, headers: Sequence[Dict[str, Any]]
+    ) -> List[Tuple[int, Dict[str, Any]]]:
+        """Dispatch every local destination of ``headers``; return what is left.
+
+        The first stage of routing, as sender threads run it on the batch
+        they just staged.  A header with destinations that are not local
+        comes back as ``(its position in headers, the header cut down to
+        those destinations and their store shares)`` for the header queue;
+        the router thread resolves it from there.
+        """
+        return [
+            (remainder.index, remainder.header)
+            for remainder in self._dispatch_local(headers)
+        ]
+
+    @receives_ownership("hands each local share to its destination's ID queue")
+    def _dispatch_local(
+        self, headers: Sequence[Dict[str, Any]]
+    ) -> List[_Remainder]:
+        """Resolve ``headers`` and serve their local destinations.
+
+        Each distinct destination list is resolved once, the local
+        deliveries of the whole batch are grouped by destination, and each
+        ID queue takes its group in one insert.  ``headers`` are owned by
+        the caller and handed on: the last local destination of a header
+        gets the header itself, the others a copy.  What is not local is
+        returned, resolved, for :meth:`_route_remainders`.
+        """
+        recording = self.tracer is not None or self._flightrec is not None
+        #: destination list -> its resolution, once per batch
+        resolved: Dict[Tuple[str, ...], _Partition] = {}
+        routed: List[Dict[str, Any]] = []
+        deliveries: Dict[str, _Delivery] = {}
+        remainders: List[_Remainder] = []
+        for index, header in enumerate(headers):
+            key = tuple(header[DST])
+            partition = resolved.get(key)
+            if partition is None:
+                partition = resolved[key] = self._partition(key)
+            local, remote_groups, unroutable = partition
+            if remote_groups or unroutable:
+                rest = header
+                if local:
+                    names = {name for name, _ in local}
+                    rest = dict(header)
+                    rest[DST] = [name for name in key if name not in names]
+                    # Its local part is dispatched (and traced) right here.
+                    rest[ROUTED] = True
+                remainders.append(_Remainder(index, rest, remote_groups, unroutable))
+            if not local:
+                continue
+            # The marker is this router's bookkeeping (a remainder whose
+            # destination has registered here since): never delivered.
+            if not header.pop(ROUTED, False) and recording:
+                routed.append(header)
+            last = len(local) - 1
+            for position, (destination, id_queue) in enumerate(local):
+                delivery = deliveries.get(destination)
+                if delivery is None:
+                    delivery = deliveries[destination] = (id_queue, [])
+                delivery[1].append(header if position == last else dict(header))
+        if routed:
+            self._record_routed(routed)
+        for destination, (id_queue, batch) in deliveries.items():
+            self._deliver_local(destination, batch, id_queue)
+        return remainders
+
+    @receives_ownership("releases the shares of remote and unroutable destinations")
+    def _route_remainders(self, remainders: Sequence[_Remainder]) -> None:
+        """Second stage: ship each remainder's remote groups over the fabric
+        and reject what has no route.
+
+        Everything handed in is settled — every destination forwarded, or
+        rejected with its share released — before ``on_unroutable="raise"``
+        surfaces the unknown destinations.
+        """
+        if not remainders:
+            return
+        if self.tracer is not None or self._flightrec is not None:
+            self._record_routed([
+                remainder.header for remainder in remainders
+                if not remainder.header.get(ROUTED)
+            ])
+        lost: List[str] = []
+        for _, header, remote_groups, unroutable in remainders:
+            if remote_groups:
+                self._route_remote(header, remote_groups)
+            for destination in unroutable:
+                release_header_shares(
+                    self.communicator.object_store, header, shares=1
+                )
+                self._reject(destination, header)
+            lost.extend(unroutable)
+        if lost and self._on_unroutable == "raise":
+            stranded = [name for name in lost if name in self.remote_table]
+            raise UnknownDestinationError(
+                f"router {self.name!r}: no route to {lost}"
+                + (
+                    f" (remote destinations {stranded} but no fabric attached)"
+                    if stranded else ""
+                )
+            )
+
+    def _record_routed(self, headers: Sequence[Dict[str, Any]]) -> None:
+        """Trace the routing decision for a batch of headers.
 
         A coalesced BATCH envelope yields one "routed" event *per
         sub-message* (seq + trace context stamped by ``pack_batch``): the
@@ -141,89 +282,96 @@ class AlgorithmAgnosticRouter:
         accounting must see the same seqs here or every coalesced message
         shows up as unmatched in both directions.
         """
-        dst = ",".join(header.get(DST, []))
-        msg_type = str(header.get(TYPE))
-        batch_seqs = header.get(BATCH_SEQS)
-        if batch_seqs:
-            for sub_seq, sub_trace in batch_seqs:
-                if self.tracer is not None:
+        routed: List[Tuple[Optional[int], Optional[int]]] = []
+        for header in headers:
+            entries = header.get(BATCH_SEQS) or (
+                (header.get(SEQ), header.get(TRACE)),
+            )
+            if self.tracer is not None:
+                dst = ",".join(header.get(DST, []))
+                msg_type = str(header.get(TYPE))
+                for seq, trace in entries:
                     self.tracer.record(
-                        "routed", self.name, seq=sub_seq, dst=dst,
-                        type=msg_type, trace=sub_trace,
+                        "routed", self.name, seq=seq, dst=dst,
+                        type=msg_type, trace=trace,
                     )
-                if self._flightrec is not None:
-                    self._flightrec.record(
-                        "routed", self.name, sub_seq, sub_trace or 0
-                    )
-            return
-        if self.tracer is not None:
-            self.tracer.record(
-                "routed", self.name, seq=header.get(SEQ), dst=dst,
-                type=msg_type, trace=header.get(TRACE),
-            )
+            routed.extend(entries)
         if self._flightrec is not None:
-            self._flightrec.record(
-                "routed", self.name, header.get(SEQ, -1),
-                header.get(TRACE) or 0,
-            )
+            self._flightrec.record_many("routed", self.name, [
+                (-1 if seq is None else seq, trace or 0)
+                for seq, trace in routed
+            ])
 
-    @receives_ownership("releases the share of an unregistered destination")
-    def _deliver_local(self, destination: str, header: Dict[str, Any]) -> None:
-        """Put ``header`` on one local ID queue.
+    def _reject(self, destination: str, header: Dict[str, Any]) -> None:
+        """Count and trace one destination ``header`` will never reach.
 
-        A destination that is gone (queue closed or unregistered mid-route —
-        routine when the supervisor is tearing a dead process down) is
-        counted and traced as rejected.  A closed queue reclaims the
-        header's refcount share itself; only with no queue left to do so is
-        the share released here.
+        A terminal outcome: this (seq, dst) will never be delivered, so
+        span accounting closes its pending state instead of leaking it.
         """
-        try:
-            delivered = self.communicator.id_queue(destination).put(header)
-        except RoutingError:
-            delivered = 0
-            release_header_shares(
-                self.communicator.object_store, header, shares=1
-            )
-        if delivered:
-            with self._counters_lock:
-                self._routed_local += 1
-            return
         with self._counters_lock:
             self._dropped += 1
         if self.tracer is not None:
-            # Terminal outcome: this (seq, dst) will never be delivered, so
-            # span accounting closes its pending state instead of leaking it.
             self.tracer.record(
                 "rejected", self.name, seq=header.get(SEQ),
                 trace=header.get(TRACE), dst=destination,
                 type=str(header.get(TYPE)),
             )
 
-    def _partition(
-        self, destinations: List[str]
-    ) -> Tuple[List[str], Dict[str, List[str]]]:
-        local: List[str] = []
-        remote_groups: Dict[str, List[str]] = defaultdict(list)
-        for destination in destinations:
-            if self.communicator.is_local(destination):
-                local.append(destination)
-            elif destination in self.remote_table:
-                remote_groups[self.remote_table[destination]].append(destination)
-            else:
-                raise UnknownDestinationError(
-                    f"router {self.name!r}: no route to {destination!r}"
+    @receives_ownership("releases the share of an unregistered destination")
+    def _deliver_local(
+        self,
+        destination: str,
+        headers: List[Dict[str, Any]],
+        id_queue: Optional[HeaderQueue] = None,
+    ) -> None:
+        """Put ``headers`` (one share each) on one local ID queue, in order.
+
+        A destination that is gone (queue closed or unregistered mid-route —
+        routine when the supervisor is tearing a dead process down) is
+        counted and traced as rejected.  A closed queue reclaims the shares
+        of what it does not enqueue itself; only with no queue left to do so
+        are they released here.
+        """
+        if id_queue is None:
+            id_queue = self.communicator.local_queue(destination)
+        if id_queue is None:
+            delivered = 0
+            for header in headers:
+                release_header_shares(
+                    self.communicator.object_store, header, shares=1
                 )
-        return local, dict(remote_groups)
+        elif len(headers) == 1:
+            delivered = id_queue.put(headers[0])
+        else:
+            delivered = id_queue.put_many(headers)
+        if delivered:
+            with self._counters_lock:
+                self._routed_local += delivered
+        for header in headers[delivered:]:
+            self._reject(destination, header)
+
+    def _partition(self, destinations: Sequence[str]) -> _Partition:
+        """Resolve each destination: local, remote or without a route."""
+        local: List[Tuple[str, HeaderQueue]] = []
+        remote_groups: Dict[str, List[str]] = {}
+        unroutable: List[str] = []
+        for destination in destinations:
+            id_queue = self.communicator.local_queue(destination)
+            if id_queue is not None:
+                local.append((destination, id_queue))
+            elif destination in self.remote_table and self._remote_send is not None:
+                remote_groups.setdefault(
+                    self.remote_table[destination], []
+                ).append(destination)
+            else:
+                unroutable.append(destination)
+        return local, remote_groups, unroutable
 
     @receives_ownership("remote destinations never consume the local share")
     def _route_remote(
         self, header: Dict[str, Any], remote_groups: Dict[str, List[str]]
     ) -> None:
-        if self._remote_send is None:
-            raise UnknownDestinationError(
-                f"router {self.name!r}: remote destinations "
-                f"{sorted(remote_groups)} but no fabric attached"
-            )
+        assert self._remote_send is not None  # _partition found the groups
         store = self.communicator.object_store
         object_id = header.get(OBJECT_ID)
         body = store.get(object_id) if object_id is not None else None
@@ -232,6 +380,7 @@ class AlgorithmAgnosticRouter:
             remote_header = dict(header)
             remote_header[DST] = list(group)
             remote_header[OBJECT_ID] = None
+            remote_header.pop(ROUTED, None)  # this broker's bookkeeping
             self._remote_send(remote_broker, remote_header, body, nbytes)
             with self._counters_lock:
                 self._routed_remote += len(group)
@@ -293,4 +442,4 @@ class AlgorithmAgnosticRouter:
             local_header[DST] = [destination]
             local_header[OBJECT_ID] = object_id
             local_header[COMPRESSED] = False
-            self._deliver_local(destination, local_header)
+            self._deliver_local(destination, [local_header])

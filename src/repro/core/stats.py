@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .concurrency import make_lock
+
+#: latency samples a :class:`LatencyRecorder` retains (its most recent)
+_MAX_SAMPLES = 65_536
 
 
 class ThroughputMeter:
@@ -128,23 +132,37 @@ class ThroughputMeter:
 
 
 class LatencyRecorder:
-    """Accumulates latency samples and reports means, quantiles, and CDFs."""
+    """Accumulates latency samples and reports means, quantiles, and CDFs.
+
+    Memory is bounded: ``count`` and ``mean()`` are exact over every sample
+    ever recorded (a running count and sum), while ``quantile``, ``cdf``,
+    ``fraction_below`` and ``samples()`` describe the most recent 65 536
+    — an endpoint records one sample per delivered message for as long as
+    it lives.
+    """
 
     def __init__(self, name: str = ""):
         self.name = name
         self._lock = make_lock("stats.latency_recorder")
-        self._samples: List[float] = []
+        self._samples: Deque[float] = deque(maxlen=_MAX_SAMPLES)
+        self._count = 0
+        self._sum = 0.0
 
     def record(self, seconds: float) -> None:
         with self._lock:
             self._samples.append(seconds)
+            self._count += 1
+            self._sum += seconds
 
     def record_many(self, seconds: Sequence[float]) -> None:
         """Append a batch of samples under one lock acquisition."""
         if not seconds:
             return
+        subtotal = sum(seconds)
         with self._lock:
             self._samples.extend(seconds)
+            self._count += len(seconds)
+            self._sum += subtotal
 
     def time(self):
         """Context manager that records the elapsed time of its block."""
@@ -153,28 +171,24 @@ class LatencyRecorder:
     @property
     def count(self) -> int:
         with self._lock:
-            return len(self._samples)
+            return self._count
 
     def mean(self) -> float:
         with self._lock:
-            if not self._samples:
-                return 0.0
-            return sum(self._samples) / len(self._samples)
+            return self._sum / self._count if self._count else 0.0
 
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
-        with self._lock:
-            if not self._samples:
-                return 0.0
-            ordered = sorted(self._samples)
+        ordered = self._ordered()
+        if not ordered:
+            return 0.0
         index = min(int(q * len(ordered)), len(ordered) - 1)
         return ordered[index]
 
     def cdf(self, points: Optional[Sequence[float]] = None) -> List[Tuple[float, float]]:
         """(value, fraction_of_samples <= value) pairs — Fig. 8(c)'s curve."""
-        with self._lock:
-            ordered = sorted(self._samples)
+        ordered = self._ordered()
         if not ordered:
             return []
         if points is None:
@@ -184,13 +198,17 @@ class LatencyRecorder:
 
     def fraction_below(self, threshold: float) -> float:
         """Fraction of samples strictly below ``threshold`` seconds."""
+        retained = self.samples()
+        if not retained:
+            return 0.0
+        return sum(1 for sample in retained if sample < threshold) / len(retained)
+
+    def _ordered(self) -> List[float]:
         with self._lock:
-            if not self._samples:
-                return 0.0
-            below = sum(1 for sample in self._samples if sample < threshold)
-            return below / len(self._samples)
+            return sorted(self._samples)
 
     def samples(self) -> List[float]:
+        """The retained (most recent) samples, oldest first."""
         with self._lock:
             return list(self._samples)
 

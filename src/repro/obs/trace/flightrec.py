@@ -28,7 +28,7 @@ import signal
 import struct
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 LOG = logging.getLogger("repro.obs.trace.flightrec")
 
@@ -94,17 +94,21 @@ class FlightRecorder:
             return ids[value]
 
     # -- hot path -----------------------------------------------------------
-    def record(
-        self, kind: str, source: str, seq: int = -1, trace: int = 0
-    ) -> None:
-        """Append one record, overwriting the oldest once the ring is full."""
-        ts = self._clock()
+    def _ids(self, kind: str, source: str) -> Tuple[int, int]:
         kind_id = self._kind_ids.get(kind)
         if kind_id is None:
             kind_id = self._intern(kind, self._kinds, self._kind_ids)
         source_id = self._source_ids.get(source)
         if source_id is None:
             source_id = self._intern(source, self._sources, self._source_ids)
+        return kind_id, source_id
+
+    def record(
+        self, kind: str, source: str, seq: int = -1, trace: int = 0
+    ) -> None:
+        """Append one record, overwriting the oldest once the ring is full."""
+        ts = self._clock()
+        kind_id, source_id = self._ids(kind, source)
         with self._lock:
             offset = (self._head % self.capacity) * RECORD_SIZE
             self._head += 1
@@ -112,6 +116,27 @@ class FlightRecorder:
                 self._buf, offset, ts, kind_id, source_id,
                 int(seq), int(trace) & 0xFFFFFFFFFFFFFFFF,
             )
+
+    def record_many(
+        self, kind: str, source: str, entries: Sequence[Tuple[int, int]]
+    ) -> None:
+        """Append one record per ``(seq, trace)`` entry, all stamped with
+        one clock read under one lock acquisition: a thread holding a whole
+        wake-up's batch pays the fixed cost once."""
+        if not entries:
+            return
+        ts = self._clock()
+        kind_id, source_id = self._ids(kind, source)
+        buf, capacity, pack_into = self._buf, self.capacity, RECORD.pack_into
+        with self._lock:
+            head = self._head
+            for seq, trace in entries:
+                pack_into(
+                    buf, (head % capacity) * RECORD_SIZE, ts, kind_id,
+                    source_id, int(seq), int(trace) & 0xFFFFFFFFFFFFFFFF,
+                )
+                head += 1
+            self._head = head
 
     # -- introspection ------------------------------------------------------
     @property

@@ -196,24 +196,41 @@ class TestRefcountLeaks:
         finally:
             alice.stop()
 
-    def test_sender_releases_refcounts_when_header_queue_closed(self, broker):
+    def test_sender_releases_refcounts_when_header_queue_closed(self):
         """If the communicator closes between the store insert and the header
-        put, the sender must roll the insert back (full fan-out refcount)."""
+        put, the insert must be rolled back.  Only a header with remote
+        destinations crosses the header queue, carrying just their shares:
+        the local destination of the same message is served all the same."""
+        fabric = Fabric()
+        broker = Broker("near", fabric=fabric)
+        peer = Broker("far", fabric=fabric)
+        fabric.connect("near", "far")
+        for name in ("r0", "r1"):
+            broker.add_remote_route(name, "far")
         alice = ProcessEndpoint("alice", broker)
-        broker.register_process("b0")
-        broker.register_process("b1")
+        bob = ProcessEndpoint("bob", broker)
         alice.start()
+        bob.start()
         try:
             store = broker.communicator.object_store
             broker.communicator.header_queue.close()
-            alice.send(make_message("alice", ["b0", "b1"], MsgType.DATA, "x"))
+            alice.send(make_message("alice", ["r0", "r1"], MsgType.DATA, "x"))
+            alice.send(
+                make_message("alice", ["r0", "bob", "r1"], MsgType.DATA, "y")
+            )
+            received = bob.receive(timeout=2)
+            assert received is not None and received.body == "y"
             deadline = time.monotonic() + 2
-            while alice.send_buffer.empty() is False and time.monotonic() < deadline:
+            while len(store) and time.monotonic() < deadline:
                 time.sleep(0.005)
-            time.sleep(0.05)  # let the sender thread finish the rollback
             assert len(store) == 0
+            assert alice.sent_meter.total == 0  # neither got out whole
         finally:
             alice.stop()
+            bob.stop()
+            broker.stop()
+            peer.stop()
+            fabric.close()
 
 
 class TestWorkhorseThread:

@@ -114,8 +114,9 @@ class TestExplorerLearnerOffPolicy:
         learner.start()
         explorer.start()
         try:
+            # The wait is recorded before the session it precedes trains.
             assert _wait_for(lambda: learner.wait_recorder.count >= 2)
-            assert learner.train_recorder.count >= 2
+            assert _wait_for(lambda: learner.train_recorder.count >= 2)
         finally:
             explorer.stop()
             learner.stop()

@@ -1,5 +1,6 @@
 """Tests for the algorithm-agnostic router."""
 
+import threading
 import time
 from typing import Any, Dict, List, Tuple
 
@@ -7,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.broker import Broker
 from repro.core.communicator import ShareMemCommunicator
+from repro.core.endpoint import ProcessEndpoint
 from repro.core.errors import UnknownDestinationError
-from repro.core.message import DST, OBJECT_ID, MsgType, make_header
+from repro.core.message import DST, OBJECT_ID, MsgType, make_header, make_message
+from repro.core.ownership import transfers_ownership
 from repro.core.router import AlgorithmAgnosticRouter
+from repro.core.tracing import Tracer
 
 
 def _header(dst, body_size=0):
@@ -94,6 +99,77 @@ class TestLocalRouting:
         router.route(header)
         for queue in queues:
             assert queue.get(timeout=1) is not None
+
+
+class TestUnroutableDestinations:
+    """Every destination ends delivered, forwarded, or rejected with its
+    store share released — an unknown name must not leak the body, hide a
+    known destination of the same header, or strand the rest of a batch."""
+
+    def test_drop_mode_releases_shares_and_still_serves_known_names(self):
+        broker = Broker("b", on_unroutable="drop")
+        tracer = Tracer()
+        broker.router.tracer = tracer
+        alice = ProcessEndpoint("alice", broker)
+        bob = ProcessEndpoint("bob", broker)
+        broker.start()
+        alice.start()
+        bob.start()
+        try:
+            alice.send(make_message("alice", ["ghost"], MsgType.DATA, b"x" * 64))
+            alice.send(make_message("alice", ["ghost", "bob"], MsgType.DATA, "y"))
+            received = bob.receive(timeout=2)
+            assert received is not None and received.body == "y"
+            deadline = time.monotonic() + 2
+            while broker.router.dropped < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+        finally:
+            alice.stop()
+            bob.stop()
+        assert broker.router.dropped == 2
+        assert broker.communicator.object_store.leak_report() == []
+        rejected = tracer.events(kind="rejected")
+        assert [event.detail["dst"] for event in rejected] == ["ghost", "ghost"]
+        broker.stop()
+
+    @transfers_ownership("the headers carry the handles into the router")
+    def test_raise_mode_settles_the_batch_before_the_thread_dies(self, monkeypatch):
+        died = []
+        monkeypatch.setattr(threading, "excepthook", lambda args: died.append(args))
+        comm = ShareMemCommunicator()
+        learner = comm.register("learner")
+        router = AlgorithmAgnosticRouter(comm)  # on_unroutable="raise"
+        store = comm.object_store
+        batch = []
+        for dst in (["ghost"], ["learner"], ["ghost", "learner"]):
+            header = _header(dst)
+            header[OBJECT_ID] = store.put(",".join(dst), refcount=len(dst))
+            batch.append(header)
+        assert comm.header_queue.put_many(batch) == 3
+        router.start()
+        deadline = time.monotonic() + 2
+        while not died and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert died and died[0].exc_type is UnknownDestinationError
+        assert "ghost" in str(died[0].exc_value)
+        assert router.dropped == 2 and router.routed_local == 2
+        delivered = learner.get_many(10, timeout=0)
+        assert [header[DST] for header in delivered] == [["learner"], ["ghost", "learner"]]
+        # Only the two shares parked for the learner are left in the store.
+        assert store.outstanding_refcounts == 2
+        router.stop()
+
+    @transfers_ownership("the header carries the handle into the router")
+    def test_route_raises_only_after_releasing_the_unroutable_share(self):
+        comm = ShareMemCommunicator()
+        queue = comm.register("a")
+        router = AlgorithmAgnosticRouter(comm)
+        header = _header(["ghost", "a"])
+        header[OBJECT_ID] = comm.object_store.put("body", refcount=2)
+        with pytest.raises(UnknownDestinationError):
+            router.route(header)
+        assert queue.get(timeout=0) is not None  # the known name was served
+        assert comm.object_store.outstanding_refcounts == 1
 
 
 class TestRemoteRouting:

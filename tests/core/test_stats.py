@@ -204,6 +204,24 @@ class TestLatencyRecorder:
         assert recorder.count == 1
         assert recorder.mean() >= 0.015
 
+    def test_memory_is_bounded_count_and_mean_stay_exact(self):
+        bound = 65_536  # a training run's few thousand samples are all kept
+        recorder = LatencyRecorder()
+        recorder.record_many([0.0] * bound)
+        assert len(recorder.samples()) == bound
+        for value in (1.0, 2.0, 3.0, 4.0):
+            recorder.record(value)
+        assert recorder.count == bound + 4
+        assert recorder.mean() == pytest.approx(10.0 / (bound + 4))
+        # Distribution queries describe the retained (most recent) samples.
+        retained = recorder.samples()
+        assert len(retained) == bound
+        assert retained[:2] == [0.0, 0.0]
+        assert retained[-4:] == [1.0, 2.0, 3.0, 4.0]
+        assert recorder.quantile(1.0) == 4.0
+        assert recorder.fraction_below(0.5) == pytest.approx((bound - 4) / bound)
+        assert len(recorder.cdf(points=[0.0, 4.0])) == 2
+
     @given(st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=50))
     @settings(max_examples=30, deadline=None)
     def test_property_cdf_ends_at_one(self, samples):

@@ -62,6 +62,21 @@ class TestRing:
         assert recorder.total == 10
         assert [e["detail"]["seq"] for e in recorder.events()] == [6, 7, 8, 9]
 
+    def test_record_many_is_one_timestamp_per_batch(self):
+        ticks = iter(range(1, 100))
+        recorder = FlightRecorder("p", capacity=4, clock=lambda: float(next(ticks)))
+        recorder.record("sent", "alice", seq=0)
+        recorder.record_many("routed", "alice", [(1, 0xA), (2, 0xB), (3, 0)])
+        recorder.record_many("routed", "alice", [])
+        events = recorder.events()  # capacity 4: nothing overwritten yet
+        assert [e["kind"] for e in events] == ["sent", "routed", "routed", "routed"]
+        assert [e["detail"].get("seq") for e in events] == [0, 1, 2, 3]
+        assert events[1]["detail"]["trace"] == 0xA and "trace" not in events[3]["detail"]
+        assert [e["ts"] for e in events] == [1.0, 2.0, 2.0, 2.0]
+        recorder.record_many("routed", "alice", [(4, 0), (5, 0)])  # wraps
+        assert recorder.total == 6 and recorder.count == 4
+        assert [e["detail"]["seq"] for e in recorder.events()] == [2, 3, 4, 5]
+
     def test_intern_overflow_maps_to_question_mark(self):
         recorder = FlightRecorder("p", capacity=4)
         # Exhaust the source table (id 0 is reserved for "?").

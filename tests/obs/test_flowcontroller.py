@@ -19,6 +19,7 @@ from repro.core.config import CoalescingSpec, FlowControlSpec
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.message import MsgType, make_header, make_message
 from repro.obs import FlowController, MetricsRegistry, Telemetry, TelemetrySampler
+from repro.transport.fabric import Fabric
 
 
 def spec(**overrides) -> FlowControlSpec:
@@ -268,12 +269,19 @@ class TestAgainstRealComponents:
             broker.stop()
 
     def test_telemetry_facade_wires_flow_control(self):
+        """Header-queue depth is the controller's "link is slow" signal:
+        only remote-bound headers queue there, so the backlog is built
+        with a destination behind another broker (whose router, never
+        started, stands in for a stalled link)."""
         flow = spec(bulk_watermark=4, escalate_after=1)
         telemetry = Telemetry(sample_interval=0.01, spans=False)
         controller = telemetry.enable_flow_control(flow)
         assert telemetry.enable_flow_control(flow) is controller  # idempotent
-        broker = Broker("b", flow=flow)
-        broker.register_process("sink")
+        fabric = Fabric()
+        broker = Broker("b", flow=flow, fabric=fabric)
+        peer = Broker("far", fabric=fabric)
+        fabric.connect("b", "far")
+        broker.add_remote_route("sink", "far")
         telemetry.attach_broker(broker)
         alice = ProcessEndpoint("alice", broker)
         telemetry.attach_endpoint(alice)
@@ -293,6 +301,8 @@ class TestAgainstRealComponents:
         finally:
             alice.stop()
             broker.stop()
+            peer.stop()
+            fabric.close()
 
     def test_flow_gauges_exported_via_sampler(self):
         flow = spec()

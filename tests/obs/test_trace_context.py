@@ -8,6 +8,7 @@ lifecycle events, never the envelope's.
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
@@ -37,6 +38,27 @@ class TestTraceIds:
     def test_new_trace_ids_are_unique(self):
         ids = {new_trace_id() for _ in range(10_000)}
         assert len(ids) == 10_000
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_nonce(self):
+        """The nonce is cached, not re-derived per id: a fork must reset it,
+        or parent and child (who share the counter state) mint equal ids."""
+        parent_nonce = new_trace_id() >> 32
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: report the nonce of a fresh id and leave
+            try:
+                os.write(write_end, str(new_trace_id() >> 32).encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            child_nonce = int(os.read(read_end, 64).decode())
+        finally:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+        assert child_nonce != parent_nonce
+        assert new_trace_id() >> 32 == parent_nonce  # the parent keeps its own
 
     def test_format_is_16_hex_chars(self):
         formatted = format_trace_id(new_trace_id())
