@@ -54,7 +54,7 @@ class Cluster:
         self.telemetry: Optional[Any] = None
         # Shared with the supervisor's restart closures: every hook runs on
         # a freshly built replacement process before it starts, so restarts
-        # stay instrumented (tracer + metrics re-attached).
+        # stay instrumented (metrics re-attached; the hop log needs nothing).
         self._instrument_hooks = (
             instrument_hooks if instrument_hooks is not None else []
         )

@@ -15,7 +15,6 @@ wire-smoke CI job and ``bench_fig5_two_machines.py --transport wire`` use.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -78,8 +77,9 @@ class WireRunReport:
     result: Any  #: the :class:`~repro.runtime.RunResult`
     #: per-link wire counters from :meth:`SocketFabric.link_stats`
     link_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: fabric tracer events (wire_send/wire_deliver stage pairs), ready to
-    #: merge with other per-process trace files
+    #: the run's hop-log events (message lifecycles plus the
+    #: wire_send/wire_deliver stage pairs) when ``trace`` was asked for,
+    #: ready to merge with other per-process trace files
     trace_events: List[Any] = field(default_factory=list)
 
     @property
@@ -107,57 +107,37 @@ def run_wire_session(
 ) -> WireRunReport:
     """Run a wire-transport session end to end and report link activity.
 
-    Builds the cluster around an explicitly-constructed
-    :class:`SocketFabric` so link counters (and, with ``trace``, the wire
-    stage events) survive the run; asserts the session actually pushed
-    bytes through sockets when ``require_traffic`` — a wire smoke that
-    silently fell back to in-proc links must fail, not pass.
+    Runs the one session lifecycle — telemetry, supervision and all —
+    around an explicitly-constructed :class:`SocketFabric`, whose link
+    counters stay readable after teardown; asserts the session actually
+    pushed bytes through sockets when ``require_traffic`` — a wire smoke
+    that silently fell back to in-proc links must fail, not pass.
     """
-    # Local imports: runtime imports this package, and the registries must
-    # be populated (runtime pulls in algorithms/envs) before build_cluster.
+    # Local import: runtime imports this package, and pulls in the
+    # algorithm/environment registries the cluster is built from.
     from ..runtime import XingTianSession
-    from .cluster import build_cluster
 
     if config is None:
         config = two_machine_wire_config()
     if config.transport != "wire":
         raise ValueError("run_wire_session needs config.transport == 'wire'")
-    tracer = Tracer() if trace else None
-    fabric = SocketFabric("data", tracer=tracer)
-    session = XingTianSession(config)
-
-    # XingTianSession.run builds its own cluster; run the same lifecycle
-    # here with our fabric substituted (the documented build_cluster hook)
-    # so counters and trace events survive past teardown.
-    cluster = build_cluster(config, data_fabric=fabric)
-    started = time.monotonic()
-    cluster.start()
+    fabric = SocketFabric("data")
+    tracer = Tracer(capacity=1 << 20)
+    if trace:
+        tracer.attach()
     try:
-        while True:
-            reason = cluster.center.should_stop()
-            if reason is not None:
-                cluster.center.shutdown_reason = reason
-                break
-            cluster.raise_worker_errors()
-            time.sleep(0.05)
+        result = XingTianSession(config, data_fabric=fabric).run()
     finally:
-        elapsed = time.monotonic() - started
-        result = session._collect(cluster, elapsed)
-        link_stats = fabric.link_stats()
-        trace_events = list(tracer.events()) if tracer is not None else []
-        fabric.raise_errors()
-        cluster.stop()
-    if require_traffic:
-        sent = sum(
-            stats.get("bytes_sent", 0.0)
-            for name, stats in link_stats.items()
-            if not name.startswith("listen:")
-        )
-        if sent <= 0:
-            raise RuntimeError(
-                "wire session moved no bytes over sockets — the data plane "
-                "fell back to in-proc links"
-            )
-    return WireRunReport(
-        result=result, link_stats=link_stats, trace_events=trace_events
+        tracer.detach()
+    fabric.raise_errors()
+    report = WireRunReport(
+        result=result,
+        link_stats=fabric.link_stats(),
+        trace_events=tracer.events(),
     )
+    if require_traffic and report.wire_bytes_sent <= 0:
+        raise RuntimeError(
+            "wire session moved no bytes over sockets — the data plane "
+            "fell back to in-proc links"
+        )
+    return report

@@ -21,7 +21,7 @@ from .flowcontrol import WireCompressor, release_header_shares, wire_decode
 from .object_store import ObjectStore
 from .ownership import receives_ownership
 from .router import AlgorithmAgnosticRouter
-from .tracing import flight_dump
+from .tracing import dump_all
 
 
 class Broker:
@@ -116,7 +116,7 @@ class Broker:
                 except Exception:
                     # The channel misbehaved: preserve the last seconds of
                     # message flow for post-mortem before re-raising.
-                    flight_dump("refcount_audit")
+                    dump_all("refcount_audit")
                     raise
         finally:
             self.communicator.close()

@@ -29,12 +29,11 @@ from .flowcontrol import (
     lane_of,
     never_blocking,
     release_header_shares,
-    trace_terminal,
 )
 from .message import TYPE
 from .object_store import InMemoryObjectStore, ObjectStore
 from .ownership import receives_ownership
-from .tracing import Tracer
+from .tracing import emit_many
 
 
 class HeaderQueue:
@@ -67,19 +66,15 @@ class HeaderQueue:
         self._channel = LaneChannel.from_spec(
             name, spec, on_drop=self._dropped, clock=clock
         )
-        #: optional :class:`Tracer` — records one terminal event per header
-        #: this queue sheds or expires, so span aggregation sees a definite
-        #: outcome instead of a forever-pending entry
-        self.tracer: Optional[Tracer] = None
 
     @receives_ownership("dropped headers still carry their senders' shares")
     def _dropped(self, outcome: str, headers: Sequence[Dict[str, Any]]) -> None:
-        tracer = self.tracer
-        # A put bounced off a closed queue is traced by its caller, who
-        # knows which destination (of a fan-out) the header was for.
-        if tracer is not None and outcome != TERMINAL_REJECTED:
-            for header in headers:
-                trace_terminal(tracer, outcome, self.name, header)
+        # A shed or expired header gets its terminal event here, so span
+        # accounting sees a definite outcome instead of a forever-pending
+        # entry.  A put bounced off a closed queue is traced by its caller,
+        # who knows which destination (of a fan-out) the header was for.
+        if outcome != TERMINAL_REJECTED:
+            emit_many(outcome, self.name, headers)
         if self._reclaim is not None:
             for header in headers:
                 self._reclaim(header)
@@ -180,18 +175,6 @@ class ShareMemCommunicator:
         self._id_flow = never_blocking(self.flow)
         self._id_queues: Dict[str, HeaderQueue] = {}
         self._lock = make_lock(f"{name}.registry")
-        self._tracer: Optional[Tracer] = None
-
-    # -- tracing -----------------------------------------------------------
-    def set_tracer(self, tracer: Optional[Tracer]) -> None:
-        """Attach a tracer to every queue (current and future): shed and
-        expired headers then leave terminal trace events instead of
-        silently vanishing."""
-        with self._lock:
-            self._tracer = tracer
-            queues = list(self._id_queues.values())
-        for queue in [self.header_queue, *queues]:
-            queue.tracer = tracer
 
     # -- reclaim -------------------------------------------------------------
     @receives_ownership("unrouted headers still carry their senders' shares")
@@ -215,7 +198,6 @@ class ShareMemCommunicator:
                     self._id_flow,
                     reclaim=self._reclaim_routed_header,
                 )
-                id_queue.tracer = self._tracer
                 self._id_queues[process_name] = id_queue
             return id_queue
 
@@ -280,10 +262,6 @@ class ShareMemCommunicator:
         self.header_queue.set_pressure(active)
         for id_queue in queues:
             id_queue.set_pressure(active)
-
-    def is_local(self, process_name: str) -> bool:
-        with self._lock:
-            return process_name in self._id_queues
 
     @receives_ownership("parked headers still carry their senders' shares")
     def drain_parked(self) -> List[Dict[str, Any]]:

@@ -33,16 +33,12 @@ from .flowcontrol import (
     lane_of,
     never_blocking,
     release_header_shares,
-    trace_terminal,
 )
 from .message import (
     BODY_SIZE,
     COMPRESSED,
     DST,
     OBJECT_ID,
-    SEQ,
-    SPAN,
-    TRACE,
     TYPE,
     Message,
     MsgType,
@@ -53,7 +49,7 @@ from .message import (
 from .ownership import receives_ownership, transfers_ownership
 from .serialization import measure
 from .stats import LatencyRecorder, ThroughputMeter
-from .tracing import Tracer, flight_dump, flight_recorder
+from .tracing import dump_all, emit, emit_many
 
 #: One staged header: (header, originals) — ``originals`` are the
 #: workhorse-visible messages the header carries (one, or a batch).
@@ -88,16 +84,12 @@ class ProcessEndpoint:
         #: broker; when set, the local buffers' lanes have watermarks and
         #: the workhorse feels backpressure at :meth:`send`
         self.flow = getattr(broker, "flow", None)
-        #: per-process flight recorder (None when disabled via env)
-        self._flightrec = flight_recorder()
         #: staging for messages the workhorse produced: under a spec,
         #: control sends block it at the watermark (deadline bounded) and
         #: bulk sends shed the oldest staged rollout instead
         self.send_buffer = MessageBuffer(
             f"{name}.send", self.flow,
-            on_shed=lambda lost: self._record_terminal(
-                TERMINAL_SHED, lost.header, f"{name}.send"
-            ),
+            on_shed=lambda lost: emit(TERMINAL_SHED, f"{name}.send", lost.header),
         )
         #: staging for delivered messages awaiting use.  The receiver
         #: thread must never block on a deadline (it would stall deliveries
@@ -106,9 +98,7 @@ class ProcessEndpoint:
         #: moving the unbounded queue one hop downstream.
         self.receive_buffer = MessageBuffer(
             f"{name}.recv", never_blocking(self.flow),
-            on_shed=lambda lost: self._record_terminal(
-                TERMINAL_SHED, lost.header, f"{name}.recv"
-            ),
+            on_shed=lambda lost: emit(TERMINAL_SHED, f"{name}.recv", lost.header),
         )
         #: control-lane sends abandoned because their backpressure deadline
         #: expired (written by the sender thread, read by telemetry)
@@ -124,8 +114,6 @@ class ProcessEndpoint:
         self.sent_meter = ThroughputMeter()
         self.received_meter = ThroughputMeter()
         self.delivery_latency = LatencyRecorder(f"{name}.delivery")
-        #: optional :class:`Tracer` — records sent/delivered/consumed events
-        self.tracer: Optional[Tracer] = None
         # Telemetry instruments (None until attach_metrics; hot paths only
         # pay a None check while telemetry is off).
         self._messages_sent: Optional[Any] = None
@@ -134,15 +122,6 @@ class ProcessEndpoint:
         self._bytes_received: Optional[Any] = None
         self._delivery_histogram: Optional[Any] = None
         self._coalesce_histogram: Optional[Any] = None
-
-    def _record_terminal(self, outcome: str, header: dict, source: str) -> None:
-        """Terminal event for a message this endpoint knows is lost."""
-        if self.tracer is not None:
-            trace_terminal(self.tracer, outcome, source, header)
-        if self._flightrec is not None:
-            self._flightrec.record(
-                outcome, source, header.get(SEQ, -1), header.get(TRACE) or 0,
-            )
 
     def attach_metrics(self, registry: Any) -> None:
         """Register this endpoint's counters/histograms on ``registry``."""
@@ -220,15 +199,8 @@ class ProcessEndpoint:
                 # frame so the sender thread's store insert reuses it
                 # instead of pickling the same body a second time.
                 message.frame = frame
-        trace_id, span_id = ensure_trace(message.header)
-        if self.tracer is not None:
-            self.tracer.record(
-                "sent", self.name, seq=message.seq,
-                dst=",".join(message.dst), nbytes=message.body_size,
-                type=str(message.msg_type), trace=trace_id, span=span_id,
-            )
-        if self._flightrec is not None:
-            self._flightrec.record("sent", self.name, message.seq, trace_id)
+        ensure_trace(message.header)
+        emit("sent", self.name, message.header)
         if self._messages_sent is not None:
             self._messages_sent.inc()
             self._bytes_sent.inc(message.body_size)
@@ -244,18 +216,7 @@ class ProcessEndpoint:
         """Blocking read from the local receive buffer."""
         message = self.receive_buffer.get(timeout=timeout)
         if message is not None:
-            if self.tracer is not None:
-                self.tracer.record(
-                    "consumed", self.name, seq=message.seq, src=message.src,
-                    type=str(message.msg_type),
-                    trace=message.header.get(TRACE),
-                    span=message.header.get(SPAN),
-                )
-            if self._flightrec is not None:
-                self._flightrec.record(
-                    "consumed", self.name, message.seq,
-                    message.header.get(TRACE) or 0,
-                )
+            emit("consumed", self.name, message.header)
         return message
 
     def receive_many(
@@ -268,18 +229,7 @@ class ProcessEndpoint:
         :meth:`receive` for workhorses that process deliveries in bulk.
         """
         messages = self.receive_buffer.get_many(max_items, timeout=timeout)
-        if self.tracer is not None:
-            for message in messages:
-                self.tracer.record(
-                    "consumed", self.name, seq=message.seq, src=message.src,
-                    type=str(message.msg_type),
-                    trace=message.header.get(TRACE),
-                    span=message.header.get(SPAN),
-                )
-        if self._flightrec is not None:
-            self._flightrec.record_many(
-                "consumed", self.name, _flight_entries(messages)
-            )
+        emit_many("consumed", self.name, [message.header for message in messages])
         return messages
 
     # -- internal threads -----------------------------------------------------
@@ -428,7 +378,7 @@ class ProcessEndpoint:
                 )
                 # First escalation only: snapshot the last seconds of
                 # channel activity for post-mortem (docs/OBSERVABILITY.md).
-                flight_dump("backpressure")
+                dump_all("backpressure")
             accepted = exc.accepted
             rejected = remainders[accepted + 1:]  # the queue traced the expiry
         else:
@@ -437,10 +387,9 @@ class ProcessEndpoint:
             for message in staged[index][1]:
                 # Local destinations (if any) were delivered: the terminal
                 # event names only the ones that were not reached.
-                self._record_terminal(
-                    TERMINAL_REJECTED,
-                    {**message.header, DST: header[DST]},
-                    self.name,
+                emit(
+                    TERMINAL_REJECTED, self.name, message.header,
+                    dst=",".join(header[DST]),
                 )
         if accepted == len(remainders):
             return staged
@@ -494,30 +443,13 @@ class ProcessEndpoint:
                 )
                 for age in ages:
                     self._delivery_histogram.observe(max(age, 0.0))
-            if self.tracer is not None:
-                for message in deliveries:
-                    self.tracer.record(
-                        "delivered", self.name, seq=message.seq,
-                        src=message.src, type=str(message.msg_type),
-                        trace=message.header.get(TRACE),
-                        span=message.header.get(SPAN),
-                    )
-            if self._flightrec is not None:
-                self._flightrec.record_many(
-                    "delivered", self.name, _flight_entries(deliveries)
-                )
+            emit_many(
+                "delivered", self.name, [message.header for message in deliveries]
+            )
             try:
                 self.receive_buffer.put_many(deliveries)
             except RuntimeError:
                 return  # receive buffer closed during shutdown
-
-
-def _flight_entries(messages: Sequence[Message]) -> List[Tuple[int, int]]:
-    """``(seq, trace)`` of each message, as the flight recorder takes them."""
-    return [
-        (message.header[SEQ], message.header.get(TRACE) or 0)
-        for message in messages
-    ]
 
 
 class WorkhorseThread:

@@ -34,17 +34,9 @@ from .compression import get_codec
 from .concurrency import make_lock
 from .config import FlowControlSpec
 from .errors import BackpressureError
-from .message import DST, OBJECT_ID, SEQ, TRACE, TYPE, WIRE_CODEC, MsgType
+from .message import DST, OBJECT_ID, TYPE, WIRE_CODEC, MsgType
 from .serialization import deserialize, serialize
-
-#: Terminal trace-event kinds: a message that hits one of these will never
-#: see "delivered"/"consumed", so span aggregation closes its pending state
-#: instead of leaking it (see repro.obs.spans and docs/OBSERVABILITY.md).
-TERMINAL_SHED = "shed"
-TERMINAL_EXPIRED = "expired"
-TERMINAL_REJECTED = "rejected"
-TERMINAL_KINDS = frozenset({TERMINAL_SHED, TERMINAL_EXPIRED, TERMINAL_REJECTED})
-
+from .tracing import TERMINAL_EXPIRED, TERMINAL_REJECTED, TERMINAL_SHED
 
 class Lane(str, Enum):
     """Priority lanes: control overtakes bulk under load."""
@@ -77,19 +69,6 @@ def lane_of(msg_type: Any) -> Lane:
         return _CONTROL if msg_type in CONTROL_TYPES else _BULK
     except TypeError:  # unhashable garbage in a header's type field
         return _BULK
-
-
-def trace_terminal(
-    tracer: Any, outcome: str, source: str, header: Dict[str, Any]
-) -> None:
-    """Record the terminal event of a message that will never be consumed."""
-    msg_type = header.get(TYPE)
-    tracer.record(
-        outcome, source,
-        seq=header.get(SEQ), trace=header.get(TRACE),
-        dst=",".join(header.get(DST) or ()),
-        type=str(msg_type), lane=lane_of(msg_type).value,
-    )
 
 
 def never_blocking(spec: Optional[FlowControlSpec]) -> Optional[FlowControlSpec]:

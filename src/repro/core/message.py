@@ -65,10 +65,6 @@ WIRE_CODEC = "wire_codec"
 #: sender thread already dispatched: its ``routed`` event is on record, so
 #: the router thread that ships the remainder must not emit a second one
 ROUTED = "routed"
-#: name of the socket link a message crossed, stamped by
-#: :class:`repro.transport.tcp.SocketLink` so receiver-side trace events
-#: can attribute the message to a real wire hop (docs/NETWORKING.md)
-WIRE_HOP = "wire_hop"
 
 
 # -- trace-context ids ------------------------------------------------------

@@ -28,8 +28,8 @@ The router never inspects bodies — it is algorithm agnostic.
 
 from __future__ import annotations
 
+import logging
 import threading
-from collections import defaultdict
 from typing import (
     Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -39,10 +39,10 @@ from .concurrency import make_lock, spawn_thread
 from .ownership import receives_ownership, transfers_ownership
 from .errors import UnknownDestinationError
 from .flowcontrol import release_header_shares
-from .message import (
-    BATCH_SEQS, COMPRESSED, DST, OBJECT_ID, ROUTED, SEQ, TRACE, TYPE,
-)
-from .tracing import Tracer, flight_recorder
+from .message import COMPRESSED, DST, OBJECT_ID, ROUTED
+from .tracing import emit, emit_many
+
+_LOG = logging.getLogger(__name__)
 
 RemoteSend = Callable[[str, Dict[str, Any], Any, int], None]
 """(remote_broker, header, body, nbytes) -> ship over the fabric."""
@@ -107,11 +107,6 @@ class AlgorithmAgnosticRouter:
         self._routed_local = 0
         self._routed_remote = 0
         self._dropped = 0
-        #: optional :class:`Tracer` — records one "routed" event per header
-        #: (per *sub-message* for coalesced BATCH envelopes)
-        self.tracer: Optional[Tracer] = None
-        #: per-process flight recorder (None when disabled via env)
-        self._flightrec = flight_recorder()
 
     # -- counters ------------------------------------------------------------
     @property
@@ -197,7 +192,6 @@ class AlgorithmAgnosticRouter:
         gets the header itself, the others a copy.  What is not local is
         returned, resolved, for :meth:`_route_remainders`.
         """
-        recording = self.tracer is not None or self._flightrec is not None
         #: destination list -> its resolution, once per batch
         resolved: Dict[Tuple[str, ...], _Partition] = {}
         routed: List[Dict[str, Any]] = []
@@ -222,7 +216,7 @@ class AlgorithmAgnosticRouter:
                 continue
             # The marker is this router's bookkeeping (a remainder whose
             # destination has registered here since): never delivered.
-            if not header.pop(ROUTED, False) and recording:
+            if not header.pop(ROUTED, False):
                 routed.append(header)
             last = len(local) - 1
             for position, (destination, id_queue) in enumerate(local):
@@ -230,8 +224,9 @@ class AlgorithmAgnosticRouter:
                 if delivery is None:
                     delivery = deliveries[destination] = (id_queue, [])
                 delivery[1].append(header if position == last else dict(header))
-        if routed:
-            self._record_routed(routed)
+        # One "routed" per message (the log expands a BATCH envelope into its
+        # sub-messages), from whichever thread first dispatches it.
+        emit_many("routed", self.name, routed)
         for destination, (id_queue, batch) in deliveries.items():
             self._deliver_local(destination, batch, id_queue)
         return remainders
@@ -247,11 +242,10 @@ class AlgorithmAgnosticRouter:
         """
         if not remainders:
             return
-        if self.tracer is not None or self._flightrec is not None:
-            self._record_routed([
-                remainder.header for remainder in remainders
-                if not remainder.header.get(ROUTED)
-            ])
+        emit_many("routed", self.name, [
+            remainder.header for remainder in remainders
+            if not remainder.header.get(ROUTED)
+        ])
         lost: List[str] = []
         for _, header, remote_groups, unroutable in remainders:
             if remote_groups:
@@ -272,36 +266,6 @@ class AlgorithmAgnosticRouter:
                 )
             )
 
-    def _record_routed(self, headers: Sequence[Dict[str, Any]]) -> None:
-        """Trace the routing decision for a batch of headers.
-
-        A coalesced BATCH envelope yields one "routed" event *per
-        sub-message* (seq + trace context stamped by ``pack_batch``): the
-        envelope is a transport artifact — its sub-messages got "sent" at
-        the producing endpoint and will get "delivered" on unpack, so span
-        accounting must see the same seqs here or every coalesced message
-        shows up as unmatched in both directions.
-        """
-        routed: List[Tuple[Optional[int], Optional[int]]] = []
-        for header in headers:
-            entries = header.get(BATCH_SEQS) or (
-                (header.get(SEQ), header.get(TRACE)),
-            )
-            if self.tracer is not None:
-                dst = ",".join(header.get(DST, []))
-                msg_type = str(header.get(TYPE))
-                for seq, trace in entries:
-                    self.tracer.record(
-                        "routed", self.name, seq=seq, dst=dst,
-                        type=msg_type, trace=trace,
-                    )
-            routed.extend(entries)
-        if self._flightrec is not None:
-            self._flightrec.record_many("routed", self.name, [
-                (-1 if seq is None else seq, trace or 0)
-                for seq, trace in routed
-            ])
-
     def _reject(self, destination: str, header: Dict[str, Any]) -> None:
         """Count and trace one destination ``header`` will never reach.
 
@@ -310,37 +274,23 @@ class AlgorithmAgnosticRouter:
         """
         with self._counters_lock:
             self._dropped += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                "rejected", self.name, seq=header.get(SEQ),
-                trace=header.get(TRACE), dst=destination,
-                type=str(header.get(TYPE)),
-            )
+        emit("rejected", self.name, header, dst=destination)
 
-    @receives_ownership("releases the share of an unregistered destination")
     def _deliver_local(
         self,
         destination: str,
         headers: List[Dict[str, Any]],
-        id_queue: Optional[HeaderQueue] = None,
+        id_queue: HeaderQueue,
     ) -> None:
-        """Put ``headers`` (one share each) on one local ID queue, in order.
+        """Put ``headers`` (one share each) on the ID queue :meth:`_partition`
+        found for ``destination``, in order.
 
         A destination that is gone (queue closed or unregistered mid-route —
         routine when the supervisor is tearing a dead process down) is
-        counted and traced as rejected.  A closed queue reclaims the shares
-        of what it does not enqueue itself; only with no queue left to do so
-        are they released here.
+        counted and traced as rejected; the closed queue reclaims the shares
+        of what it does not enqueue itself.
         """
-        if id_queue is None:
-            id_queue = self.communicator.local_queue(destination)
-        if id_queue is None:
-            delivered = 0
-            for header in headers:
-                release_header_shares(
-                    self.communicator.object_store, header, shares=1
-                )
-        elif len(headers) == 1:
+        if len(headers) == 1:
             delivered = id_queue.put(headers[0])
         else:
             delivered = id_queue.put_many(headers)
@@ -371,23 +321,46 @@ class AlgorithmAgnosticRouter:
     def _route_remote(
         self, header: Dict[str, Any], remote_groups: Dict[str, List[str]]
     ) -> None:
-        assert self._remote_send is not None  # _partition found the groups
         store = self.communicator.object_store
         object_id = header.get(OBJECT_ID)
         body = store.get(object_id) if object_id is not None else None
-        nbytes = header.get("body_size", 0)
         for remote_broker, group in remote_groups.items():
-            remote_header = dict(header)
-            remote_header[DST] = list(group)
-            remote_header[OBJECT_ID] = None
-            remote_header.pop(ROUTED, None)  # this broker's bookkeeping
-            self._remote_send(remote_broker, remote_header, body, nbytes)
-            with self._counters_lock:
-                self._routed_remote += len(group)
+            self._ship(remote_broker, group, header, body)
         if object_id is not None:
             for group in remote_groups.values():
                 for _ in group:
                     store.release(object_id)
+
+    def _ship(
+        self, remote_broker: str, group: List[str], header: Dict[str, Any], body: Any
+    ) -> None:
+        """Send ``header``, cut down to ``group``, to the broker ``group``
+        lives behind.
+
+        A send that fails on the fabric (a reset connection, an unknown
+        node, an oversized body) is a terminal outcome for the group, not
+        for the thread routing it: every destination in it is rejected —
+        counted and traced — and routing goes on with the next group.
+        """
+        assert self._remote_send is not None  # _partition found the group
+        remote_header = dict(header)
+        remote_header[DST] = list(group)
+        remote_header[OBJECT_ID] = None
+        remote_header.pop(ROUTED, None)  # this broker's bookkeeping
+        try:
+            self._remote_send(
+                remote_broker, remote_header, body, header.get("body_size", 0)
+            )
+        except Exception:  # noqa: BLE001 - the routing thread must keep running
+            _LOG.warning(
+                "router %s: send to %s for %s failed; rejected",
+                self.name, remote_broker, group, exc_info=True,
+            )
+            for destination in group:
+                self._reject(destination, header)
+            return
+        with self._counters_lock:
+            self._routed_remote += len(group)
 
     @transfers_ownership("re-inserted body is handed to local ID queues")
     def on_remote_receive(self, header: Dict[str, Any], body: Any) -> None:
@@ -397,49 +370,33 @@ class AlgorithmAgnosticRouter:
         store and the header fanned out to their ID queues.  Destinations
         homed behind *other* brokers are forwarded onward — the learner
         machine's broker is the data-transmission center (Fig. 2b), so
-        edge-to-edge traffic transits through it.
+        edge-to-edge traffic transits through it.  Everything routable is
+        served and forwarded, and what has no route rejected, before
+        ``on_unroutable="raise"`` surfaces the unknown destinations.
         """
-        destinations = []
-        transit_groups: Dict[str, List[str]] = defaultdict(list)
-        unroutable = []
-        for destination in header[DST]:
-            if self.communicator.is_local(destination):
-                destinations.append(destination)
-            elif destination in self.remote_table and self._remote_send is not None:
-                transit_groups[self.remote_table[destination]].append(destination)
-            else:
-                unroutable.append(destination)
+        local, transit_groups, unroutable = self._partition(header[DST])
         for remote_broker, group in transit_groups.items():
-            transit_header = dict(header)
-            transit_header[DST] = list(group)
-            transit_header[OBJECT_ID] = None
-            self._remote_send(
-                remote_broker, transit_header, body, header.get("body_size", 0)
-            )
-            with self._counters_lock:
-                self._routed_remote += len(group)
-        if unroutable:
-            if self._on_unroutable == "raise":
-                raise UnknownDestinationError(
-                    f"router {self.name!r}: remote message for {unroutable} "
-                    "has no local destination or onward route"
+            self._ship(remote_broker, group, header, body)
+        if local:
+            object_id = (
+                self.communicator.object_store.put(
+                    body,
+                    refcount=len(local),
+                    nbytes=header.get("body_size", 0),
                 )
-            with self._counters_lock:
-                self._dropped += len(unroutable)
-        if not destinations:
-            return
-        object_id = (
-            self.communicator.object_store.put(
-                body,
-                refcount=len(destinations),
-                nbytes=header.get("body_size", 0),
+                if body is not None
+                else None
             )
-            if body is not None
-            else None
-        )
-        for destination in destinations:
-            local_header = dict(header)
-            local_header[DST] = [destination]
-            local_header[OBJECT_ID] = object_id
-            local_header[COMPRESSED] = False
-            self._deliver_local(destination, [local_header])
+            for destination, id_queue in local:
+                local_header = dict(header)
+                local_header[DST] = [destination]
+                local_header[OBJECT_ID] = object_id
+                local_header[COMPRESSED] = False
+                self._deliver_local(destination, [local_header], id_queue)
+        for destination in unroutable:
+            self._reject(destination, header)
+        if unroutable and self._on_unroutable == "raise":
+            raise UnknownDestinationError(
+                f"router {self.name!r}: remote message for {unroutable} "
+                "has no local destination or onward route"
+            )

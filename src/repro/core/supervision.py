@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional
 from .concurrency import make_rlock, spawn_thread
 from .errors import ConfigError, TrainingFailedError
 from .stats import StatsCollector
-from .tracing import flight_dump
+from .tracing import dump_all
 
 LOG = logging.getLogger("repro.supervision")
 
@@ -356,5 +356,5 @@ class Supervisor:
             # Preserve the flight-recorder ring before the run dies — the
             # last seconds of channel activity are exactly the post-mortem
             # evidence for *why* the workers went silent.
-            flight_dump("training_failed")
+            dump_all("training_failed")
             raise TrainingFailedError(reason)

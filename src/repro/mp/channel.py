@@ -25,15 +25,14 @@ from __future__ import annotations
 import itertools
 import multiprocessing as mp
 import os
-import time
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import Any, Dict, Optional, Tuple, Union
 
 from ..core.concurrency import runtime_checks_enabled
-from ..core.message import new_trace_id
+from ..core.message import DST, SEQ, SPAN, SRC, TRACE, TYPE, MsgType, new_trace_id
 from ..core.serialization import Frame, deserialize, make_frame
-from ..core.tracing import flight_recorder
+from ..core.tracing import emit
 
 _SIZE_HEADER = 8
 
@@ -361,28 +360,25 @@ class MpChannel:
     ) -> Dict[str, Any]:
         """Ship one rollout; returns the trace context stamped into it.
 
-        Every rollout carries ``metadata[TRACE_META]`` — trace/span ids, a
-        per-sender seq, and the sender's monotonic send timestamp — so the
-        learner can reconstruct cross-process causal chains offline.  On one
-        host ``CLOCK_MONOTONIC`` is system-wide, so ``sent_ts`` and the
-        learner's receive timestamps share a timebase.
+        Every rollout carries ``metadata[TRACE_META]`` — the header fields
+        the hop log reads (trace/span ids, a per-sender seq, source,
+        destination, type) — so the learner's ``delivered``/``consumed``
+        events join this process's ``sent`` into one cross-process causal
+        chain offline.  On one host ``CLOCK_MONOTONIC`` is system-wide, so
+        both processes' event timestamps share a timebase.
         """
         handle = write_body(body, self.pool)
-        trace = new_trace_id()
         context: Dict[str, Any] = {
-            "trace": trace,
-            "span": new_trace_id(),
-            "seq": next(_MP_SEQ),
-            "src": explorer,
-            "sent_ts": time.monotonic(),
+            TRACE: new_trace_id(),
+            SPAN: new_trace_id(),
+            SEQ: next(_MP_SEQ),
+            SRC: explorer,
+            DST: ["learner"],
+            TYPE: MsgType.ROLLOUT,
         }
         stamped = dict(metadata or {})
         stamped[TRACE_META] = context
-        recorder = flight_recorder()
-        if recorder is not None:
-            recorder.record(
-                "sent", f"{explorer}.send", seq=context["seq"], trace=trace
-            )
+        emit("sent", f"{explorer}.send", context)
         self.headers.put((explorer, handle, stamped))
         return context
 

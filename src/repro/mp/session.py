@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..core.stats import LatencyRecorder, ThroughputMeter
+from ..core.tracing import Tracer, emit
 from .channel import TRACE_META, MpChannel, SharedSlabPool, discard_body
 
 
@@ -45,6 +46,22 @@ class MpRunResult:
             return None
         recent = self.episode_returns[-window:]
         return float(np.mean(recent))
+
+
+#: events a process's ``trace_dir`` subscriber holds (a 5 s two-explorer
+#: run emits a few thousand)
+_TRACE_CAPACITY = 1 << 20
+
+
+def _write_trace(tracer: Tracer, trace_dir: str, process: str) -> None:
+    """Detach ``tracer`` and write what it saw as ``<process>.jsonl``."""
+    from ..obs.trace.events import write_events
+
+    tracer.detach()
+    write_events(
+        os.path.join(trace_dir, f"{process}.jsonl"), tracer.events(),
+        process=process,
+    )
 
 
 def _explorer_main(
@@ -75,7 +92,7 @@ def _explorer_main(
     agent = agent_cls(algorithm, env_cls(env_config), agent_config)
     fragment_steps = int(spec.get("fragment_steps", 200))
     trace_dir = spec.get("trace_dir")
-    trace_events: List[Dict[str, Any]] = []
+    tracer = Tracer(_TRACE_CAPACITY).attach() if trace_dir is not None else None
 
     try:
         while not stop_event.is_set():
@@ -86,32 +103,12 @@ def _explorer_main(
             if stop_event.is_set():
                 return
             try:
-                context = channel.send_rollout(name, rollout, {"returns": finished})
+                channel.send_rollout(name, rollout, {"returns": finished})
             except (OSError, ValueError):
                 return  # queues torn down during shutdown
-            if trace_dir is not None:
-                trace_events.append(
-                    {
-                        "ts": context["sent_ts"],
-                        "kind": "sent",
-                        "source": f"{name}.send",
-                        "detail": {
-                            "seq": context["seq"],
-                            "trace": context["trace"],
-                            "span": context["span"],
-                            "dst": "learner",
-                        },
-                    }
-                )
     finally:
-        if trace_dir is not None and trace_events:
-            from ..obs.trace.events import write_events
-
-            write_events(
-                os.path.join(trace_dir, f"{name}.jsonl"),
-                trace_events,
-                process=name,
-            )
+        if tracer is not None:
+            _write_trace(tracer, trace_dir, name)
 
 
 class MpSession:
@@ -182,15 +179,12 @@ class MpSession:
             if self.use_pool
             else None
         )
-        if self.trace_dir is not None:
-            os.makedirs(self.trace_dir, exist_ok=True)
         channels = [MpChannel(pool=pool) for _ in range(self.num_explorers)]
         workers = []
         for index, channel in enumerate(channels):
             spec = dict(self.spec)
             spec["seed"] = int(self.spec.get("seed", 0)) + index
-            if self.trace_dir is not None:
-                spec["trace_dir"] = self.trace_dir
+            spec["trace_dir"] = self.trace_dir
             worker = self._context.Process(
                 target=_explorer_main,
                 args=(f"explorer-{index}", channel, spec, stop_event),
@@ -204,7 +198,7 @@ class MpSession:
         episode_returns: List[float] = []
         rollouts_received = 0
         train_sessions = 0
-        trace_events: List[Dict[str, Any]] = []
+        tracer = Tracer(_TRACE_CAPACITY) if self.trace_dir is not None else None
 
         registry_obs = None
         wait_histogram = train_histogram = None
@@ -240,6 +234,8 @@ class MpSession:
         for worker in workers:
             worker.start()
         try:
+            if tracer is not None:
+                tracer.attach()
             while True:
                 if deadline is not None and time.monotonic() >= deadline:
                     break
@@ -262,58 +258,21 @@ class MpSession:
                     wait_histogram.observe(waited)
                 explorer, rollout, metadata = received
                 context = metadata.pop(TRACE_META, None)
-                if self.trace_dir is not None and context is not None:
-                    detail = {
-                        "seq": context.get("seq"),
-                        "trace": context.get("trace"),
-                        "span": context.get("span"),
-                        "dst": "learner",
-                        "src": explorer,
-                    }
-                    trace_events.append(
-                        {
-                            "ts": time.monotonic(),
-                            "kind": "delivered",
-                            "source": "learner.recv",
-                            "detail": detail,
-                        }
-                    )
+                if context is not None:
+                    emit("delivered", "learner.recv", context)
                 episode_returns.extend(metadata.get("returns", []))
                 rollouts_received += 1
                 if rollouts_counter is not None:
                     rollouts_counter.inc()
                 algorithm.prepare_data(rollout, source=explorer)
-                if self.trace_dir is not None and context is not None:
-                    trace_events.append(
-                        {
-                            "ts": time.monotonic(),
-                            "kind": "consumed",
-                            "source": "learner.recv",
-                            "detail": dict(detail),
-                        }
-                    )
+                if context is not None:
+                    emit("consumed", "learner.recv", context)
                 while algorithm.ready_to_train():
                     train_started = time.monotonic()
-                    if self.trace_dir is not None:
-                        trace_events.append(
-                            {
-                                "ts": train_started,
-                                "kind": "train_start",
-                                "source": "learner",
-                                "detail": {},
-                            }
-                        )
+                    emit("train_start", "learner")
                     with train_recorder.time():
                         metrics = algorithm.train()
-                    if self.trace_dir is not None:
-                        trace_events.append(
-                            {
-                                "ts": time.monotonic(),
-                                "kind": "train_end",
-                                "source": "learner",
-                                "detail": {},
-                            }
-                        )
+                    emit("train_end", "learner")
                     if train_histogram is not None:
                         train_histogram.observe(time.monotonic() - train_started)
                         sessions_counter.inc()
@@ -341,15 +300,10 @@ class MpSession:
             self._drain(channels)
             if pool is not None:
                 pool.close()
+            if tracer is not None:
+                _write_trace(tracer, self.trace_dir, "learner")
         trace_files: List[str] = []
         if self.trace_dir is not None:
-            from ..obs.trace.events import write_events
-
-            write_events(
-                os.path.join(self.trace_dir, "learner.jsonl"),
-                trace_events,
-                process="learner",
-            )
             # Explorer files were written by the (now-joined) children.
             trace_files = sorted(
                 glob.glob(os.path.join(self.trace_dir, "*.jsonl"))

@@ -1,6 +1,6 @@
-"""Message-lifecycle spans: correlate tracer events into stage latencies.
+"""Message-lifecycle spans: correlate hop-log events into stage latencies.
 
-The asynchronous channel emits four tracer events per message (see
+The asynchronous channel emits four lifecycle events per message (see
 ``repro.core``): ``sent`` at the producing endpoint, ``routed`` when the
 broker's router dispatches the header, ``delivered`` when the destination
 endpoint's receiver thread lands the message in the local receive buffer,
@@ -29,11 +29,11 @@ snapshot and Prometheus exposition report.
 
 The aggregator can run **live** (as the ``sink`` of a
 :class:`repro.core.tracing.Tracer`, seeing every event even when the
-bounded ring wraps) or **offline** via :meth:`ingest` over recorded
+bounded buffer wraps) or **offline** via :meth:`ingest` over recorded
 events.  Completed edges are retained as :class:`SpanRecord` entries that
 :func:`repro.analysis.topology.conformance_violations` accepts directly,
 so static-vs-observed topology diffing has one code path whether it is fed
-raw tracer events or span records.
+raw hop-log events or span records.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.concurrency import make_lock
+from ..core.tracing import LIFECYCLE_KINDS, TERMINAL_KINDS
 from .metrics import MetricsRegistry
 
 #: Stage name -> (start event kind, end event kind).
@@ -53,14 +54,6 @@ STAGES: Dict[str, Tuple[str, str]] = {
     "consume": ("delivered", "consumed"),
 }
 
-_LIFECYCLE_KINDS = ("sent", "routed", "delivered", "consumed")
-
-#: Terminal outcomes emitted by flow-controlled queues and the router for
-#: messages that will never complete their lifecycle (shed under a bulk
-#: watermark, control deadline expired, rejected by a closed/dead
-#: destination).  A terminal event *closes* the message's pending state —
-#: a bulk shed must not leak a forever-pending (seq, dst) entry.
-TERMINAL_KINDS = ("shed", "expired", "rejected")
 
 
 _ROLE_CACHE: Dict[str, str] = {}
@@ -165,9 +158,9 @@ class _PendingMap:
 
 
 class SpanAggregator:
-    """Correlates lifecycle tracer events into registry histograms.
+    """Correlates lifecycle hop-log events into registry histograms.
 
-    Attach as a tracer sink (``Tracer(sink=aggregator.observe)``) for live
+    Attach as a tracer sink (``Tracer(sink=aggregator.observe).attach()``) for live
     aggregation, or feed recorded events to :meth:`ingest`.  Thread-safe:
     events may arrive from sender, router, and receiver threads at once.
     """
@@ -239,7 +232,7 @@ class SpanAggregator:
     def observe(self, event: Any) -> None:
         """Tracer-sink entry point: one TraceEvent-shaped object."""
         kind = getattr(event, "kind", None)
-        if kind not in _LIFECYCLE_KINDS:
+        if kind not in LIFECYCLE_KINDS:
             if kind in TERMINAL_KINDS:
                 self._observe_terminal(kind, event)
             return

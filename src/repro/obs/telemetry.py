@@ -2,15 +2,16 @@
 
 One :class:`Telemetry` object instruments one deployment: it owns the
 :class:`~repro.obs.metrics.MetricsRegistry`, a
-:class:`~repro.core.tracing.Tracer` whose sink feeds the
-:class:`~repro.obs.spans.SpanAggregator` live, and the periodic
+:class:`~repro.core.tracing.Tracer` — subscribed to the process's hop log
+between :meth:`Telemetry.start` and :meth:`Telemetry.stop` — whose sink
+feeds the :class:`~repro.obs.spans.SpanAggregator` live, and the periodic
 :class:`~repro.obs.sampler.TelemetrySampler`.  Sessions build one from a
 :class:`~repro.core.config.TelemetrySpec`, attach it to a cluster, start it
 alongside the run, and export a snapshot into ``RunResult.metrics``.
 
 Everything is off unless a config opts in (``telemetry=TelemetrySpec()``):
-endpoints and routers only pay a ``tracer is None`` check per message, and
-the process-level instruments stay ``None`` so the hot paths skip them.
+with no subscriber the hop log only packs its ring records, and the
+process-level instruments stay ``None`` so the hot paths skip them.
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ class Telemetry:
         if callable(getattr(data_fabric, "link_stats", None)):
             # Wire deployments: per-socket-link gauges + the zero-copy canary.
             self.sampler.add_wire_fabric(data_fabric)
-            set_fabric_tracer = getattr(data_fabric, "set_tracer", None)
-            if (
-                set_fabric_tracer is not None
-                and getattr(data_fabric, "tracer", None) is None
-            ):
-                set_fabric_tracer(self.tracer)
         add_hook = getattr(cluster, "add_instrument_hook", None)
         if add_hook is not None:
             # Keep supervisor-restarted replacement processes instrumented.
@@ -109,18 +104,11 @@ class Telemetry:
         cluster.telemetry = self
 
     def attach_broker(self, broker: Any) -> None:
-        broker.router.tracer = self.tracer
-        # Flow-controlled queues need the tracer too: a shed/expired header
-        # must leave a terminal trace event, not a forever-pending span.
-        set_tracer = getattr(broker.communicator, "set_tracer", None)
-        if set_tracer is not None:
-            set_tracer(self.tracer)
         self.sampler.add_broker(broker)
         if self.flow_controller is not None and getattr(broker, "flow", None):
             self.flow_controller.attach_broker(broker)
 
     def attach_endpoint(self, endpoint: Any) -> None:
-        endpoint.tracer = self.tracer
         endpoint.attach_metrics(self.registry)
         self.sampler.add_endpoint(endpoint)
         if self.flow_controller is not None and getattr(endpoint, "flow", None):
@@ -136,6 +124,7 @@ class Telemetry:
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
+        self.tracer.attach()
         self.sampler.start()
         if self.flow_controller is not None:
             self.flow_controller.start()
@@ -144,6 +133,7 @@ class Telemetry:
         if self.flow_controller is not None:
             self.flow_controller.stop()
         self.sampler.stop()
+        self.tracer.detach()
 
     # -- exports ------------------------------------------------------------
     def span_stats(self) -> Optional[SpanStats]:
@@ -153,7 +143,7 @@ class Telemetry:
         return self.spans.records() if self.spans is not None else []
 
     def export_trace(self, path: str, *, process: str = "main") -> int:
-        """Write the tracer ring to ``path`` as a JSONL trace file.
+        """Write the tracer's buffer to ``path`` as a JSONL trace file.
 
         The output is what ``python -m repro.obs.trace`` consumes: one
         process's contribution to a merged cross-process timeline.  Returns

@@ -1,7 +1,7 @@
 """Distributed causal tracing (docs/OBSERVABILITY.md).
 
-* :mod:`repro.obs.trace.flightrec` — always-on per-process binary flight
-  recorder ring, dumped on crashes (``flightrec/*.bin``);
+* the stream itself — the hop log, its always-on ring and the crash dumps
+  (``flightrec/*.bin``) — lives in :mod:`repro.core.tracing`;
 * :mod:`repro.obs.trace.events` — JSONL trace files + event normalization;
 * :mod:`repro.obs.trace.merge` — join per-process rings by trace id, with
   dedup, clock alignment, and lost-chain markers;
@@ -22,37 +22,19 @@ from .events import (
     read_events,
     write_events,
 )
-from .flightrec import (
-    FLIGHTREC_SCHEMA,
-    FlightRecorder,
-    configure,
-    dump_all,
-    get_recorder,
-    install_signal_handler,
-    load_dump,
-    set_process,
-)
 from .merge import Chain, MergedTrace, merge
 
 __all__ = [
     "CHROME_SCHEMA",
-    "FLIGHTREC_SCHEMA",
     "TRACE_SCHEMA",
     "Chain",
-    "FlightRecorder",
     "MergedTrace",
     "analyze",
-    "configure",
-    "dump_all",
     "event_to_dict",
     "format_report",
-    "get_recorder",
-    "install_signal_handler",
-    "load_dump",
     "load_trace_file",
     "merge",
     "read_events",
-    "set_process",
     "to_chrome_trace",
     "validate_chrome_trace",
     "write_events",

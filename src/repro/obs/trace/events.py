@@ -6,7 +6,7 @@ A *trace file* is what one process leaves behind for offline analysis:
   ``{"meta": {...}}`` names the process; every other line is an event
   ``{"ts": float, "kind": str, "source": str, "detail": {...}}`` (the
   in-memory :class:`~repro.core.tracing.TraceEvent` shape).
-* ``*.bin`` — a flight-recorder dump (see :mod:`.flightrec`).
+* ``*.bin`` — a flight-recorder dump (see :mod:`repro.core.tracing`).
 
 :func:`load_trace_file` reads either and returns ``(process, events)``;
 the merger (:mod:`.merge`) takes it from there.
@@ -18,14 +18,11 @@ import json
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from . import flightrec
+from ...core.tracing import LIFECYCLE_KINDS, TERMINAL_KINDS, load_dump
 
 TRACE_SCHEMA = "repro.trace/v1"
 
-#: message-lifecycle kinds in causal order (terminal kinds close a chain)
-LIFECYCLE_KINDS = ("sent", "routed", "delivered", "consumed")
-TERMINAL_KINDS = ("shed", "expired", "rejected")
-
+#: causal rank of the message kinds (terminal kinds close a chain)
 _KIND_RANK = {
     kind: rank
     for rank, kind in enumerate(LIFECYCLE_KINDS + TERMINAL_KINDS)
@@ -104,7 +101,7 @@ def load_trace_file(path: str) -> Tuple[str, List[Dict[str, Any]]]:
     file's basename when the file carries none.
     """
     if path.endswith(".bin"):
-        meta, events = flightrec.load_dump(path)
+        meta, events = load_dump(path)
     else:
         meta, events = read_events(path)
     process = str(

@@ -49,15 +49,18 @@ class RunResult:
 class XingTianSession:
     """Owns a cluster for the duration of one run."""
 
-    def __init__(self, config: XingTianConfig):
+    def __init__(self, config: XingTianConfig, *, data_fabric: Optional[Any] = None):
         config.validate()
         self.config = config
+        #: substitute data fabric handed to :func:`build_cluster` (the wire
+        #: mode supplies the ``SocketFabric`` it reports on)
+        self._data_fabric = data_fabric
         self.cluster: Optional[Cluster] = None
         self.telemetry: Optional[Any] = None
 
     def run(self, poll_interval: float = 0.05) -> RunResult:
         """Start the deployment, wait for the stop condition, tear down."""
-        cluster = build_cluster(self.config)
+        cluster = build_cluster(self.config, data_fabric=self._data_fabric)
         self.cluster = cluster
         telemetry = None
         spec = self.config.telemetry
@@ -85,10 +88,10 @@ class XingTianSession:
             telemetry.attach_cluster(cluster)
         self.telemetry = telemetry
         supervisor = cluster.center.supervisor
+        if telemetry is not None:
+            telemetry.start()  # subscribed before the first message is sent
         started = time.monotonic()
         cluster.start()
-        if telemetry is not None:
-            telemetry.start()
         try:
             while True:
                 reason = cluster.center.should_stop()

@@ -32,8 +32,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.concurrency import make_lock, spawn_thread
 from ..core.errors import TransportError
-from ..core.message import SEQ, TRACE, WIRE_HOP, make_header, MsgType
+from ..core.message import make_header, MsgType
 from ..core.serialization import _count_copy
+from ..core.tracing import emit
 from .fabric import Fabric
 from .link import Link
 from .wire import (
@@ -95,14 +96,12 @@ class SocketLink(Link):
         connect_timeout: float = 5.0,
         nodelay: bool = True,
         max_message_bytes: int = DEFAULT_MAX_MESSAGE_BYTES,
-        tracer: Any = None,
     ):
         self.address = address
         self.src = src
         self.dst = dst
         self.name = name or f"wire:{src}->{dst}@{format_address(address)}"
         self.max_message_bytes = max_message_bytes
-        self.tracer = tracer
         self._closed = threading.Event()
         self._send_lock = make_lock(f"{self.name}.send")
         self._counters_lock = make_lock(f"{self.name}.counters")
@@ -145,22 +144,13 @@ class SocketLink(Link):
             header = make_header(self.src, [self.dst], MsgType.DATA)
             header[RAW] = 1
             body = item
-        # Stamp the hop so receiver-side trace events can attribute the
-        # message to a real link stage (docs/NETWORKING.md).
-        header = dict(header)
-        header[WIRE_HOP] = self.name
         buffers, payload = encode_message(header, body)
         if payload > self.max_message_bytes:
             raise WireProtocolError(
                 f"{self.name}: message of {payload} bytes exceeds the "
                 f"{self.max_message_bytes}-byte link maximum"
             )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.record(
-                "stage_begin", self.name, stage="wire_send",
-                seq=header.get(SEQ), trace=header.get(TRACE), nbytes=payload,
-            )
+        emit("stage_begin", self.name, header, stage="wire_send", nbytes=payload)
         try:
             self._write_buffers(buffers)
         except OSError as exc:
@@ -171,11 +161,7 @@ class SocketLink(Link):
                 f"{self.name}: connection lost mid-send: {exc}"
             ) from exc
         finally:
-            if tracer is not None:
-                tracer.record(
-                    "stage_end", self.name, stage="wire_send",
-                    seq=header.get(SEQ), trace=header.get(TRACE),
-                )
+            emit("stage_end", self.name, header, stage="wire_send")
         with self._counters_lock:
             self.items_sent += 1
 
@@ -386,13 +372,11 @@ class SocketListener:
         backlog: int = 16,
         zero_copy: bool = True,
         max_message_bytes: int = DEFAULT_MAX_MESSAGE_BYTES,
-        tracer: Any = None,
     ):
         self.name = name
         self.deliver = deliver
         self.zero_copy = zero_copy
         self.max_message_bytes = max_message_bytes
-        self.tracer = tracer
         self._closing_event = threading.Event()
         self._lock = make_lock(f"{name}.listener")
         self._connections: List[_Connection] = []
@@ -444,22 +428,14 @@ class SocketListener:
         with self._lock:
             self.items_received += 1
             self.bytes_received += nbytes
-        if self.tracer is not None:
-            self.tracer.record(
-                "stage_begin", self.name, stage="wire_deliver",
-                seq=header.get(SEQ), trace=header.get(TRACE), nbytes=nbytes,
-            )
+        emit("stage_begin", self.name, header, stage="wire_deliver", nbytes=nbytes)
         item = body if header.get(RAW) else (header, body)
         try:
             self.deliver(connection.node or "", item)
         except Exception:  # noqa: BLE001 - a dying consumer must not kill the reader
             pass
         finally:
-            if self.tracer is not None:
-                self.tracer.record(
-                    "stage_end", self.name, stage="wire_deliver",
-                    seq=header.get(SEQ), trace=header.get(TRACE),
-                )
+            emit("stage_end", self.name, header, stage="wire_deliver")
 
     def _on_protocol_error(
         self, connection: _Connection, exc: WireProtocolError
@@ -533,16 +509,16 @@ class SocketFabric(Fabric):
         zero_copy: bool = True,
         max_message_bytes: int = DEFAULT_MAX_MESSAGE_BYTES,
         connect_timeout: float = 5.0,
-        tracer: Any = None,
     ):
         super().__init__(name)
         self.nodelay = nodelay
         self.zero_copy = zero_copy
         self.max_message_bytes = max_message_bytes
         self.connect_timeout = connect_timeout
-        self.tracer = tracer
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._listeners: Dict[str, SocketListener] = {}
+        #: links :meth:`close` has closed, kept for their final counters
+        self._closed_links: Dict[Tuple[str, str], Link] = {}
 
     # -- wiring -------------------------------------------------------------
     def listen(
@@ -570,7 +546,6 @@ class SocketFabric(Fabric):
             name=f"{self.name}:{node}",
             zero_copy=self.zero_copy,
             max_message_bytes=self.max_message_bytes,
-            tracer=self.tracer,
         )
         with self._lock:
             self._listeners[node] = listener
@@ -617,7 +592,6 @@ class SocketFabric(Fabric):
             nodelay=self.nodelay,
             connect_timeout=self.connect_timeout,
             max_message_bytes=self.max_message_bytes,
-            tracer=self.tracer,
         )
         with self._lock:
             link = self._decorate_link(link, src, dst)
@@ -635,7 +609,7 @@ class SocketFabric(Fabric):
     def link_stats(self) -> Dict[str, Dict[str, float]]:
         """Per-link wire counters, keyed ``"src->dst"`` (sampler feed)."""
         with self._lock:
-            links = dict(self._links)
+            links = {**self._closed_links, **self._links}
             listeners = dict(self._listeners)
         out: Dict[str, Dict[str, float]] = {}
         for (src, dst), link in links.items():
@@ -646,22 +620,6 @@ class SocketFabric(Fabric):
             out[f"listen:{node}"] = listener.stats()
         return out
 
-    def set_tracer(self, tracer: Any) -> None:
-        """Point the fabric and every existing link/listener at ``tracer``.
-
-        Telemetry attaches after the cluster (and its links) are built, so
-        a plain attribute write would only reach lazily-created links.
-        """
-        with self._lock:
-            self.tracer = tracer
-            links = list(self._links.values())
-            listeners = list(self._listeners.values())
-        for link in links:
-            if hasattr(link, "tracer"):
-                link.tracer = tracer
-        for listener in listeners:
-            listener.tracer = tracer
-
     def raise_errors(self) -> None:
         """Surface the first wire-protocol error any listener recorded."""
         with self._lock:
@@ -670,10 +628,13 @@ class SocketFabric(Fabric):
             listener.raise_errors()
 
     def close(self) -> None:
-        super().close()
+        """Close every link and listener.  They stay readable, so
+        :meth:`link_stats` and :meth:`raise_errors` report on a finished
+        run as they do on a live one."""
         with self._lock:
+            self._closed_links.update(self._links)
             listeners = list(self._listeners.values())
-            self._listeners.clear()
+        super().close()
         for listener in listeners:
             listener.close()
 

@@ -9,7 +9,13 @@ an explicit link stage on the timeline.
 import pytest
 
 from repro.cluster import run_wire_session, two_machine_wire_config
-from repro.core.config import MachineSpec, StopCondition, XingTianConfig
+from repro.core.config import (
+    MachineSpec,
+    StopCondition,
+    SupervisionSpec,
+    TelemetrySpec,
+    XingTianConfig,
+)
 from repro.obs.trace.critical import analyze
 from repro.obs.trace.merge import merge
 
@@ -70,6 +76,19 @@ class TestWireSession:
         assert "wire_deliver" in stages
         assert stages["wire_send"]["count"] >= 1
         assert stages["wire_send"]["mean_s"] >= 0.0
+
+    def test_telemetry_runs_through_the_wire_lifecycle(self):
+        """The wire mode is the one session lifecycle around a socket
+        fabric: a config's telemetry (and supervision) applies to it."""
+        config = _short_config(
+            telemetry=TelemetrySpec(), supervision=SupervisionSpec()
+        )
+        report = run_wire_session(config)
+        names = {metric["name"] for metric in report.result.metrics["metrics"]}
+        assert "endpoint_messages_sent_total" in names
+        assert "wire_link_bytes_sent" in names
+        assert report.result.extra["restarts"] == 0.0
+        assert report.wire_bytes_sent > 0
 
     def test_requires_wire_transport(self):
         config = _short_config()

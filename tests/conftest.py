@@ -26,6 +26,7 @@ import pytest
 from repro.analysis.runtime import lock_monitor
 from repro.core.broker import Broker
 from repro.core.endpoint import ProcessEndpoint
+from repro.core.tracing import Tracer
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -42,6 +43,16 @@ def _no_lock_order_violations():
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def tracer():
+    """A :class:`Tracer` subscribed to the process-wide hop log for the
+    length of the test (the log is process-wide: it sees every component
+    the test builds, whichever broker they belong to)."""
+    subscriber = Tracer(capacity=100_000).attach()
+    yield subscriber
+    subscriber.detach()
 
 
 @pytest.fixture

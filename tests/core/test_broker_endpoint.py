@@ -30,7 +30,7 @@ class TestBrokerLifecycle:
     def test_register_process_returns_queue(self):
         broker = Broker("b")
         queue = broker.register_process("p")
-        assert broker.communicator.is_local("p")
+        assert broker.communicator.local_queue("p") is not None
         assert queue is broker.communicator.id_queue("p")
 
 

@@ -11,7 +11,7 @@ class TestShareMemCommunicator:
         comm = ShareMemCommunicator()
         queue = comm.register("learner")
         assert comm.id_queue("learner") is queue
-        assert comm.is_local("learner")
+        assert comm.local_queue("learner") is not None
 
     def test_register_idempotent(self):
         comm = ShareMemCommunicator()
@@ -27,7 +27,7 @@ class TestShareMemCommunicator:
         queue = comm.register("a")
         comm.unregister("a")
         assert queue.closed
-        assert not comm.is_local("a")
+        assert comm.local_queue("a") is None
 
     def test_local_names(self):
         comm = ShareMemCommunicator()

@@ -1,0 +1,70 @@
+"""Structural guard: the hop log is the only observer of the data plane.
+
+A hop is observed by calling ``repro.core.tracing.emit``/``emit_many`` —
+never through a tracer or recorder attribute that something has to attach,
+and never by packing ring records anywhere but in the log module.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+DATA_PLANE = ("core", "transport", "mp", "cluster")
+LOG_MODULE = SRC / "core" / "tracing.py"
+
+#: names the per-component observers went by
+FORBIDDEN = {"tracer", "_tracer", "_flightrec", "set_tracer", "flight_recorder"}
+#: what packing a ring record takes
+RING_ONLY = {"pack_into", "RECORD", "RECORD_SIZE"}
+
+
+def _names(tree: ast.AST, *, local_names: bool):
+    """Attributes, call keywords, definitions and imports of a module —
+    and, with ``local_names``, its plain variables and parameters too (a
+    local ``tracer`` holding a subscriber is not an attached observer)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.value.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.alias):
+            yield (node.asname or node.name).rsplit(".", 1)[-1], node.lineno
+        elif local_names and isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif local_names and isinstance(node, ast.arg):
+            yield node.arg, node.lineno
+
+
+def _offences(paths, forbidden, *, local_names):
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(
+            f"{path.relative_to(SRC)}:{line}: {name}"
+            for name, line in _names(tree, local_names=local_names)
+            if name in forbidden
+        )
+    return found
+
+
+def test_data_plane_names_no_tracer_or_recorder():
+    paths = [
+        path
+        for package in DATA_PLANE
+        for path in sorted((SRC / package).rglob("*.py"))
+        if path != LOG_MODULE
+    ]
+    assert len(paths) > 20  # the walk found the packages
+    assert _offences(paths, FORBIDDEN, local_names=False) == []
+
+
+def test_only_the_log_module_packs_ring_records():
+    paths = [path for path in sorted(SRC.rglob("*.py")) if path != LOG_MODULE]
+    assert _offences(paths, RING_ONLY, local_names=True) == []
+    # ...and the log module does: the guard is looking for the right names.
+    log_names = _names(ast.parse(LOG_MODULE.read_text()), local_names=True)
+    assert {name for name, _ in log_names} >= RING_ONLY

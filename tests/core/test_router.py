@@ -15,7 +15,6 @@ from repro.core.errors import UnknownDestinationError
 from repro.core.message import DST, OBJECT_ID, MsgType, make_header, make_message
 from repro.core.ownership import transfers_ownership
 from repro.core.router import AlgorithmAgnosticRouter
-from repro.core.tracing import Tracer
 
 
 def _header(dst, body_size=0):
@@ -106,10 +105,8 @@ class TestUnroutableDestinations:
     store share released — an unknown name must not leak the body, hide a
     known destination of the same header, or strand the rest of a batch."""
 
-    def test_drop_mode_releases_shares_and_still_serves_known_names(self):
+    def test_drop_mode_releases_shares_and_still_serves_known_names(self, tracer):
         broker = Broker("b", on_unroutable="drop")
-        tracer = Tracer()
-        broker.router.tracer = tracer
         alice = ProcessEndpoint("alice", broker)
         bob = ProcessEndpoint("bob", broker)
         broker.start()
@@ -128,7 +125,7 @@ class TestUnroutableDestinations:
             bob.stop()
         assert broker.router.dropped == 2
         assert broker.communicator.object_store.leak_report() == []
-        rejected = tracer.events(kind="rejected")
+        rejected = tracer.events(kind="rejected", source="b.router")
         assert [event.detail["dst"] for event in rejected] == ["ghost", "ghost"]
         broker.stop()
 
@@ -285,6 +282,117 @@ class TestTransitForwarding:
         )
         with pytest.raises(UnknownDestinationError):
             router.on_remote_receive(_header(["nowhere"]), "body")
+
+
+class TestRemoteArrivalsResolveLikeEverythingElse:
+    """A header arriving from another broker goes through the shared
+    dispatch: every routable destination is served before an unknown one
+    is rejected (and, in "raise" mode, surfaced)."""
+
+    def _arrive(self, on_unroutable):
+        broker = Broker("b", on_unroutable=on_unroutable)
+        a_queue = broker.register_process("a")
+        header = _header(["a", "ghost"], body_size=4)
+        return broker, a_queue, header
+
+    def test_raise_mode_serves_the_known_destination_first(self, tracer):
+        broker, a_queue, header = self._arrive("raise")
+        with pytest.raises(UnknownDestinationError, match="ghost"):
+            broker.router.on_remote_receive(header, "body")
+        delivered = a_queue.get(timeout=0)
+        assert delivered is not None and delivered[DST] == ["a"]
+        store = broker.communicator.object_store
+        assert store.get(delivered[OBJECT_ID]) == "body"
+        assert broker.router.dropped == 1
+        [rejected] = tracer.events("rejected", "b.router")
+        assert rejected.detail["dst"] == "ghost"
+        assert rejected.detail["seq"] == header["seq"]
+        store.release(delivered[OBJECT_ID])
+        store.assert_balanced(context="remote arrival, raise mode")
+
+    def test_drop_mode_rejects_the_unknown_destination(self, tracer):
+        broker, a_queue, header = self._arrive("drop")
+        broker.router.on_remote_receive(header, "body")
+        assert a_queue.get(timeout=0) is not None
+        assert broker.router.dropped == 1
+        # Without the terminal event span accounting keeps (seq, ghost)
+        # pending forever.
+        [rejected] = tracer.events("rejected", "b.router")
+        assert (rejected.detail["dst"], rejected.detail["trace"]) == (
+            "ghost", header["trace"],
+        )
+
+
+class TestFailedFabricSend:
+    """A send that fails on the fabric is a terminal outcome for that
+    group of destinations, not for the thread that was routing it."""
+
+    @transfers_ownership("the headers carry the handles into the router")
+    def test_one_failed_send_rejects_its_group_and_routing_goes_on(self, tracer):
+        comm = ShareMemCommunicator()
+        attempts = []
+
+        def remote_send(broker, header, body, nbytes):
+            attempts.append(header["seq"])
+            if len(attempts) == 1:
+                raise ConnectionError("link reset")
+
+        router = AlgorithmAgnosticRouter(
+            comm, name="r", remote_table={"far": "B"}, remote_send=remote_send
+        )
+        store = comm.object_store
+        batch = []
+        for index in range(3):
+            header = _header(["far"])
+            header[OBJECT_ID] = store.put(f"body-{index}")
+            batch.append(header)
+        assert comm.header_queue.put_many(batch) == 3
+        router.start()
+        try:
+            deadline = time.monotonic() + 5
+            while len(attempts) < 3 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert attempts == [header["seq"] for header in batch]
+            assert router._thread.is_alive()
+        finally:
+            router.stop()
+        assert (router.routed_remote, router.dropped) == (2, 1)
+        [rejected] = tracer.events("rejected", "r")
+        assert (rejected.detail["seq"], rejected.detail["dst"]) == (
+            batch[0]["seq"], "far",
+        )
+        store.assert_balanced(context="failed fabric send")
+
+    @transfers_ownership("the headers carry the handles into the router")
+    def test_mid_message_socket_reset_leaks_nothing(self, tracer):
+        from repro.testing import FaultySocketLink, SocketFaultSpec
+        from repro.transport.tcp import SocketLink, SocketListener
+
+        listener = SocketListener(lambda src, item: None, name="reset-listener")
+        link = FaultySocketLink(
+            SocketLink(listener.address, src="near", dst="far"),
+            # 2 KiB-capped writes: the reset lands inside the first body.
+            SocketFaultSpec(max_send_bytes=2048, reset_after_syscalls=2),
+        )
+        comm = ShareMemCommunicator()
+        router = AlgorithmAgnosticRouter(
+            comm, name="r", remote_table={"far": "B"},
+            remote_send=lambda broker, header, body, nbytes: link.send(
+                (header, body), nbytes
+            ),
+        )
+        store = comm.object_store
+        try:
+            for _ in range(3):
+                header = _header(["far"], body_size=100_000)
+                header[OBJECT_ID] = store.put(b"x" * 100_000)
+                router.route(header)  # must not raise
+        finally:
+            link.close()
+            listener.close(timeout=5.0)
+        assert router.dropped == 1  # the send the reset cut short
+        assert len(tracer.events("rejected", "r")) == 1
+        store.assert_balanced(context="socket reset mid-message")
 
 
 class TestCounterConcurrency:

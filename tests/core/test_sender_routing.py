@@ -32,7 +32,7 @@ from repro.core.message import (
 )
 from repro.core.ownership import transfers_ownership
 from repro.core.router import AlgorithmAgnosticRouter
-from repro.core.tracing import Tracer
+from repro.core.tracing import HOP_LOG, Tracer
 from repro.transport.fabric import Fabric
 
 
@@ -58,16 +58,13 @@ class TestMixedDestinationFifo:
     )
     PER_SENDER = 160
 
-    def test_fifo_per_sender_destination_lane_and_one_routed_event(self):
+    def test_fifo_per_sender_destination_lane_and_one_routed_event(self, tracer):
         fabric = Fabric()
         near = Broker("near", fabric=fabric)
         far = Broker("far", fabric=fabric)
         fabric.connect_bidirectional("near", "far")
         for name in ("R0", "R1"):
             near.add_remote_route(name, "far")
-        tracer = Tracer(capacity=100_000)
-        near.router.tracer = tracer
-        far.router.tracer = tracer
         senders = [ProcessEndpoint(f"s{i}", near) for i in range(2)]
         consumers = {
             name: ProcessEndpoint(name, near if name.startswith("L") else far)
@@ -114,7 +111,8 @@ class TestMixedDestinationFifo:
             fabric.close()
         routed = defaultdict(int)
         for event in tracer.events(kind="routed"):
-            routed[event.detail["seq"]] += 1
+            if event.source in (near.router.name, far.router.name):
+                routed[event.detail["seq"]] += 1
         assert set(routed) == set(seqs)
         assert set(routed.values()) == {1}, "a message was traced routed twice"
         assert near.router.dropped == far.router.dropped == 0
@@ -123,13 +121,14 @@ class TestMixedDestinationFifo:
         broker = Broker("b")
         recorded_on = []
 
-        class ThreadTracer(Tracer):
-            def record(self, kind, source, **detail):
-                if kind == "routed":
-                    recorded_on.append(threading.current_thread().name)
-                super().record(kind, source, **detail)
+        def note_thread(events):  # subscribers run on the emitting thread
+            recorded_on.extend(
+                threading.current_thread().name
+                for event in events
+                if event.kind == "routed" and event.source == broker.router.name
+            )
 
-        broker.router.tracer = ThreadTracer()
+        HOP_LOG.subscribe(note_thread)
         alice = ProcessEndpoint("alice", broker)
         bob = ProcessEndpoint("bob", broker)
         broker.start()
@@ -139,6 +138,7 @@ class TestMixedDestinationFifo:
             alice.send(make_message("alice", ["bob"], MsgType.DATA, 1))
             assert bob.receive(timeout=2) is not None
         finally:
+            HOP_LOG.unsubscribe(note_thread)
             alice.stop()
             bob.stop()
             broker.stop()
@@ -147,14 +147,11 @@ class TestMixedDestinationFifo:
 
 
 class TestDestinationGoesAway:
-    def test_id_queue_closed_mid_put_many_ends_balanced(self):
+    def test_id_queue_closed_mid_put_many_ends_balanced(self, tracer):
         """A sender thread is mid-batch when its destination's ID queue
         closes: the queue reclaims what it refuses, the router counts and
         traces it, and the store balances."""
         broker = Broker("b")
-        tracer = Tracer(capacity=100_000)
-        broker.router.tracer = tracer
-        broker.communicator.set_tracer(tracer)
         alice = ProcessEndpoint("alice", broker)
         bob = ProcessEndpoint("bob", broker)
         broker.start()
@@ -184,7 +181,7 @@ class TestDestinationGoesAway:
             bob.stop()
         router = broker.router
         assert router.routed_local + router.dropped == sent
-        assert tracer.count("rejected") == router.dropped
+        assert len(tracer.events("rejected", router.name)) == router.dropped
         store = broker.communicator.object_store
         assert store.leak_report() == []
         broker.stop()
@@ -192,14 +189,12 @@ class TestDestinationGoesAway:
 
 class TestRegistrationChangesInFlight:
     @transfers_ownership("the header carries the handle into the router")
-    def test_late_registration_is_served_without_the_routed_marker(self):
+    def test_late_registration_is_served_without_the_routed_marker(self, tracer):
         """A name with no route on the sender thread registers before the
         router thread sees the remainder: it is delivered there, traced
         ``routed`` once, and the router's marker stays off the delivery."""
         comm = ShareMemCommunicator("m")
         router = AlgorithmAgnosticRouter(comm, on_unroutable="drop")
-        tracer = Tracer()
-        router.tracer = tracer
         a_queue = comm.register("a")
         header = make_header("s", ["a", "late"], MsgType.DATA)
         header[OBJECT_ID] = comm.object_store.put("body", refcount=2)
@@ -211,7 +206,7 @@ class TestRegistrationChangesInFlight:
             [delivered] = queue.get_many(4, timeout=0)
             assert ROUTED not in delivered
             release_header_shares(comm.object_store, delivered, shares=1)
-        assert tracer.count("routed") == 1
+        assert len(tracer.events("routed", router.name)) == 1
         assert router.routed_local == 2 and router.dropped == 0
         comm.object_store.assert_balanced(context="late registration")
 
@@ -249,8 +244,7 @@ class SenderRoutingMachine(RuleBasedStateMachine):
             remote_table={"remote-x": "X", "remote-y": "Y"},
             remote_send=remote_send,
         )
-        self.tracer = Tracer(capacity=100_000)
-        self.router.tracer = self.tracer
+        self.tracer = Tracer(capacity=100_000).attach()
         self.queues = {name: self.comm.register(name) for name in NAMES}
         self.retired = []  # ID queues of unregistered destinations
         self.sent = 0  # (message, destination) pairs handed to the channel
@@ -283,7 +277,7 @@ class SenderRoutingMachine(RuleBasedStateMachine):
     def router_wakeup(self, max_items):
         for header in self.comm.header_queue.get_many(max_items, timeout=0):
             self.on_header_queue -= len(header[DST])
-            self.overtaken.update(filter(self.comm.is_local, header[DST]))
+            self.overtaken.update(filter(self.comm.local_queue, header[DST]))
             self.router.route(header)
 
     @rule(name=st.sampled_from(NAMES), max_items=st.integers(min_value=1, max_value=4))
@@ -296,13 +290,13 @@ class SenderRoutingMachine(RuleBasedStateMachine):
 
     @rule(name=st.sampled_from(NAMES))
     def unregister(self, name):
-        if self.comm.is_local(name):
+        if self.comm.local_queue(name) is not None:
             self.retired.append(self.queues[name])
             self.comm.unregister(name)
 
     @rule(name=st.sampled_from(NAMES))
     def register(self, name):
-        if not self.comm.is_local(name):
+        if self.comm.local_queue(name) is None:
             self.queues[name] = self.comm.register(name)
 
     @rule(name=st.sampled_from(NAMES))
@@ -327,22 +321,28 @@ class SenderRoutingMachine(RuleBasedStateMachine):
         assert (
             delivered + rejected + self.shipped + self._parked() == self.sent
         )
-        assert self.tracer.count("rejected") == self.router.dropped
+        assert (
+            len(self.tracer.events("rejected", self.router.name))
+            == self.router.dropped
+        )
         for key, seqs in self.delivered.items():
             assert len(seqs) == len(set(seqs)), f"{key} got a message twice"
             if key[0] not in self.overtaken:
                 assert seqs == sorted(seqs), f"{key} is not FIFO"
 
     def teardown(self):
-        self.router_wakeup(10_000)
-        assert self.on_header_queue == 0
-        self.every_destination_has_exactly_one_fate()
-        # What is still parked holds one share per destination; once those
-        # are released nothing may be left in the store.
-        for queue in [*self.queues.values(), *self.retired]:
-            for header in queue.drain():
-                release_header_shares(self.store, header, shares=1)
-        self.store.assert_balanced(context="sender-routing model")
+        try:
+            self.router_wakeup(10_000)
+            assert self.on_header_queue == 0
+            self.every_destination_has_exactly_one_fate()
+            # What is still parked holds one share per destination; once
+            # those are released nothing may be left in the store.
+            for queue in [*self.queues.values(), *self.retired]:
+                for header in queue.drain():
+                    release_header_shares(self.store, header, shares=1)
+            self.store.assert_balanced(context="sender-routing model")
+        finally:
+            self.tracer.detach()
 
 
 TestSenderRoutingModel = SenderRoutingMachine.TestCase

@@ -1,25 +1,68 @@
-"""Tests for the message tracer."""
+"""Tests for the hop log's subscriber side: the Tracer buffer and sinks.
+
+The ring side (record layout, wrap, dumps) is in tests/obs/test_flightrec.py
+and the agreement of the two views in tests/obs/test_hop_stream.py.
+"""
 
 import threading
 
 import pytest
 
-from repro.core.tracing import TraceEvent, Tracer
+from repro.core.tracing import HopLog, TraceEvent, Tracer
+
+
+@pytest.fixture
+def log():
+    """A private log, so other components' emits cannot interleave."""
+    return HopLog("test", capacity=64)
+
+
+def _header(seq, **fields):
+    return {"seq": seq, "src": "e", "dst": ["l"], "type": "data", **fields}
 
 
 class TestTracer:
-    def test_record_and_query(self):
-        tracer = Tracer()
-        tracer.record("sent", "explorer-0", seq=1)
-        tracer.record("delivered", "learner", seq=1)
+    def test_emit_and_query(self, log):
+        tracer = Tracer().attach(log)
+        log.emit("sent", "explorer-0", _header(1))
+        log.emit("delivered", "learner", _header(1))
         assert tracer.count() == 2
         assert tracer.count("sent") == 1
         assert tracer.events(source="learner")[0].kind == "delivered"
 
-    def test_capacity_bounds_memory(self):
-        tracer = Tracer(capacity=5)
+    def test_events_carry_the_header_fields(self, log):
+        tracer = Tracer().attach(log)
+        log.emit(
+            "sent", "e",
+            {"seq": 7, "trace": 0xA, "span": 0xB, "src": "e",
+             "dst": ["l", "m"], "type": "data", "body_size": 12},
+        )
+        (event,) = tracer.events()
+        assert isinstance(event, TraceEvent)
+        assert event.detail == {
+            "seq": 7, "trace": 0xA, "span": 0xB, "src": "e", "dst": "l,m",
+            "type": "data", "nbytes": 12,
+        }
+
+    def test_extra_overrides_header_fields(self, log):
+        tracer = Tracer().attach(log)
+        log.emit("rejected", "router", _header(3, dst=["l", "m"]), dst="m")
+        log.emit("stage_begin", "link", _header(3), stage="wire_send", nbytes=99)
+        rejected, stage = tracer.events()
+        assert rejected.detail["dst"] == "m"
+        assert stage.detail["stage"] == "wire_send"
+        assert stage.detail["nbytes"] == 99
+
+    def test_headerless_event(self, log):
+        tracer = Tracer().attach(log)
+        log.emit("train_start", "learner")
+        (event,) = tracer.events()
+        assert event.detail == {}
+
+    def test_capacity_bounds_memory(self, log):
+        tracer = Tracer(capacity=5).attach(log)
         for index in range(20):
-            tracer.record("sent", "e", seq=index)
+            log.emit("sent", "e", _header(index))
         events = tracer.events()
         assert len(events) == 5
         assert events[0].detail["seq"] == 15
@@ -28,85 +71,22 @@ class TestTracer:
         with pytest.raises(ValueError):
             Tracer(capacity=0)
 
-    def test_disabled_records_nothing(self):
-        tracer = Tracer()
-        tracer.enabled = False
-        tracer.record("sent", "e")
-        assert tracer.count() == 0
-
-    def test_kinds_histogram(self):
-        tracer = Tracer()
-        tracer.record("sent", "a")
-        tracer.record("sent", "b")
-        tracer.record("routed", "r")
+    def test_kinds_histogram(self, log):
+        tracer = Tracer().attach(log)
+        log.emit("sent", "a", _header(1))
+        log.emit("sent", "b", _header(2))
+        log.emit("routed", "r", _header(1))
         assert tracer.kinds() == {"sent": 2, "routed": 1}
 
-    def test_span_correlates_by_key(self):
-        clock_value = [0.0]
-        tracer = Tracer(clock=lambda: clock_value[0])
-        tracer.record("sent", "e", seq=1)
-        clock_value[0] = 0.25
-        tracer.record("sent", "e", seq=2)
-        clock_value[0] = 0.5
-        tracer.record("delivered", "l", seq=1)
-        clock_value[0] = 0.35
-        tracer.record("delivered", "l", seq=2)
-        durations = sorted(tracer.span("sent", "delivered", "seq"))
-        assert durations == [pytest.approx(0.1), pytest.approx(0.5)]
-
-    def test_span_ignores_unmatched(self):
-        tracer = Tracer()
-        tracer.record("sent", "e", seq=1)
-        tracer.record("delivered", "l", seq=99)
-        assert tracer.span("sent", "delivered", "seq") == []
-
-    def test_span_report_counts_unmatched(self):
-        tracer = Tracer()
-        tracer.record("sent", "e", seq=1)  # start, no end
-        tracer.record("delivered", "l", seq=99)  # end, no start
-        report = tracer.span_report("sent", "delivered", "seq")
-        assert report.durations == []
-        assert report.unmatched_starts == 1
-        assert report.unmatched_ends == 1
-        assert report.unmatched == 2
-
-    def test_span_report_duplicate_start_supersedes(self):
-        clock_value = [0.0]
-        tracer = Tracer(clock=lambda: clock_value[0])
-        tracer.record("sent", "e", seq=1)
-        clock_value[0] = 1.0
-        tracer.record("sent", "e", seq=1)  # duplicate: earlier one is lost
-        clock_value[0] = 1.5
-        tracer.record("delivered", "l", seq=1)
-        report = tracer.span_report("sent", "delivered", "seq")
-        assert report.durations == [pytest.approx(0.5)]
-        assert report.unmatched_starts == 1
-
-    def test_span_report_bounds_pending_starts(self):
-        tracer = Tracer(capacity=100_000)
-        for index in range(100):
-            tracer.record("sent", "e", seq=index)
-        # Only the newest max_pending starts can still match.
-        tracer.record("delivered", "l", seq=0)
-        tracer.record("delivered", "l", seq=99)
-        report = tracer.span_report("sent", "delivered", "seq", max_pending=10)
-        assert report.evicted_starts == 90
-        assert report.unmatched_ends == 1  # seq 0 was evicted
-        assert len(report.durations) == 1  # seq 99 survived
-
-    def test_span_report_max_pending_validated(self):
-        with pytest.raises(ValueError):
-            Tracer().span_report("sent", "delivered", "seq", max_pending=0)
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.record("sent", "e")
+    def test_clear(self, log):
+        tracer = Tracer().attach(log)
+        log.emit("sent", "e", _header(1))
         tracer.clear()
         assert tracer.count() == 0
 
-    def test_format_renders_events(self):
-        tracer = Tracer()
-        tracer.record("sent", "explorer-0", seq=7)
+    def test_format_renders_events(self, log):
+        tracer = Tracer().attach(log)
+        log.emit("sent", "explorer-0", _header(7))
         text = tracer.format()
         assert "sent" in text
         assert "seq=7" in text
@@ -114,66 +94,109 @@ class TestTracer:
     def test_format_empty(self):
         assert "no trace events" in Tracer().format()
 
-    def test_thread_safety(self):
-        tracer = Tracer(capacity=100_000)
+    def test_thread_safety(self, log):
+        tracer = Tracer(capacity=100_000).attach(log)
 
         def writer(tag):
             for index in range(1000):
-                tracer.record("sent", tag, seq=index)
+                log.emit("sent", tag, _header(index))
 
         threads = [threading.Thread(target=writer, args=(f"t{i}",)) for i in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
         assert tracer.count() == 4000
+        assert log.total == 4000
+
+
+class TestAttachDetach:
+    def test_detached_subscriber_receives_nothing_further(self, log):
+        tracer = Tracer().attach(log)
+        log.emit("sent", "e", _header(1))
+        tracer.detach()
+        log.emit("sent", "e", _header(2))
+        assert [e.detail["seq"] for e in tracer.events()] == [1]
+        assert log.total == 2  # the ring keeps recording
+
+    def test_unattached_tracer_sees_nothing(self, log):
+        tracer = Tracer()
+        log.emit("sent", "e", _header(1))
+        assert tracer.count() == 0
+
+    def test_reattach_moves_the_subscription(self, log):
+        other = HopLog("other", capacity=8)
+        tracer = Tracer().attach(log)
+        tracer.attach(other)
+        log.emit("sent", "e", _header(1))
+        other.emit("sent", "e", _header(2))
+        assert [e.detail["seq"] for e in tracer.events()] == [2]
+
+    def test_raising_subscriber_is_detached_alone(self, log):
+        calls = []
+
+        def broken(events):
+            calls.append(events)
+            raise RuntimeError("subscriber blew up")
+
+        log.subscribe(broken)
+        tracer = Tracer().attach(log)
+        log.emit("sent", "e", _header(1))
+        log.emit("sent", "e", _header(2))  # must not raise; broken is gone
+        assert len(calls) == 1
+        assert tracer.count() == 2
+        assert log.total == 2
 
 
 class TestSink:
-    def test_sink_sees_every_event_past_ring_wrap(self):
+    def test_sink_sees_every_event_past_buffer_wrap(self, log):
         seen = []
-        tracer = Tracer(capacity=2, sink=seen.append)
+        tracer = Tracer(capacity=2, sink=seen.append).attach(log)
         for index in range(10):
-            tracer.record("sent", "e", seq=index)
+            log.emit("sent", "e", _header(index))
         assert len(tracer.events()) == 2
         assert len(seen) == 10
 
-    def test_raising_sink_disables_itself(self):
+    def test_raising_sink_disables_only_itself(self, log):
         calls = []
 
         def bad_sink(event):
             calls.append(event)
             raise RuntimeError("sink blew up")
 
-        tracer = Tracer(sink=bad_sink)
-        tracer.record("sent", "e", seq=1)
-        tracer.record("sent", "e", seq=2)  # must not raise, sink is gone
+        tracer = Tracer(sink=bad_sink).attach(log)
+        bystander = Tracer().attach(log)
+        log.emit("sent", "e", _header(1))
+        log.emit("sent", "e", _header(2))  # must not raise, sink is gone
         assert len(calls) == 1
-        assert tracer.count() == 2  # ring recording unaffected
+        assert tracer.count() == 2  # the buffer keeps filling
+        assert bystander.count() == 2  # other subscribers unaffected
+        assert log.total == 2  # so does the ring
 
 
-class TestTracerWiredIntoEndpoints:
-    def test_sent_and_delivered_events_correlate(self, endpoint_pair):
+class TestHopLogWiredIntoEndpoints:
+    def test_sent_and_delivered_events_correlate(self, endpoint_pair, tracer):
         from repro.core.message import MsgType, make_message
 
         alice, bob = endpoint_pair
-        tracer = Tracer()
-        alice.tracer = tracer
-        bob.tracer = tracer
+        seqs = []
         for index in range(5):
-            alice.send(make_message("alice", ["bob"], MsgType.DATA, index))
+            message = make_message("alice", ["bob"], MsgType.DATA, index)
+            seqs.append(message.seq)
+            alice.send(message)
         for _ in range(5):
             assert bob.receive(timeout=2) is not None
-        assert tracer.count("sent") == 5
-        assert tracer.count("delivered") == 5
-        latencies = tracer.span("sent", "delivered", "seq")
-        assert len(latencies) == 5
-        assert all(latency >= 0 for latency in latencies)
+        sent = {e.detail["seq"]: e.timestamp for e in tracer.events("sent", "alice")}
+        delivered = {
+            e.detail["seq"]: e.timestamp for e in tracer.events("delivered", "bob")
+        }
+        assert sorted(sent) == sorted(delivered) == seqs
+        assert all(delivered[seq] >= sent[seq] for seq in seqs)
 
-    def test_tracing_off_by_default(self, endpoint_pair):
+    def test_no_subscriber_no_crash(self, endpoint_pair):
         from repro.core.message import MsgType, make_message
 
         alice, bob = endpoint_pair
-        assert alice.tracer is None
         alice.send(make_message("alice", ["bob"], MsgType.DATA, "x"))
-        assert bob.receive(timeout=2) is not None  # no tracer, no crash
+        assert bob.receive(timeout=2) is not None

@@ -21,7 +21,6 @@ from repro.analysis.topology import (
     observed_edges,
 )
 from repro.cluster.cluster import build_cluster
-from repro.core.tracing import Tracer
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -33,7 +32,7 @@ def static_topology():
     return extract_topology(sources)
 
 
-def test_live_cluster_trace_conforms_to_static_topology(static_topology):
+def test_live_cluster_trace_conforms_to_static_topology(static_topology, tracer):
     config = single_machine_config(
         "impala", "CartPole", "actor_critic",
         explorers=2, fragment_steps=25,
@@ -41,12 +40,6 @@ def test_live_cluster_trace_conforms_to_static_topology(static_topology):
         seed=11,
     )
     cluster = build_cluster(config)
-    tracer = Tracer(capacity=50_000)
-    cluster.learner.endpoint.tracer = tracer
-    for explorer in cluster.explorers:
-        explorer.endpoint.tracer = tracer
-    cluster.center.endpoint.tracer = tracer
-
     cluster.start()
     try:
         deadline = time.monotonic() + 30
@@ -57,10 +50,16 @@ def test_live_cluster_trace_conforms_to_static_topology(static_topology):
     finally:
         cluster.stop()
 
-    observed = observed_edges(tracer.events())
+    # The hop log is process-wide: keep what this cluster's endpoints sent.
+    endpoints = {
+        process.endpoint.name
+        for process in [cluster.learner, *cluster.explorers, cluster.center]
+    }
+    events = [event for event in tracer.events() if event.source in endpoints]
+    observed = observed_edges(events)
     # The trace must actually exercise the paper's data path...
     assert ("explorer", "ROLLOUT", "learner") in observed
     assert ("learner", "WEIGHTS", "explorer") in observed
     # ...and contain nothing the static topology does not predict.
-    violations = conformance_violations(tracer.events(), static_topology)
+    violations = conformance_violations(events, static_topology)
     assert violations == [], f"runtime edges missing from static graph: {violations}"

@@ -1,31 +1,42 @@
-"""Flight recorder: ring semantics, dump format, failure-path triggers."""
+"""The hop log's always-on ring (the flight recorder): ring semantics, dump
+format, failure-path triggers."""
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
+from repro.core.concurrency import spawn_thread
 from repro.core.errors import TrainingFailedError
 from repro.core.supervision import Supervisor
-from repro.obs.trace.__main__ import main as trace_cli
-from repro.obs.trace.flightrec import (
+from repro.core.tracing import (
     FLIGHTREC_SCHEMA,
+    HOP_LOG,
     MAGIC,
     RECORD_SIZE,
-    FlightRecorder,
+    HopLog,
+    Tracer,
     configure,
     dump_all,
-    get_recorder,
+    emit,
     load_dump,
     set_process,
 )
+from repro.obs.trace.__main__ import main as trace_cli
+
+
+def _h(seq, trace=0):
+    """The two header fields a ring record keeps."""
+    return {"seq": seq, "trace": trace}
 
 
 @pytest.fixture(autouse=True)
 def isolated_recorder(tmp_path, monkeypatch):
-    """Point the process-wide recorder at a fresh ring + tmp dump dir."""
+    """Give the process-wide log a fresh ring + tmp dump dir."""
     monkeypatch.setenv("REPRO_FLIGHTREC_DIR", str(tmp_path / "dumps"))
     configure(enabled=True, capacity=128, process="test")
     yield
@@ -40,65 +51,63 @@ class TestRing:
             clock_value[0] += 1.0
             return clock_value[0]
 
-        recorder = FlightRecorder("p", capacity=8, clock=clock)
-        recorder.record("sent", "alice", seq=1, trace=0xA)
-        recorder.record("delivered", "bob", seq=1, trace=0xA)
+        recorder = HopLog("p", capacity=8, clock=clock)
+        recorder.emit("sent", "alice", _h(1, 0xA))
+        recorder.emit("delivered", "bob", _h(1, 0xA))
         events = recorder.events()
         assert [e["kind"] for e in events] == ["sent", "delivered"]
         assert events[0]["detail"] == {"seq": 1, "trace": 0xA}
         assert events[0]["ts"] < events[1]["ts"]
 
     def test_missing_seq_and_trace_are_omitted(self):
-        recorder = FlightRecorder("p", capacity=4)
-        recorder.record("tick", "loop")
+        recorder = HopLog("p", capacity=4)
+        recorder.emit("tick", "loop")
         (event,) = recorder.events()
         assert event["detail"] == {}
 
     def test_ring_wraps_keeping_newest(self):
-        recorder = FlightRecorder("p", capacity=4)
+        recorder = HopLog("p", capacity=4)
         for seq in range(10):
-            recorder.record("sent", "alice", seq=seq)
+            recorder.emit("sent", "alice", _h(seq))
         assert recorder.count == 4
         assert recorder.total == 10
         assert [e["detail"]["seq"] for e in recorder.events()] == [6, 7, 8, 9]
 
-    def test_record_many_is_one_timestamp_per_batch(self):
+    def test_emit_many_is_one_timestamp_per_batch(self):
         ticks = iter(range(1, 100))
-        recorder = FlightRecorder("p", capacity=4, clock=lambda: float(next(ticks)))
-        recorder.record("sent", "alice", seq=0)
-        recorder.record_many("routed", "alice", [(1, 0xA), (2, 0xB), (3, 0)])
-        recorder.record_many("routed", "alice", [])
+        recorder = HopLog("p", capacity=4, clock=lambda: float(next(ticks)))
+        recorder.emit("sent", "alice", _h(0))
+        recorder.emit_many("routed", "alice", [_h(1, 0xA), _h(2, 0xB), _h(3)])
+        recorder.emit_many("routed", "alice", [])
         events = recorder.events()  # capacity 4: nothing overwritten yet
         assert [e["kind"] for e in events] == ["sent", "routed", "routed", "routed"]
         assert [e["detail"].get("seq") for e in events] == [0, 1, 2, 3]
         assert events[1]["detail"]["trace"] == 0xA and "trace" not in events[3]["detail"]
         assert [e["ts"] for e in events] == [1.0, 2.0, 2.0, 2.0]
-        recorder.record_many("routed", "alice", [(4, 0), (5, 0)])  # wraps
+        recorder.emit_many("routed", "alice", [_h(4), _h(5)])  # wraps
         assert recorder.total == 6 and recorder.count == 4
         assert [e["detail"]["seq"] for e in recorder.events()] == [2, 3, 4, 5]
 
     def test_intern_overflow_maps_to_question_mark(self):
-        recorder = FlightRecorder("p", capacity=4)
+        recorder = HopLog("p", capacity=4)
         # Exhaust the source table (id 0 is reserved for "?").
         for index in range(5000):
-            recorder._intern(
-                f"src{index}", recorder._sources, recorder._source_ids
-            )
-        recorder.record("sent", "one-too-many", seq=1)
-        (event,) = recorder.events()
+            recorder.emit("sent", f"src{index}", _h(index))
+        recorder.emit("sent", "one-too-many", _h(1))
+        event = recorder.events()[-1]
         assert event["source"] == "?"
         assert event["kind"] == "sent"  # kind table still has room
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            FlightRecorder("p", capacity=0)
+            HopLog("p", capacity=0)
 
 
 class TestDumpFormat:
     def test_dump_load_roundtrip(self, tmp_path):
-        recorder = FlightRecorder("learner", capacity=16)
+        recorder = HopLog("learner", capacity=16)
         for seq in range(20):  # wrap once to exercise the split copy
-            recorder.record("sent", "alice", seq=seq, trace=seq + 1)
+            recorder.emit("sent", "alice", _h(seq, seq + 1))
         path = recorder.dump(str(tmp_path / "ring.bin"), reason="unit")
         meta, events = load_dump(path)
         assert meta["format"] == FLIGHTREC_SCHEMA
@@ -109,8 +118,8 @@ class TestDumpFormat:
         assert [e["detail"]["seq"] for e in events] == list(range(4, 20))
 
     def test_dump_is_magic_plus_meta_plus_records(self, tmp_path):
-        recorder = FlightRecorder("p", capacity=4)
-        recorder.record("sent", "a", seq=1)
+        recorder = HopLog("p", capacity=4)
+        recorder.emit("sent", "a", _h(1))
         path = recorder.dump(str(tmp_path / "ring.bin"))
         raw = open(path, "rb").read()
         assert raw.startswith(MAGIC)
@@ -129,13 +138,15 @@ class TestDumpFormat:
 class TestProcessSingleton:
     def test_configure_disabled_removes_recorder(self):
         assert configure(enabled=False) is None
-        assert get_recorder() is None
+        assert not HOP_LOG.enabled
+        emit("sent", "alice", _h(1))  # nowhere to go, and no error
+        assert HOP_LOG.events() == []
         assert dump_all("nothing") is None  # must not raise when disabled
 
     def test_dump_all_honors_env_dir(self, tmp_path):
         target = str(tmp_path / "dumps")
         set_process("worker")
-        get_recorder().record("sent", "alice", seq=1)
+        emit("sent", "alice", _h(1))
         path = dump_all("unit-test")
         assert path is not None and path.startswith(target)
         meta, events = load_dump(path)
@@ -148,10 +159,43 @@ class TestProcessSingleton:
         blocker.write_text("a file where the directory should go")
         assert dump_all("bad-dir", directory=str(blocker)) is None
 
+    def test_concurrent_dumps_get_distinct_files(self, tmp_path):
+        """Two threads escalating at once (two endpoints' first
+        BackpressureError) must not pick the same file name."""
+        emit("sent", "alice", _h(1))
+        target = str(tmp_path / "dumps")
+        start = threading.Barrier(8)
+        paths = []
+
+        def dump():
+            start.wait(timeout=10)
+            paths.append(dump_all("backpressure", directory=target))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # widen the read-modify-write window
+        try:
+            threads = [spawn_thread(f"dumper-{i}", dump) for i in range(8)]
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert None not in paths and len(set(paths)) == 8
+        assert len(os.listdir(target)) == 8
+
+    def test_configure_keeps_subscribers(self):
+        tracer = Tracer().attach()
+        try:
+            configure(enabled=True, capacity=16)
+            emit("sent", "alice", _h(1))
+        finally:
+            tracer.detach()
+        assert tracer.count("sent") == 1
+
 
 class TestFailureTriggers:
     def test_training_failure_dumps_the_ring(self, tmp_path):
-        get_recorder().record("sent", "explorer0", seq=1, trace=0xF)
+        emit("sent", "explorer0", _h(1, 0xF))
         clock_value = [0.0]
         supervisor = Supervisor(
             suspect_after=0.5, dead_after=1.0, clock=lambda: clock_value[0]
@@ -173,12 +217,12 @@ class TestCliMerging:
     def test_cli_merges_multi_process_dumps(self, tmp_path):
         dump_dir = tmp_path / "crash"
         dump_dir.mkdir()
-        explorer = FlightRecorder("explorer0", capacity=32)
-        learner = FlightRecorder("learner", capacity=32)
+        explorer = HopLog("explorer0", capacity=32)
+        learner = HopLog("learner", capacity=32)
         for seq in (1, 2):
-            explorer.record("sent", "explorer0.send", seq=seq, trace=seq)
-            learner.record("delivered", "learner.recv", seq=seq, trace=seq)
-        learner.record("consumed", "learner.recv", seq=1, trace=1)
+            explorer.emit("sent", "explorer0.send", _h(seq, seq))
+            learner.emit("delivered", "learner.recv", _h(seq, seq))
+        learner.emit("consumed", "learner.recv", _h(1, 1))
         explorer.dump(str(dump_dir / "explorer0.bin"), reason="crash")
         learner.dump(str(dump_dir / "learner.bin"), reason="crash")
 

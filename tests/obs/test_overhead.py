@@ -5,8 +5,8 @@ layer is only acceptable if it does not eat the win.  Two guards:
 
 * **Workload guard** — the CI smoke workload (compute-charged modelled env,
   the same shape the Fig. 6-11 benchmarks use) must keep >90% of its
-  metrics-off training throughput with the full registry + tracer + span
-  aggregation + sampler enabled.
+  metrics-off training throughput with the full registry + hop-log
+  subscriber + span aggregation + sampler enabled.
 * **Hot-path budget** — a raw message-pump microbenchmark bounds the
   absolute per-message instrumentation cost.  A pump saturates on
   microsecond-scale bodies, so a relative bound there would just measure
@@ -19,11 +19,15 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro.bench.harness import run_training_xingtian
 from repro.core.broker import Broker
 from repro.core.config import TelemetrySpec
 from repro.core.endpoint import ProcessEndpoint
+from repro.core import tracing
 from repro.core.message import MsgType, make_message
+from repro.core.tracing import HOP_LOG, TraceEvent
 from repro.obs import Telemetry
 
 SMOKE_KWARGS = dict(
@@ -111,12 +115,29 @@ def test_hot_path_cost_within_budget():
 
 
 def test_uninstrumented_pays_nothing():
-    """Without telemetry the hot-path fields stay None — a pointer check."""
+    """Without telemetry the instruments stay None — a pointer check — and
+    the hop log, with no subscriber, builds no TraceEvent: it pays for its
+    ring record and nothing else."""
+    built = []
+
+    class Spy(TraceEvent):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
     broker = Broker("plain-broker")
+    broker.start()
+    solo = ProcessEndpoint("solo", broker)
+    solo.start()
     try:
-        endpoint = ProcessEndpoint("solo", broker)
-        assert endpoint.tracer is None
-        assert endpoint._messages_sent is None
-        assert broker.router.tracer is None
+        assert solo._messages_sent is None
+        before = HOP_LOG.total
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tracing, "TraceEvent", Spy)
+            solo.send(make_message("solo", ["solo"], MsgType.DATA, {"k": 1}))
+            assert solo.receive(timeout=10.0) is not None
+        assert HOP_LOG.total - before >= 4  # sent, routed, delivered, consumed
+        assert not built
     finally:
+        solo.stop()
         broker.stop()

@@ -1,11 +1,11 @@
-"""Span correlation: tracer lifecycle events -> per-stage latency histograms."""
+"""Span correlation: hop-log lifecycle events -> per-stage latency histograms."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.concurrency import spawn_thread
-from repro.core.tracing import TraceEvent, Tracer
+from repro.core.tracing import HopLog, TraceEvent, Tracer
 from repro.obs import MetricsRegistry, SpanAggregator, SpanRecord, STAGES
 
 
@@ -123,6 +123,13 @@ class TestCorrelationHealth:
         # Evicted never-matched sent starts are charged to "deliver".
         assert stats.evicted_starts["deliver"] == 12
 
+    def test_pending_bound_is_validated_where_it_is_configured(self):
+        from repro.core.config import TelemetrySpec
+        from repro.core.errors import ConfigError
+
+        with pytest.raises(ConfigError):
+            TelemetrySpec(max_pending_spans=0).validate()
+
     def test_matched_entries_evict_silently(self):
         registry, aggregator = make_aggregator(max_pending=4)
         for seq in range(4):
@@ -181,16 +188,20 @@ class TestRecordsAndEdges:
 
 
 class TestLiveSink:
-    def test_aggregates_past_ring_wrap(self):
-        # The tracer ring holds 4 events; the sink still sees all 8.
+    def test_aggregates_past_buffer_wrap(self):
+        # The tracer's buffer holds 4 events; the sink still sees all 8.
         registry, aggregator = make_aggregator()
         clock_value = [0.0]
-        tracer = Tracer(capacity=4, clock=lambda: clock_value[0], sink=aggregator.observe)
+        log = HopLog("spans", capacity=64, clock=lambda: clock_value[0])
+        tracer = Tracer(capacity=4, sink=aggregator.observe).attach(log)
         for seq in range(2):
             for event in lifecycle(seq, float(seq) * 10):
                 clock_value[0] = event.timestamp
-                tracer.record(event.kind, event.source, **event.detail)
-        assert len(tracer.events()) == 4  # ring wrapped
+                log.emit(
+                    event.kind, event.source,
+                    {"seq": seq, "type": "MsgType.ROLLOUT", "dst": ["learner"]},
+                )
+        assert len(tracer.events()) == 4  # buffer wrapped
         assert aggregator.stats().matched["deliver"] == 2  # sink saw everything
 
     def test_observe_is_thread_safe(self):

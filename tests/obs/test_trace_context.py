@@ -29,7 +29,6 @@ from repro.core.message import (
     pack_batch,
     unpack_batch,
 )
-from repro.core.tracing import Tracer
 from repro.obs import Telemetry
 from repro.obs.trace.events import load_trace_file
 
@@ -108,15 +107,11 @@ class TestBatchContext:
 
 
 @pytest.fixture
-def coalescing_pair():
+def coalescing_pair(tracer):
     broker = Broker("trace-broker", coalescing=CoalescingSpec())
     broker.start()
     alice = ProcessEndpoint("alice", broker)
     bob = ProcessEndpoint("bob", broker)
-    tracer = Tracer()
-    alice.tracer = tracer
-    bob.tracer = tracer
-    broker.router.tracer = tracer
     alice.start()
     bob.start()
     yield alice, bob, broker, tracer
@@ -153,7 +148,7 @@ class TestCoalescedLifecycle:
         # The BATCH envelope itself must be invisible: no routed event may
         # carry a seq outside the workhorse-visible set.
         data_seqs = set(seqs)
-        for event in tracer.events(kind="routed"):
+        for event in tracer.events(kind="routed", source=broker.router.name):
             assert event.detail.get("seq") in data_seqs
 
     def test_trace_ids_consistent_across_hops(self, coalescing_pair):
@@ -181,6 +176,7 @@ class TestTelemetryExport:
         bob = ProcessEndpoint("bob", broker)
         telemetry.attach_endpoint(alice)
         telemetry.attach_endpoint(bob)
+        telemetry.start()  # subscribes the tracer to the hop log
         alice.start()
         bob.start()
         try:
@@ -195,6 +191,7 @@ class TestTelemetryExport:
                 "sent", "routed", "delivered", "consumed",
             }
         finally:
+            telemetry.stop()
             alice.stop()
             bob.stop()
             broker.stop()

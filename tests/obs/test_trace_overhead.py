@@ -1,6 +1,6 @@
-"""Flight-recorder overhead guard.
+"""Hop-log ring (flight recorder) overhead guard.
 
-The recorder is *always on* — every send/route/deliver/consume packs one
+The ring is *always on* — every send/route/deliver/consume packs one
 32-byte record into a preallocated ring — so it must be close to free.
 The recorder only touches the message path, and the smoke workload runs
 ~1400 env steps/s but only ~100 message hops/s, so a direct A/B
@@ -21,7 +21,7 @@ from repro.core.broker import Broker
 from repro.core.config import TelemetrySpec
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.message import MsgType, make_message
-from repro.obs.trace.flightrec import FlightRecorder, configure, get_recorder
+from repro.core.tracing import HOP_LOG, HopLog, configure
 
 from .test_overhead import SMOKE_KWARGS
 
@@ -33,17 +33,13 @@ PUMP_MESSAGES = 1500
 # boxes while still catching an allocation or serialization sneaking in.
 MAX_COST_PER_MESSAGE_S = 50e-6
 
-# A single record() is one dict hit + one pack_into under a lock:
+# A single emit() is two dict hits + one pack_into under a lock:
 # ~1us measured.
 MAX_RECORD_COST_S = 25e-6
 
 
 def _pump_once(enabled: bool) -> float:
-    """Seconds to push messages through send -> route -> deliver -> consume.
-
-    Endpoints and the router capture the process recorder at construction,
-    so the toggle must precede the broker build.
-    """
+    """Seconds to push messages through send -> route -> deliver -> consume."""
     configure(enabled=enabled)
     broker = Broker("flightrec-bench")
     broker.start()
@@ -66,8 +62,7 @@ def _pump_once(enabled: bool) -> float:
         bob.stop()
         broker.stop()
     if enabled:
-        recorder = get_recorder()
-        assert recorder is not None and recorder.total >= PUMP_MESSAGES
+        assert HOP_LOG.total >= 4 * PUMP_MESSAGES  # four hops per message
     return elapsed
 
 
@@ -104,16 +99,17 @@ def test_flight_recorder_overhead_under_2_percent():
     )
 
 
-def test_record_call_within_absolute_budget():
-    recorder = FlightRecorder("bench", capacity=1024)
+def test_emit_call_within_absolute_budget():
+    recorder = HopLog("bench", capacity=1024)
+    header = make_message("alice", ["bob"], MsgType.DATA, None).header
     count = 50_000
     started = time.perf_counter()
-    for seq in range(count):
-        recorder.record("sent", "alice.send", seq=seq, trace=seq + 1)
+    for _ in range(count):
+        recorder.emit("sent", "alice.send", header)
     elapsed = time.perf_counter() - started
     per_record = elapsed / count
     assert per_record < MAX_RECORD_COST_S, (
-        f"record() costs {per_record * 1e6:.1f}us "
+        f"emit() costs {per_record * 1e6:.1f}us "
         f"(budget {MAX_RECORD_COST_S * 1e6:.0f}us)"
     )
     assert recorder.total == count
@@ -122,9 +118,9 @@ def test_record_call_within_absolute_budget():
 
 def test_recording_continues_through_ring_wrap():
     """Wrap-around must not degenerate (no compaction, no reallocation)."""
-    recorder = FlightRecorder("bench", capacity=64)
+    recorder = HopLog("bench", capacity=64)
     for seq in range(10_000):
-        recorder.record("sent", "alice.send", seq=seq)
+        recorder.emit("sent", "alice.send", {"seq": seq})
     events = recorder.events()
     assert len(events) == 64
     assert events[-1]["detail"]["seq"] == 9_999

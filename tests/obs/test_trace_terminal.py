@@ -2,7 +2,7 @@
 
 A flow-controlled queue that sheds a header used to leave its ``sent``
 span pending forever (a (seq, dst) leak mislabeled as "unmatched" after
-FIFO eviction).  Now every drop path emits a terminal tracer event and the
+FIFO eviction).  Now every drop path emits a terminal hop-log event and the
 :class:`SpanAggregator` converts it into a labeled outcome counter.
 """
 
@@ -14,8 +14,8 @@ import pytest
 
 from repro.core.config import FlowControlSpec
 from repro.core.communicator import HeaderQueue
-from repro.core.message import SEQ, TRACE, MsgType, make_header
-from repro.core.tracing import Tracer
+from repro.core.message import SEQ, MsgType, make_header
+from repro.core.tracing import Tracer, emit
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import TERMINAL_KINDS, SpanAggregator
 
@@ -121,14 +121,12 @@ class TestQueueEmitsTerminals:
         base.update(overrides)
         return FlowControlSpec(**base)
 
-    def test_bulk_shed_emits_terminal_event(self):
-        tracer = Tracer()
+    def test_bulk_shed_emits_terminal_event(self, tracer):
         queue = HeaderQueue("q", self._spec())
-        queue.tracer = tracer
         headers = [make_header("a", ["b"], MsgType.DATA) for _ in range(4)]
         for header in headers:
             queue.put(header)
-        shed = tracer.events(kind="shed")
+        shed = tracer.events(kind="shed", source="q")
         assert len(shed) == 2  # two oldest beyond watermark 2
         assert {e.detail["seq"] for e in shed} == {
             headers[0][SEQ], headers[1][SEQ]
@@ -136,29 +134,26 @@ class TestQueueEmitsTerminals:
         for event in shed:
             assert event.detail["trace"]  # context survived to the drop
 
-    def test_set_pressure_shed_emits_terminal_events(self):
-        tracer = Tracer()
+    def test_set_pressure_shed_emits_terminal_events(self, tracer):
         queue = HeaderQueue("q", self._spec(bulk_watermark=8))
-        queue.tracer = tracer
         for _ in range(6):
             queue.put(make_header("a", ["b"], MsgType.DATA))
         queue.set_pressure(True)  # tightened watermark reclaims the surplus
-        assert tracer.events(kind="shed")
+        assert tracer.events(kind="shed", source="q")
 
     def test_sheds_feed_span_aggregator_outcomes(self):
         registry = MetricsRegistry()
         spans = SpanAggregator(registry)
-        tracer = Tracer(sink=spans.observe)
-        queue = HeaderQueue("q", self._spec())
-        queue.tracer = tracer
-        headers = [make_header("a", ["b"], MsgType.DATA) for _ in range(4)]
-        for header in headers:
-            # Senders record "sent" before the queue admits the header.
-            tracer.record(
-                "sent", "a", seq=header[SEQ], dst="b", type="DATA",
-                trace=header[TRACE],
-            )
-            queue.put(header)
+        tracer = Tracer(sink=spans.observe).attach()
+        try:
+            queue = HeaderQueue("q", self._spec())
+            headers = [make_header("a", ["b"], MsgType.DATA) for _ in range(4)]
+            for header in headers:
+                # Senders emit "sent" before the queue admits the header.
+                emit("sent", "a", header)
+                queue.put(header)
+        finally:
+            tracer.detach()
         stats = spans.stats()
         assert stats.terminated["shed"] == 2
         assert spans.pending_counts()["sent"] == 2  # only the live ones

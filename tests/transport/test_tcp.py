@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.message import WIRE_HOP
+from repro.core.message import MsgType, make_header
 from repro.core.serialization import serialization_copies_total
 from repro.transport.tcp import (
     SocketFabric,
@@ -81,8 +81,7 @@ class TestRoundtrip:
             assert listener.sink.wait_for(1)
             src_node, (header, got) = listener.sink.items[0]
             assert src_node == "m1"  # learned from the handshake
-            assert header["kind"] == "test"
-            assert header[WIRE_HOP] == link.name
+            assert header == {"src": "m1", "kind": "test"}  # shipped as given
             np.testing.assert_array_equal(got, body)
             assert not got.flags.writeable  # zero-copy view
         finally:
@@ -300,23 +299,38 @@ class TestSocketFabric:
         finally:
             fabric.close()
 
-    def test_set_tracer_reaches_existing_links(self):
-        from repro.core.tracing import Tracer
-
+    def test_wire_stages_reach_the_hop_log(self, tracer):
+        """Links and listeners emit their stage pairs into the process's
+        hop log: nothing to attach, whenever they were built."""
         fabric = SocketFabric("traced")
+        arrived = threading.Event()
         try:
-            fabric.register("node", lambda item: None)
+            fabric.register("node", lambda item: arrived.set())
             fabric.listen("node")
             link = fabric.connect("peer", "node")
-            tracer = Tracer()
-            fabric.set_tracer(tracer)
-            assert link.tracer is tracer
-            assert fabric.listener("node").tracer is tracer
-            fabric.send("peer", "node", ({"k": 1}, None))
-            assert any(
-                event.kind == "stage_begin"
-                and event.detail.get("stage") == "wire_send"
+            header = make_header("peer", ["node"], MsgType.DATA)
+            fabric.send("peer", "node", (header, None))
+            assert arrived.wait(timeout=5)
+            stages = [
+                (event.kind, event.source, event.detail["stage"])
                 for event in tracer.events()
-            )
+                if event.detail.get("seq") == header["seq"]
+            ]
+            assert ("stage_begin", link.name, "wire_send") in stages
+            assert ("stage_end", link.name, "wire_send") in stages
+            assert ("stage_begin", "traced:node", "wire_deliver") in stages
         finally:
             fabric.close()
+
+    def test_link_stats_and_errors_survive_close(self):
+        fabric = SocketFabric("closed")
+        arrived = threading.Event()
+        fabric.register("node", lambda item: arrived.set())
+        fabric.listen("node")
+        fabric.send("peer", "node", ({"k": 1}, None))
+        assert arrived.wait(timeout=5)
+        fabric.close()
+        stats = fabric.link_stats()
+        assert stats["peer->node"]["items_sent"] == 1
+        assert stats["listen:node"]["items_received"] == 1
+        fabric.raise_errors()  # nothing went wrong, and it can still tell
