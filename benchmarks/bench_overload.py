@@ -5,14 +5,23 @@ consumer can sustain, with a weight broadcast threaded through the bulk
 flood, and verifies the three acceptance bars from the overload-control
 ISSUE:
 
-* **bounded queues** — header-queue and ID-queue depths never exceed
-  their watermarks; the overflow is absorbed by shedding the *oldest*
-  bulk entries, never by unbounded growth;
+* **bounded queues** — ID-queue, send-buffer and receive-buffer depths
+  never exceed their watermarks; the overflow is absorbed by shedding the
+  *oldest* bulk entries, never by unbounded growth (the header queue
+  carries remote-bound headers only, so on this one-broker topology it
+  stays empty and is not a bar);
 * **bounded arena** — shared-memory arena occupancy never exceeds its
   capacity;
 * **priority lanes** — p99 delivery latency of control/weights traffic is
   at least ``MIN_CONTROL_ADVANTAGE``x lower than bulk traffic's, because
   control overtakes the bulk backlog at every queue.
+
+A second, short scenario closes the loop: the consumer's *receiver thread*
+is the bottleneck (a throttled store fetch, as for a deserialization-bound
+learner), so the backlog stands in its **ID queue**; a
+:class:`~repro.obs.flowcontroller.FlowController` running with no
+telemetry must see that depth, escalate, and — by raising the coalescing
+threshold over the body size — clear the backlog it saw.
 
 Results land in ``BENCH_overload.json`` at the repo root (the committed
 baseline the ``overload-smoke`` CI job regenerates and gates on).  The
@@ -31,11 +40,12 @@ import pytest
 
 from repro.core.broker import Broker
 from repro.core.concurrency import spawn_thread
-from repro.core.config import FlowControlSpec
+from repro.core.config import CoalescingSpec, FlowControlSpec
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.message import MsgType, make_message
 from repro.core.object_store import SharedMemoryObjectStore
 from repro.bench.reporting import format_table, ratio
+from repro.obs import FlowController
 
 from .conftest import emit
 
@@ -73,6 +83,83 @@ FLOW = FlowControlSpec(
     # *static* watermark guarantees, not a moving target.
     adapt_interval_s=60.0,
 )
+
+
+#: the escalation scenario: every store fetch of the consumer's receiver
+#: thread costs this much (~2k fetches/s against ~6k offered messages/s)
+FETCH_SLEEP_S = 0.0003
+ESCALATION_SECONDS = 2.0
+ADAPTIVE_FLOW = FlowControlSpec(
+    bulk_watermark=256,
+    control_watermark=32,
+    adapt_interval_s=0.02,
+    relax_after=10_000,  # hold the degraded state for the assertions
+)
+#: below the body size, so bodies travel one per header until the
+#: controller's first escalation doubles it
+BASELINE_COALESCING = CoalescingSpec(max_message_bytes=1024)
+
+
+class ThrottledFetchStore(SharedMemoryObjectStore):
+    """The consumer's bottleneck: each fetch sleeps (releasing the GIL, as
+    an out-of-interpreter copy would)."""
+
+    def get(self, object_id):
+        time.sleep(FETCH_SLEEP_S)
+        return super().get(object_id)
+
+
+def _run_escalation() -> dict:
+    """Single-broker overload must reach the controller and be relieved."""
+    flow = ADAPTIVE_FLOW
+    broker = Broker(
+        "esc-broker", store=ThrottledFetchStore(), flow=flow,
+        coalescing=BASELINE_COALESCING,
+    )
+    broker.start()
+    producer = ProcessEndpoint("esc-src", broker)
+    sink = ProcessEndpoint("esc-dst", broker)
+    producer.start()
+    sink.start()
+    controller = FlowController(flow)  # reads the broker; no telemetry
+    controller.attach_broker(broker)
+    controller.attach_endpoint(producer)
+    controller.attach_endpoint(sink)
+    controller.start()
+    body = b"x" * 2048
+    id_queue = broker.communicator.id_queue("esc-dst")
+    started = time.monotonic()
+    escalated_after = None
+    max_id_depth = drained = 0
+    try:
+        while time.monotonic() - started < ESCALATION_SECONDS:
+            for _ in range(FLOOD_BURST):
+                producer.send(
+                    make_message("esc-src", ["esc-dst"], MsgType.DATA, body)
+                )
+            drained += len(sink.receive_many(4096, timeout=0.0))
+            max_id_depth = max(max_id_depth, id_queue.qsize())
+            if escalated_after is None and controller.degraded:
+                escalated_after = time.monotonic() - started
+            time.sleep(FLOOD_SLEEP_S)
+        settled_id_depth = id_queue.qsize()
+    finally:
+        controller.stop()
+        producer.stop()
+        sink.stop()
+        broker.stop()
+    return {
+        "escalations": controller.escalations,
+        "escalated_after_s": escalated_after,
+        "max_id_queue_depth": max_id_depth,
+        "settled_id_queue_depth": settled_id_depth,
+        "pressure_threshold": flow.queue_pressure_fraction * flow.bulk_watermark,
+        "queue_bound": flow.bulk_watermark + flow.control_watermark,
+        "coalescing_bytes_before": BASELINE_COALESCING.max_message_bytes,
+        "coalescing_bytes_after": producer.coalescing.max_message_bytes,
+        "header_queue_puts": broker.communicator.flow_stats()["headers"]["bulk_put"],
+        "drained_msgs": drained,
+    }
 
 
 def _percentile(samples: list, fraction: float) -> float:
@@ -121,7 +208,7 @@ def _run_overload() -> dict:
 
     bulk_ages: list = []
     control_ages: list = []
-    max_depths = {"headers": 0, "id": 0, "send": 0, "recv": 0}
+    max_depths = {"id": 0, "send": 0, "recv": 0}
     arena_peak = 0
     arena_capacity = 0
 
@@ -141,12 +228,7 @@ def _run_overload() -> dict:
                     bulk_ages.append(age)
             # Depth/occupancy probes ride the consumer loop, so bounds are
             # checked continuously, not just at the end.
-            depths = broker.communicator.lane_depths()
-            header = depths.get("headers", {})
-            max_depths["headers"] = max(
-                max_depths["headers"], sum(header.values())
-            )
-            for name, lanes in depths.items():
+            for name, lanes in broker.communicator.lane_depths().items():
                 if name.startswith("id."):
                     max_depths["id"] = max(max_depths["id"], sum(lanes.values()))
             max_depths["send"] = max(
@@ -195,7 +277,6 @@ def _run_overload() -> dict:
             "shed_total": shed,
         },
         "bounds": {
-            "max_header_queue_depth": max_depths["headers"],
             "max_id_queue_depth": max_depths["id"],
             "max_send_backlog": max_depths["send"],
             "max_receive_backlog": max_depths["recv"],
@@ -220,17 +301,17 @@ def _run_overload() -> dict:
 
 @pytest.mark.benchmark(group="overload")
 def test_overload(once):
-    results = once(_run_overload)
+    results = once(lambda: {**_run_overload(), "escalation": _run_escalation()})
 
     load = results["load"]
     bounds = results["bounds"]
     latency = results["latency"]
+    escalation = results["escalation"]
     rows = [
         ["offered (msgs/s)", f"{load['offered_msgs_per_s']:,.0f}"],
         ["drained (msgs/s)", f"{load['drained_msgs_per_s']:,.0f}"],
         ["overload factor", f"{load['overload_factor']:.1f}x"],
         ["bulk shed", load["shed_total"]],
-        ["max header-queue depth", bounds["max_header_queue_depth"]],
         ["max ID-queue depth", bounds["max_id_queue_depth"]],
         ["queue bound (watermarks)", bounds["queue_bound"]],
         ["arena peak / capacity (MB)",
@@ -239,6 +320,13 @@ def test_overload(once):
         ["bulk p99 latency (ms)", f"{latency['bulk_p99_s'] * 1e3:.1f}"],
         ["control p99 latency (ms)", f"{latency['control_p99_s'] * 1e3:.1f}"],
         ["control p99 advantage", f"{latency['control_advantage_p99']:.1f}x"],
+        ["slow fetch: escalations", escalation["escalations"]],
+        ["slow fetch: max / settled ID-queue depth",
+         f"{escalation['max_id_queue_depth']} / "
+         f"{escalation['settled_id_queue_depth']}"],
+        ["slow fetch: coalescing bytes",
+         f"{escalation['coalescing_bytes_before']} -> "
+         f"{escalation['coalescing_bytes_after']}"],
     ]
     emit(
         "overload",
@@ -257,10 +345,6 @@ def test_overload(once):
         "the regime is not an overload"
     )
     bound = bounds["queue_bound"]
-    assert bounds["max_header_queue_depth"] <= bound, (
-        f"header queue grew to {bounds['max_header_queue_depth']} "
-        f"(> {bound}): admission is unbounded"
-    )
     assert bounds["max_id_queue_depth"] <= bound, (
         f"ID queue grew to {bounds['max_id_queue_depth']} (> {bound})"
     )
@@ -270,8 +354,32 @@ def test_overload(once):
     assert bounds["arena_peak_bytes"] <= bounds["arena_capacity_bytes"], (
         "arena occupancy exceeded capacity"
     )
+    assert bounds["max_receive_backlog"] <= bound, (
+        f"receive buffer grew to {bounds['max_receive_backlog']} (> {bound})"
+    )
     assert latency["control_delivered"] > 0, "no weights delivered under load"
     assert latency["control_advantage_p99"] >= MIN_CONTROL_ADVANTAGE, (
         f"control p99 only {latency['control_advantage_p99']:.2f}x better "
         f"than bulk (need >= {MIN_CONTROL_ADVANTAGE}x)"
+    )
+
+    # -- the feedback loop (single broker, no telemetry) ------------------
+    assert escalation["header_queue_puts"] == 0  # local traffic: ID queues only
+    assert escalation["escalations"] >= 1, (
+        "the flow controller never escalated: single-broker overload is "
+        "invisible to it"
+    )
+    # The depth bar bites here: a standing backlog formed, and admission
+    # bounded it ...
+    assert (
+        escalation["pressure_threshold"]
+        <= escalation["max_id_queue_depth"]
+        <= escalation["queue_bound"]
+    ), escalation
+    # ... and the lever the controller pulled cleared it.
+    assert (
+        escalation["coalescing_bytes_after"] > escalation["coalescing_bytes_before"]
+    )
+    assert escalation["settled_id_queue_depth"] < escalation["pressure_threshold"], (
+        "the backlog outlived the adaptation"
     )

@@ -42,7 +42,6 @@ class Cluster:
         center: CenterController,
         data_fabric: Fabric,
         control_fabric: Fabric,
-        instrument_hooks: Optional[List[Callable[[Any], None]]] = None,
     ):
         self.config = config
         self.machines = machines
@@ -50,34 +49,35 @@ class Cluster:
         self.data_fabric = data_fabric
         self.control_fabric = control_fabric
         self._started = False
-        #: attached :class:`repro.obs.Telemetry`, if any
-        self.telemetry: Optional[Any] = None
-        # Shared with the supervisor's restart closures: every hook runs on
-        # a freshly built replacement process before it starts, so restarts
-        # stay instrumented (metrics re-attached; the hop log needs nothing).
-        self._instrument_hooks = (
-            instrument_hooks if instrument_hooks is not None else []
-        )
-
-    def add_instrument_hook(self, hook: Callable[[Any], None]) -> None:
-        """Run ``hook(process)`` on every restarted replacement process."""
-        self._instrument_hooks.append(hook)
 
     # -- lookups ---------------------------------------------------------------
+    def processes(self) -> List[Any]:
+        """The learner and explorers deployed *now*: the supervisor swaps a
+        replacement in under the dead process's name, so whoever reads the
+        cluster periodically (telemetry, flow control) follows restarts
+        without being told about them."""
+        return [
+            process for machine in self.machines for process in machine.processes
+        ]
+
+    def endpoints(self) -> List[Any]:
+        """The endpoint of every deployed process and of the controller."""
+        return [process.endpoint for process in self.processes()] + [
+            self.center.endpoint
+        ]
+
     @property
     def learner(self) -> LearnerProcess:
-        for machine in self.machines:
-            for process in machine.processes:
-                if isinstance(process, LearnerProcess):
-                    return process
+        for process in self.processes():
+            if isinstance(process, LearnerProcess):
+                return process
         raise LookupError("no learner deployed")
 
     @property
     def explorers(self) -> List[ExplorerProcess]:
         return [
             process
-            for machine in self.machines
-            for process in machine.processes
+            for process in self.processes()
             if isinstance(process, ExplorerProcess)
         ]
 
@@ -99,11 +99,10 @@ class Cluster:
 
     def raise_worker_errors(self) -> None:
         """Surface any exception captured in a workhorse thread."""
-        for machine in self.machines:
-            for process in machine.processes:
-                error = getattr(process.workhorse, "error", None)
-                if error is not None:
-                    raise error
+        for process in self.processes():
+            error = getattr(process.workhorse, "error", None)
+            if error is not None:
+                raise error
 
 
 def build_cluster(
@@ -206,9 +205,6 @@ def build_cluster(
         center.attach_supervisor(supervisor)
 
     seed_base = config.seed if config.seed is not None else 0
-    # Filled later by Cluster.add_instrument_hook (telemetry attachment);
-    # restart closures capture the list so late hooks still apply.
-    instrument_hooks: List[Callable[[Any], None]] = []
     explorer_index = 0
     for spec, machine in zip(config.machines, machines):
         broker = brokers[spec.name]
@@ -236,7 +232,6 @@ def build_cluster(
                     restart=_make_restart(
                         machine, broker, LEARNER_NAME, build_learner,
                         checkpointer=checkpointer,
-                        instrument_hooks=instrument_hooks,
                     ),
                 )
         for local_index in range(spec.explorers):
@@ -263,16 +258,10 @@ def build_cluster(
                     name,
                     explorer,
                     kind="explorer",
-                    restart=_make_restart(
-                        machine, broker, name, build_explorer,
-                        instrument_hooks=instrument_hooks,
-                    ),
+                    restart=_make_restart(machine, broker, name, build_explorer),
                 )
             explorer_index += 1
-    return Cluster(
-        config, machines, center, data_fabric, control_fabric,
-        instrument_hooks=instrument_hooks,
-    )
+    return Cluster(config, machines, center, data_fabric, control_fabric)
 
 
 def _make_restart(
@@ -282,7 +271,6 @@ def _make_restart(
     build: Callable[[], Any],
     *,
     checkpointer: Optional[Checkpointer] = None,
-    instrument_hooks: Optional[List[Callable[[Any], None]]] = None,
 ):
     """Restart recipe for one process: tear down, rebuild, re-register.
 
@@ -302,8 +290,6 @@ def _make_restart(
         replacement = build()
         if checkpointer is not None:
             checkpointer.restore_latest(replacement.algorithm)
-        for hook in instrument_hooks or ():
-            hook(replacement)
         machine.replace(old, replacement)
         replacement.start()
         return replacement

@@ -15,9 +15,10 @@ from typing import Any, Dict, Optional
 
 from ..transport.fabric import Fabric
 from .communicator import HeaderQueue, ShareMemCommunicator
+from .compression import WireCompressor, wire_decode
 from .concurrency import make_lock, runtime_checks_enabled
 from .errors import LifecycleError
-from .flowcontrol import WireCompressor, release_header_shares, wire_decode
+from .flowcontrol import release_header_shares
 from .object_store import ObjectStore
 from .ownership import receives_ownership
 from .router import AlgorithmAgnosticRouter

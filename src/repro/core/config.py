@@ -9,7 +9,7 @@ plain dict (JSON-compatible) via :meth:`XingTianConfig.from_dict`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from .errors import ConfigError
@@ -151,8 +151,8 @@ class FlowControlSpec:
     trajectory past the watermark, and control admission blocks its
     producer up to ``control_deadline_s`` before failing loudly with
     :class:`~repro.core.errors.BackpressureError`.  A
-    :class:`~repro.obs.flowcontroller.FlowController` polls the metrics
-    registry and adapts coalescing/compression/admission at runtime.
+    :class:`~repro.obs.flowcontroller.FlowController` reads the queues'
+    depths and adapts coalescing/compression/admission at runtime.
     ``None`` (the default) leaves both lanes of every queue unbounded —
     nothing sheds, blocks or expires — with no adaptation.
     """
@@ -229,11 +229,11 @@ class TelemetrySpec:
 
     When attached to a config, the session builds a
     :class:`~repro.obs.telemetry.Telemetry` object: a metrics registry, a
-    tracer feeding live message-lifecycle span aggregation, and a periodic
-    sampler polling queue depths / object-store totals / endpoint
-    backpressure.  The resulting snapshot lands in ``RunResult.metrics``.
-    ``None`` (the default) keeps telemetry fully off — endpoints and the
-    router then pay only a ``is None`` check per message.
+    tracer and live message-lifecycle span aggregation subscribed to the
+    hop log, and a periodic sampler reading queue depths, object-store
+    totals and the meters each process keeps about itself.  The resulting
+    snapshot lands in ``RunResult.metrics``.  ``None`` (the default) keeps
+    telemetry fully off; the data plane runs the same code either way.
     """
 
     enabled: bool = True
@@ -367,57 +367,54 @@ class XingTianConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "XingTianConfig":
+        """Build (and validate) a config from a JSON-shaped dict; an unknown
+        key, at the top level or inside a nested block, is a
+        :class:`ConfigError` naming it."""
         data = dict(data)
         machines = [
-            spec if isinstance(spec, MachineSpec) else MachineSpec(**spec)
+            _build(MachineSpec, spec, "machines[]")
             for spec in data.pop("machines", [])
         ] or [MachineSpec("machine-0", explorers=1, has_learner=True)]
-        stop_data = data.pop("stop", None)
-        if isinstance(stop_data, StopCondition):
-            stop = stop_data
-        elif stop_data:
-            stop = StopCondition(**stop_data)
-        else:
-            stop = StopCondition(max_seconds=10.0)
-        supervision_data = data.pop("supervision", None)
-        if isinstance(supervision_data, SupervisionSpec):
-            supervision: Optional[SupervisionSpec] = supervision_data
-        elif supervision_data:
-            supervision = SupervisionSpec(**supervision_data)
-        else:
-            supervision = None
-        telemetry_data = data.pop("telemetry", None)
-        if isinstance(telemetry_data, TelemetrySpec):
-            telemetry: Optional[TelemetrySpec] = telemetry_data
-        elif telemetry_data:
-            telemetry = TelemetrySpec(**telemetry_data)
-        else:
-            telemetry = None
-        coalescing_data = data.pop("coalescing", None)
-        if isinstance(coalescing_data, CoalescingSpec):
-            coalescing: Optional[CoalescingSpec] = coalescing_data
-        elif coalescing_data:
-            coalescing = CoalescingSpec(**coalescing_data)
-        else:
-            coalescing = None
-        flow_data = data.pop("flow_control", None)
-        if isinstance(flow_data, FlowControlSpec):
-            flow_control: Optional[FlowControlSpec] = flow_data
-        elif flow_data:
-            flow_control = FlowControlSpec(**flow_data)
-        else:
-            flow_control = None
-        config = cls(
-            machines=machines,
-            stop=stop,
-            supervision=supervision,
-            telemetry=telemetry,
-            coalescing=coalescing,
-            flow_control=flow_control,
-            **data,
-        )
+        nested = {
+            key: _build(spec_cls, data.pop(key, None), key)
+            for key, spec_cls in _NESTED_SPECS.items()
+        }
+        if nested["stop"] is None:
+            nested["stop"] = StopCondition(max_seconds=10.0)
+        config = _build(cls, {**data, "machines": machines, **nested}, "config")
         config.validate()
         return config
+
+
+#: config keys holding a nested spec block, and the dataclass each builds
+_NESTED_SPECS = {
+    "stop": StopCondition,
+    "supervision": SupervisionSpec,
+    "telemetry": TelemetrySpec,
+    "coalescing": CoalescingSpec,
+    "flow_control": FlowControlSpec,
+}
+
+
+def _build(spec_cls: type, data: Any, where: str) -> Any:
+    """``spec_cls(**data)``; an instance passes through, an empty block is
+    ``None``, an unknown key is a :class:`ConfigError` (config files are
+    outside input, not code)."""
+    if isinstance(data, spec_cls):
+        return data
+    if not data:
+        return None
+    known = {spec_field.name for spec_field in fields(spec_cls)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key(s) {', '.join(map(repr, unknown))} "
+            f"(known: {', '.join(sorted(known))})"
+        )
+    try:
+        return spec_cls(**data)
+    except TypeError as exc:  # a required key is missing
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def single_machine_config(

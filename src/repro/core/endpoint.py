@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .broker import Broker
 from .buffers import MessageBuffer
@@ -54,6 +54,9 @@ from .tracing import dump_all, emit, emit_many
 #: One staged header: (header, originals) — ``originals`` are the
 #: workhorse-visible messages the header carries (one, or a batch).
 _Staged = Tuple[dict, List[Message]]
+
+#: envelope sizes are counts, not seconds: 2 .. 1024 sub-messages
+_BATCH_SIZE_BUCKETS = tuple(float(2 ** power) for power in range(1, 11))
 
 #: Per-wakeup drain bound when coalescing is off (amortizes queue locks
 #: without changing what crosses the wire).
@@ -110,45 +113,14 @@ class ProcessEndpoint:
         self._receiver: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._started = False
-        # Instrumentation.
+        # What this endpoint records about itself — once; telemetry reads
+        # these (docs/OBSERVABILITY.md), it attaches nothing.
         self.sent_meter = ThroughputMeter()
         self.received_meter = ThroughputMeter()
         self.delivery_latency = LatencyRecorder(f"{name}.delivery")
-        # Telemetry instruments (None until attach_metrics; hot paths only
-        # pay a None check while telemetry is off).
-        self._messages_sent: Optional[Any] = None
-        self._bytes_sent: Optional[Any] = None
-        self._messages_received: Optional[Any] = None
-        self._bytes_received: Optional[Any] = None
-        self._delivery_histogram: Optional[Any] = None
-        self._coalesce_histogram: Optional[Any] = None
-
-    def attach_metrics(self, registry: Any) -> None:
-        """Register this endpoint's counters/histograms on ``registry``."""
-        labels = {"process": self.name}
-        self._messages_sent = registry.counter(
-            "endpoint_messages_sent_total", labels,
-            help="messages staged for transmission by the workhorse",
-        )
-        self._bytes_sent = registry.counter(
-            "endpoint_bytes_sent_total", labels,
-            help="payload bytes staged for transmission",
-        )
-        self._messages_received = registry.counter(
-            "endpoint_messages_received_total", labels,
-            help="messages landed in the local receive buffer",
-        )
-        self._bytes_received = registry.counter(
-            "endpoint_bytes_received_total", labels,
-            help="payload bytes landed in the local receive buffer",
-        )
-        self._delivery_histogram = registry.histogram(
-            "endpoint_delivery_latency_seconds", labels,
-            help="message age when the receiver thread lands it",
-        )
-        self._coalesce_histogram = registry.histogram(
-            "endpoint_coalesce_batch_size", labels,
-            help="sub-messages per coalesced BATCH envelope",
+        #: sub-messages per coalesced BATCH envelope
+        self.coalesce_sizes = LatencyRecorder(
+            f"{name}.coalesce", buckets=_BATCH_SIZE_BUCKETS
         )
 
     # -- lifecycle ----------------------------------------------------------
@@ -201,9 +173,6 @@ class ProcessEndpoint:
                 message.frame = frame
         ensure_trace(message.header)
         emit("sent", self.name, message.header)
-        if self._messages_sent is not None:
-            self._messages_sent.inc()
-            self._bytes_sent.inc(message.body_size)
         try:
             self.send_buffer.put(message)
         except RuntimeError:
@@ -305,8 +274,7 @@ class ProcessEndpoint:
         envelope = pack_batch(run)
         header, _ = self._stage(envelope)
         staged.append((header, list(run)))
-        if self._coalesce_histogram is not None:
-            self._coalesce_histogram.observe(len(run))
+        self.coalesce_sizes.record(len(run))
 
     @transfers_ownership("headers carry the object IDs to the ID queues")
     def _sender_loop(self) -> None:
@@ -340,7 +308,7 @@ class ProcessEndpoint:
             if remainders:
                 staged = self._forward_remote(staged, remainders)
             self.sent_meter.record_many([
-                max(message.body_size, 1)
+                message.body_size
                 for _, originals in staged
                 for message in originals
             ])
@@ -431,18 +399,12 @@ class ProcessEndpoint:
                 header[COMPRESSED] = False
                 deliveries.append(Message(header, body))
             now = time.monotonic()  # one clock read ages the whole batch
-            ages = [message.age(now) for message in deliveries]
-            self.delivery_latency.record_many(ages)
-            self.received_meter.record_many(
-                [max(message.body_size, 1) for message in deliveries]
+            self.delivery_latency.record_many(
+                [message.age(now) for message in deliveries]
             )
-            if self._messages_received is not None:
-                self._messages_received.inc(len(deliveries))
-                self._bytes_received.inc(
-                    sum(message.body_size for message in deliveries)
-                )
-                for age in ages:
-                    self._delivery_histogram.observe(max(age, 0.0))
+            self.received_meter.record_many(
+                [message.body_size for message in deliveries]
+            )
             emit_many(
                 "delivered", self.name, [message.header for message in deliveries]
             )

@@ -11,7 +11,7 @@ weights before generating the next fragment (Fig. 1a).
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from ..api.agent import Agent
 from .broker import Broker
@@ -60,28 +60,8 @@ class ExplorerProcess:
         self._have_initial_weights = not self.agent.algorithm.on_policy
         self._last_stats = time.monotonic()
         self._pending_returns: list = []
-        self._steps_since_stats = 0
+        self._steps_reported = 0
         self._episodes_reported = 0
-        # Telemetry instruments (None until attach_metrics).
-        self._steps_counter: Optional[Any] = None
-        self._fragments_counter: Optional[Any] = None
-        self._weight_updates_counter: Optional[Any] = None
-
-    def attach_metrics(self, registry: Any) -> None:
-        """Register rollout-progress counters on ``registry``."""
-        labels = {"process": self.name}
-        self._steps_counter = registry.counter(
-            "explorer_env_steps_total", labels,
-            help="environment steps generated",
-        )
-        self._fragments_counter = registry.counter(
-            "explorer_fragments_total", labels,
-            help="rollout fragments staged for the learner",
-        )
-        self._weight_updates_counter = registry.counter(
-            "explorer_weight_updates_total", labels,
-            help="weight broadcasts applied",
-        )
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -120,8 +100,6 @@ class ExplorerProcess:
         self._pending_returns.extend(finished_returns)
         steps = len(rollout.get("reward", ()))
         self.steps_meter.record(steps)
-        if self._steps_counter is not None:
-            self._steps_counter.inc(steps)
         message = make_message(
             self.name,
             [self.learner_name],
@@ -131,11 +109,9 @@ class ExplorerProcess:
         )
         self.endpoint.send(message)
         self.fragments_sent += 1
-        if self._fragments_counter is not None:
-            self._fragments_counter.inc()
         if self.agent.algorithm.on_policy:
             self._awaiting_weights = True
-        self._maybe_send_stats(steps)
+        self._maybe_send_stats()
         return True
 
     def _drain_inbox(self, block: bool) -> bool:
@@ -160,8 +136,6 @@ class ExplorerProcess:
         if latest_weights is not None:
             self.agent.set_weights(latest_weights)
             self.weight_updates += 1
-            if self._weight_updates_counter is not None:
-                self._weight_updates_counter.inc()
             self._awaiting_weights = False
             self._have_initial_weights = True
         return True
@@ -178,8 +152,7 @@ class ExplorerProcess:
         )
         self.heartbeats_sent += 1
 
-    def _maybe_send_stats(self, steps: int) -> None:
-        self._steps_since_stats += steps
+    def _maybe_send_stats(self) -> None:
         if self.controller_name is None:
             return
         now = time.monotonic()
@@ -187,14 +160,15 @@ class ExplorerProcess:
             return
         self._last_stats = now
         # Reports carry per-interval deltas so the collector can sum them.
+        steps = int(self.steps_meter.total)
         report = ProcessStats(
             source=self.name,
-            steps=self._steps_since_stats,
+            steps=steps - self._steps_reported,
             episodes=self.agent.completed_episodes - self._episodes_reported,
             episode_returns=list(self._pending_returns),
             messages_sent=self.fragments_sent,
         )
-        self._steps_since_stats = 0
+        self._steps_reported = steps
         self._episodes_reported = self.agent.completed_episodes
         self._pending_returns.clear()
         self.endpoint.send(

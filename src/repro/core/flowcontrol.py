@@ -1,24 +1,19 @@
 """Adaptive overload control: priority lanes, watermarks, backpressure.
 
 The broker degrades *gracefully* instead of silently when producers outrun
-consumers (docs/FLOW_CONTROL.md).  Two pieces live here:
-
-* :class:`LaneChannel` — the two-lane primitive every queue and buffer of
-  the data plane is built on (:class:`~repro.core.communicator.HeaderQueue`
-  for header dicts, :class:`~repro.core.buffers.MessageBuffer` for whole
-  messages).  The **control** lane (weights, commands, heartbeats, stats)
-  drains first and blocks its producer with a deadline at the high
-  watermark; the **bulk** lane (rollouts, generic data, batch envelopes)
-  sheds its *oldest* entry past the watermark — in DRL the freshest
-  trajectory is the most on-policy one, so old experience is the right
-  thing to lose.  Within a lane FIFO order is untouched, so ordering is
-  per-(destination, lane) FIFO.  A lane without a watermark is unbounded:
-  with no :class:`~repro.core.config.FlowControlSpec` neither lane has
-  one, so nothing ever sheds, blocks or expires.
-
-* :class:`WireCompressor` — the broker's adaptive fabric-boundary codec
-  the :class:`~repro.obs.flowcontroller.FlowController` switches on when
-  link throughput sags.
+consumers (docs/FLOW_CONTROL.md).  :class:`LaneChannel` is the two-lane
+primitive every queue and buffer of the data plane is built on
+(:class:`~repro.core.communicator.HeaderQueue` for header dicts,
+:class:`~repro.core.buffers.MessageBuffer` for whole messages).  The
+**control** lane (weights, commands, heartbeats, stats) drains first and
+blocks its producer with a deadline at the high watermark; the **bulk**
+lane (rollouts, generic data, batch envelopes) sheds its *oldest* entry
+past the watermark — in DRL the freshest trajectory is the most on-policy
+one, so old experience is the right thing to lose.  Within a lane FIFO
+order is untouched, so ordering is per-(destination, lane) FIFO.  A lane
+without a watermark is unbounded: with no
+:class:`~repro.core.config.FlowControlSpec` neither lane has one, so
+nothing ever sheds, blocks or expires.
 """
 
 from __future__ import annotations
@@ -30,12 +25,10 @@ from dataclasses import replace
 from enum import Enum
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from .compression import get_codec
 from .concurrency import make_lock
 from .config import FlowControlSpec
 from .errors import BackpressureError
-from .message import DST, OBJECT_ID, TYPE, WIRE_CODEC, MsgType
-from .serialization import deserialize, serialize
+from .message import DST, OBJECT_ID, MsgType
 from .tracing import TERMINAL_EXPIRED, TERMINAL_REJECTED, TERMINAL_SHED
 
 class Lane(str, Enum):
@@ -481,87 +474,6 @@ class LaneChannel:
                 stats[f"{prefix}_block_seconds"] = counters.block_seconds
                 stats[f"{prefix}_expired"] = float(counters.expired)
             return stats
-
-
-class WireCompressor:
-    """Adaptive fabric-boundary compression for bulk-lane bodies.
-
-    Off by default; the FlowController enables it when a link's throughput
-    sags (CPU-for-bandwidth, the same trade the store-level
-    :class:`~repro.core.compression.CompressionPolicy` makes at rest).
-    ``encode`` serializes+compresses the body and rewrites the wire byte
-    count, so a throttled NIC model charges the compressed size; ``decode``
-    on the receiving broker restores the original body before routing.
-    """
-
-    def __init__(self, name: str, *, codec: str = "zlib", min_bytes: int = 1 << 10):
-        self.name = name
-        self.codec = codec
-        self.min_bytes = min_bytes
-        self._enabled = False
-        self._lock = make_lock(f"wire.{name}")
-        self.compressed_total = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
-
-    @property
-    def enabled(self) -> bool:
-        with self._lock:
-            return self._enabled
-
-    def set_enabled(self, active: bool) -> None:
-        with self._lock:
-            self._enabled = active
-
-    def wants(self, header: Dict[str, Any], body: Any, nbytes: int) -> bool:
-        return (
-            self.enabled
-            and body is not None
-            and nbytes >= self.min_bytes
-            and header.get(WIRE_CODEC) is None
-            and lane_of(header.get(TYPE)) is _BULK
-        )
-
-    def encode(
-        self, header: Dict[str, Any], body: Any, nbytes: int
-    ) -> Tuple[Dict[str, Any], Any, int]:
-        blob = get_codec(self.codec).compress(serialize(body))
-        header = dict(header)
-        header[WIRE_CODEC] = self.codec
-        with self._lock:
-            self.compressed_total += 1
-            self.bytes_in += max(0, int(nbytes))
-            self.bytes_out += len(blob)
-        return header, blob, len(blob)
-
-    def decode(
-        self, header: Dict[str, Any], body: Any
-    ) -> Tuple[Dict[str, Any], Any]:
-        return wire_decode(header, body)
-
-    def stats(self) -> Dict[str, float]:
-        with self._lock:
-            return {
-                "enabled": float(self._enabled),
-                "compressed_total": float(self.compressed_total),
-                "bytes_in": float(self.bytes_in),
-                "bytes_out": float(self.bytes_out),
-            }
-
-
-def wire_decode(header: Dict[str, Any], body: Any) -> Tuple[Dict[str, Any], Any]:
-    """Restore a body the sending broker compressed at the fabric boundary.
-
-    Driven purely by the header's ``WIRE_CODEC`` stamp so a receiving broker
-    decodes correctly regardless of its own wire-compression state.
-    """
-    codec = header.get(WIRE_CODEC)
-    if codec is None:
-        return header, body
-    restored = deserialize(get_codec(codec).decompress(body))
-    header = dict(header)
-    header[WIRE_CODEC] = None
-    return header, restored
 
 
 def release_header_shares(

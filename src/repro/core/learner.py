@@ -18,7 +18,7 @@ Instrumented with exactly the quantities the paper's figures report:
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional
 
 from ..api.algorithm import Algorithm
 from .broker import Broker
@@ -68,38 +68,8 @@ class LearnerProcess:
         self.broadcasts = 0
         self._wait_started: Optional[float] = None
         self._last_stats = time.monotonic()
-        self._trained_steps_since_stats = 0
-        self._sessions_since_stats = 0
-        # Telemetry instruments (None until attach_metrics).
-        self._wait_histogram: Optional[Any] = None
-        self._train_histogram: Optional[Any] = None
-        self._sessions_counter: Optional[Any] = None
-        self._trained_steps_counter: Optional[Any] = None
-        self._broadcasts_counter: Optional[Any] = None
-
-    def attach_metrics(self, registry: Any) -> None:
-        """Register trainer wait/train histograms and progress counters."""
-        labels = {"process": self.name}
-        self._wait_histogram = registry.histogram(
-            "trainer_wait_seconds", labels,
-            help="actual wait: idle time before a training session starts",
-        )
-        self._train_histogram = registry.histogram(
-            "trainer_train_seconds", labels,
-            help="wall time of one training session",
-        )
-        self._sessions_counter = registry.counter(
-            "trainer_train_sessions_total", labels,
-            help="completed training sessions",
-        )
-        self._trained_steps_counter = registry.counter(
-            "trainer_trained_steps_total", labels,
-            help="rollout steps consumed by training",
-        )
-        self._broadcasts_counter = registry.counter(
-            "trainer_broadcasts_total", labels,
-            help="weight broadcasts staged for explorers",
-        )
+        self._sessions_reported = 0
+        self._steps_reported = 0
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -149,23 +119,12 @@ class LearnerProcess:
             if self._wait_started is not None:
                 waited = time.monotonic() - self._wait_started
                 self.wait_recorder.record(waited)
-                if self._wait_histogram is not None:
-                    self._wait_histogram.observe(waited)
                 self._wait_started = None
-            train_started = time.monotonic()
             with self.train_recorder.time():
                 metrics = self.algorithm.train()
-            if self._train_histogram is not None:
-                self._train_histogram.observe(time.monotonic() - train_started)
-                self._sessions_counter.inc()
             self.train_sessions += 1
-            self._sessions_since_stats += 1
             trained = True
-            consumed = int(metrics.get("trained_steps", steps))
-            self.consumed_meter.record(consumed)
-            if self._trained_steps_counter is not None:
-                self._trained_steps_counter.inc(consumed)
-            self._trained_steps_since_stats += consumed
+            self.consumed_meter.record(int(metrics.get("trained_steps", steps)))
             if self.algorithm.should_broadcast():
                 self._broadcast(self.algorithm.broadcast_targets(self.explorer_names))
         if trained:
@@ -188,8 +147,6 @@ class LearnerProcess:
         )
         self.endpoint.send(message)
         self.broadcasts += 1
-        if self._broadcasts_counter is not None:
-            self._broadcasts_counter.inc()
 
     def _maybe_send_heartbeat(self) -> None:
         if self.heartbeat_interval is None or self.controller_name is None:
@@ -210,13 +167,14 @@ class LearnerProcess:
         if now - self._last_stats < self.stats_interval:
             return
         self._last_stats = now
+        # Per-interval deltas of what the trainer already counts.
+        sessions, steps = self.train_sessions, self.consumed_meter.total
         report = ProcessStats(
             source=self.name,
-            train_iterations=self._sessions_since_stats,
-            extra={"trained_steps": float(self._trained_steps_since_stats)},
+            train_iterations=sessions - self._sessions_reported,
+            extra={"trained_steps": steps - self._steps_reported},
         )
-        self._sessions_since_stats = 0
-        self._trained_steps_since_stats = 0
+        self._sessions_reported, self._steps_reported = sessions, steps
         self.endpoint.send(
             make_message(self.name, [self.controller_name], MsgType.STATS, report)
         )

@@ -8,9 +8,11 @@ breakdowns (Figs. 8–10b), and wait-time CDFs (Fig. 8c).
 
 from __future__ import annotations
 
+import math
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -18,6 +20,16 @@ from .concurrency import make_lock
 
 #: latency samples a :class:`LatencyRecorder` retains (its most recent)
 _MAX_SAMPLES = 65_536
+
+#: Default latency buckets (seconds): ~10µs .. 10s, roughly 1-2-5 decades.
+DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
+    1e-5, 2e-5, 5e-5,
+    1e-4, 2e-4, 5e-4,
+    1e-3, 2e-3, 5e-3,
+    1e-2, 2e-2, 5e-2,
+    1e-1, 2e-1, 5e-1,
+    1.0, 2.0, 5.0, 10.0,
+)
 
 
 class ThroughputMeter:
@@ -50,18 +62,14 @@ class ThroughputMeter:
         self._lock = make_lock("stats.throughput_meter")
         self._events: List[Tuple[float, float]] = []
         self._total = 0.0
+        self._count = 0
         self._start = clock()
         self._max_events = max_events
         self._resolution = compaction_resolution
         self._compacted = False
 
     def record(self, amount: float = 1.0) -> None:
-        now = self._clock()
-        with self._lock:
-            self._events.append((now, amount))
-            self._total += amount
-            if len(self._events) > self._max_events:
-                self._compact_locked()
+        self.record_many((amount,))
 
     def record_many(self, amounts: Sequence[float]) -> None:
         """Record a batch of events sharing one timestamp.
@@ -78,6 +86,7 @@ class ThroughputMeter:
         with self._lock:
             self._events.append((now, subtotal))
             self._total += subtotal
+            self._count += len(amounts)
             if len(self._events) > self._max_events:
                 self._compact_locked()
 
@@ -109,6 +118,13 @@ class ThroughputMeter:
         with self._lock:
             return self._total
 
+    @property
+    def count(self) -> int:
+        """Recordings made: one per :meth:`record`, one per amount of a
+        :meth:`record_many` batch — for an endpoint's meters, messages."""
+        with self._lock:
+            return self._count
+
     def elapsed(self) -> float:
         return max(self._clock() - self._start, 1e-12)
 
@@ -132,50 +148,86 @@ class ThroughputMeter:
 
 
 class LatencyRecorder:
-    """Accumulates latency samples and reports means, quantiles, and CDFs.
+    """Accumulates latency samples: means, quantiles, CDFs and a histogram.
 
-    Memory is bounded: ``count`` and ``mean()`` are exact over every sample
-    ever recorded (a running count and sum), while ``quantile``, ``cdf``,
+    The one latency instrument of the tree: processes feed it on their hot
+    paths, the figures read its quantiles and CDFs, and ``repro.obs``
+    exports it as a fixed-bucket histogram by reading :meth:`bucket_counts`
+    — nothing is recorded a second time for telemetry.
+
+    Memory is bounded: ``count``, ``sum``, ``mean()`` and the bucket counts
+    are exact over every sample ever recorded, while ``quantile``, ``cdf``,
     ``fraction_below`` and ``samples()`` describe the most recent 65 536
     — an endpoint records one sample per delivered message for as long as
-    it lives.
+    it lives.  ``buckets`` are ascending upper bounds; an implicit +Inf
+    bucket catches overflow.
     """
 
-    def __init__(self, name: str = ""):
+    def __init__(
+        self, name: str = "", *, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS
+    ):
+        bounds = tuple(float(b) for b in buckets)
+        if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
+            raise ValueError("histogram buckets must be non-empty and ascending")
         self.name = name
+        self.bounds = bounds
         self._lock = make_lock("stats.latency_recorder")
         self._samples: Deque[float] = deque(maxlen=_MAX_SAMPLES)
+        self._bucketed = [0] * (len(bounds) + 1)  # last slot = +Inf
         self._count = 0
         self._sum = 0.0
 
     def record(self, seconds: float) -> None:
-        with self._lock:
-            self._samples.append(seconds)
-            self._count += 1
-            self._sum += seconds
+        self.record_many((seconds,))
 
     def record_many(self, seconds: Sequence[float]) -> None:
         """Append a batch of samples under one lock acquisition."""
         if not seconds:
             return
         subtotal = sum(seconds)
+        bounds = self.bounds
+        indices = [bisect_left(bounds, sample) for sample in seconds]
         with self._lock:
             self._samples.extend(seconds)
+            bucketed = self._bucketed
+            for index in indices:
+                bucketed[index] += 1
             self._count += len(seconds)
             self._sum += subtotal
 
+    @contextmanager
     def time(self):
         """Context manager that records the elapsed time of its block."""
-        return _Timer(self)
+        started = time.monotonic()
+        try:
+            yield self
+        finally:
+            self.record(time.monotonic() - started)
 
     @property
     def count(self) -> int:
         with self._lock:
             return self._count
 
+    @property
+    def sum(self) -> float:
+        with self._lock:
+            return self._sum
+
     def mean(self) -> float:
         with self._lock:
             return self._sum / self._count if self._count else 0.0
+
+    def bucket_counts(self) -> List[Tuple[float, int]]:
+        """``(upper_bound, cumulative_count)`` pairs, +Inf last."""
+        with self._lock:
+            counts = list(self._bucketed)
+        cumulative: List[Tuple[float, int]] = []
+        running = 0
+        for bound, count in zip(self.bounds + (math.inf,), counts):
+            running += count
+            cumulative.append((bound, running))
+        return cumulative
 
     def quantile(self, q: float) -> float:
         if not 0.0 <= q <= 1.0:
@@ -211,20 +263,6 @@ class LatencyRecorder:
         """The retained (most recent) samples, oldest first."""
         with self._lock:
             return list(self._samples)
-
-
-class _Timer:
-    def __init__(self, recorder: LatencyRecorder):
-        self._recorder = recorder
-        self._start = 0.0
-
-    def __enter__(self):
-        self._start = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self._recorder.record(time.monotonic() - self._start)
-        return False
 
 
 @dataclass

@@ -22,8 +22,8 @@ The log feeds two views of the same stream:
   the ring, ``REPRO_FLIGHTREC_CAPACITY`` sizes it.
 * **subscribers** — only while one is attached does the log also build the
   detailed :class:`TraceEvent` of each record and hand the call's batch
-  over.  :class:`Tracer` is the stock subscriber (a bounded buffer with an
-  optional sink); telemetry attaches one for the length of a run.
+  over.  :class:`Tracer` is the stock subscriber (a bounded buffer);
+  telemetry attaches one, and its span aggregator, for the length of a run.
 
 A coalesced BATCH envelope stands for its sub-messages: the log expands
 its ``BATCH_SEQS`` into one record per sub-message, so every view sees the
@@ -212,6 +212,11 @@ class HopLog:
         return self if enabled else None
 
     # -- subscribers ----------------------------------------------------------
+    @property
+    def subscribers(self) -> Tuple[Subscriber, ...]:
+        """Who is attached now (empty: hops cost their ring record only)."""
+        return self._subscribers
+
     def subscribe(self, subscriber: Subscriber) -> None:
         with self._lock:
             if subscriber not in self._subscribers:
@@ -441,26 +446,59 @@ def load_dump(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     return meta, events
 
 
+#: schema tag of a JSONL trace file (see :mod:`repro.obs.trace.events`)
+TRACE_SCHEMA = "repro.trace/v1"
+
+
+def event_to_dict(event: Any) -> Dict[str, Any]:
+    """Normalize a :class:`~repro.core.tracing.TraceEvent` (or dict)."""
+    if isinstance(event, dict):
+        return {
+            "ts": float(event.get("ts", 0.0)),
+            "kind": str(event.get("kind", "")),
+            "source": str(event.get("source", "")),
+            "detail": dict(event.get("detail") or {}),
+        }
+    return {
+        "ts": float(event.timestamp),
+        "kind": str(event.kind),
+        "source": str(event.source),
+        "detail": dict(event.detail),
+    }
+
+
+def write_events(
+    path: str, events: Iterable[Any], *, process: Optional[str] = None
+) -> str:
+    """Write a JSONL trace file (its meta line first)."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    header: Dict[str, Any] = {"format": TRACE_SCHEMA}
+    if process:
+        header["process"] = process
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps({"meta": header}, sort_keys=True) + "\n")
+        for event in events:
+            handle.write(
+                json.dumps(event_to_dict(event), sort_keys=True, default=str)
+                + "\n"
+            )
+    return path
+
+
 class Tracer:
     """The stock hop-log subscriber: a bounded in-memory event buffer.
 
-    ``sink`` (optional) is called with every event *outside* the buffer
-    lock — the telemetry layer hangs its live span aggregation off this,
-    seeing every event even after the buffer wraps.  Sinks must be
-    thread-safe and cheap; a raising sink disables itself rather than
-    poisoning the hot path (the buffer keeps filling).
+    Anything that must see *every* event, however far the buffer has
+    wrapped, subscribes to the log itself (the span aggregator does).
     """
 
-    def __init__(
-        self,
-        capacity: int = 10_000,
-        sink: Optional[Callable[[TraceEvent], None]] = None,
-    ):
+    def __init__(self, capacity: int = 10_000):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self._lock = make_lock("tracer")
-        self._sink = sink
         self._log: Optional[HopLog] = None
 
     def attach(self, log: Optional[HopLog] = None) -> "Tracer":
@@ -479,13 +517,6 @@ class Tracer:
     def _observe(self, events: Iterable[TraceEvent]) -> None:
         with self._lock:
             self._events.extend(events)
-        sink = self._sink
-        if sink is not None:
-            try:
-                for event in events:
-                    sink(event)
-            except Exception:  # noqa: BLE001 - a broken sink must not kill senders
-                self._sink = None
 
     # -- queries -----------------------------------------------------------
     def events(

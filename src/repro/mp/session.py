@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..core.stats import LatencyRecorder, ThroughputMeter
-from ..core.tracing import Tracer, emit
+from ..core.tracing import Tracer, emit, write_events
 from .channel import TRACE_META, MpChannel, SharedSlabPool, discard_body
 
 
@@ -35,8 +35,6 @@ class MpRunResult:
     throughput_steps_per_s: float = 0.0
     mean_wait_s: float = 0.0
     mean_train_s: float = 0.0
-    #: ``repro.obs`` JSON snapshot when the session enables telemetry
-    metrics: Dict[str, Any] = field(default_factory=dict)
     #: per-process JSONL trace files when the session sets ``trace_dir``
     #: (merge them with ``python -m repro.obs.trace``)
     trace_files: List[str] = field(default_factory=list)
@@ -55,8 +53,6 @@ _TRACE_CAPACITY = 1 << 20
 
 def _write_trace(tracer: Tracer, trace_dir: str, process: str) -> None:
     """Detach ``tracer`` and write what it saw as ``<process>.jsonl``."""
-    from ..obs.trace.events import write_events
-
     tracer.detach()
     write_events(
         os.path.join(trace_dir, f"{process}.jsonl"), tracer.events(),
@@ -126,7 +122,6 @@ class MpSession:
         *,
         num_explorers: int = 2,
         broadcast_every: int = 1,
-        telemetry: bool = False,
         trace_dir: Optional[str] = None,
         use_pool: bool = True,
         pool_block_bytes: int = 1 << 20,
@@ -137,7 +132,6 @@ class MpSession:
         self.spec = dict(spec)
         self.num_explorers = num_explorers
         self.broadcast_every = broadcast_every
-        self.telemetry = telemetry
         #: when set, every process writes its trace ring here as JSONL
         #: (``<process>.jsonl``) at shutdown; use a fresh directory per run
         self.trace_dir = trace_dir
@@ -192,42 +186,16 @@ class MpSession:
             )
             workers.append(worker)
 
-        consumed = ThroughputMeter()
-        wait_recorder = LatencyRecorder("mp.wait")
-        train_recorder = LatencyRecorder("mp.train")
+        # The trainer loop's instruments, kept under the names a
+        # LearnerProcess gives its own (``MetricsRegistry.expose`` exports
+        # the recorders of a finished run).
+        consumed = self.consumed_meter = ThroughputMeter()
+        wait_recorder = self.wait_recorder = LatencyRecorder("mp.wait")
+        train_recorder = self.train_recorder = LatencyRecorder("mp.train")
         episode_returns: List[float] = []
         rollouts_received = 0
         train_sessions = 0
         tracer = Tracer(_TRACE_CAPACITY) if self.trace_dir is not None else None
-
-        registry_obs = None
-        wait_histogram = train_histogram = None
-        rollouts_counter = steps_counter = sessions_counter = None
-        if self.telemetry:
-            from ..obs import MetricsRegistry
-
-            registry_obs = MetricsRegistry()
-            labels = {"process": "learner"}
-            wait_histogram = registry_obs.histogram(
-                "trainer_wait_seconds", labels,
-                help="actual wait: idle time before a training session starts",
-            )
-            train_histogram = registry_obs.histogram(
-                "trainer_train_seconds", labels,
-                help="wall time of one training session",
-            )
-            rollouts_counter = registry_obs.counter(
-                "trainer_rollouts_received_total", labels,
-                help="rollout fragments received from explorer processes",
-            )
-            steps_counter = registry_obs.counter(
-                "trainer_trained_steps_total", labels,
-                help="rollout steps consumed by training",
-            )
-            sessions_counter = registry_obs.counter(
-                "trainer_train_sessions_total", labels,
-                help="completed training sessions",
-            )
 
         started = time.monotonic()
         deadline = started + max_seconds if max_seconds else None
@@ -254,33 +222,22 @@ class MpSession:
                     continue
                 waited = time.monotonic() - wait_started
                 wait_recorder.record(waited)
-                if wait_histogram is not None:
-                    wait_histogram.observe(waited)
                 explorer, rollout, metadata = received
                 context = metadata.pop(TRACE_META, None)
                 if context is not None:
                     emit("delivered", "learner.recv", context)
                 episode_returns.extend(metadata.get("returns", []))
                 rollouts_received += 1
-                if rollouts_counter is not None:
-                    rollouts_counter.inc()
                 algorithm.prepare_data(rollout, source=explorer)
                 if context is not None:
                     emit("consumed", "learner.recv", context)
                 while algorithm.ready_to_train():
-                    train_started = time.monotonic()
                     emit("train_start", "learner")
                     with train_recorder.time():
                         metrics = algorithm.train()
                     emit("train_end", "learner")
-                    if train_histogram is not None:
-                        train_histogram.observe(time.monotonic() - train_started)
-                        sessions_counter.inc()
                     train_sessions += 1
-                    trained = int(metrics.get("trained_steps", 0))
-                    consumed.record(trained)
-                    if steps_counter is not None:
-                        steps_counter.inc(trained)
+                    consumed.record(int(metrics.get("trained_steps", 0)))
                     if train_sessions % self.broadcast_every == 0:
                         weights = algorithm.get_weights()
                         targets = algorithm.broadcast_targets(
@@ -308,13 +265,6 @@ class MpSession:
             trace_files = sorted(
                 glob.glob(os.path.join(self.trace_dir, "*.jsonl"))
             )
-        metrics_snapshot: Dict[str, Any] = {}
-        if registry_obs is not None:
-            from ..obs import snapshot as obs_snapshot
-
-            metrics_snapshot = obs_snapshot(
-                registry_obs, meta={"elapsed_s": round(elapsed, 6), "mode": "mp"}
-            )
         return MpRunResult(
             elapsed_s=elapsed,
             trained_steps=int(consumed.total),
@@ -324,7 +274,6 @@ class MpSession:
             throughput_steps_per_s=consumed.total / max(elapsed, 1e-9),
             mean_wait_s=wait_recorder.mean(),
             mean_train_s=train_recorder.mean(),
-            metrics=metrics_snapshot,
             trace_files=trace_files,
         )
 

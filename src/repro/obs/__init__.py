@@ -1,10 +1,13 @@
 """Unified telemetry layer (docs/OBSERVABILITY.md).
 
-* :mod:`repro.obs.metrics` — thread-safe Counter/Gauge/Histogram registry;
+* :mod:`repro.obs.metrics` — thread-safe Counter/Gauge registry; its
+  histograms are the data plane's own
+  :class:`~repro.core.stats.LatencyRecorder` objects;
 * :mod:`repro.obs.spans` — message-lifecycle span correlation
   (sent → routed → delivered → consumed) into per-stage histograms;
-* :mod:`repro.obs.sampler` — periodic queue-depth / object-store /
-  backpressure sampling on a supervised thread;
+* :mod:`repro.obs.sampler` — a supervised thread periodically reading
+  queue depths, store occupancy, backpressure accounting and the meters
+  each process keeps about itself;
 * :mod:`repro.obs.exporters` — Prometheus text exposition and
   deterministic JSON snapshots (schema ``repro.obs/v1``);
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade sessions use.
@@ -20,10 +23,9 @@ from .exporters import (
 )
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
     Counter,
     Gauge,
-    Histogram,
+    Metric,
     MetricsRegistry,
 )
 from .flowcontroller import FlowController
@@ -34,12 +36,11 @@ from .telemetry import Telemetry
 __all__ = [
     "SNAPSHOT_SCHEMA",
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_SIZE_BUCKETS",
     "STAGES",
     "Counter",
     "FlowController",
     "Gauge",
-    "Histogram",
+    "Metric",
     "MetricsRegistry",
     "SpanAggregator",
     "SpanRecord",

@@ -17,7 +17,7 @@ import math
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, labels_dict
+from .metrics import MetricsRegistry
 
 SNAPSHOT_SCHEMA = "repro.obs/v1"
 
@@ -55,33 +55,29 @@ def to_prometheus(registry: MetricsRegistry) -> str:
         name = f"{registry.namespace}_{metric.name}"
         if name not in seen_headers:
             seen_headers.add(name)
-            help_text = getattr(metric, "help", "") or metric.name
+            help_text = metric.help or metric.name
             lines.append(f"# HELP {name} {_escape(help_text)}")
             lines.append(f"# TYPE {name} {metric.kind}")
-        if isinstance(metric, Counter):
+        instrument = metric.instrument
+        if metric.kind != "histogram":
             lines.append(
                 f"{name}{_render_labels(metric.labels)} "
-                f"{_format_value(metric.value)}"
+                f"{_format_value(instrument.value)}"
             )
-        elif isinstance(metric, Gauge):
+            continue
+        for bound, cumulative in instrument.bucket_counts():
             lines.append(
-                f"{name}{_render_labels(metric.labels)} "
-                f"{_format_value(metric.value)}"
+                f"{name}_bucket"
+                f"{_render_labels(metric.labels, [('le', _format_value(bound))])} "
+                f"{cumulative}"
             )
-        elif isinstance(metric, Histogram):
-            for bound, cumulative in metric.bucket_counts():
-                lines.append(
-                    f"{name}_bucket"
-                    f"{_render_labels(metric.labels, [('le', _format_value(bound))])} "
-                    f"{cumulative}"
-                )
-            lines.append(
-                f"{name}_sum{_render_labels(metric.labels)} "
-                f"{_format_value(metric.sum)}"
-            )
-            lines.append(
-                f"{name}_count{_render_labels(metric.labels)} {metric.count}"
-            )
+        lines.append(
+            f"{name}_sum{_render_labels(metric.labels)} "
+            f"{_format_value(instrument.sum)}"
+        )
+        lines.append(
+            f"{name}_count{_render_labels(metric.labels)} {instrument.count}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -136,31 +132,30 @@ def snapshot(
     """Deterministic JSON-ready dict of every instrument in the registry."""
     metrics: List[Dict[str, Any]] = []
     for metric in registry.collect():
+        instrument = metric.instrument
         entry: Dict[str, Any] = {
             "name": metric.name,
             "type": metric.kind,
-            "labels": labels_dict(metric.labels),
+            "labels": dict(metric.labels),
         }
-        if isinstance(metric, Counter):
-            entry["value"] = metric.value
-        elif isinstance(metric, Gauge):
-            entry["value"] = metric.value
-            series = metric.series()
-            if series:
-                entry["series"] = [[round(t, 6), v] for t, v in series]
-        elif isinstance(metric, Histogram):
+        if metric.kind == "histogram":
             entry.update(
-                count=metric.count,
-                sum=metric.sum,
-                mean=metric.mean(),
-                p50=metric.quantile(0.5),
-                p95=metric.quantile(0.95),
-                p99=metric.quantile(0.99),
+                count=instrument.count,
+                sum=instrument.sum,
+                mean=instrument.mean(),
+                p50=instrument.quantile(0.5),
+                p95=instrument.quantile(0.95),
+                p99=instrument.quantile(0.99),
                 buckets=[
                     [("+Inf" if bound == math.inf else bound), cumulative]
-                    for bound, cumulative in metric.bucket_counts()
+                    for bound, cumulative in instrument.bucket_counts()
                 ],
             )
+        else:
+            entry["value"] = instrument.value
+            series = instrument.series() if metric.kind == "gauge" else None
+            if series:
+                entry["series"] = [[round(t, 6), v] for t, v in series]
         metrics.append(entry)
     return {
         "schema": SNAPSHOT_SCHEMA,

@@ -1,26 +1,32 @@
-"""Telemetry-driven adaptation: the flow-control feedback loop.
+"""Adaptation under overload: the flow-control feedback loop.
 
-PR 4 built the sensors (queue-depth gauges, arena occupancy, span
-latencies); the :class:`FlowController` closes the loop.  One supervised
-thread polls the shared :class:`~repro.obs.metrics.MetricsRegistry` — the
-very gauges the :class:`~repro.obs.sampler.TelemetrySampler` populates —
-and actuates three degradation levers when the pipeline falls behind:
+One supervised thread reads the data plane's own backpressure accounting —
+``communicator.flow_stats()`` (header queue and every local ID queue),
+each endpoint's send buffer, the store's ``arena_stats()`` — and actuates
+three degradation levers when the pipeline falls behind:
 
 * **coalescing** — raise each endpoint's ``CoalescingSpec`` size threshold
   so more small messages ride per BATCH envelope (fewer headers, fewer
   routing decisions) while queues are pressured;
 * **wire compression** — enable the broker's
-  :class:`~repro.core.flowcontrol.WireCompressor` so bulk bodies cross
+  :class:`~repro.core.compression.WireCompressor` so bulk bodies cross
   throttled links compressed (CPU for bandwidth);
 * **admission + at-rest compression** — when arena occupancy trips its
   watermark, tighten bulk admission (scaled watermarks shed earlier) and
   lower the store's compression threshold so large bodies move off the
   arena into compressed overflow segments.
 
+The queue signal is the deepest bulk lane anywhere upstream of a receiver
+thread: the header queue backs up behind a slow link, an ID queue behind a
+receiver that cannot keep up, a send buffer behind a sender thread that
+cannot — so overload escalates on one broker as it does across two.
+
 Escalation needs ``escalate_after`` consecutive pressured polls; full
 relaxation back to the configured baseline needs ``relax_after`` clear
-polls (asymmetric on purpose: degrade fast, recover cautiously).  Every
-decision is exported through the registry (``flow_*`` gauges/counters) so
+polls (asymmetric on purpose: degrade fast, recover cautiously).  The
+controller needs no telemetry to run; it counts its own decisions
+(``escalations`` / ``relaxations`` / ``polls``), and a telemetry sampler
+that is given the controller exports them as the ``flow_*`` metrics, so
 snapshots show *when* and *why* the system degraded.
 """
 
@@ -28,38 +34,27 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..core.concurrency import make_lock, spawn_thread
 from ..core.config import FlowControlSpec
-from .metrics import Gauge, MetricsRegistry
 
 
 class FlowController:
-    """Polls backpressure gauges; retunes coalescing/compression/admission."""
+    """Polls backpressure depths; retunes coalescing/compression/admission."""
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        spec: FlowControlSpec,
-        *,
-        name: str = "flow-controller",
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.registry = registry
+    def __init__(self, spec: FlowControlSpec, *, name: str = "flow-controller"):
         self.spec = spec
         self.name = name
-        self._clock = clock
         self._lock = make_lock(f"{name}.state")
         self._brokers: List[Any] = []
-        self._endpoints: List[Any] = []
-        #: (gauge, original CompressionPolicy, store) triples per broker
-        self._stores: List[Any] = []
-        self._bulk_depth_gauges: List[Gauge] = []
-        self._arena_pressure_gauges: List[Gauge] = []
-        self._original_coalescing: dict = {}
-        self._original_compression: dict = {}
+        #: each yields the endpoints to manage *now* (a cluster's change
+        #: when the supervisor replaces a process)
+        self._endpoint_sources: List[Callable[[], Iterable[Any]]] = []
+        #: store -> the compression policy it was deployed with
+        self._stores: Dict[Any, Any] = {}
+        #: endpoint name -> the coalescing spec it was deployed with
+        self._original_coalescing: Dict[str, Any] = {}
         self._pressured_polls = 0
         self._clear_polls = 0
         self._escalated = False
@@ -67,78 +62,59 @@ class FlowController:
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self.error: Optional[BaseException] = None
-        # Decision telemetry.
-        self._escalations = registry.counter(
-            "flow_adaptations_total", {"direction": "escalate"},
-            help="degradation steps taken by the flow controller",
-        )
-        self._relaxations = registry.counter(
-            "flow_adaptations_total", {"direction": "relax"},
-            help="recoveries back to the configured baseline",
-        )
-        self._level_gauge = registry.gauge(
-            "flow_degradation_level",
-            help="0 at baseline, 1 while degraded (coalescing/compression on)",
-        )
-        self._admission_gauge = registry.gauge(
-            "flow_admission_tightened",
-            help="1 while scaled (pressure) bulk admission is active",
-        )
-        self._polls = registry.counter(
-            "flow_polls_total", help="completed flow-controller polls"
-        )
+        #: decisions taken so far (read by the telemetry sampler)
+        self.escalations = 0
+        self.relaxations = 0
+        self.polls = 0
 
     # -- attachment -----------------------------------------------------------
+    def attach_cluster(self, cluster: Any) -> None:
+        """Watch every broker and manage every endpoint of a built cluster,
+        including the ones the supervisor deploys later."""
+        for machine in cluster.machines:
+            self.attach_broker(machine.broker)
+        with self._lock:
+            self._endpoint_sources.append(cluster.endpoints)
+
     def attach_broker(self, broker: Any) -> None:
-        """Watch a broker's header-queue bulk lane and arena pressure."""
+        """Watch a broker's queues and arena; manage its store's codec."""
         with self._lock:
             self._brokers.append(broker)
-            # Same (kind, name, labels) → the registry returns the very
-            # Gauge objects the sampler writes; no side channel needed.
-            self._bulk_depth_gauges.append(
-                self.registry.gauge(
-                    "backpressure_lane_depth",
-                    {
-                        "component": broker.name,
-                        "queue": "headers",
-                        "lane": "bulk",
-                    },
-                )
-            )
             store = broker.communicator.object_store
-            if getattr(store, "arena", None) is not None:
-                self._arena_pressure_gauges.append(
-                    self.registry.gauge(
-                        "arena_pressure", {"broker": broker.name}
-                    )
-                )
             if getattr(store, "set_compression", None) is not None:
-                self._stores.append(store)
-                self._original_compression[id(store)] = store.compression
+                self._stores[store] = store.compression
 
     def attach_endpoint(self, endpoint: Any) -> None:
-        """Manage an endpoint's coalescing spec (None: nothing to retune)."""
+        """Watch an endpoint's send buffer; manage its coalescing spec
+        (None: nothing to retune)."""
         with self._lock:
-            self._endpoints.append(endpoint)
-            self._original_coalescing[id(endpoint)] = endpoint.coalescing
+            self._endpoint_sources.append(lambda: (endpoint,))
 
     # -- signals --------------------------------------------------------------
-    def _queue_pressured(self) -> bool:
+    def _queue_pressured(self, endpoints: List[Any]) -> bool:
         threshold = self.spec.queue_pressure_fraction * self.spec.bulk_watermark
-        return any(
-            gauge.value >= threshold for gauge in self._bulk_depth_gauges
-        )
+        queues = [
+            stats
+            for broker in self._brokers
+            for stats in broker.communicator.flow_stats().values()
+        ]
+        queues += [endpoint.send_buffer.flow_stats() for endpoint in endpoints]
+        return any(stats["bulk_depth"] >= threshold for stats in queues)
 
     def _arena_pressured(self) -> bool:
-        return any(gauge.value > 0 for gauge in self._arena_pressure_gauges)
+        for broker in self._brokers:
+            arena_stats = getattr(
+                broker.communicator.object_store, "arena_stats", None
+            )
+            if arena_stats is not None and arena_stats().get("pressure", 0) > 0:
+                return True
+        return False
 
     # -- actuation ------------------------------------------------------------
-    def _escalate(self, arena_pressured: bool) -> None:
+    def _escalate(self, endpoints: List[Any], arena_pressured: bool) -> None:
         """Apply the degradation levers (controller thread only)."""
         self._escalated = True
-        self._escalations.inc()
-        self._level_gauge.set(1)
-        for endpoint in self._endpoints:
+        for endpoint in endpoints:
             current = endpoint.coalescing
             if current is None or not current.enabled:
                 continue
@@ -157,7 +133,6 @@ class FlowController:
                 wire.set_enabled(True)
         if arena_pressured and not self._admission_tight:
             self._admission_tight = True
-            self._admission_gauge.set(1)
             for broker in self._brokers:
                 broker.communicator.set_pressure(True)
             for store in self._stores:
@@ -173,32 +148,36 @@ class FlowController:
                     )
                 )
 
-    def _relax(self) -> None:
+    def _relax(self, endpoints: List[Any]) -> None:
         """Restore the configured baseline (controller thread only)."""
         self._escalated = False
-        self._relaxations.inc()
-        self._level_gauge.set(0)
-        for endpoint in self._endpoints:
-            endpoint.coalescing = self._original_coalescing.get(id(endpoint))
+        for endpoint in endpoints:
+            endpoint.coalescing = self._original_coalescing[endpoint.name]
         for broker in self._brokers:
             wire = getattr(broker, "wire", None)
             if wire is not None:
                 wire.set_enabled(False)
         if self._admission_tight:
             self._admission_tight = False
-            self._admission_gauge.set(0)
             for broker in self._brokers:
                 broker.communicator.set_pressure(False)
-            for store in self._stores:
-                original = self._original_compression.get(id(store))
-                if original is not None:
-                    store.set_compression(original)
+            for store, original in self._stores.items():
+                store.set_compression(original)
 
     # -- control loop ---------------------------------------------------------
     def poll_once(self) -> None:
         """One observe-decide-act step (also the unit tests' entry point)."""
         with self._lock:
-            queue_pressured = self._queue_pressured()
+            endpoints = [
+                endpoint for source in self._endpoint_sources for endpoint in source()
+            ]
+            for endpoint in endpoints:
+                # A replacement is deployed with the spec of the process it
+                # replaces, so the first sighting of a name is its baseline.
+                self._original_coalescing.setdefault(
+                    endpoint.name, endpoint.coalescing
+                )
+            queue_pressured = self._queue_pressured(endpoints)
             arena_pressured = self._arena_pressured()
             if queue_pressured or arena_pressured:
                 self._pressured_polls += 1
@@ -207,15 +186,17 @@ class FlowController:
                 self._clear_polls += 1
                 self._pressured_polls = 0
             if self._pressured_polls >= self.spec.escalate_after:
-                self._escalate(arena_pressured)
+                self.escalations += 1
+                self._escalate(endpoints, arena_pressured)
                 self._pressured_polls = 0  # re-arm (repeat escalations
                 # keep doubling coalescing up to the configured cap)
             elif self._clear_polls >= self.spec.relax_after and (
                 self._escalated or self._admission_tight
             ):
-                self._relax()
+                self.relaxations += 1
+                self._relax(endpoints)
                 self._clear_polls = 0
-            self._polls.inc()
+            self.polls += 1
 
     @property
     def degraded(self) -> bool:

@@ -1,16 +1,19 @@
-"""Thread-safe metrics primitives: Counter, Gauge, Histogram, registry.
+"""Thread-safe metrics primitives: Counter, Gauge and the registry.
 
 The unified telemetry layer (docs/OBSERVABILITY.md) hangs off one
 :class:`MetricsRegistry` per run.  Instruments are identified by a metric
 name plus a frozen label set — asking the registry for the same
-(name, labels) pair twice returns the same instrument, so hot paths can
-resolve their instrument once at attach time and then pay only a single
-lock acquire + arithmetic per recording.
+(name, labels) pair twice returns the same instrument.  Histograms are
+:class:`~repro.core.stats.LatencyRecorder` objects: the registry makes one
+on request (:meth:`MetricsRegistry.histogram`) or exports one a process
+already feeds (:meth:`MetricsRegistry.expose`) — the data plane records
+once, the registry only names what it reads.
 
 Design constraints, in order:
 
-* **cheap hot path** — ``Counter.inc`` / ``Histogram.observe`` are one
-  mutex and a couple of float ops; no allocation, no string formatting;
+* **nothing on the hot path** — the sampler and the exporters read the
+  data plane's own meters and recorders; only ``repro.obs`` code (span
+  aggregation, the sampler) ever calls ``inc``/``set``/``record`` here;
 * **deterministic export** — :func:`repro.obs.exporters.snapshot` and the
   Prometheus exposition sort by (name, labels) so two identical runs
   produce byte-identical artifacts modulo the recorded values;
@@ -19,31 +22,15 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.concurrency import make_lock
+from ..core.stats import DEFAULT_LATENCY_BUCKETS, LatencyRecorder
 
 Labels = Tuple[Tuple[str, str], ...]
 """Canonical (sorted, frozen) label representation used as part of keys."""
-
-#: Default latency buckets (seconds): ~10µs .. 10s, roughly 1-2-5 decades.
-DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
-    1e-5, 2e-5, 5e-5,
-    1e-4, 2e-4, 5e-4,
-    1e-3, 2e-3, 5e-3,
-    1e-2, 2e-2, 5e-2,
-    1e-1, 2e-1, 5e-1,
-    1.0, 2.0, 5.0, 10.0,
-)
-
-#: Default size buckets (bytes): 64B .. 64MB in powers of four.
-DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = tuple(
-    float(64 * 4 ** power) for power in range(11)
-)
-
 
 def canonical_labels(labels: Optional[Dict[str, str]]) -> Labels:
     """Freeze a label dict into the registry's canonical key form."""
@@ -55,12 +42,8 @@ def canonical_labels(labels: Optional[Dict[str, str]]) -> Labels:
 class Counter:
     """A monotonically increasing sum."""
 
-    kind = "counter"
-
-    def __init__(self, name: str, labels: Labels = (), help: str = ""):
+    def __init__(self, name: str = ""):
         self.name = name
-        self.labels = labels
-        self.help = help
         self._lock = make_lock(f"obs.counter.{name}")
         self._value = 0.0
 
@@ -84,18 +67,8 @@ class Gauge:
     for the queue-depth-over-time exports.
     """
 
-    kind = "gauge"
-
-    def __init__(
-        self,
-        name: str,
-        labels: Labels = (),
-        help: str = "",
-        series_capacity: int = 0,
-    ):
+    def __init__(self, name: str = "", series_capacity: int = 0):
         self.name = name
-        self.labels = labels
-        self.help = help
         self._lock = make_lock(f"obs.gauge.{name}")
         self._value = 0.0
         self._series: Optional[Deque[Tuple[float, float]]] = (
@@ -108,13 +81,6 @@ class Gauge:
             if self._series is not None and timestamp is not None:
                 self._series.append((timestamp, float(value)))
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         with self._lock:
@@ -125,96 +91,19 @@ class Gauge:
             return list(self._series) if self._series is not None else []
 
 
-class Histogram:
-    """Fixed-bucket histogram with percentile estimation.
+@dataclass(frozen=True)
+class Metric:
+    """One exported series: the name the registry gives an instrument.
 
-    Buckets are upper bounds (ascending); an implicit +Inf bucket catches
-    overflow.  ``quantile(q)`` interpolates linearly inside the bucket that
-    contains the q-th sample, which is exact enough for the latency-figure
-    comparisons while keeping ``observe`` O(log buckets) with no growth.
+    ``instrument`` is a :class:`Counter`, a :class:`Gauge`, or — for
+    ``kind == "histogram"`` — a :class:`~repro.core.stats.LatencyRecorder`.
     """
 
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        labels: Labels = (),
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ):
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
-            raise ValueError("histogram buckets must be non-empty and ascending")
-        self.name = name
-        self.labels = labels
-        self.help = help
-        self.bounds = bounds
-        self._lock = make_lock(f"obs.histogram.{name}")
-        self._counts = [0] * (len(bounds) + 1)  # last slot = +Inf
-        self._sum = 0.0
-        self._count = 0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def observe(self, value: float) -> None:
-        index = bisect_left(self.bounds, value)
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value
-            self._count += 1
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-
-    # -- reads -------------------------------------------------------------
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    def mean(self) -> float:
-        with self._lock:
-            return self._sum / self._count if self._count else 0.0
-
-    def bucket_counts(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs, +Inf last."""
-        with self._lock:
-            counts = list(self._counts)
-        cumulative: List[Tuple[float, int]] = []
-        running = 0
-        for bound, count in zip(self.bounds, counts):
-            running += count
-            cumulative.append((bound, running))
-        cumulative.append((math.inf, running + counts[-1]))
-        return cumulative
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        with self._lock:
-            counts = list(self._counts)
-            total = self._count
-            low, high = self._min, self._max
-        if total == 0:
-            return 0.0
-        target = q * total
-        running = 0.0
-        for index, count in enumerate(counts):
-            if running + count >= target and count > 0:
-                lower = self.bounds[index - 1] if index > 0 else min(low, self.bounds[0])
-                upper = self.bounds[index] if index < len(self.bounds) else high
-                upper = min(upper, high) if high >= lower else upper
-                fraction = (target - running) / count
-                return lower + (upper - lower) * max(0.0, min(1.0, fraction))
-            running += count
-        return high if high > -math.inf else 0.0
+    name: str
+    labels: Labels
+    help: str
+    kind: str
+    instrument: Any
 
 
 class MetricsRegistry:
@@ -227,28 +116,30 @@ class MetricsRegistry:
     def __init__(self, namespace: str = "xt"):
         self.namespace = namespace
         self._lock = make_lock("obs.registry")
-        self._metrics: Dict[Tuple[str, str, Labels], object] = {}
+        self._metrics: Dict[Tuple[str, Labels], Metric] = {}
 
-    def _get(self, kind: str, name: str, labels: Labels, factory):
-        key = (kind, name, labels)
+    def _get(self, kind: str, name: str, labels: Labels, help: str, factory) -> Any:
         with self._lock:
-            metric = self._metrics.get(key)
+            metric = self._metrics.get((name, labels))
             if metric is None:
-                for (other_kind, other_name, _), _metric in self._metrics.items():
-                    if other_name == name and other_kind != kind:
+                for other in self._metrics.values():
+                    if other.name == name and other.kind != kind:
                         raise ValueError(
-                            f"metric {name!r} already registered as {other_kind}"
+                            f"metric {name!r} already registered as {other.kind}"
                         )
-                metric = factory()
-                self._metrics[key] = metric
-            return metric
+                metric = Metric(name, labels, help, kind, factory())
+                self._metrics[(name, labels)] = metric
+            elif metric.kind != kind:
+                raise ValueError(
+                    f"metric {name!r} already registered as {metric.kind}"
+                )
+            return metric.instrument
 
     def counter(
         self, name: str, labels: Optional[Dict[str, str]] = None, help: str = ""
     ) -> Counter:
-        frozen = canonical_labels(labels)
         return self._get(
-            "counter", name, frozen, lambda: Counter(name, frozen, help)
+            "counter", name, canonical_labels(labels), help, lambda: Counter(name)
         )
 
     def gauge(
@@ -258,12 +149,9 @@ class MetricsRegistry:
         help: str = "",
         series_capacity: int = 0,
     ) -> Gauge:
-        frozen = canonical_labels(labels)
         return self._get(
-            "gauge",
-            name,
-            frozen,
-            lambda: Gauge(name, frozen, help, series_capacity=series_capacity),
+            "gauge", name, canonical_labels(labels), help,
+            lambda: Gauge(name, series_capacity),
         )
 
     def histogram(
@@ -272,34 +160,34 @@ class MetricsRegistry:
         labels: Optional[Dict[str, str]] = None,
         help: str = "",
         buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Histogram:
-        frozen = canonical_labels(labels)
+    ) -> LatencyRecorder:
         return self._get(
-            "histogram",
-            name,
-            frozen,
-            lambda: Histogram(name, frozen, help, buckets=buckets),
+            "histogram", name, canonical_labels(labels), help,
+            lambda: LatencyRecorder(name, buckets=buckets),
         )
 
-    def collect(self) -> List[object]:
-        """Every registered instrument, sorted by (name, labels)."""
+    def expose(
+        self,
+        name: str,
+        labels: Optional[Dict[str, str]],
+        recorder: LatencyRecorder,
+        help: str = "",
+    ) -> None:
+        """Export ``recorder`` — one its owner already feeds — as the
+        histogram ``name{labels}``, replacing whatever held that name (a
+        supervised replacement process brings a fresh recorder)."""
+        frozen = canonical_labels(labels)
+        with self._lock:
+            self._metrics[(name, frozen)] = Metric(
+                name, frozen, help, "histogram", recorder
+            )
+
+    def collect(self) -> List[Metric]:
+        """Every registered metric, sorted by (name, labels)."""
         with self._lock:
             metrics = list(self._metrics.values())
-        return sorted(metrics, key=lambda m: (m.name, m.labels))  # type: ignore[attr-defined]
+        return sorted(metrics, key=lambda metric: (metric.name, metric.labels))
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._metrics)
-
-
-def labels_dict(labels: Labels) -> Dict[str, str]:
-    """Back to a plain dict (for JSON export)."""
-    return dict(labels)
-
-
-def merge_labels(
-    base: Optional[Dict[str, str]], extra: Optional[Dict[str, str]]
-) -> Dict[str, str]:
-    merged: Dict[str, str] = dict(base or {})
-    merged.update(extra or {})
-    return merged

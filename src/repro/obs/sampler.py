@@ -1,34 +1,166 @@
-"""Periodic telemetry sampler: queue depths, store occupancy, backpressure.
+"""Periodic telemetry sampler: the one reader of the data plane's meters.
 
 A single supervised thread (spawned through
 :func:`repro.core.concurrency.spawn_thread`, like every other framework
-workhorse) wakes every ``interval`` seconds and polls the registered
-probes:
+workhorse) wakes every ``interval`` seconds and reads what the data plane
+already keeps about itself — nothing is attached to it and nothing is
+recorded a second time on its hot paths:
 
 * **brokers** — header-queue depth, per-process ID-queue depths, object
   store occupancy (objects, bytes, outstanding refcount shares);
 * **endpoints** — send-buffer backlog (sender backpressure: the workhorse
   is producing faster than the sender thread drains) and receive-buffer
-  backlog (consumer lag).
+  backlog (consumer lag), the sent/received meters, the delivery-latency
+  recorder;
+* **explorers and the learner** — step meters, session and broadcast
+  counts, the wait and train recorders.
 
-Each probe lands in a :class:`~repro.obs.metrics.Gauge` with a bounded
-sample series, so snapshots carry queue-depth-over-time without unbounded
-growth.  A probe that raises (e.g. a queue torn down mid-sample during
-shutdown) increments ``sampler_errors_total`` and the loop carries on —
-sampling must never take a run down.
+Point-in-time values land in a :class:`~repro.obs.metrics.Gauge` with a
+bounded sample series, so snapshots carry queue-depth-over-time without
+unbounded growth.  Running totals are *delta-accumulated* into registry
+counters: each sweep adds what the owner's total grew by, so a process
+the supervisor swaps in continues the dead one's counter instead of
+restarting it at zero (at most the dead one's last interval is missed).
+Latency recorders are not copied: the registry exports the recorder
+itself.  A probe that raises (a queue torn down mid-sample) increments
+``sampler_errors_total`` and the loop carries on — sampling must never
+take a run down.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.concurrency import make_lock, spawn_thread
 from .metrics import Gauge, MetricsRegistry
 
 Probe = Callable[[float], None]
 """A sampling callback receiving the sample timestamp."""
+
+Totals = Sequence[Tuple[str, Callable[[Any], float]]]
+"""Running totals an object keeps: ``(metric, read(owner))`` rows."""
+
+_ENDPOINT_TOTALS: Totals = (
+    ("endpoint_messages_sent_total", lambda endpoint: endpoint.sent_meter.count),
+    ("endpoint_bytes_sent_total", lambda endpoint: endpoint.sent_meter.total),
+    ("endpoint_messages_received_total", lambda endpoint: endpoint.received_meter.count),
+    ("endpoint_bytes_received_total", lambda endpoint: endpoint.received_meter.total),
+)
+_EXPLORER_TOTALS: Totals = (
+    ("explorer_env_steps_total", lambda explorer: explorer.steps_meter.total),
+    ("explorer_fragments_total", lambda explorer: explorer.fragments_sent),
+    ("explorer_weight_updates_total", lambda explorer: explorer.weight_updates),
+)
+_LEARNER_TOTALS: Totals = (
+    ("trainer_train_sessions_total", lambda learner: learner.train_sessions),
+    ("trainer_trained_steps_total", lambda learner: learner.consumed_meter.total),
+    ("trainer_broadcasts_total", lambda learner: learner.broadcasts),
+)
+#: latency recorders exported as they are: metric -> the owner's attribute
+_ENDPOINT_RECORDERS = {
+    "endpoint_delivery_latency_seconds": "delivery_latency",
+    "endpoint_coalesce_batch_size": "coalesce_sizes",
+}
+_LEARNER_RECORDERS = {
+    "trainer_wait_seconds": "wait_recorder",
+    "trainer_train_seconds": "train_recorder",
+}
+
+#: per-lane ``flow_stats`` keys -> the backpressure family
+_FLOW_METRICS = {
+    "depth": "backpressure_lane_depth",
+    "shed": "backpressure_shed_total",
+    "blocked": "backpressure_blocked_total",
+    "block_seconds": "backpressure_block_seconds_total",
+    "expired": "backpressure_expired_total",
+}
+_ARENA_STATS = (
+    "allocated_blocks", "allocated_bytes", "slab_bytes", "free_blocks",
+    "capacity_bytes", "pressure", "pressure_events",
+)
+_WIRE_COMPRESSION_STATS = ("enabled", "compressed_total", "bytes_in", "bytes_out")
+#: SocketLink/SocketListener stats mirrored into per-link wire gauges
+_WIRE_LINK_STATS = (
+    "bytes_sent", "items_sent", "syscalls_total", "syscalls_per_message",
+    "segments_per_message", "partial_writes", "send_errors", "bytes_received",
+    "items_received", "protocol_errors", "connections_total",
+)
+
+#: every metric the sampler exports, and what it means
+_HELP = {
+    "broker_header_queue_depth": "headers waiting for the router",
+    "broker_id_queue_depth": "headers parked in one destination ID queue",
+    "object_store_objects": "live object-store entries",
+    "object_store_bytes": "bytes held by live entries",
+    "object_store_refcounts": "outstanding refcount shares across live entries",
+    "store_overflow_puts_total":
+        "puts forced onto per-message overflow segments by arena exhaustion "
+        "(running total)",
+    "arena_allocated_blocks": "live arena blocks",
+    "arena_allocated_bytes": "bytes held by live arena blocks",
+    "arena_slab_bytes": "total shared memory mapped by arena slabs",
+    "arena_free_blocks": "recycled blocks parked on arena free lists",
+    "arena_capacity_bytes": "arena occupancy bound",
+    "arena_pressure": "1 while arena occupancy is above its watermark",
+    "arena_pressure_events": "times the arena pressure latch tripped",
+    "wire_compression_enabled": "1 while adaptive wire compression is active",
+    "wire_compression_compressed_total": "bodies compressed at the fabric boundary",
+    "wire_compression_bytes_in": "pre-compression bytes offered to the wire codec",
+    "wire_compression_bytes_out": "post-compression bytes sent on the fabric",
+    "backpressure_lane_depth": "entries queued in one priority lane",
+    "backpressure_shed_total":
+        "oldest bulk entries dropped at the watermark (running total)",
+    "backpressure_blocked_total":
+        "control puts that had to wait at the watermark (running total)",
+    "backpressure_block_seconds_total":
+        "cumulative seconds control producers spent blocked",
+    "backpressure_expired_total":
+        "control puts abandoned at their deadline (running total)",
+    "backpressure_admission_pressure":
+        "1 while tightened (scaled) bulk admission is active",
+    "backpressure_send_expired_total":
+        "control-lane sends the sender thread abandoned at their admission "
+        "deadline (running total)",
+    "serialization_copies_total":
+        "contiguous-bytes frame materializations in this process (zero-copy "
+        "send paths keep this flat)",
+    "wire_link_bytes_sent": "bytes written to the socket (running total)",
+    "wire_link_items_sent": "messages written to the socket (running total)",
+    "wire_link_syscalls_total": "sendmsg/sendall syscalls issued (running total)",
+    "wire_link_syscalls_per_message": "mean gather-write syscalls per message",
+    "wire_link_segments_per_message": "mean scatter-gather segments per message",
+    "wire_link_partial_writes": "messages needing more than one syscall",
+    "wire_link_send_errors": "sends that died on a connection error",
+    "wire_link_bytes_received": "bytes read off the socket (running total)",
+    "wire_link_items_received": "messages delivered to the broker",
+    "wire_link_protocol_errors": "poisoned streams dropped by the listener",
+    "wire_link_connections_total": "peer connections accepted",
+    "endpoint_send_backlog":
+        "messages staged but not yet pushed by the sender thread (sender "
+        "backpressure)",
+    "endpoint_receive_backlog":
+        "messages delivered but not yet consumed by the workhorse",
+    "endpoint_messages_sent_total": "messages the sender thread pushed onward",
+    "endpoint_bytes_sent_total": "payload bytes the sender thread pushed onward",
+    "endpoint_messages_received_total": "messages landed in the local receive buffer",
+    "endpoint_bytes_received_total": "payload bytes landed in the local receive buffer",
+    "endpoint_delivery_latency_seconds": "message age when the receiver thread lands it",
+    "endpoint_coalesce_batch_size": "sub-messages per coalesced BATCH envelope",
+    "explorer_env_steps_total": "environment steps generated",
+    "explorer_fragments_total": "rollout fragments staged for the learner",
+    "explorer_weight_updates_total": "weight broadcasts applied",
+    "trainer_train_sessions_total": "completed training sessions",
+    "trainer_trained_steps_total": "rollout steps consumed by training",
+    "trainer_broadcasts_total": "weight broadcasts staged for explorers",
+    "trainer_wait_seconds": "actual wait: idle time before a training session starts",
+    "trainer_train_seconds": "wall time of one training session",
+    "flow_adaptations_total": "degradation / recovery steps taken by the flow controller",
+    "flow_polls_total": "completed flow-controller polls",
+    "flow_degradation_level": "0 at baseline, 1 while degraded (coalescing/compression on)",
+    "flow_admission_tightened": "1 while scaled (pressure) bulk admission is active",
+}
 
 
 class TelemetrySampler:
@@ -51,7 +183,15 @@ class TelemetrySampler:
         self.name = name
         self._clock = clock
         self._probes: List[Probe] = []
+        #: probes that only read running totals: swept after the others,
+        #: and again by :meth:`read_totals` when a snapshot is taken
+        self._readers: List[Probe] = []
         self._probes_lock = make_lock(f"{name}.probes")
+        #: one sweep at a time: the sampler thread's, or an export's
+        #: read_totals() — two would add the same delta twice
+        self._sweep_lock = make_lock(f"{name}.sweep")
+        #: (metric, *label values) -> its series gauge, resolved once
+        self._gauges: Dict[tuple, Gauge] = {}
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self.error: Optional[BaseException] = None
@@ -63,185 +203,114 @@ class TelemetrySampler:
         )
 
     # -- probe registration -------------------------------------------------
-    def add_probe(self, probe: Probe) -> None:
+    def add_probe(self, probe: Probe, *, totals: Optional[Probe] = None) -> None:
         with self._probes_lock:
             self._probes.append(probe)
+            if totals is not None:
+                self._readers.append(totals)
 
-    def _series_gauge(self, name: str, labels, help: str) -> Gauge:
-        return self.registry.gauge(
-            name, labels, help=help, series_capacity=self.series_capacity
-        )
-
-    #: flow_stats keys mirrored per lane into the backpressure family
-    _FLOW_STATS = (
-        ("depth", "backpressure_lane_depth",
-         "entries queued in one priority lane"),
-        ("shed", "backpressure_shed_total",
-         "oldest bulk entries dropped at the watermark (running total)"),
-        ("blocked", "backpressure_blocked_total",
-         "control puts that had to wait at the watermark (running total)"),
-        ("block_seconds", "backpressure_block_seconds_total",
-         "cumulative seconds control producers spent blocked"),
-        ("expired", "backpressure_expired_total",
-         "control puts abandoned at their deadline (running total)"),
-    )
-
-    def add_flow_source(
-        self, component: str, flow_stats_fn: Callable[[], dict]
+    def _set(
+        self, metric: str, labels: Dict[str, str], value: float, timestamp: float
     ) -> None:
-        """Mirror a flow-controlled component's per-lane counters.
-
-        ``flow_stats_fn`` returns ``{queue_name: flow_stats_dict}`` (see
-        :meth:`repro.core.flowcontrol.LaneChannel.flow_stats`).  Queues are
-        discovered lazily — ID queues appear as processes register.
-        """
-        gauges: dict = {}
-
-        def gauge_for(queue_name: str, stat: str, lane: str) -> Gauge:
-            key = (queue_name, stat, lane)
-            gauge = gauges.get(key)
-            if gauge is None:
-                metric, help_text = next(
-                    (m, h) for s, m, h in self._FLOW_STATS if s == stat
+        """Sample ``value`` into the series gauge ``metric{labels}`` (made on
+        first use: queues and links appear as processes register)."""
+        key = (metric, *labels.values())
+        gauge = self._gauges.get(key)
+        if gauge is None:
+            with self._probes_lock:
+                gauge = self._gauges[key] = self.registry.gauge(
+                    metric, labels, help=_HELP[metric],
+                    series_capacity=self.series_capacity,
                 )
-                gauge = self._series_gauge(
-                    metric,
-                    {"component": component, "queue": queue_name, "lane": lane},
-                    help_text,
-                )
-                gauges[key] = gauge
-            return gauge
+        gauge.set(value, timestamp)
 
-        def probe(timestamp: float) -> None:
-            for queue_name, stats in flow_stats_fn().items():
-                for lane in ("control", "bulk"):
-                    for stat, _, _ in self._FLOW_STATS:
-                        value = stats.get(f"{lane}_{stat}")
-                        if value is not None:
-                            gauge_for(queue_name, stat, lane).set(
-                                value, timestamp
-                            )
-                pressure_key = (queue_name, "pressure", "")
-                gauge = gauges.get(pressure_key)
-                if gauge is None:
-                    gauge = self._series_gauge(
-                        "backpressure_admission_pressure",
-                        {"component": component, "queue": queue_name},
-                        "1 while tightened (scaled) bulk admission is active",
+    def _totals_reader(self, *sources: Tuple[Any, Totals, Optional[Dict[str, str]]]) -> Probe:
+        """Adds what the running totals of each ``(owner, rows, labels)``
+        source grew by since the last read to the registry counters."""
+        reads = [
+            (self.registry.counter(metric, labels, help=_HELP[metric]), total_of, owner)
+            for owner, rows, labels in sources
+            for metric, total_of in rows
+        ]
+        last = [0.0] * len(reads)
+
+        def read(_timestamp: float) -> None:
+            for index, (counter, total_of, owner) in enumerate(reads):
+                total = total_of(owner)
+                counter.inc(total - last[index])
+                last[index] = total
+
+        return read
+
+    def _expose(self, owner: Any, recorders: Dict[str, str], labels: Dict[str, str]) -> None:
+        for metric, attribute in recorders.items():
+            self.registry.expose(
+                metric, labels, getattr(owner, attribute), help=_HELP[metric]
+            )
+
+    def _sample_flow(
+        self, component: str, queues: Dict[str, Dict[str, float]], timestamp: float
+    ) -> None:
+        """Mirror per-lane backpressure accounting — ``{queue: flow_stats}``,
+        see :meth:`repro.core.flowcontrol.LaneChannel.flow_stats`."""
+        for queue, stats in queues.items():
+            labels = {"component": component, "queue": queue}
+            for lane in ("control", "bulk"):
+                for stat, metric in _FLOW_METRICS.items():
+                    self._set(
+                        metric, {**labels, "lane": lane},
+                        stats[f"{lane}_{stat}"], timestamp,
                     )
-                    gauges[pressure_key] = gauge
-                gauge.set(stats.get("pressure", 0.0), timestamp)
-
-        self.add_probe(probe)
+            self._set(
+                "backpressure_admission_pressure", labels, stats["pressure"], timestamp
+            )
 
     def add_broker(self, broker: Any) -> None:
         """Sample a :class:`repro.core.broker.Broker`'s communicator+store."""
         communicator = broker.communicator
         store = communicator.object_store
-        broker_label = {"broker": broker.name}
-        header_gauge = self._series_gauge(
-            "broker_header_queue_depth", broker_label,
-            "headers waiting for the router",
-        )
-        objects_gauge = self._series_gauge(
-            "object_store_objects", broker_label, "live object-store entries"
-        )
-        bytes_gauge = self._series_gauge(
-            "object_store_bytes", broker_label, "bytes held by live entries"
-        )
-        refcount_gauge = self._series_gauge(
-            "object_store_refcounts", broker_label,
-            "outstanding refcount shares across live entries",
-        )
-
-        # Arena occupancy gauges (shared-memory stores only; see
-        # repro.core.arena.SlabArena.stats).
-        arena_gauges: dict = {}
-        if getattr(store, "arena_stats", None) is not None:
-            for stat_name, help_text in (
-                ("allocated_blocks", "live arena blocks"),
-                ("allocated_bytes", "bytes held by live arena blocks"),
-                ("slab_bytes", "total shared memory mapped by arena slabs"),
-                ("free_blocks", "recycled blocks parked on arena free lists"),
-                ("capacity_bytes", "arena occupancy bound"),
-                ("pressure", "1 while arena occupancy is above its watermark"),
-                ("pressure_events", "times the arena pressure latch tripped"),
-            ):
-                arena_gauges[stat_name] = self._series_gauge(
-                    f"arena_{stat_name}", broker_label, help_text
-                )
-
-        depth_gauges: dict = {}
-
-        # Overload-control gauges (flow-enabled brokers only).
-        overflow_gauge: Optional[Gauge] = None
-        if getattr(store, "total_overflow_put", None) is not None:
-            overflow_gauge = self._series_gauge(
-                "store_overflow_puts_total", broker_label,
-                "puts forced onto per-message overflow segments by arena "
-                "exhaustion (running total)",
-            )
+        labels = {"broker": broker.name}
         wire = getattr(broker, "wire", None)
-        wire_gauges: dict = {}
-        if wire is not None:
-            for stat_name, help_text in (
-                ("enabled", "1 while adaptive wire compression is active"),
-                ("compressed_total", "bodies compressed at the fabric boundary"),
-                ("bytes_in", "pre-compression bytes offered to the wire codec"),
-                ("bytes_out", "post-compression bytes sent on the fabric"),
-            ):
-                wire_gauges[stat_name] = self._series_gauge(
-                    f"wire_compression_{stat_name}", broker_label, help_text
-                )
-        if getattr(broker.communicator, "flow", None) is not None:
-            self.add_flow_source(broker.name, broker.communicator.flow_stats)
 
         def probe(timestamp: float) -> None:
-            header_gauge.set(communicator.header_queue.qsize(), timestamp)
-            objects_gauge.set(len(store), timestamp)
-            bytes_gauge.set(getattr(store, "used_bytes", 0), timestamp)
+            self._set(
+                "broker_header_queue_depth", labels,
+                communicator.header_queue.qsize(), timestamp,
+            )
+            self._set("object_store_objects", labels, len(store), timestamp)
+            self._set(
+                "object_store_bytes", labels, getattr(store, "used_bytes", 0), timestamp
+            )
             outstanding = getattr(store, "outstanding_refcounts", None)
             if outstanding is None:  # O(n) fallback for third-party stores
                 outstanding = sum(count for _, count, _ in store.leak_report())
-            refcount_gauge.set(outstanding, timestamp)
-            if arena_gauges:
-                stats = store.arena_stats()
-                if stats:
-                    for stat_name, gauge in arena_gauges.items():
-                        gauge.set(stats.get(stat_name, 0), timestamp)
-            if overflow_gauge is not None:
-                overflow_gauge.set(store.total_overflow_put, timestamp)
-            if wire_gauges:
+            self._set("object_store_refcounts", labels, outstanding, timestamp)
+            # Shared-memory stores only (repro.core.arena.SlabArena.stats).
+            if getattr(store, "arena_stats", None) is not None:
+                arena = store.arena_stats()
+                for stat in _ARENA_STATS:
+                    self._set(f"arena_{stat}", labels, arena.get(stat, 0), timestamp)
+            if getattr(store, "total_overflow_put", None) is not None:
+                self._set(
+                    "store_overflow_puts_total", labels,
+                    store.total_overflow_put, timestamp,
+                )
+            if wire is not None:  # flow-enabled brokers only
                 wire_stats = wire.stats()
-                for stat_name, gauge in wire_gauges.items():
-                    gauge.set(wire_stats.get(stat_name, 0.0), timestamp)
-            for process_name, depth in communicator.queue_depths().items():
-                gauge = depth_gauges.get(process_name)
-                if gauge is None:
-                    gauge = self._series_gauge(
-                        "broker_id_queue_depth",
-                        {"broker": broker.name, "process": process_name},
-                        "headers parked in one destination ID queue",
+                for stat in _WIRE_COMPRESSION_STATS:
+                    self._set(
+                        f"wire_compression_{stat}", labels, wire_stats[stat], timestamp
                     )
-                    depth_gauges[process_name] = gauge
-                gauge.set(depth, timestamp)
+            if getattr(communicator, "flow", None) is not None:
+                self._sample_flow(broker.name, communicator.flow_stats(), timestamp)
+            for process_name, depth in communicator.queue_depths().items():
+                self._set(
+                    "broker_id_queue_depth",
+                    {"broker": broker.name, "process": process_name},
+                    depth, timestamp,
+                )
 
         self.add_probe(probe)
-
-    #: SocketLink/SocketListener stats mirrored into per-link wire gauges
-    _WIRE_LINK_STATS = (
-        ("bytes_sent", "bytes written to the socket (running total)"),
-        ("items_sent", "messages written to the socket (running total)"),
-        ("syscalls_total", "sendmsg/sendall syscalls issued (running total)"),
-        ("syscalls_per_message", "mean gather-write syscalls per message"),
-        ("segments_per_message", "mean scatter-gather segments per message"),
-        ("partial_writes", "messages needing more than one syscall"),
-        ("send_errors", "sends that died on a connection error"),
-        ("bytes_received", "bytes read off the socket (running total)"),
-        ("items_received", "messages delivered to the broker"),
-        ("protocol_errors", "poisoned streams dropped by the listener"),
-        ("connections_total", "peer connections accepted"),
-    )
 
     def add_wire_fabric(self, fabric: Any) -> None:
         """Sample a :class:`repro.transport.tcp.SocketFabric`'s links.
@@ -256,84 +325,132 @@ class TelemetrySampler:
         """
         from ..core.serialization import serialization_copies_total
 
-        gauges: dict = {}
-        copies_gauge = self._series_gauge(
-            "serialization_copies_total", {},
-            "contiguous-bytes frame materializations in this process "
-            "(zero-copy send paths keep this flat)",
-        )
-
-        def gauge_for(link_name: str, stat: str) -> Gauge:
-            key = (link_name, stat)
-            gauge = gauges.get(key)
-            if gauge is None:
-                help_text = next(
-                    h for s, h in self._WIRE_LINK_STATS if s == stat
-                )
-                gauge = self._series_gauge(
-                    f"wire_link_{stat}", {"link": link_name}, help_text
-                )
-                gauges[key] = gauge
-            return gauge
-
         def probe(timestamp: float) -> None:
-            copies_gauge.set(serialization_copies_total(), timestamp)
+            self._set(
+                "serialization_copies_total", {}, serialization_copies_total(), timestamp
+            )
             for link_name, stats in fabric.link_stats().items():
-                for stat, _ in self._WIRE_LINK_STATS:
-                    value = stats.get(stat)
-                    if value is not None:
-                        gauge_for(link_name, stat).set(value, timestamp)
+                for stat in _WIRE_LINK_STATS:
+                    if stat in stats:
+                        self._set(
+                            f"wire_link_{stat}", {"link": link_name},
+                            stats[stat], timestamp,
+                        )
 
         self.add_probe(probe)
+
+    def _endpoint_probe(self, endpoint: Any) -> Probe:
+        """Expose one endpoint's recorders; returns the probe of its buffers."""
+        labels = {"endpoint": endpoint.name}
+        self._expose(endpoint, _ENDPOINT_RECORDERS, {"process": endpoint.name})
+
+        def probe(timestamp: float) -> None:
+            self._set(
+                "endpoint_send_backlog", labels, endpoint.send_buffer.qsize(), timestamp
+            )
+            self._set(
+                "endpoint_receive_backlog", labels,
+                endpoint.receive_buffer.qsize(), timestamp,
+            )
+            if getattr(endpoint, "flow", None) is not None:
+                self._sample_flow(
+                    endpoint.name,
+                    {
+                        "send": endpoint.send_buffer.flow_stats(),
+                        "recv": endpoint.receive_buffer.flow_stats(),
+                    },
+                    timestamp,
+                )
+                self._set(
+                    "backpressure_send_expired_total", labels,
+                    endpoint.backpressure_expired, timestamp,
+                )
+
+        return probe
 
     def add_endpoint(self, endpoint: Any) -> None:
-        """Sample a :class:`repro.core.endpoint.ProcessEndpoint`'s buffers."""
-        labels = {"endpoint": endpoint.name}
-        send_gauge = self._series_gauge(
-            "endpoint_send_backlog", labels,
-            "messages staged but not yet pushed by the sender thread "
-            "(sender backpressure)",
-        )
-        recv_gauge = self._series_gauge(
-            "endpoint_receive_backlog", labels,
-            "messages delivered but not yet consumed by the workhorse",
+        """Read a :class:`repro.core.endpoint.ProcessEndpoint`."""
+        self.add_probe(
+            self._endpoint_probe(endpoint),
+            totals=self._totals_reader(
+                (endpoint, _ENDPOINT_TOTALS, {"process": endpoint.name})
+            ),
         )
 
-        expired_gauge: Optional[Gauge] = None
-        if getattr(endpoint, "flow", None) is not None:
-            self.add_flow_source(
-                endpoint.name,
-                lambda: {
-                    "send": endpoint.send_buffer.flow_stats(),
-                    "recv": endpoint.receive_buffer.flow_stats(),
-                },
-            )
-            expired_gauge = self._series_gauge(
-                "backpressure_send_expired_total", labels,
-                "control-lane sends the sender thread abandoned at their "
-                "admission deadline (running total)",
-            )
+    def _view_process(self, process: Any) -> Tuple[Probe, Probe]:
+        """An explorer or learner: ``(probe, totals reader)`` over its
+        endpoint and its own totals and recorders."""
+        labels = {"process": process.name}
+        probe = self._endpoint_probe(process.endpoint)
+        own_totals = _EXPLORER_TOTALS
+        if hasattr(process, "wait_recorder"):
+            self._expose(process, _LEARNER_RECORDERS, labels)
+            own_totals = _LEARNER_TOTALS
+        return probe, self._totals_reader(
+            (process.endpoint, _ENDPOINT_TOTALS, labels), (process, own_totals, labels)
+        )
+
+    def add_processes(self, deployed: Callable[[], Iterable[Any]]) -> None:
+        """Read every explorer/learner ``deployed()`` yields, asked anew on
+        each sweep: a process the supervisor swapped in under a dead one's
+        name is picked up with no hook, and its totals continue the dead
+        one's counters (see the module docstring)."""
+        views: Dict[str, Tuple[Any, Probe, Probe]] = {}
+
+        def sweep(part: int, timestamp: float) -> None:
+            for process in deployed():
+                view = views.get(process.name)
+                if view is None or view[0] is not process:
+                    view = views[process.name] = (process, *self._view_process(process))
+                view[part](timestamp)
+
+        self.add_probe(
+            lambda timestamp: sweep(1, timestamp),
+            totals=lambda timestamp: sweep(2, timestamp),
+        )
+
+    def add_flow_controller(self, controller: Any) -> None:
+        """Export a :class:`~repro.obs.flowcontroller.FlowController`'s
+        decisions: what it counted, and the level it holds now."""
+        escalations = [("flow_adaptations_total", lambda c: c.escalations)]
+        relaxations = [("flow_adaptations_total", lambda c: c.relaxations)]
+        polls = [("flow_polls_total", lambda c: c.polls)]
 
         def probe(timestamp: float) -> None:
-            send_gauge.set(endpoint.send_buffer.qsize(), timestamp)
-            recv_gauge.set(endpoint.receive_buffer.qsize(), timestamp)
-            if expired_gauge is not None:
-                expired_gauge.set(endpoint.backpressure_expired, timestamp)
+            self._set("flow_degradation_level", {}, controller.degraded, timestamp)
+            self._set(
+                "flow_admission_tightened", {}, controller.admission_tightened, timestamp
+            )
 
-        self.add_probe(probe)
+        self.add_probe(probe, totals=self._totals_reader(
+            (controller, escalations, {"direction": "escalate"}),
+            (controller, relaxations, {"direction": "relax"}),
+            (controller, polls, None),
+        ))
 
     # -- sampling -----------------------------------------------------------
-    def sample_once(self) -> None:
-        """One sweep over all probes (also the unit tests' entry point)."""
+    def _sweep(self, *, totals_only: bool) -> None:
         timestamp = self._clock()
         with self._probes_lock:
-            probes = list(self._probes)
-        for probe in probes:
-            try:
-                probe(timestamp)
-            except Exception:  # noqa: BLE001 - sampling must not kill the run
-                self._errors.inc()
+            probes = self._readers if totals_only else self._probes + self._readers
+            probes = list(probes)
+        with self._sweep_lock:
+            for probe in probes:
+                try:
+                    probe(timestamp)
+                except Exception:  # noqa: BLE001 - sampling must not kill the run
+                    self._errors.inc()
+
+    def sample_once(self) -> None:
+        """One sweep over all probes (also the unit tests' entry point)."""
+        self._sweep(totals_only=False)
         self._samples.inc()
+
+    def read_totals(self) -> None:
+        """Bring the counters up to the owners' running totals, leaving the
+        gauges and their series as last sampled — what an export does, so
+        a snapshot's totals are the data plane's own at that moment."""
+        self._sweep(totals_only=True)
 
     def _run(self) -> None:
         try:

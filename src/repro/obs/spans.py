@@ -27,10 +27,9 @@ under :class:`repro.testing.faults.FaultyLink` drops — therefore cannot
 grow memory, they only increment the unmatched counters that the JSON
 snapshot and Prometheus exposition report.
 
-The aggregator can run **live** (as the ``sink`` of a
-:class:`repro.core.tracing.Tracer`, seeing every event even when the
-bounded buffer wraps) or **offline** via :meth:`ingest` over recorded
-events.  Completed edges are retained as :class:`SpanRecord` entries that
+The aggregator can run **live** (:meth:`SpanAggregator.attach` subscribes
+it to the hop log, so it sees every event of every hop) or **offline** via
+:meth:`ingest` over recorded events.  Completed edges are retained as :class:`SpanRecord` entries that
 :func:`repro.analysis.topology.conformance_violations` accepts directly,
 so static-vs-observed topology diffing has one code path whether it is fed
 raw hop-log events or span records.
@@ -43,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.concurrency import make_lock
-from ..core.tracing import LIFECYCLE_KINDS, TERMINAL_KINDS
+from ..core.tracing import HOP_LOG, LIFECYCLE_KINDS, TERMINAL_KINDS, HopLog
 from .metrics import MetricsRegistry
 
 #: Stage name -> (start event kind, end event kind).
@@ -53,7 +52,6 @@ STAGES: Dict[str, Tuple[str, str]] = {
     "deliver": ("sent", "delivered"),
     "consume": ("delivered", "consumed"),
 }
-
 
 
 _ROLE_CACHE: Dict[str, str] = {}
@@ -160,9 +158,10 @@ class _PendingMap:
 class SpanAggregator:
     """Correlates lifecycle hop-log events into registry histograms.
 
-    Attach as a tracer sink (``Tracer(sink=aggregator.observe).attach()``) for live
-    aggregation, or feed recorded events to :meth:`ingest`.  Thread-safe:
-    events may arrive from sender, router, and receiver threads at once.
+    :meth:`attach` it to the hop log for live aggregation, or feed recorded
+    events to :meth:`ingest`.  Thread-safe: events may arrive from sender,
+    router, and receiver threads at once.  Like any subscriber, one that
+    raises is logged and detached by the log.
     """
 
     def __init__(
@@ -175,7 +174,7 @@ class SpanAggregator:
     ):
         self.registry = registry
         self._lock = make_lock("obs.spans")
-        self._max_pending = max_pending
+        self._log: Optional[HopLog] = None
         # Stage start state.  "sent"/"routed" are keyed by seq (one producer
         # event fans out to N destinations, so matches peek rather than
         # pop); "delivered" is keyed by (seq, dst) and popped on match.
@@ -194,10 +193,10 @@ class SpanAggregator:
         self._record_meta: Dict[Tuple[int, str], Tuple[str, str]] = {}
         self._max_records = max_records
         self._edges: set = set()
-        kwargs = {} if latency_buckets is None else {"buckets": latency_buckets}
-        self._histograms: Dict[Tuple[str, str], Any] = {}
-        self._edge_histograms: Dict[Tuple[str, str, str, str], Any] = {}
-        self._hist_kwargs = kwargs
+        self._histograms: Dict[tuple, Any] = {}
+        self._hist_kwargs = (
+            {} if latency_buckets is None else {"buckets": latency_buckets}
+        )
         self._unmatched_counter = {
             stage: registry.counter(
                 "message_spans_unmatched_total",
@@ -229,8 +228,20 @@ class SpanAggregator:
         )
 
     # -- event intake ------------------------------------------------------
+    def attach(self, log: HopLog = HOP_LOG) -> "SpanAggregator":
+        """Subscribe to ``log``: aggregate every hop from now on."""
+        self.detach()
+        self._log = log
+        log.subscribe(self.observe_many)
+        return self
+
+    def detach(self) -> None:
+        if self._log is not None:
+            self._log.unsubscribe(self.observe_many)
+            self._log = None
+
     def observe(self, event: Any) -> None:
-        """Tracer-sink entry point: one TraceEvent-shaped object."""
+        """Take one TraceEvent-shaped object."""
         kind = getattr(event, "kind", None)
         if kind not in LIFECYCLE_KINDS:
             if kind in TERMINAL_KINDS:
@@ -269,12 +280,16 @@ class SpanAggregator:
             if self._sent.evicted or self._routed.evicted or self._delivered.evicted:
                 self._sync_evictions()
         for histogram, duration in updates:
-            histogram.observe(duration)
+            histogram.record(duration)
+
+    def observe_many(self, events: Iterable[Any]) -> None:
+        """The subscriber: one ``emit``/``emit_many`` call's events."""
+        for event in events:
+            self.observe(event)
 
     def ingest(self, events: Iterable[Any]) -> SpanStats:
         """Offline path: feed recorded events; returns the current stats."""
-        for event in events:
-            self.observe(event)
+        self.observe_many(events)
         return self.stats()
 
     def _observe_terminal(self, outcome: str, event: Any) -> None:
@@ -350,43 +365,33 @@ class SpanAggregator:
         self._stats.matched[stage] += 1
         meta = self._meta.peek(seq)
         msg_type, src = (meta[0], meta[1]) if meta else ("", "")
-        updates.append((self._stage_histogram(stage, msg_type), duration))
+        updates.append((
+            self._histogram(
+                "message_stage_seconds", "per-stage message lifecycle latency",
+                stage=stage, type=msg_type,
+            ),
+            duration,
+        ))
         if dst is not None:
-            updates.append(
-                (self._edge_histogram(stage, role_of(src), msg_type, role_of(dst)),
-                 duration)
-            )
+            updates.append((
+                self._histogram(
+                    "message_edge_stage_seconds",
+                    "per-(src_role,type,dst_role) lifecycle latency",
+                    stage=stage, src_role=role_of(src), type=msg_type,
+                    dst_role=role_of(dst),
+                ),
+                duration,
+            ))
             self._note_record(seq, msg_type, src, dst, stage, duration)
 
-    def _stage_histogram(self, stage: str, msg_type: str):
-        key = (stage, msg_type)
+    def _histogram(self, metric: str, help: str, **labels: str):
+        """The registry histogram ``metric{labels}``, resolved once."""
+        key = (metric, *labels.values())
         histogram = self._histograms.get(key)
         if histogram is None:
-            histogram = self.registry.histogram(
-                "message_stage_seconds",
-                {"stage": stage, "type": msg_type},
-                help="per-stage message lifecycle latency",
-                **self._hist_kwargs,
+            histogram = self._histograms[key] = self.registry.histogram(
+                metric, labels, help=help, **self._hist_kwargs
             )
-            self._histograms[key] = histogram
-        return histogram
-
-    def _edge_histogram(self, stage: str, src_role: str, msg_type: str, dst_role: str):
-        key = (stage, src_role, msg_type, dst_role)
-        histogram = self._edge_histograms.get(key)
-        if histogram is None:
-            histogram = self.registry.histogram(
-                "message_edge_stage_seconds",
-                {
-                    "stage": stage,
-                    "src_role": src_role,
-                    "type": msg_type,
-                    "dst_role": dst_role,
-                },
-                help="per-(src_role,type,dst_role) lifecycle latency",
-                **self._hist_kwargs,
-            )
-            self._edge_histograms[key] = histogram
         return histogram
 
     def _note_record(

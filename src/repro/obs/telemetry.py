@@ -1,17 +1,20 @@
 """The unified telemetry facade: registry + tracer + spans + sampler.
 
-One :class:`Telemetry` object instruments one deployment: it owns the
-:class:`~repro.obs.metrics.MetricsRegistry`, a
-:class:`~repro.core.tracing.Tracer` — subscribed to the process's hop log
-between :meth:`Telemetry.start` and :meth:`Telemetry.stop` — whose sink
-feeds the :class:`~repro.obs.spans.SpanAggregator` live, and the periodic
-:class:`~repro.obs.sampler.TelemetrySampler`.  Sessions build one from a
-:class:`~repro.core.config.TelemetrySpec`, attach it to a cluster, start it
-alongside the run, and export a snapshot into ``RunResult.metrics``.
+One :class:`Telemetry` object observes one deployment.  It owns the
+:class:`~repro.obs.metrics.MetricsRegistry`; a
+:class:`~repro.core.tracing.Tracer` and the
+:class:`~repro.obs.spans.SpanAggregator`, both subscribed to the process's
+hop log between :meth:`Telemetry.start` and :meth:`Telemetry.stop`; and
+the periodic :class:`~repro.obs.sampler.TelemetrySampler`, which reads the
+meters, recorders and queue depths the data plane keeps anyway.  Sessions
+build one from a :class:`~repro.core.config.TelemetrySpec`, point it at a
+cluster, start it alongside the run, and export a snapshot into
+``RunResult.metrics``.
 
-Everything is off unless a config opts in (``telemetry=TelemetrySpec()``):
-with no subscriber the hop log only packs its ring records, and the
-process-level instruments stay ``None`` so the hot paths skip them.
+Everything is off unless a config opts in (``telemetry=TelemetrySpec()``).
+Nothing is attached *to* the data plane either way: with no subscriber the
+hop log only packs its ring records, and what a process records about
+itself it records once, whether or not anybody reads it.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from ..core.tracing import Tracer
-from .exporters import snapshot, snapshot_to_json, to_prometheus
+from .exporters import snapshot, to_prometheus
 from .flowcontroller import FlowController
 from .metrics import MetricsRegistry
 from .sampler import TelemetrySampler
 from .spans import SpanAggregator, SpanRecord, SpanStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.config import FlowControlSpec, TelemetrySpec
+    from ..core.config import TelemetrySpec
 
 
 class Telemetry:
@@ -48,20 +51,12 @@ class Telemetry:
             if spans
             else None
         )
-        self.tracer = Tracer(
-            capacity=tracer_capacity,
-            sink=self.spans.observe if self.spans is not None else None,
-        )
+        self.tracer = Tracer(capacity=tracer_capacity)
         self.sampler = TelemetrySampler(
             self.registry,
             interval=sample_interval,
             series_capacity=series_capacity,
         )
-        self._attached: List[Any] = []
-        #: telemetry-driven adaptation loop; None until
-        #: :meth:`enable_flow_control` (sessions call it when the config
-        #: carries a FlowControlSpec)
-        self.flow_controller: Optional[FlowController] = None
 
     @classmethod
     def from_spec(cls, spec: "TelemetrySpec") -> "Telemetry":
@@ -74,65 +69,40 @@ class Telemetry:
         )
 
     # -- wiring -------------------------------------------------------------
-    def enable_flow_control(self, spec: "FlowControlSpec") -> FlowController:
-        """Create the adaptation loop (call before :meth:`attach_cluster`).
-
-        The controller shares this telemetry's registry, so it reads the
-        exact gauge objects the sampler writes.
-        """
-        if self.flow_controller is None:
-            self.flow_controller = FlowController(self.registry, spec)
-        return self.flow_controller
-
     def attach_cluster(self, cluster: Any) -> None:
-        """Instrument every broker, router, and process of a built cluster."""
+        """Read every broker, process and controller endpoint of a built
+        cluster — whichever processes it holds at each sweep, so the
+        supervisor's replacements need no re-attachment."""
         for machine in cluster.machines:
             self.attach_broker(machine.broker)
-        for process in [cluster.learner, *cluster.explorers]:
-            self.instrument_process(process)
-        center_endpoint = getattr(cluster.center, "endpoint", None)
-        if center_endpoint is not None:
-            self.attach_endpoint(center_endpoint)
+        self.sampler.add_processes(cluster.processes)
+        self.attach_endpoint(cluster.center.endpoint)
         data_fabric = getattr(cluster, "data_fabric", None)
         if callable(getattr(data_fabric, "link_stats", None)):
             # Wire deployments: per-socket-link gauges + the zero-copy canary.
             self.sampler.add_wire_fabric(data_fabric)
-        add_hook = getattr(cluster, "add_instrument_hook", None)
-        if add_hook is not None:
-            # Keep supervisor-restarted replacement processes instrumented.
-            add_hook(self.instrument_process)
-        cluster.telemetry = self
 
     def attach_broker(self, broker: Any) -> None:
         self.sampler.add_broker(broker)
-        if self.flow_controller is not None and getattr(broker, "flow", None):
-            self.flow_controller.attach_broker(broker)
 
     def attach_endpoint(self, endpoint: Any) -> None:
-        endpoint.attach_metrics(self.registry)
         self.sampler.add_endpoint(endpoint)
-        if self.flow_controller is not None and getattr(endpoint, "flow", None):
-            self.flow_controller.attach_endpoint(endpoint)
 
-    def instrument_process(self, process: Any) -> None:
-        """Instrument one explorer/learner (also used after a restart)."""
-        self.attach_endpoint(process.endpoint)
-        attach = getattr(process, "attach_metrics", None)
-        if attach is not None:
-            attach(self.registry)
-        self._attached.append(process)
+    def attach_flow_controller(self, controller: FlowController) -> None:
+        """Export a running controller's decisions as the ``flow_*`` metrics."""
+        self.sampler.add_flow_controller(controller)
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
         self.tracer.attach()
+        if self.spans is not None:
+            self.spans.attach()
         self.sampler.start()
-        if self.flow_controller is not None:
-            self.flow_controller.start()
 
     def stop(self) -> None:
-        if self.flow_controller is not None:
-            self.flow_controller.stop()
         self.sampler.stop()
+        if self.spans is not None:
+            self.spans.detach()
         self.tracer.detach()
 
     # -- exports ------------------------------------------------------------
@@ -169,24 +139,12 @@ class Telemetry:
                     "terminated": dict(stats.terminated),
                 },
             )
+        self.sampler.read_totals()
         return snapshot(self.registry, meta=merged)
 
-    def snapshot_json(self, meta: Optional[Dict[str, Any]] = None) -> str:
-        import json
-
-        return json.dumps(self.snapshot(meta=meta), indent=2) + "\n"
-
     def prometheus(self) -> str:
+        self.sampler.read_totals()
         return to_prometheus(self.registry)
 
 
-__all__ = [
-    "Telemetry",
-    "FlowController",
-    "MetricsRegistry",
-    "SpanAggregator",
-    "TelemetrySampler",
-    "snapshot",
-    "snapshot_to_json",
-    "to_prometheus",
-]
+__all__ = ["Telemetry"]

@@ -16,11 +16,16 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from ...core.tracing import LIFECYCLE_KINDS, TERMINAL_KINDS, load_dump
-
-TRACE_SCHEMA = "repro.trace/v1"
+from ...core.tracing import (  # noqa: F401 - the JSONL writer is the log's
+    LIFECYCLE_KINDS,
+    TERMINAL_KINDS,
+    TRACE_SCHEMA,
+    event_to_dict,
+    load_dump,
+    write_events,
+)
 
 #: causal rank of the message kinds (terminal kinds close a chain)
 _KIND_RANK = {
@@ -32,49 +37,6 @@ _KIND_RANK = {
 def kind_rank(kind: str) -> int:
     """Causal ordering of lifecycle kinds (unknown kinds sort last)."""
     return _KIND_RANK.get(kind, len(_KIND_RANK))
-
-
-def event_to_dict(event: Any) -> Dict[str, Any]:
-    """Normalize a :class:`~repro.core.tracing.TraceEvent` (or dict)."""
-    if isinstance(event, dict):
-        return {
-            "ts": float(event.get("ts", 0.0)),
-            "kind": str(event.get("kind", "")),
-            "source": str(event.get("source", "")),
-            "detail": dict(event.get("detail") or {}),
-        }
-    return {
-        "ts": float(event.timestamp),
-        "kind": str(event.kind),
-        "source": str(event.source),
-        "detail": dict(event.detail),
-    }
-
-
-def write_events(
-    path: str,
-    events: Iterable[Any],
-    *,
-    process: Optional[str] = None,
-    meta: Optional[Dict[str, Any]] = None,
-) -> str:
-    """Write a JSONL trace file (meta line first when provided)."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    header: Dict[str, Any] = {"format": TRACE_SCHEMA}
-    if process:
-        header["process"] = process
-    if meta:
-        header.update(meta)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"meta": header}, sort_keys=True) + "\n")
-        for event in events:
-            handle.write(
-                json.dumps(event_to_dict(event), sort_keys=True, default=str)
-                + "\n"
-            )
-    return path
 
 
 def read_events(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:

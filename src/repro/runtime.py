@@ -57,39 +57,35 @@ class XingTianSession:
         self._data_fabric = data_fabric
         self.cluster: Optional[Cluster] = None
         self.telemetry: Optional[Any] = None
+        self.flow_controller: Optional[Any] = None
 
     def run(self, poll_interval: float = 0.05) -> RunResult:
         """Start the deployment, wait for the stop condition, tear down."""
         cluster = build_cluster(self.config, data_fabric=self._data_fabric)
         self.cluster = cluster
-        telemetry = None
+        # Both observers only read the cluster; neither needs the other.
+        telemetry = controller = None
         spec = self.config.telemetry
         flow = self.config.flow_control
-        if flow is not None and not flow.enabled:
-            flow = None
+        if flow is not None and flow.enabled:
+            from .obs.flowcontroller import FlowController
+
+            controller = FlowController(flow)
+            controller.attach_cluster(cluster)
         if spec is not None and spec.enabled:
             from .obs import Telemetry
 
             telemetry = Telemetry.from_spec(spec)
-        elif flow is not None:
-            # Flow control's feedback loop reads the sampler's gauges, so a
-            # flow-enabled run gets an internal telemetry pipeline even when
-            # the config left telemetry off.  Spans stay disabled: only the
-            # sampler/controller threads run, and RunResult.metrics stays
-            # empty (the user did not ask for a snapshot).
-            from .obs import Telemetry
-
-            telemetry = Telemetry(
-                sample_interval=flow.adapt_interval_s, spans=False
-            )
-        if telemetry is not None:
-            if flow is not None:
-                telemetry.enable_flow_control(flow)
             telemetry.attach_cluster(cluster)
+            if controller is not None:
+                telemetry.attach_flow_controller(controller)
         self.telemetry = telemetry
+        self.flow_controller = controller
         supervisor = cluster.center.supervisor
         if telemetry is not None:
             telemetry.start()  # subscribed before the first message is sent
+        if controller is not None:
+            controller.start()
         started = time.monotonic()
         cluster.start()
         try:
@@ -109,10 +105,12 @@ class XingTianSession:
         finally:
             elapsed = time.monotonic() - started
             result = self._collect(cluster, elapsed)
+            if controller is not None:
+                controller.stop()
             if telemetry is not None:
                 telemetry.stop()  # final sample before queues drain away
             cluster.stop()
-            if telemetry is not None and spec is not None and spec.enabled:
+            if telemetry is not None:
                 result.metrics = telemetry.snapshot(
                     meta={"elapsed_s": round(elapsed, 6)}
                 )

@@ -21,8 +21,15 @@ from repro.obs.trace.merge import merge
 
 
 def _short_config(**overrides):
+    """Stops on work done, not on wall time: the run ends when the learner
+    has trained on rollouts that crossed the sockets, however loaded the
+    box is; ``max_seconds`` is only the ceiling that fails a hung run."""
+    overrides.setdefault(
+        "algorithm_config", {"learn_start": 256, "buffer_size": 5000}
+    )
     return two_machine_wire_config(
-        stop=StopCondition(max_seconds=1.5), **overrides
+        stop=StopCondition(total_trained_steps=320, max_seconds=120.0),
+        **overrides,
     )
 
 
@@ -52,7 +59,8 @@ class TestWireSession:
         return run_wire_session(_short_config(), trace=True)
 
     def test_trains_over_real_sockets(self, report):
-        assert report.result.total_trained_steps > 0
+        assert report.result.shutdown_reason.startswith("consumed")
+        assert report.result.total_trained_steps >= 320
         assert report.wire_bytes_sent > 0
         assert report.wire_items_received > 0
 

@@ -137,6 +137,47 @@ class TestXingTianConfig:
         with pytest.raises(ConfigError):
             XingTianConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ({"bogus": 1}, "'bogus'"),
+            ({"telemetry": {"bogus": 1}}, "telemetry: unknown key(s) 'bogus'"),
+            ({"stop": {"max_second": 1}}, "stop: unknown key(s) 'max_second'"),
+            ({"supervision": {"x": 1}}, "supervision"),
+            ({"coalescing": {"x": 1}}, "coalescing"),
+            ({"flow_control": {"x": 1}}, "flow_control"),
+            ({"machines": [{"name": "m", "gpu": 1}]}, "machines[]: unknown key(s) 'gpu'"),
+        ],
+    )
+    def test_from_dict_names_an_unknown_key(self, bad, named):
+        """Config files are outside input: a typo is a ConfigError that
+        names the key, not a bare TypeError from a dataclass constructor."""
+        data = {"algorithm": "ppo", "environment": "CartPole",
+                "model": "actor_critic", **bad}
+        with pytest.raises(ConfigError) as caught:
+            XingTianConfig.from_dict(data)
+        assert named in str(caught.value)
+
+    def test_from_dict_missing_required_key_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="algorithm"):
+            XingTianConfig.from_dict({"environment": "CartPole", "model": "qnet"})
+
+    def test_from_dict_builds_every_nested_block(self):
+        config = XingTianConfig.from_dict({
+            "algorithm": "ppo", "environment": "CartPole", "model": "actor_critic",
+            "stop": {"total_trained_steps": 10},
+            "supervision": {"max_restarts": 1},
+            "telemetry": {"sample_interval": 0.1},
+            "coalescing": {"max_batch": 8},
+            "flow_control": {"bulk_watermark": 64},
+        })
+        assert config.stop.total_trained_steps == 10
+        assert config.supervision.max_restarts == 1
+        assert config.telemetry.sample_interval == 0.1
+        assert config.coalescing.max_batch == 8
+        assert config.flow_control.bulk_watermark == 64
+        assert XingTianConfig.from_dict(config.to_dict()) == config
+
     def test_from_dict_defaults(self):
         config = XingTianConfig.from_dict(
             {"algorithm": "ppo", "environment": "CartPole", "model": "actor_critic"}

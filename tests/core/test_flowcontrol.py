@@ -11,6 +11,7 @@ import pytest
 from repro.core.broker import Broker
 from repro.core.config import FlowControlSpec
 from repro.core.endpoint import ProcessEndpoint
+from repro.core.compression import WireCompressor, wire_decode
 from repro.core.errors import BackpressureError
 from repro.core.flowcontrol import (
     TERMINAL_EXPIRED,
@@ -18,10 +19,8 @@ from repro.core.flowcontrol import (
     TERMINAL_SHED,
     Lane,
     LaneChannel,
-    WireCompressor,
     lane_of,
     release_header_shares,
-    wire_decode,
 )
 from repro.core.message import (
     DST,

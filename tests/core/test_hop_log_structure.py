@@ -2,7 +2,10 @@
 
 A hop is observed by calling ``repro.core.tracing.emit``/``emit_many`` —
 never through a tracer or recorder attribute that something has to attach,
-and never by packing ring records anywhere but in the log module.
+and never by packing ring records anywhere but in the log module.  What a
+process counts about itself it counts once, in its own meters; telemetry
+reads those, so nothing below ``repro.obs`` imports it or offers a hook to
+attach registry instruments through.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ LOG_MODULE = SRC / "core" / "tracing.py"
 FORBIDDEN = {"tracer", "_tracer", "_flightrec", "set_tracer", "flight_recorder"}
 #: what packing a ring record takes
 RING_ONLY = {"pack_into", "RECORD", "RECORD_SIZE"}
+#: the hooks shadow instruments were attached (and re-attached) through
+ATTACH_HOOKS = {"attach_metrics", "add_instrument_hook", "instrument_process"}
 
 
 def _names(tree: ast.AST, *, local_names: bool):
@@ -51,15 +56,50 @@ def _offences(paths, forbidden, *, local_names):
     return found
 
 
-def test_data_plane_names_no_tracer_or_recorder():
+def _data_plane_paths():
     paths = [
         path
         for package in DATA_PLANE
         for path in sorted((SRC / package).rglob("*.py"))
-        if path != LOG_MODULE
     ]
     assert len(paths) > 20  # the walk found the packages
+    return paths
+
+
+def test_data_plane_names_no_tracer_or_recorder():
+    paths = [path for path in _data_plane_paths() if path != LOG_MODULE]
     assert _offences(paths, FORBIDDEN, local_names=False) == []
+
+
+def test_data_plane_offers_telemetry_nothing_to_attach():
+    assert _offences(_data_plane_paths(), ATTACH_HOOKS, local_names=False) == []
+
+
+def test_data_plane_does_not_import_the_observability_layer():
+    found = []
+    for path in _data_plane_paths():
+        # A relative import's package depth: ``..obs`` from repro/mp/x.py.
+        depth = len(path.relative_to(SRC).parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level:  # resolve against the repro package root
+                    if node.level != depth:
+                        continue  # stays inside its own subpackage
+                    module = f"repro.{module}" if module else "repro"
+                modules = [module] + [
+                    f"{module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            found.extend(
+                f"{path.relative_to(SRC)}:{node.lineno}: {module}"
+                for module in modules
+                if module == "repro.obs" or module.startswith("repro.obs.")
+            )
+    assert found == []
 
 
 def test_only_the_log_module_packs_ring_records():

@@ -148,31 +148,16 @@ class TestAttachDetach:
         assert tracer.count() == 2
         assert log.total == 2
 
-
-class TestSink:
-    def test_sink_sees_every_event_past_buffer_wrap(self, log):
+    def test_subscriber_sees_every_event_past_buffer_wrap(self, log):
+        """Whatever must see everything subscribes to the log itself (the
+        span aggregator does); a Tracer's buffer is only a bounded window."""
         seen = []
-        tracer = Tracer(capacity=2, sink=seen.append).attach(log)
+        log.subscribe(seen.extend)
+        tracer = Tracer(capacity=2).attach(log)
         for index in range(10):
             log.emit("sent", "e", _header(index))
         assert len(tracer.events()) == 2
         assert len(seen) == 10
-
-    def test_raising_sink_disables_only_itself(self, log):
-        calls = []
-
-        def bad_sink(event):
-            calls.append(event)
-            raise RuntimeError("sink blew up")
-
-        tracer = Tracer(sink=bad_sink).attach(log)
-        bystander = Tracer().attach(log)
-        log.emit("sent", "e", _header(1))
-        log.emit("sent", "e", _header(2))  # must not raise, sink is gone
-        assert len(calls) == 1
-        assert tracer.count() == 2  # the buffer keeps filling
-        assert bystander.count() == 2  # other subscribers unaffected
-        assert log.total == 2  # so does the ring
 
 
 class TestHopLogWiredIntoEndpoints:

@@ -24,7 +24,7 @@ def metric_value(registry, name, **labels):
     wanted = tuple(sorted(labels.items()))
     for metric in registry.collect():
         if metric.name == name and tuple(sorted(metric.labels)) == wanted:
-            return metric.value
+            return metric.instrument.value
     return None
 
 
@@ -58,9 +58,10 @@ class TestSlowLinkAdaptation:
         sampler = TelemetrySampler(registry, interval=0.01)
         sampler.add_broker(broker_a)
         sampler.add_endpoint(alice)
-        controller = FlowController(registry, flow)
+        controller = FlowController(flow)
         controller.attach_broker(broker_a)
         controller.attach_endpoint(alice)
+        sampler.add_flow_controller(controller)  # exports its decisions
         payload = np.zeros(8192, dtype=np.uint8)  # compressible bulk body
         bound = flow.bulk_watermark + flow.control_watermark
 
@@ -80,8 +81,8 @@ class TestSlowLinkAdaptation:
                         make_message("alice", ["bob"], MsgType.DATA, payload)
                     )
                     sent += 1
-                sampler.sample_once()
                 controller.poll_once()
+                sampler.sample_once()
                 # Bounded admission: no queue ever outgrows its watermarks.
                 assert broker_a.communicator.header_queue.qsize() <= bound
                 assert alice.send_buffer.qsize() <= bound

@@ -1,9 +1,9 @@
-"""FlowController tests: the telemetry-driven adaptation loop.
+"""FlowController tests: the adaptation loop under overload.
 
 The controller is exercised two ways: against *fake* components (pure
 decision logic — what escalates, what relaxes, in what order) and against
-a real broker/endpoint pair fed through the sampler (the gauges it reads
-are the ones the sampler writes).
+real brokers and endpoints, whose own backpressure accounting it reads
+directly — no registry, sampler or telemetry in between.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def metric_value(registry, name, **labels):
     wanted = tuple(sorted(labels.items()))
     for metric in registry.collect():
         if metric.name == name and tuple(sorted(metric.labels)) == wanted:
-            return metric.value
+            return metric.instrument.value
     raise AssertionError(f"no metric {name} with labels {labels}")
 
 
@@ -55,12 +55,25 @@ class FakeWire:
         self.enabled = enabled
 
 
-class FakeStore:
-    """Just enough surface for attach_broker's arena/compression probes."""
+class Dial:
+    """A settable reading: ``dial.set(8)`` is what the fakes then report."""
 
     def __init__(self):
-        self.arena = object()
+        self.value = 0
+
+    def set(self, value):
+        self.value = value
+
+
+class FakeStore:
+    """Just enough surface for the arena/compression reads."""
+
+    def __init__(self):
+        self.pressure = Dial()
         self._policy = CompressionPolicy(enabled=False, threshold=1024)
+
+    def arena_stats(self):
+        return {"pressure": self.pressure.value}
 
     @property
     def compression(self):
@@ -74,6 +87,10 @@ class FakeCommunicator:
     def __init__(self, store):
         self.object_store = store
         self.pressure_calls = []
+        self.bulk_depth = Dial()
+
+    def flow_stats(self):
+        return {"headers": {"bulk_depth": self.bulk_depth.value}}
 
     def set_pressure(self, active):
         self.pressure_calls.append(active)
@@ -88,30 +105,38 @@ class FakeBroker:
     wire: FakeWire = field(default_factory=FakeWire)
 
 
+class FakeSendBuffer:
+    def __init__(self):
+        self.bulk_depth = Dial()
+
+    def flow_stats(self):
+        return {"bulk_depth": self.bulk_depth.value}
+
+
 class FakeEndpoint:
+    name = "e"
+
     def __init__(self, coalescing):
         self.coalescing = coalescing
+        self.send_buffer = FakeSendBuffer()
 
 
 def controller_with_fakes(flow=None):
-    registry = MetricsRegistry()
-    flow = flow or spec()
-    controller = FlowController(registry, flow)
+    """``(controller, broker, endpoint, header-queue bulk depth dial, arena
+    pressure dial)``."""
+    controller = FlowController(flow or spec())
     broker = FakeBroker()
     endpoint = FakeEndpoint(CoalescingSpec(enabled=True, max_message_bytes=1024))
     controller.attach_broker(broker)
     controller.attach_endpoint(endpoint)
-    depth = registry.gauge(
-        "backpressure_lane_depth",
-        {"component": "b", "queue": "headers", "lane": "bulk"},
-    )
-    arena = registry.gauge("arena_pressure", {"broker": "b"})
-    return registry, controller, broker, endpoint, depth, arena
+    depth = broker.communicator.bulk_depth
+    arena = broker.communicator.object_store.pressure
+    return controller, broker, endpoint, depth, arena
 
 
 class TestEscalation:
     def test_needs_consecutive_pressured_polls(self):
-        _, controller, broker, endpoint, depth, _ = controller_with_fakes()
+        controller, broker, endpoint, depth, _ = controller_with_fakes()
         depth.set(8)  # >= 0.5 * bulk_watermark
         controller.poll_once()
         assert not controller.degraded  # escalate_after=2: not yet
@@ -121,7 +146,7 @@ class TestEscalation:
         assert endpoint.coalescing.max_message_bytes == 2048
 
     def test_clear_poll_resets_the_streak(self):
-        _, controller, _, _, depth, _ = controller_with_fakes()
+        controller, _, _, depth, _ = controller_with_fakes()
         depth.set(8)
         controller.poll_once()
         depth.set(0)
@@ -132,14 +157,14 @@ class TestEscalation:
 
     def test_repeat_escalations_cap_at_coalescing_max(self):
         flow = spec(coalescing_max_bytes=4096)
-        _, controller, _, endpoint, depth, _ = controller_with_fakes(flow)
+        controller, _, endpoint, depth, _ = controller_with_fakes(flow)
         depth.set(8)
         for _ in range(10):  # five escalation opportunities
             controller.poll_once()
         assert endpoint.coalescing.max_message_bytes == 4096  # capped
 
     def test_queue_pressure_alone_leaves_admission_open(self):
-        _, controller, broker, _, depth, _ = controller_with_fakes()
+        controller, broker, _, depth, _ = controller_with_fakes()
         depth.set(8)
         controller.poll_once()
         controller.poll_once()
@@ -148,7 +173,7 @@ class TestEscalation:
         assert broker.communicator.pressure_calls == []
 
     def test_arena_pressure_tightens_admission_and_compression(self):
-        _, controller, broker, _, _, arena = controller_with_fakes()
+        controller, broker, _, _, arena = controller_with_fakes()
         arena.set(1)
         controller.poll_once()
         controller.poll_once()
@@ -160,7 +185,7 @@ class TestEscalation:
 
     def test_compression_threshold_floor(self):
         flow = spec(compression_min_threshold=400)
-        _, controller, broker, _, _, arena = controller_with_fakes(flow)
+        controller, broker, _, _, arena = controller_with_fakes(flow)
         arena.set(1)
         store = broker.communicator.object_store
         for _ in range(8):
@@ -169,17 +194,12 @@ class TestEscalation:
         # (admission tightening is one-shot; the floor guards re-entry)
 
     def test_disabled_coalescing_left_alone(self):
-        registry = MetricsRegistry()
-        controller = FlowController(registry, spec())
+        controller = FlowController(spec())
         endpoint = FakeEndpoint(CoalescingSpec(enabled=False, max_message_bytes=512))
         controller.attach_endpoint(endpoint)
-        depth = registry.gauge(
-            "backpressure_lane_depth",
-            {"component": "b", "queue": "headers", "lane": "bulk"},
-        )
         broker = FakeBroker()
         controller.attach_broker(broker)
-        depth.set(8)
+        broker.communicator.bulk_depth.set(8)
         controller.poll_once()
         controller.poll_once()
         assert endpoint.coalescing.max_message_bytes == 512
@@ -188,7 +208,7 @@ class TestEscalation:
 class TestRelaxation:
     def escalated(self, flow=None):
         parts = controller_with_fakes(flow)
-        _, controller, _, _, depth, arena = parts
+        controller, _, _, depth, arena = parts
         depth.set(8)
         arena.set(1)
         controller.poll_once()
@@ -199,7 +219,7 @@ class TestRelaxation:
         return parts
 
     def test_needs_consecutive_clear_polls(self):
-        _, controller, broker, endpoint, _, _ = self.escalated()
+        controller, broker, endpoint, _, _ = self.escalated()
         controller.poll_once()
         controller.poll_once()
         assert controller.degraded  # relax_after=3: not yet
@@ -210,17 +230,32 @@ class TestRelaxation:
         assert broker.communicator.pressure_calls == [True, False]
 
     def test_originals_restored_exactly(self):
-        _, controller, broker, endpoint, _, _ = self.escalated()
+        controller, broker, endpoint, _, _ = self.escalated()
         for _ in range(3):
             controller.poll_once()
         assert endpoint.coalescing.max_message_bytes == 1024
         policy = broker.communicator.object_store.compression
         assert policy.threshold == 1024 and not policy.enabled
 
+    def test_send_buffer_depth_is_a_queue_signal(self):
+        controller, _, endpoint, _, _ = controller_with_fakes()
+        endpoint.send_buffer.bulk_depth.set(8)
+        controller.poll_once()
+        controller.poll_once()
+        assert controller.degraded
+
     def test_decision_telemetry_exported(self):
-        registry, controller, *_ = self.escalated()
+        """The controller counts its own decisions; a sampler that is
+        handed the controller exports them as the ``flow_*`` metrics."""
+        controller, *_ = self.escalated()
         for _ in range(3):
             controller.poll_once()
+        assert (controller.escalations, controller.relaxations) == (1, 1)
+        assert controller.polls == 5
+        registry = MetricsRegistry()
+        sampler = TelemetrySampler(registry, clock=lambda: 1.0)
+        sampler.add_flow_controller(controller)
+        sampler.sample_once()
         assert metric_value(
             registry, "flow_adaptations_total", direction="escalate"
         ) == 1
@@ -228,11 +263,12 @@ class TestRelaxation:
             registry, "flow_adaptations_total", direction="relax"
         ) == 1
         assert metric_value(registry, "flow_degradation_level") == 0
+        assert metric_value(registry, "flow_polls_total") == 5
 
 
 class TestLifecycle:
     def test_thread_polls_until_stopped(self):
-        registry, controller, _, _, depth, _ = controller_with_fakes()
+        controller, _, _, depth, _ = controller_with_fakes()
         depth.set(8)
         controller.start()
         assert controller.running
@@ -246,45 +282,73 @@ class TestLifecycle:
 
 
 class TestAgainstRealComponents:
-    def test_sampler_feeds_controller(self):
-        """The gauges the sampler writes are the ones the controller reads."""
+    def test_controller_reads_the_broker_directly(self):
+        """No registry, no sampler: the queue's own accounting is the signal."""
         flow = spec(bulk_watermark=4, escalate_after=1)
         broker = Broker("b", flow=flow)
         broker.register_process("sink")  # never drained: queue backs up
-        registry = MetricsRegistry()
-        sampler = TelemetrySampler(registry, interval=0.01, clock=lambda: 1.0)
-        sampler.add_broker(broker)
-        controller = FlowController(registry, flow)
+        controller = FlowController(flow)
         controller.attach_broker(broker)
         try:
             for index in range(4):
                 broker.communicator.header_queue.put(
                     make_header("x", ["sink"], MsgType.DATA)
                 )
-            sampler.sample_once()
             controller.poll_once()
             assert controller.degraded
             assert broker.wire.enabled
         finally:
             broker.stop()
 
+    def test_local_id_queue_backlog_escalates(self):
+        """One broker, a destination that does not drain: the backlog sits
+        in its ID queue (local traffic never touches the header queue),
+        and that is enough to escalate."""
+        flow = spec(bulk_watermark=4, escalate_after=1)
+        broker = Broker("b", flow=flow)
+        broker.register_process("sink")
+        alice = ProcessEndpoint(
+            "alice", broker, coalescing=CoalescingSpec(max_message_bytes=64)
+        )
+        controller = FlowController(flow)
+        controller.attach_broker(broker)
+        controller.attach_endpoint(alice)
+        alice.start()
+        try:
+            for index in range(8):  # above the coalescing threshold
+                alice.send(
+                    make_message("alice", ["sink"], MsgType.DATA, b"x" * 100)
+                )
+            deadline = time.monotonic() + 2.0
+            sink_queue = broker.communicator.id_queue("sink")
+            while sink_queue.qsize() < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert broker.communicator.header_queue.qsize() == 0
+            controller.poll_once()
+            assert controller.degraded
+            assert alice.coalescing.max_message_bytes == 128
+        finally:
+            alice.stop()
+            broker.stop()
+
     def test_telemetry_facade_wires_flow_control(self):
         """Header-queue depth is the controller's "link is slow" signal:
         only remote-bound headers queue there, so the backlog is built
         with a destination behind another broker (whose router, never
-        started, stands in for a stalled link)."""
+        started, stands in for a stalled link).  Telemetry only *exports*
+        the controller's decisions; the controller does not need it."""
         flow = spec(bulk_watermark=4, escalate_after=1)
         telemetry = Telemetry(sample_interval=0.01, spans=False)
-        controller = telemetry.enable_flow_control(flow)
-        assert telemetry.enable_flow_control(flow) is controller  # idempotent
+        controller = FlowController(flow)
+        telemetry.attach_flow_controller(controller)
         fabric = Fabric()
         broker = Broker("b", flow=flow, fabric=fabric)
         peer = Broker("far", fabric=fabric)
         fabric.connect("b", "far")
         broker.add_remote_route("sink", "far")
-        telemetry.attach_broker(broker)
+        controller.attach_broker(broker)
         alice = ProcessEndpoint("alice", broker)
-        telemetry.attach_endpoint(alice)
+        controller.attach_endpoint(alice)
         alice.start()
         try:
             for index in range(8):
@@ -295,9 +359,13 @@ class TestAgainstRealComponents:
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.01)
-            telemetry.sampler.sample_once()
             controller.poll_once()
             assert controller.degraded
+            telemetry.sampler.sample_once()
+            assert metric_value(
+                telemetry.registry, "flow_adaptations_total", direction="escalate"
+            ) == 1
+            assert metric_value(telemetry.registry, "flow_degradation_level") == 1
         finally:
             alice.stop()
             broker.stop()

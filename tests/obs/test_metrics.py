@@ -7,11 +7,11 @@ import json
 import pytest
 
 from repro.core.concurrency import spawn_thread
+from repro.core.stats import LatencyRecorder
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     parse_prometheus,
     snapshot,
@@ -48,11 +48,10 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_and_inc(self):
+    def test_set(self):
         gauge = Gauge("g")
         gauge.set(3.0)
-        gauge.inc(2.0)
-        gauge.dec(1.0)
+        gauge.set(4.0)
         assert gauge.value == pytest.approx(4.0)
 
     def test_series_bounded(self):
@@ -68,50 +67,52 @@ class TestGauge:
 
 
 class TestHistogram:
+    """The one histogram class is the data plane's ``LatencyRecorder``."""
+
     def test_counts_and_sum(self):
-        histogram = Histogram("h", buckets=(1.0, 2.0, 5.0))
+        histogram = LatencyRecorder("h", buckets=(1.0, 2.0, 5.0))
         for value in (0.5, 1.5, 10.0):
-            histogram.observe(value)
+            histogram.record(value)
         assert histogram.count == 3
         assert histogram.sum == pytest.approx(12.0)
         assert histogram.mean() == pytest.approx(4.0)
 
     def test_bucket_counts_cumulative_with_inf(self):
-        histogram = Histogram("h", buckets=(1.0, 2.0))
+        histogram = LatencyRecorder("h", buckets=(1.0, 2.0))
         for value in (0.5, 1.5, 3.0, 4.0):
-            histogram.observe(value)
+            histogram.record(value)
         counts = histogram.bucket_counts()
         assert counts[0] == (1.0, 1)
         assert counts[1] == (2.0, 2)
         assert counts[2][1] == 4  # +Inf
 
     def test_boundary_lands_in_its_bucket(self):
-        histogram = Histogram("h", buckets=(1.0, 2.0))
-        histogram.observe(1.0)  # le="1.0" must include 1.0
+        histogram = LatencyRecorder("h", buckets=(1.0, 2.0))
+        histogram.record(1.0)  # le="1.0" must include 1.0
         assert histogram.bucket_counts()[0] == (1.0, 1)
 
     def test_quantiles_bracket_samples(self):
-        histogram = Histogram("h")
+        histogram = LatencyRecorder("h")
         values = [0.001 * k for k in range(1, 101)]
         for value in values:
-            histogram.observe(value)
+            histogram.record(value)
         p50 = histogram.quantile(0.5)
         assert 0.04 <= p50 <= 0.06
         assert histogram.quantile(1.0) <= max(values) + 1e-9
         assert histogram.quantile(0.0) >= 0.0
 
     def test_quantile_empty_is_zero(self):
-        assert Histogram("h").quantile(0.5) == 0.0
+        assert LatencyRecorder("h").quantile(0.5) == 0.0
 
     def test_quantile_validation(self):
         with pytest.raises(ValueError):
-            Histogram("h").quantile(1.5)
+            LatencyRecorder("h").quantile(1.5)
 
     def test_rejects_bad_buckets(self):
         with pytest.raises(ValueError):
-            Histogram("h", buckets=())
+            LatencyRecorder("h", buckets=())
         with pytest.raises(ValueError):
-            Histogram("h", buckets=(2.0, 1.0))
+            LatencyRecorder("h", buckets=(2.0, 1.0))
 
     def test_default_buckets_ascending(self):
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
@@ -136,6 +137,21 @@ class TestRegistry:
         registry.counter("m")
         with pytest.raises(ValueError):
             registry.gauge("m")
+
+    def test_expose_exports_the_owners_recorder_itself(self):
+        registry = MetricsRegistry()
+        recorder = LatencyRecorder("learner.actual-wait")
+        registry.expose("wait_seconds", {"process": "learner"}, recorder)
+        recorder.record(0.25)  # recorded once, by its owner
+        (metric,) = registry.collect()
+        assert (metric.name, metric.kind) == ("wait_seconds", "histogram")
+        assert metric.instrument is recorder
+        (entry,) = snapshot(registry)["metrics"]
+        assert entry["count"] == 1 and entry["sum"] == 0.25
+        # A replacement owner's recorder takes the name over.
+        registry.expose("wait_seconds", {"process": "learner"}, LatencyRecorder())
+        assert snapshot(registry)["metrics"][0]["count"] == 0
+        assert len(registry) == 1
 
     def test_collect_sorted(self):
         registry = MetricsRegistry()
@@ -169,7 +185,7 @@ class TestPrometheusExport:
         gauge.set(7)
         histogram = registry.histogram("latency_seconds", buckets=(0.1, 1.0))
         for value in (0.05, 0.5, 5.0):
-            histogram.observe(value)
+            histogram.record(value)
         return registry
 
     def test_every_line_parses(self):
@@ -219,7 +235,7 @@ class TestSnapshot:
             registry = MetricsRegistry()
             registry.counter("b_total").inc(2)
             registry.counter("a_total", {"k": "v"}).inc(1)
-            registry.histogram("h_seconds", buckets=(1.0,)).observe(0.5)
+            registry.histogram("h_seconds", buckets=(1.0,)).record(0.5)
             return snapshot_to_json(registry, meta={"run": "x"})
 
         assert build() == build()
@@ -229,7 +245,7 @@ class TestSnapshot:
         registry.counter("c_total").inc()
         gauge = registry.gauge("g", series_capacity=4)
         gauge.set(1.0, timestamp=0.5)
-        registry.histogram("h_seconds").observe(0.01)
+        registry.histogram("h_seconds").record(0.01)
         data = snapshot(registry, meta={"elapsed_s": 1.0})
         assert validate_snapshot(data) == []
         # And survives a JSON round trip.

@@ -115,7 +115,8 @@ def test_hot_path_cost_within_budget():
 
 
 def test_uninstrumented_pays_nothing():
-    """Without telemetry the instruments stay None — a pointer check — and
+    """There is nothing for telemetry to switch on inside an endpoint — it
+    holds no registry instrument, only its own meters and recorders — and
     the hop log, with no subscriber, builds no TraceEvent: it pays for its
     ring record and nothing else."""
     built = []
@@ -130,7 +131,7 @@ def test_uninstrumented_pays_nothing():
     solo = ProcessEndpoint("solo", broker)
     solo.start()
     try:
-        assert solo._messages_sent is None
+        assert not HOP_LOG.subscribers
         before = HOP_LOG.total
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tracing, "TraceEvent", Spy)

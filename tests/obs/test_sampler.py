@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.core.concurrency import spawn_thread
 from repro.core.message import MsgType, make_message
 from repro.obs import MetricsRegistry, TelemetrySampler
 
@@ -13,7 +14,7 @@ from repro.obs import MetricsRegistry, TelemetrySampler
 def values(registry, name):
     """{labels_dict_items: value} for every instrument with that name."""
     return {
-        metric.labels: metric.value
+        metric.labels: metric.instrument.value
         for metric in registry.collect()
         if metric.name == name
     }
@@ -91,7 +92,7 @@ class TestBrokerProbe:
         (metric,) = [
             m for m in registry.collect() if m.name == "broker_header_queue_depth"
         ]
-        assert [timestamp for timestamp, _ in metric.series()] == [0.0, 1.0, 2.0]
+        assert [timestamp for timestamp, _ in metric.instrument.series()] == [0.0, 1.0, 2.0]
 
 
 class TestEndpointProbe:
@@ -121,6 +122,72 @@ class TestEndpointProbe:
         (backlog,) = values(registry, "endpoint_receive_backlog").values()
         assert backlog == 1
         assert bob.receive(timeout=1.0) is not None  # drain for clean teardown
+
+
+class TestTotals:
+    """Running totals are delta-accumulated into counters (endpoint meters
+    here; processes and restarts in test_pull_telemetry.py)."""
+
+    def test_counters_follow_the_endpoints_own_meters(self, endpoint_pair):
+        alice, bob = endpoint_pair
+        registry = MetricsRegistry()
+        sampler = TelemetrySampler(registry, interval=0.01, clock=lambda: 1.0)
+        sampler.add_endpoint(alice)
+        sampler.add_endpoint(bob)
+        for index in range(5):
+            alice.send(make_message("alice", ["bob"], MsgType.DATA, index))
+        for _ in range(5):
+            assert bob.receive(timeout=2.0) is not None
+        sampler.sample_once()
+        sampler.read_totals()  # a re-read adds nothing twice
+        sent = values(registry, "endpoint_messages_sent_total")
+        assert sent[(("process", "alice"),)] == alice.sent_meter.count == 5
+        received = values(registry, "endpoint_messages_received_total")
+        assert received[(("process", "bob"),)] == bob.received_meter.count == 5
+        assert values(registry, "endpoint_bytes_received_total")[
+            (("process", "bob"),)
+        ] == bob.received_meter.total
+
+    def test_concurrent_reads_never_count_a_delta_twice(self):
+        """An export's read_totals() can race the sampler thread's sweep."""
+        import sys
+        import threading
+
+        class Owner:
+            name = "owner"
+            total = 0
+
+        owner = Owner()
+        registry = MetricsRegistry()
+        sampler = TelemetrySampler(registry, interval=0.01)
+        rows = [("explorer_env_steps_total", lambda o: o.total)]
+        sampler.add_probe(
+            lambda timestamp: None,
+            totals=sampler._totals_reader((owner, rows, {"process": "owner"})),
+        )
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                sampler.read_totals()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = []
+        try:
+            threads += [spawn_thread(f"totals-reader-{n}", reader) for n in range(4)]
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline:
+                owner.total += 1
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=5.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        sampler.read_totals()
+        assert counter_value(registry, "explorer_env_steps_total") == owner.total
+        assert counter_value(registry, "sampler_errors_total") == 0
 
 
 class TestLifecycle:

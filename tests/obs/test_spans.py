@@ -54,7 +54,7 @@ class TestStageDurations:
         by_stage = {}
         for metric in registry.collect():
             if metric.name == "message_stage_seconds":
-                by_stage[dict(metric.labels)["stage"]] = metric
+                by_stage[dict(metric.labels)["stage"]] = metric.instrument
         assert by_stage["send"].sum == pytest.approx(1.0)  # sent -> routed
         assert by_stage["route"].sum == pytest.approx(2.0)  # routed -> delivered
         assert by_stage["deliver"].sum == pytest.approx(3.0)  # end to end
@@ -112,7 +112,7 @@ class TestCorrelationHealth:
         (counter,) = [
             m for m in registry.collect() if m.name == "message_spans_negative_total"
         ]
-        assert counter.value == 1
+        assert counter.instrument.value == 1
 
     def test_pending_is_bounded_and_evictions_counted(self):
         registry, aggregator = make_aggregator(max_pending=8)
@@ -147,7 +147,7 @@ class TestCorrelationHealth:
         (histogram,) = [
             m for m in registry.collect() if m.name == "message_stage_seconds"
         ]
-        assert histogram.sum == pytest.approx(6.0)  # not 1.0
+        assert histogram.instrument.sum == pytest.approx(6.0)  # not 1.0
 
     def test_non_lifecycle_events_ignored(self):
         registry, aggregator = make_aggregator()
@@ -187,13 +187,15 @@ class TestRecordsAndEdges:
         ]
 
 
-class TestLiveSink:
+class TestLiveSubscription:
     def test_aggregates_past_buffer_wrap(self):
-        # The tracer's buffer holds 4 events; the sink still sees all 8.
+        # A tracer's buffer holds 4 events; the aggregator, subscribed to
+        # the log itself, still sees all 8.
         registry, aggregator = make_aggregator()
         clock_value = [0.0]
         log = HopLog("spans", capacity=64, clock=lambda: clock_value[0])
-        tracer = Tracer(capacity=4, sink=aggregator.observe).attach(log)
+        tracer = Tracer(capacity=4).attach(log)
+        aggregator.attach(log)
         for seq in range(2):
             for event in lifecycle(seq, float(seq) * 10):
                 clock_value[0] = event.timestamp
@@ -202,7 +204,24 @@ class TestLiveSink:
                     {"seq": seq, "type": "MsgType.ROLLOUT", "dst": ["learner"]},
                 )
         assert len(tracer.events()) == 4  # buffer wrapped
-        assert aggregator.stats().matched["deliver"] == 2  # sink saw everything
+        assert aggregator.stats().matched["deliver"] == 2  # saw everything
+        aggregator.detach()
+        log.emit("sent", "x", {"seq": 99, "type": "MsgType.ROLLOUT", "dst": ["l"]})
+        assert aggregator.pending_counts()["sent"] == 2  # detached: not 3
+
+    def test_a_raising_aggregator_is_logged_and_detached(self, caplog):
+        """Satellite fix: a broken span aggregator used to be disabled with
+        no trace of it; as a subscriber it is logged and detached."""
+        registry, aggregator = make_aggregator()
+        log = HopLog("spans", capacity=64)
+        aggregator.attach(log)
+        aggregator.observe = None  # the next event blows up inside observe_many
+        bystander = Tracer().attach(log)
+        with caplog.at_level("ERROR", logger="repro.core.tracing"):
+            log.emit("sent", "x", {"seq": 1, "type": "t", "dst": ["l"]})
+            log.emit("sent", "x", {"seq": 2, "type": "t", "dst": ["l"]})
+        assert "raised; detached" in caplog.text
+        assert bystander.count() == 2
 
     def test_observe_is_thread_safe(self):
         registry, aggregator = make_aggregator()

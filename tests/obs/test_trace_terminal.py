@@ -15,7 +15,7 @@ import pytest
 from repro.core.config import FlowControlSpec
 from repro.core.communicator import HeaderQueue
 from repro.core.message import SEQ, MsgType, make_header
-from repro.core.tracing import Tracer, emit
+from repro.core.tracing import emit
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import TERMINAL_KINDS, SpanAggregator
 
@@ -144,7 +144,7 @@ class TestQueueEmitsTerminals:
     def test_sheds_feed_span_aggregator_outcomes(self):
         registry = MetricsRegistry()
         spans = SpanAggregator(registry)
-        tracer = Tracer(sink=spans.observe).attach()
+        spans.attach()
         try:
             queue = HeaderQueue("q", self._spec())
             headers = [make_header("a", ["b"], MsgType.DATA) for _ in range(4)]
@@ -153,7 +153,7 @@ class TestQueueEmitsTerminals:
                 emit("sent", "a", header)
                 queue.put(header)
         finally:
-            tracer.detach()
+            spans.detach()
         stats = spans.stats()
         assert stats.terminated["shed"] == 2
         assert spans.pending_counts()["sent"] == 2  # only the live ones
