@@ -5,7 +5,8 @@ Times the four layers the hot path crosses, in isolation:
 * **serialize / deserialize** — scatter-gather frames vs the wire bytes
   they produce, plus the ``copy=False`` zero-copy read path;
 * **object store** — ``put``/``get``/``release`` of a 1 MB array through
-  the pooled arena vs the legacy one-segment-per-message path;
+  the pooled arena vs the legacy one-segment-per-message path, and the
+  lease-against-copy break-even table ``LEASE_MIN_BYTES`` is set from;
 * **SHM transport** — ``write_segment``/``read_segment`` vs a
   :class:`SharedSlabPool` block write/read;
 * **endpoint throughput** — small (≤4 KB) messages through a live broker
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -32,6 +34,7 @@ import pytest
 from repro.core.broker import Broker
 from repro.core.config import CoalescingSpec
 from repro.core.endpoint import ProcessEndpoint
+from repro.core import object_store
 from repro.core.message import MsgType, make_message
 from repro.core.object_store import SharedMemoryObjectStore
 from repro.core.serialization import deserialize, make_frame, serialize
@@ -121,6 +124,49 @@ def _bench_object_store() -> dict:
     }
 
 
+#: body sizes of the break-even table (bytes)
+LEASE_TABLE_SIZES = (1 << 10, 16 << 10, 64 << 10, 256 << 10, MB)
+
+
+def _bench_lease_break_even() -> dict:
+    """One put/get/release cycle per size with ``get`` forced to each side
+    of ``LEASE_MIN_BYTES``: a lease costs a fixed few microseconds, a
+    copy-out costs per byte.  The constant belongs at the first size in
+    this table where the lease wins (docs/PERFORMANCE.md).
+
+    The two sides take turns, a few hundred cycles at a time, so a box
+    that drifts between two speeds drifts under both.
+    """
+    shipped = object_store.LEASE_MIN_BYTES
+    sides = (("copy_s", sys.maxsize), ("lease_s", 0))
+    table = {}
+    try:
+        for size in LEASE_TABLE_SIZES:
+            body = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8)
+            loops = max(64, min(2000, (64 * MB) // size))
+            samples = {side: [] for side, _ in sides}
+            store = SharedMemoryObjectStore()
+            try:
+                for turn in range(8):
+                    for side, constant in sides:
+                        object_store.LEASE_MIN_BYTES = constant
+                        started = time.perf_counter()
+                        for _ in range(loops):
+                            _store_cycle(store, body)
+                        elapsed = time.perf_counter() - started
+                        if turn:  # the first turn of each side is warm-up
+                            samples[side].append(elapsed / loops)
+                assert store.leak_report() == []
+            finally:
+                store.close()
+            table[str(size)] = {
+                side: statistics.median(values) for side, values in samples.items()
+            }
+    finally:
+        object_store.LEASE_MIN_BYTES = shipped
+    return {"lease_min_bytes": shipped, "cycle": table}
+
+
 # -- layer 3: SHM transport (pool vs per-message segments) -----------------
 
 def _bench_shm_transport() -> dict:
@@ -208,6 +254,7 @@ def test_comm_micro(once):
         return {
             "serialization": _bench_serialization(),
             "object_store": _bench_object_store(),
+            "lease_break_even": _bench_lease_break_even(),
             "shm_transport": _bench_shm_transport(),
             "coalescing": _bench_coalescing(),
         }
@@ -226,6 +273,11 @@ def test_comm_micro(once):
         ["1MB put: segment (ms)", store["segment_put_release_s"] * 1e3],
         ["1MB put: arena (ms)", store["arena_put_release_s"] * 1e3],
         ["arena put latency cut", f"{store['put_latency_cut'] * 100:.1f}%"],
+        *(
+            [f"{int(size) >> 10} KiB cycle: copy / lease (us)",
+             f"{row['copy_s'] * 1e6:.1f} / {row['lease_s'] * 1e6:.1f}"]
+            for size, row in results["lease_break_even"]["cycle"].items()
+        ),
         ["256KB shm roundtrip: segment (ms)", shm["segment_write_read_s"] * 1e3],
         ["256KB shm roundtrip: pool (ms)", shm["pool_write_read_s"] * 1e3],
         ["small msgs/s: coalescing off", f"{coal['baseline_msgs_per_s']:,.0f}"],

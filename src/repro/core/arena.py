@@ -31,7 +31,11 @@ the arena arms a use-after-free sanitizer for the zero-copy pipeline:
 * *view registration* — consumers exporting zero-copy views
   (:meth:`register_export`, or ``deserialize(..., view_registry=...)`` via
   :meth:`export_registry`) make :meth:`free`/:meth:`close` raise while any
-  exported view is still alive, instead of leaving it dangling.
+  exported view is still alive, instead of leaving it dangling.  The
+  object store registers one count-based export per *lease* (a fetched
+  body that reads its block in place) and unregisters it just before the
+  lease's share drops, so a block freed under a live reader faults here
+  even if the store's own share accounting were wrong.
 
 All sanitizer state is behind one ``self._sanitize`` flag; with checks off
 the steady-state alloc/free path is unchanged.
@@ -433,7 +437,9 @@ class SlabArena:
 
         Returns a token for :meth:`unregister_export`.  With a ``view`` the
         registration expires by itself once the view is ``release()``-d;
-        without one it is a plain count the exporter must balance.  While
+        without one it is a plain count the exporter must balance — the
+        form for a reader whose views die by garbage collection (a store
+        lease: holding the view here would keep it alive for ever).  While
         any registered view is alive, :meth:`free` and :meth:`close` raise
         instead of recycling the memory under the reader.  No-op (token 0)
         when the sanitizer is off.

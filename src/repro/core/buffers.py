@@ -30,9 +30,11 @@ class MessageBuffer:
     blocks a control ``put`` at the watermark — up to the deadline, then
     :class:`~repro.core.errors.BackpressureError`; this is where
     backpressure reaches the workhorse — and sheds its oldest staged bulk
-    message, reporting each to ``on_shed``.  Messages hold no object-store
-    shares, so a shed loses only the message itself.  Without a spec
-    nothing is ever shed or blocked.
+    message, reporting each to ``on_shed``.  A staged message holds no
+    object-store share, so a shed loses only the message itself; a
+    *delivered* one may — a body leased from a shared-memory store pins its
+    block until it is dropped — so a receive buffer is emptied when its
+    endpoint stops.  Without a spec nothing is ever shed or blocked.
     """
 
     def __init__(

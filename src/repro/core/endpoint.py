@@ -142,6 +142,10 @@ class ProcessEndpoint:
         self._sender = None
         self._receiver = None
         self._release_unconsumed()
+        # Delivered but never consumed: a body fetched from a shared-memory
+        # store can hold a lease on its block, and a stopped endpoint must
+        # pin none (the broker's refcount and arena audits come next).
+        self.receive_buffer.drain()
 
     @receives_ownership("drained headers carry shares acquired by senders")
     def _release_unconsumed(self) -> None:
@@ -412,6 +416,9 @@ class ProcessEndpoint:
                 self.receive_buffer.put_many(deliveries)
             except RuntimeError:
                 return  # receive buffer closed during shutdown
+            # A leased body pins its block for as long as anything refers
+            # to it, this frame included: wait for the next batch empty-handed.
+            del deliveries, body
 
 
 class WorkhorseThread:

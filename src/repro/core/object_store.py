@@ -17,7 +17,10 @@ IDs travel through queues (§3.2.1).  Two implementations are provided:
   :class:`~repro.core.arena.SlabArena` (no per-message segment creation, no
   intermediate ``bytes``); the legacy one-segment-per-message path remains
   as the arena-exhaustion fallback and as the ``use_arena=False`` baseline
-  the ablation benchmarks compare against.
+  the ablation benchmarks compare against.  A large body is fetched as a
+  *lease*: read-only arrays over its block, which the body pins until its
+  last array dies (the paper's Plasma buffers, §4.1) — see
+  :data:`LEASE_MIN_BYTES`.
 
 Both ``put`` methods accept an optional precomputed
 :class:`~repro.core.serialization.Frame` so senders that already framed the
@@ -29,15 +32,17 @@ from __future__ import annotations
 import itertools
 import logging
 import time
+import weakref
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from .arena import ArenaError, BlockHandle, SlabArena
 from .compression import _HDR_RAW, _HDR_ZLIB, CompressionPolicy, disabled_policy
 from .concurrency import make_lock
 from .errors import ObjectStoreError, RefcountLeakError, UnknownObjectError
-from .ownership import borrows_view
-from .serialization import Frame, deserialize, make_frame, serialize
+from .ownership import borrows_view, detaches_view
+from .serialization import Frame, deserialize, make_frame, serialize, view_holder
 
 _OBJECT_COUNTER = itertools.count()
 
@@ -275,6 +280,16 @@ _Location = Tuple[str, Union[BlockHandle, str]]
 _LOC_ARENA = "arena"
 _LOC_SEGMENT = "segment"
 
+#: Stored size from which ``get`` leases an arena block instead of copying
+#: out of it.  A lease costs a fixed few microseconds (a share, a holder, a
+#: finalizer, a reap) where a copy-out costs per byte; the put/get/release
+#: break-even table in docs/PERFORMANCE.md puts the crossing between
+#: 64 KiB and 256 KiB on the reference box.
+LEASE_MIN_BYTES = 256 * 1024
+
+#: One lease: (object ID, its block, the sanitizer's export token).
+_Lease = Tuple[str, BlockHandle, int]
+
 
 class SharedMemoryObjectStore(ObjectStore):
     """Object store over ``multiprocessing.shared_memory``.
@@ -287,6 +302,17 @@ class SharedMemoryObjectStore(ObjectStore):
     ``use_arena=False``) falls back to the legacy dedicated-segment path.
     The creating process owns block/segment reclamation, driven by the
     refcounts it tracks.
+
+    **Leases.**  ``get`` on an arena entry of at least
+    :data:`LEASE_MIN_BYTES` does not copy: the body comes back as read-only
+    arrays over the block and holds one more share of the entry, dropped
+    when its last array dies.  The block is freed when destination shares
+    and leases are both gone, so a consumer's ``release`` right after
+    ``get`` never recycles memory somebody reads, and an N-way broadcast is
+    one write and N views.  A lease is a share like any other: it shows in
+    ``outstanding_refcounts``, ``leak_report()`` and the ``close`` audit.
+    Smaller, compressed and overflow-segment entries are copied out —
+    writable, independent, no share.
     """
 
     def __init__(
@@ -304,6 +330,11 @@ class SharedMemoryObjectStore(ObjectStore):
         self._sizes: Dict[str, int] = {}
         self._locations: Dict[str, _Location] = {}
         self._total_refcounts = 0
+        self._used_bytes = 0
+        #: leases whose body has died.  The release hook only appends here:
+        #: it can run inside the cyclic GC on a thread that already holds
+        #: this store's or the arena's lock, so it must take neither.
+        self._expired: Deque[_Lease] = deque()
         self._lock = make_lock("object_store.shm")
         if arena is not None:
             self._arena: Optional[SlabArena] = arena
@@ -340,6 +371,7 @@ class SharedMemoryObjectStore(ObjectStore):
         """Occupancy gauges for the telemetry sampler (empty: arena off)."""
         if self._arena is None:
             return {}
+        self._reap()
         return self._arena.stats()
 
     # -- write paths --------------------------------------------------------
@@ -378,6 +410,7 @@ class SharedMemoryObjectStore(ObjectStore):
         del nbytes  # the real serialization below defines the size
         if refcount < 1:
             raise ObjectStoreError(f"refcount must be >= 1, got {refcount}")
+        self._reap()  # before the alloc: an expired lease's block is reusable
         if frame is None:
             frame = make_frame(body)
         location: Optional[_Location] = None
@@ -415,18 +448,41 @@ class SharedMemoryObjectStore(ObjectStore):
             self._sizes[object_id] = total
             self._locations[object_id] = location
             self._total_refcounts += refcount
+            self._used_bytes += total
         return object_id
 
     # -- read path ----------------------------------------------------------
+    @detaches_view("a leased body leaves with its own share of the backing block")
     def get(self, object_id: str) -> Any:
+        self._reap()
         with self._lock:
             size = self._sizes.get(object_id)
             location = self._locations.get(object_id)
-        if size is None or location is None:
-            raise UnknownObjectError(object_id)
-        kind, where = location
+            if size is None or location is None:
+                raise UnknownObjectError(object_id)
+            kind, where = location
+            leased = kind == _LOC_ARENA and size >= LEASE_MIN_BYTES
+            if leased:
+                # The body's share, taken before the lock drops: the
+                # caller's release() can come right after this get.
+                self._refcounts[object_id] += 1
+                self._total_refcounts += 1
         if kind == _LOC_ARENA:
             assert self._arena is not None and isinstance(where, BlockHandle)
+            if leased:
+                try:
+                    holder = view_holder(self._arena.view(where)[:size])
+                    # Count-based export (registering the view itself would
+                    # keep the holder alive for ever); _reap balances it.
+                    token = self._arena.register_export(where)
+                except BaseException:
+                    self._expired.append((object_id, where, 0))  # share back
+                    raise
+                weakref.finalize(
+                    holder, self._expired.append, (object_id, where, token)
+                )
+                # Arena entries are always raw (_write_arena): skip the prefix.
+                return deserialize(memoryview(holder)[1:], copy=False)
             # Pin the block for the duration of the decode: a concurrent
             # release() of the final refcount now raises in the releasing
             # thread (sanitizer mode) instead of recycling memory we are
@@ -453,7 +509,8 @@ class SharedMemoryObjectStore(ObjectStore):
 
         Raw bodies skip the contiguous ``decode`` copy entirely — the
         deserializer parses the view in place and copies only the array
-        buffers (mandatory here: the block is recycled after release).
+        buffers (mandatory here: this is the copy-out path, whose bodies
+        hold no share, so the block is recycled after release).
         """
         prefix = bytes(view[0:1])
         if prefix == _HDR_RAW:
@@ -464,6 +521,31 @@ class SharedMemoryObjectStore(ObjectStore):
 
     # -- release ------------------------------------------------------------
     def release(self, object_id: str) -> None:
+        self._reap()
+        self._drop_share(object_id)
+
+    def _reap(self) -> None:
+        """Drop the share of every lease whose body has died.
+
+        Every public call starts here, so a block is back on its free list
+        by the next store call after its last reader let go, and the audits
+        (``leak_report``, ``outstanding_refcounts``, ``close``) read exact
+        numbers.
+        """
+        expired = self._expired
+        while expired:
+            try:
+                object_id, where, token = expired.popleft()
+            except IndexError:  # another thread reaped it first
+                return
+            assert self._arena is not None
+            self._arena.unregister_export(where, token)
+            try:
+                self._drop_share(object_id)
+            except UnknownObjectError:
+                pass  # close() emptied the store under a live lease
+
+    def _drop_share(self, object_id: str) -> None:
         location: Optional[_Location] = None
         with self._lock:
             if object_id not in self._refcounts:
@@ -472,7 +554,7 @@ class SharedMemoryObjectStore(ObjectStore):
             self._total_refcounts -= 1
             if self._refcounts[object_id] <= 0:
                 del self._refcounts[object_id]
-                del self._sizes[object_id]
+                self._used_bytes -= self._sizes.pop(object_id)
                 location = self._locations.pop(object_id)
         if location is None:
             return
@@ -490,20 +572,25 @@ class SharedMemoryObjectStore(ObjectStore):
         segment.unlink()
 
     def __len__(self) -> int:
+        self._reap()
         with self._lock:
             return len(self._refcounts)
 
     @property
     def outstanding_refcounts(self) -> int:
+        """Destination shares plus live leases, maintained incrementally."""
+        self._reap()
         with self._lock:
             return self._total_refcounts
 
     @property
     def used_bytes(self) -> int:
+        self._reap()
         with self._lock:
-            return sum(self._sizes.values())
+            return self._used_bytes
 
     def leak_report(self) -> List[Tuple[str, int, int]]:
+        self._reap()
         with self._lock:
             return [
                 (object_id, refcount, self._sizes.get(object_id, 0))
@@ -515,14 +602,17 @@ class SharedMemoryObjectStore(ObjectStore):
 
         With ``audit`` the arena's block accounting is checked first —
         after all refcounts were balanced, every arena block must have been
-        freed, or the store leaked slab space.
+        freed, or the store leaked slab space.  A body still holding a
+        lease makes the sanitizer's arena refuse to close.
         """
+        self._reap()
         with self._lock:
             locations = list(self._locations.values())
             self._refcounts.clear()
             self._sizes.clear()
             self._locations.clear()
             self._total_refcounts = 0
+            self._used_bytes = 0
         for kind, where in locations:
             if kind != _LOC_SEGMENT:
                 continue

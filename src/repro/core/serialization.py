@@ -136,7 +136,9 @@ def deserialize(data: Any, *, copy: bool = True, view_registry: Any = None) -> A
     obligations: keep ``data`` alive for the life of the result, and never
     hand the result to an in-place mutator.  Consumers that repack anyway
     (trainer batch assembly concatenates fragments into new arrays) take
-    this mode for free.
+    this mode for free.  The views keep ``data`` itself alive; when what
+    must outlive them is storage *behind* ``data`` (a recyclable block),
+    pass a :func:`view_holder` and hang the release on its death.
 
     ``view_registry`` (zero-copy mode only) receives one ``register(view)``
     call per exported read-only buffer.  When ``data`` is an arena block,
@@ -172,6 +174,22 @@ def deserialize(data: Any, *, copy: bool = True, view_registry: Any = None) -> A
             buffers.append(exported)
         offset += buf_len
     return pickle.loads(payload, buffers=buffers)
+
+
+def view_holder(view: memoryview) -> np.ndarray:
+    """A weak-referenceable, read-only owner of ``view`` for ``copy=False``.
+
+    Every buffer :func:`deserialize` exports from ``memoryview(holder)``
+    keeps the holder alive (they share its managed buffer), and nothing
+    else does once the caller drops it: the holder dies exactly when the
+    last array of the body does.  A ``weakref.finalize`` on it is therefore
+    the body's release hook — how :class:`SharedMemoryObjectStore
+    <repro.core.object_store.SharedMemoryObjectStore>` ties a leased body
+    to its arena block.  (A ``memoryview`` cannot be weakly referenced and
+    the mmap behind a slab is shared by every block, so neither can carry
+    the hook itself.)
+    """
+    return np.frombuffer(view.toreadonly(), dtype=np.uint8)
 
 
 def measure(obj: Any) -> Tuple[int, Optional[Frame]]:
