@@ -11,7 +11,7 @@ for PBT, brokers carry a ``rank`` and only same-rank brokers are connected
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..transport.fabric import Fabric
 from .communicator import HeaderQueue, ShareMemCommunicator
@@ -21,7 +21,7 @@ from .errors import LifecycleError
 from .flowcontrol import release_header_shares
 from .object_store import ObjectStore
 from .ownership import receives_ownership
-from .router import AlgorithmAgnosticRouter
+from .router import AlgorithmAgnosticRouter, Shipment
 from .tracing import dump_all
 
 
@@ -74,7 +74,9 @@ class Broker:
             on_unroutable=on_unroutable,
         )
         if fabric is not None:
-            fabric.register(self.name, self._on_fabric_receive)
+            fabric.register(
+                self.name, self._on_fabric_receive, self._on_fabric_receive_many
+            )
         self._started = False
         self._stopped = False
         self._lock = make_lock(f"{name}.lifecycle")
@@ -150,19 +152,36 @@ class Broker:
 
     # -- fabric plumbing ----------------------------------------------------
     def _remote_send(
-        self, remote_broker: str, header: Dict[str, Any], body: Any, nbytes: int
+        self, remote_broker: str, shipments: Sequence[Shipment]
     ) -> None:
+        """Ship what the router drained for ``remote_broker``, in order, in
+        one fabric call."""
         assert self._fabric is not None
-        if self.wire is not None and self.wire.wants(header, body, nbytes):
-            # Adaptive wire compression: trade sender CPU for link bytes
-            # when the FlowController decides throughput is sagging.  The
-            # reduced byte count is what a throttled NIC model charges.
-            header, body, nbytes = self.wire.encode(header, body, nbytes)
-        self._fabric.send(self.name, remote_broker, (header, body), nbytes)
+        if self.wire is not None:
+            shipments = [self._wire_encode(shipment) for shipment in shipments]
+        self._fabric.send_many(self.name, remote_broker, shipments)
 
-    def _on_fabric_receive(self, item: Any) -> None:
-        header, body = item
+    def _wire_encode(self, shipment: Shipment) -> Shipment:
+        """Adaptive wire compression, message by message: trade sender CPU
+        for link bytes when the FlowController decides throughput is
+        sagging.  The reduced byte count is what a throttled NIC model
+        charges."""
+        assert self.wire is not None
+        (header, body), nbytes = shipment
+        if not self.wire.wants(header, body, nbytes):
+            return shipment
+        header, body, nbytes = self.wire.encode(header, body, nbytes)
+        return (header, body), nbytes
+
+    def _on_fabric_receive(self, item: Tuple[Dict[str, Any], Any]) -> None:
+        self._on_fabric_receive_many((item,))
+
+    def _on_fabric_receive_many(
+        self, items: Sequence[Tuple[Dict[str, Any], Any]]
+    ) -> None:
+        """Everything one read of a fabric link brought, in order."""
         # Always decode by header, not by local wire state: the *sending*
         # broker decides whether a body was compressed on the wire.
-        header, body = wire_decode(header, body)
-        self.router.on_remote_receive(header, body)
+        self.router.on_remote_receive_many(
+            [wire_decode(header, body) for header, body in items]
+        )

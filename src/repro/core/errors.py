@@ -17,7 +17,14 @@ class ConfigError(XingTianError):
 
 
 class TransportError(XingTianError):
-    """Raised when a communication channel fails."""
+    """Raised when a communication channel fails.
+
+    ``sent`` is how many items of a batched send
+    (:meth:`repro.transport.link.Link.send_many`) had gone out whole before
+    the failure; the item at that position is the one that failed.
+    """
+
+    sent = 0
 
 
 class BackpressureError(TransportError):

@@ -15,7 +15,10 @@ Routing runs in two stages on two threads.  Sender threads call
 local destinations are served right there, one ID-queue insert per
 destination per wake-up.  Only what is left of a header — its remote
 destinations — crosses the communicator's header queue to the router
-thread, which monitors that queue and ships it over the fabric.  A
+thread, which monitors that queue and ships what one wake-up drained in
+one fabric call per remote broker.  Arrivals are handled the same way:
+what one read of a fabric link brought is resolved in one pass
+(:meth:`AlgorithmAgnosticRouter.on_remote_receive_many`).  A
 destination whose registration does not change while its messages are in
 flight is reached by exactly one of the two paths, so per-(sender,
 destination, lane) FIFO holds for any mix of local and remote names.  (A
@@ -44,8 +47,14 @@ from .tracing import emit, emit_many
 
 _LOG = logging.getLogger(__name__)
 
-RemoteSend = Callable[[str, Dict[str, Any], Any, int], None]
-"""(remote_broker, header, body, nbytes) -> ship over the fabric."""
+Shipment = Tuple[Tuple[Dict[str, Any], Any], int]
+"""One message bound for another broker, as a link takes it:
+``((header, body), nbytes)``."""
+
+RemoteSend = Callable[[str, Sequence[Shipment]], None]
+"""(remote_broker, shipments) -> ship over the fabric, in order, in one call.
+An error raised after some went out carries their number as ``sent``
+(:meth:`repro.transport.link.Link.send_many`)."""
 
 
 class _Remainder(NamedTuple):
@@ -146,21 +155,14 @@ class AlgorithmAgnosticRouter:
                 if header_queue.closed:
                     return
                 continue
-            # Each header is settled whole — delivered, shipped, rejected —
-            # before the next; an unroutable name surfaces ("raise" mode)
-            # only once the drained batch is.
-            unroutable: Optional[UnknownDestinationError] = None
-            for header in headers:
-                try:
-                    self.route(header)
-                except UnknownDestinationError as exc:
-                    unroutable = unroutable or exc
-            if unroutable is not None:
-                raise unroutable
+            # The drained batch is settled whole — every destination
+            # delivered, shipped or rejected — in one pass; an unroutable
+            # name surfaces ("raise" mode) only once it is.
+            self._route_remainders(self._dispatch_local(headers))
 
     def route(self, header: Dict[str, Any]) -> None:
-        """Dispatch one header to all destinations: the router thread's unit
-        of work, also called directly by tests."""
+        """Dispatch one header to all destinations: the router thread's
+        work on a batch of one, also called directly by tests."""
         self._route_remainders(self._dispatch_local((header,)))
 
     def route_local(
@@ -236,9 +238,11 @@ class AlgorithmAgnosticRouter:
         """Second stage: ship each remainder's remote groups over the fabric
         and reject what has no route.
 
-        Everything handed in is settled — every destination forwarded, or
-        rejected with its share released — before ``on_unroutable="raise"``
-        surfaces the unknown destinations.
+        The shipments of the whole batch are grouped by remote broker, in
+        header order, and each group goes down in one call.  Everything
+        handed in is settled — every destination forwarded, or rejected
+        with its share released — before ``on_unroutable="raise"`` surfaces
+        the unknown destinations.
         """
         if not remainders:
             return
@@ -246,16 +250,29 @@ class AlgorithmAgnosticRouter:
             remainder.header for remainder in remainders
             if not remainder.header.get(ROUTED)
         ])
+        store = self.communicator.object_store
+        shipments: Dict[str, List[Shipment]] = {}
+        #: one entry per share a remote destination never consumes
+        shares: List[Any] = []
         lost: List[str] = []
         for _, header, remote_groups, unroutable in remainders:
             if remote_groups:
-                self._route_remote(header, remote_groups)
+                object_id = header.get(OBJECT_ID)
+                body = store.get(object_id) if object_id is not None else None
+                self._stage_shipments(shipments, header, remote_groups, body)
+                if object_id is not None:
+                    shares.extend(
+                        [object_id] * sum(map(len, remote_groups.values()))
+                    )
             for destination in unroutable:
-                release_header_shares(
-                    self.communicator.object_store, header, shares=1
-                )
+                release_header_shares(store, header, shares=1)
                 self._reject(destination, header)
             lost.extend(unroutable)
+        for remote_broker, group in shipments.items():
+            self._ship(remote_broker, group)
+        # Bodies stay in the store until their send has returned.
+        for object_id in shares:
+            store.release(object_id)
         if lost and self._on_unroutable == "raise":
             stranded = [name for name in lost if name in self.remote_table]
             raise UnknownDestinationError(
@@ -317,86 +334,114 @@ class AlgorithmAgnosticRouter:
                 unroutable.append(destination)
         return local, remote_groups, unroutable
 
-    @receives_ownership("remote destinations never consume the local share")
-    def _route_remote(
-        self, header: Dict[str, Any], remote_groups: Dict[str, List[str]]
+    @staticmethod
+    def _stage_shipments(
+        shipments: Dict[str, List[Shipment]],
+        header: Dict[str, Any],
+        groups: Dict[str, List[str]],
+        body: Any,
     ) -> None:
-        store = self.communicator.object_store
-        object_id = header.get(OBJECT_ID)
-        body = store.get(object_id) if object_id is not None else None
-        for remote_broker, group in remote_groups.items():
-            self._ship(remote_broker, group, header, body)
-        if object_id is not None:
-            for group in remote_groups.values():
-                for _ in group:
-                    store.release(object_id)
+        """Add to ``shipments``, per broker a group of ``groups`` lives
+        behind, ``header`` cut down to that group, with ``body``."""
+        for remote_broker, group in groups.items():
+            remote_header = dict(header)
+            remote_header[DST] = list(group)
+            remote_header[OBJECT_ID] = None
+            remote_header.pop(ROUTED, None)  # this broker's bookkeeping
+            shipments.setdefault(remote_broker, []).append(
+                ((remote_header, body), header.get("body_size", 0))
+            )
 
-    def _ship(
-        self, remote_broker: str, group: List[str], header: Dict[str, Any], body: Any
-    ) -> None:
-        """Send ``header``, cut down to ``group``, to the broker ``group``
-        lives behind.
+    def _ship(self, remote_broker: str, shipments: List[Shipment]) -> None:
+        """Send ``shipments`` to ``remote_broker`` in one call.
 
         A send that fails on the fabric (a reset connection, an unknown
-        node, an oversized body) is a terminal outcome for the group, not
-        for the thread routing it: every destination in it is rejected —
-        counted and traced — and routing goes on with the next group.
+        node, an oversized body) is a terminal outcome for the message it
+        failed on, not for the thread routing it: what the error says went
+        out before it counts as shipped, every destination of the failed
+        message is rejected — counted and traced — and the rest is offered
+        again.  (A link that died fails each of them in turn.)
         """
         assert self._remote_send is not None  # _partition found the group
-        remote_header = dict(header)
-        remote_header[DST] = list(group)
-        remote_header[OBJECT_ID] = None
-        remote_header.pop(ROUTED, None)  # this broker's bookkeeping
-        try:
-            self._remote_send(
-                remote_broker, remote_header, body, header.get("body_size", 0)
-            )
-        except Exception:  # noqa: BLE001 - the routing thread must keep running
-            _LOG.warning(
-                "router %s: send to %s for %s failed; rejected",
-                self.name, remote_broker, group, exc_info=True,
-            )
-            for destination in group:
-                self._reject(destination, header)
-            return
-        with self._counters_lock:
-            self._routed_remote += len(group)
+        while shipments:
+            try:
+                self._remote_send(remote_broker, shipments)
+                sent = len(shipments)
+            except Exception as exc:  # noqa: BLE001 - the routing thread must keep running
+                sent = min(getattr(exc, "sent", 0), len(shipments) - 1)
+                (header, _), _ = shipments[sent]
+                _LOG.warning(
+                    "router %s: send to %s for %s failed; rejected",
+                    self.name, remote_broker, header[DST], exc_info=True,
+                )
+                for destination in header[DST]:
+                    self._reject(destination, header)
+            shipped = sum(len(header[DST]) for (header, _), _ in shipments[:sent])
+            with self._counters_lock:
+                self._routed_remote += shipped
+            shipments = shipments[sent + 1:]
 
-    @transfers_ownership("re-inserted body is handed to local ID queues")
     def on_remote_receive(self, header: Dict[str, Any], body: Any) -> None:
-        """Handle a (header, body) pair arriving from another machine.
+        """Handle one (header, body) pair arriving from another machine."""
+        self.on_remote_receive_many(((header, body),))
+
+    @transfers_ownership("re-inserted bodies are handed to local ID queues")
+    def on_remote_receive_many(
+        self, arrivals: Sequence[Tuple[Dict[str, Any], Any]]
+    ) -> None:
+        """Handle the (header, body) pairs one read of a fabric link
+        brought, in one pass.
 
         Local destinations get the body re-inserted into the local object
-        store and the header fanned out to their ID queues.  Destinations
-        homed behind *other* brokers are forwarded onward — the learner
-        machine's broker is the data-transmission center (Fig. 2b), so
-        edge-to-edge traffic transits through it.  Everything routable is
-        served and forwarded, and what has no route rejected, before
-        ``on_unroutable="raise"`` surfaces the unknown destinations.
+        store and the header fanned out to their ID queues, each queue
+        taking its share of the batch in one insert.  Destinations homed
+        behind *other* brokers are forwarded onward, one call per onward
+        broker — the learner machine's broker is the data-transmission
+        center (Fig. 2b), so edge-to-edge traffic transits through it.
+        Each distinct destination list is resolved once.  Everything
+        routable is served and forwarded, and what has no route rejected,
+        before ``on_unroutable="raise"`` surfaces the unknown destinations.
         """
-        local, transit_groups, unroutable = self._partition(header[DST])
-        for remote_broker, group in transit_groups.items():
-            self._ship(remote_broker, group, header, body)
-        if local:
-            object_id = (
-                self.communicator.object_store.put(
-                    body,
-                    refcount=len(local),
-                    nbytes=header.get("body_size", 0),
+        store = self.communicator.object_store
+        resolved: Dict[Tuple[str, ...], _Partition] = {}
+        deliveries: Dict[str, _Delivery] = {}
+        shipments: Dict[str, List[Shipment]] = {}
+        lost: List[str] = []
+        for header, body in arrivals:
+            key = tuple(header[DST])
+            partition = resolved.get(key)
+            if partition is None:
+                partition = resolved[key] = self._partition(key)
+            local, transit_groups, unroutable = partition
+            self._stage_shipments(shipments, header, transit_groups, body)
+            if local:
+                object_id = (
+                    store.put(
+                        body,
+                        refcount=len(local),
+                        nbytes=header.get("body_size", 0),
+                    )
+                    if body is not None
+                    else None
                 )
-                if body is not None
-                else None
-            )
-            for destination, id_queue in local:
-                local_header = dict(header)
-                local_header[DST] = [destination]
-                local_header[OBJECT_ID] = object_id
-                local_header[COMPRESSED] = False
-                self._deliver_local(destination, [local_header], id_queue)
-        for destination in unroutable:
-            self._reject(destination, header)
-        if unroutable and self._on_unroutable == "raise":
+                for destination, id_queue in local:
+                    local_header = dict(header)
+                    local_header[DST] = [destination]
+                    local_header[OBJECT_ID] = object_id
+                    local_header[COMPRESSED] = False
+                    delivery = deliveries.get(destination)
+                    if delivery is None:
+                        delivery = deliveries[destination] = (id_queue, [])
+                    delivery[1].append(local_header)
+            for destination in unroutable:
+                self._reject(destination, header)
+            lost.extend(unroutable)
+        for remote_broker, group in shipments.items():
+            self._ship(remote_broker, group)
+        for destination, (id_queue, batch) in deliveries.items():
+            self._deliver_local(destination, batch, id_queue)
+        if lost and self._on_unroutable == "raise":
             raise UnknownDestinationError(
-                f"router {self.name!r}: remote message for {unroutable} "
+                f"router {self.name!r}: remote message for {lost} "
                 "has no local destination or onward route"
             )

@@ -85,7 +85,8 @@ _WIRE_COMPRESSION_STATS = ("enabled", "compressed_total", "bytes_in", "bytes_out
 _WIRE_LINK_STATS = (
     "bytes_sent", "items_sent", "syscalls_total", "syscalls_per_message",
     "segments_per_message", "partial_writes", "send_errors", "bytes_received",
-    "items_received", "protocol_errors", "connections_total",
+    "items_received", "reads_total", "reads_per_message", "protocol_errors",
+    "delivery_errors", "connections_total",
 )
 
 #: every metric the sampler exports, and what it means
@@ -129,13 +130,26 @@ _HELP = {
     "wire_link_bytes_sent": "bytes written to the socket (running total)",
     "wire_link_items_sent": "messages written to the socket (running total)",
     "wire_link_syscalls_total": "sendmsg/sendall syscalls issued (running total)",
-    "wire_link_syscalls_per_message": "mean gather-write syscalls per message",
+    "wire_link_syscalls_per_message":
+        "write syscalls per message (running ratio; below 1 when messages "
+        "drained together cross in one gather write)",
     "wire_link_segments_per_message": "mean scatter-gather segments per message",
-    "wire_link_partial_writes": "messages needing more than one syscall",
-    "wire_link_send_errors": "sends that died on a connection error",
+    "wire_link_partial_writes":
+        "writes, of one message or a gathered group, whose first syscall "
+        "was short",
+    "wire_link_send_errors":
+        "sends that failed on a connection error, the one that killed the "
+        "link and every one offered to it since",
     "wire_link_bytes_received": "bytes read off the socket (running total)",
     "wire_link_items_received": "messages delivered to the broker",
+    "wire_link_reads_total": "recv syscalls that brought bytes (running total)",
+    "wire_link_reads_per_message":
+        "reads per message received (running ratio; below 1 when one read "
+        "brings several small messages, 3 for a message read into its own "
+        "buffer)",
     "wire_link_protocol_errors": "poisoned streams dropped by the listener",
+    "wire_link_delivery_errors":
+        "hand-ups of received messages that raised in the broker",
     "wire_link_connections_total": "peer connections accepted",
     "endpoint_send_backlog":
         "messages staged but not yet pushed by the sender thread (sender "

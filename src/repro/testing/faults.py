@@ -24,7 +24,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..transport.fabric import Fabric
 from ..core.concurrency import make_lock
@@ -82,7 +82,8 @@ class FaultyLink(Link):
 
     The wrapped link still does the actual delivery (including any NIC
     throttling), so faults compose with bandwidth modelling.  Counters
-    record every injected fault for assertions.
+    record every injected fault for assertions.  Faults are drawn per item:
+    a ``send_many`` is the inherited loop over :meth:`send`.
     """
 
     def __init__(self, inner: Link, spec: FaultSpec, rng: random.Random):
@@ -186,7 +187,8 @@ class SocketFaultSpec:
     land mid-message — so the faults fire on every send.
     """
 
-    #: sleep before every send (slow peer / congested path)
+    #: sleep before every send or gathered group of sends (slow peer /
+    #: congested path)
     delay_s: float = 0.0
     #: cap bytes accepted per sendmsg syscall, forcing partial writes the
     #: link must recover from by advancing its gather list
@@ -256,11 +258,16 @@ class FaultySocketLink(Link):
             )
 
     def send(self, item: Any, nbytes: int = 0) -> None:
+        self.send_many(((item, nbytes),))
+
+    def send_many(self, items: Sequence[Tuple[Any, int]]) -> None:
+        """The wire faults act on writes, so a gather goes down whole: one
+        delay, then the wrapped link's capped or resetting socket."""
         if self.spec.delay_s > 0:
             self.delayed += 1
             time.sleep(self.spec.delay_s)
-        self.sent += 1
-        self.inner.send(item, nbytes)
+        self.sent += len(items)
+        self.inner.send_many(items)
 
     def stats(self) -> dict:
         return self.inner.stats()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..core.concurrency import make_lock, spawn_thread
 
@@ -23,6 +23,24 @@ class Link:
 
     def send(self, item: Any, nbytes: int = 0) -> None:
         raise NotImplementedError
+
+    def send_many(self, items: Sequence[Tuple[Any, int]]) -> None:
+        """Send ``(item, nbytes)`` pairs in order: what one wake-up of the
+        caller drained for this link.
+
+        The default is a loop over :meth:`send`, so a link whose unit of
+        work (and of injected faults) is one item keeps it; a link that can
+        move a group at once overrides this.  Whichever it is, an error
+        raised after some items went out carries their number as ``sent``
+        (no such attribute: none did) — the item at that position is the
+        one that failed, and nothing after it was tried.
+        """
+        for sent, (item, nbytes) in enumerate(items):
+            try:
+                self.send(item, nbytes)
+            except Exception as exc:
+                exc.sent = sent  # type: ignore[attr-defined]
+                raise
 
     def close(self) -> None:
         raise NotImplementedError

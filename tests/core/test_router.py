@@ -2,6 +2,7 @@
 
 import threading
 import time
+from collections import defaultdict
 from typing import Any, Dict, List, Tuple
 
 import pytest
@@ -15,6 +16,7 @@ from repro.core.errors import UnknownDestinationError
 from repro.core.message import DST, OBJECT_ID, MsgType, make_header, make_message
 from repro.core.ownership import transfers_ownership
 from repro.core.router import AlgorithmAgnosticRouter
+from repro.transport.link import Link
 
 
 def _header(dst, body_size=0):
@@ -174,8 +176,11 @@ class TestRemoteRouting:
         comm = ShareMemCommunicator()
         shipped: List[Tuple[str, Dict[str, Any], Any, int]] = []
 
-        def remote_send(broker, header, body, nbytes):
-            shipped.append((broker, header, body, nbytes))
+        def remote_send(broker, shipments):
+            shipped.extend(
+                (broker, header, body, nbytes)
+                for (header, body), nbytes in shipments
+            )
 
         router = AlgorithmAgnosticRouter(
             comm,
@@ -249,8 +254,9 @@ class TestTransitForwarding:
         router = AlgorithmAgnosticRouter(
             comm,
             remote_table={"edge-e": "broker-C"},
-            remote_send=lambda broker, header, body, nbytes: shipped.append(
+            remote_send=lambda broker, shipments: shipped.extend(
                 (broker, header, body, nbytes)
+                for (header, body), nbytes in shipments
             ),
         )
         header = _header(["edge-e"], body_size=9)
@@ -269,7 +275,7 @@ class TestTransitForwarding:
         router = AlgorithmAgnosticRouter(
             comm,
             remote_table={"edge-e": "broker-C"},
-            remote_send=lambda *args: shipped.append(args),
+            remote_send=lambda broker, shipments: shipped.extend(shipments),
         )
         router.on_remote_receive(_header(["local-e", "edge-e"]), "body")
         assert local_queue.get(timeout=1) is not None
@@ -332,13 +338,16 @@ class TestFailedFabricSend:
         comm = ShareMemCommunicator()
         attempts = []
 
-        def remote_send(broker, header, body, nbytes):
-            attempts.append(header["seq"])
-            if len(attempts) == 1:
-                raise ConnectionError("link reset")
+        class FlakyLink(Link):
+            def send(self, item, nbytes=0):
+                attempts.append(item[0]["seq"])
+                if len(attempts) == 1:
+                    raise ConnectionError("link reset")
 
+        link = FlakyLink()
         router = AlgorithmAgnosticRouter(
-            comm, name="r", remote_table={"far": "B"}, remote_send=remote_send
+            comm, name="r", remote_table={"far": "B"},
+            remote_send=lambda broker, shipments: link.send_many(shipments),
         )
         store = comm.object_store
         batch = []
@@ -368,7 +377,7 @@ class TestFailedFabricSend:
         from repro.testing import FaultySocketLink, SocketFaultSpec
         from repro.transport.tcp import SocketLink, SocketListener
 
-        listener = SocketListener(lambda src, item: None, name="reset-listener")
+        listener = SocketListener(lambda src, items: None, name="reset-listener")
         link = FaultySocketLink(
             SocketLink(listener.address, src="near", dst="far"),
             # 2 KiB-capped writes: the reset lands inside the first body.
@@ -377,9 +386,7 @@ class TestFailedFabricSend:
         comm = ShareMemCommunicator()
         router = AlgorithmAgnosticRouter(
             comm, name="r", remote_table={"far": "B"},
-            remote_send=lambda broker, header, body, nbytes: link.send(
-                (header, body), nbytes
-            ),
+            remote_send=lambda broker, shipments: link.send_many(shipments),
         )
         store = comm.object_store
         try:
@@ -390,9 +397,113 @@ class TestFailedFabricSend:
         finally:
             link.close()
             listener.close(timeout=5.0)
-        assert router.dropped == 1  # the send the reset cut short
-        assert len(tracer.events("rejected", "r")) == 1
+        # The send the reset cut short, and the two offered to the dead
+        # link after it: none of them is counted as shipped.
+        assert (router.routed_remote, router.dropped) == (0, 3)
+        assert len(tracer.events("rejected", "r")) == 3
         store.assert_balanced(context="socket reset mid-message")
+
+
+    @transfers_ownership("the headers carry the handles into the router")
+    def test_reset_mid_gather_accounts_for_every_message(self, tracer):
+        """One drained batch is one gather on the link; the connection dies
+        part-way through it.  What was written whole arrives, the message
+        the reset cut and everything after it is rejected — on the dead
+        link too — and nothing is both."""
+        import numpy as np
+
+        from repro.testing import FaultySocketLink, SocketFaultSpec
+        from repro.transport.tcp import SocketFabric
+
+        class ResettingFabric(SocketFabric):
+            def _decorate_link(self, link, src, dst):
+                # 4 KiB-capped writes, dead after five of them: the reset
+                # lands inside the 40-message (~48 KiB) gather.
+                return FaultySocketLink(
+                    link, SocketFaultSpec(max_send_bytes=4096, reset_after_syscalls=5)
+                )
+
+        fabric = ResettingFabric("reset")
+        near = Broker("near", fabric=fabric)
+        far = Broker("far", fabric=fabric)
+        fabric.listen("far")
+        consumers = {name: ProcessEndpoint(name, far) for name in ("R0", "R1")}
+        for name in consumers:
+            near.add_remote_route(name, "far")
+        store = near.communicator.object_store
+
+        @transfers_ownership("the headers carry the handles into the router")
+        def batch(count):
+            headers = []
+            for index in range(count):
+                dst = (["R0"], ["R1"], ["R0", "R1"])[index % 3]
+                header = _header(dst, body_size=1024)
+                header[OBJECT_ID] = store.put(
+                    np.full(1024, index, dtype=np.uint8), refcount=len(dst)
+                )
+                headers.append(header)
+            return headers
+
+        first, later = batch(40), batch(5)
+        sent = defaultdict(set)
+        for header in first + later:
+            for name in header[DST]:
+                sent[name].add(header["seq"])
+        assert near.communicator.header_queue.put_many(first) == 40
+        far.start()
+        for endpoint in consumers.values():
+            endpoint.start()
+        near.start()  # its router thread drains all 40 in one wake-up
+        delivered = defaultdict(set)
+        try:
+            def rejected():
+                found = defaultdict(set)
+                for event in tracer.events("rejected", near.router.name):
+                    found[event.detail["dst"]].add(event.detail["seq"])
+                return found
+
+            def settled():
+                for name, endpoint in consumers.items():
+                    message = endpoint.receive(timeout=0.02)
+                    while message is not None:
+                        assert message.seq not in delivered[name]
+                        delivered[name].add(message.seq)
+                        message = endpoint.receive(timeout=0)
+                gone = rejected()
+                return all(
+                    len(delivered[name]) + len(gone[name]) == len(sent[name])
+                    for name in consumers
+                )
+
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                if near.router.dropped and later:
+                    # The link is dead: these must end rejected, not vanish.
+                    assert near.communicator.header_queue.put_many(later) == 5
+                    later = []
+                if not later and settled():
+                    break
+            gone = rejected()
+            for name in consumers:
+                assert delivered[name] | gone[name] == sent[name], name
+                assert not delivered[name] & gone[name], name
+                assert delivered[name] and gone[name], name
+            assert near.router._thread.is_alive()
+            assert near.router.routed_remote == sum(map(len, delivered.values()))
+            assert near.router.dropped == sum(map(len, gone.values()))
+            link = fabric.link("near", "far").inner
+            assert link.stats()["items_sent"] == len(
+                set().union(*delivered.values())
+            )
+            store.assert_balanced(context="reset mid-gather, sending side")
+        finally:
+            for endpoint in consumers.values():
+                endpoint.stop()
+            near.stop()
+            far.stop()  # audits the receiving store
+            fabric.close()
+        # The cut message is the one protocol error the far side saw.
+        assert fabric.link_stats()["listen:far"]["protocol_errors"] == 1
 
 
 class TestCounterConcurrency:

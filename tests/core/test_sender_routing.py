@@ -236,8 +236,8 @@ class SenderRoutingMachine(RuleBasedStateMachine):
         self.store = self.comm.object_store
         self.shipped = 0
 
-        def remote_send(broker, header, body, nbytes):
-            self.shipped += len(header[DST])
+        def remote_send(broker, shipments):
+            self.shipped += sum(len(header[DST]) for (header, _), _ in shipments)
 
         self.router = AlgorithmAgnosticRouter(
             self.comm, on_unroutable="drop",
@@ -349,3 +349,104 @@ TestSenderRoutingModel = SenderRoutingMachine.TestCase
 TestSenderRoutingModel.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
+
+
+class TestBatchPathOverSockets:
+    """The remote path end to end, over real sockets: what the edge's
+    router thread drains together crosses each link together, what one read
+    brings the center is routed in one pass, and part of it only transits.
+
+    ``L0`` is local to the senders' broker (edge), ``C0`` lives on the
+    center and ``S0`` on the side broker, both one link away, and ``T0``,
+    also on the side broker, is reached *through* the center.
+    """
+
+    ROUTES = (
+        ["L0"], ["C0"], ["S0"], ["T0"], ["L0", "C0"], ["T0", "C0", "L0", "S0"],
+        ["C0", "T0"], ["S0", "L0"], ["C0"], ["T0"],
+    )
+    PER_SENDER = 300
+
+    def test_fifo_exactly_once_and_one_hop_record_each(self, tracer):
+        from repro.transport.tcp import SocketFabric
+
+        fabric = SocketFabric("batch")
+        edge, center, side = (
+            Broker(name, fabric=fabric) for name in ("edge", "center", "side")
+        )
+        fabric.listen("center")
+        fabric.listen("side")
+        edge.add_remote_route("C0", "center")
+        edge.add_remote_route("S0", "side")
+        edge.add_remote_route("T0", "center")
+        center.add_remote_route("T0", "side")
+        senders = [ProcessEndpoint(f"s{i}", edge) for i in range(2)]
+        homes = {"L0": edge, "C0": center, "S0": side, "T0": side}
+        consumers = {name: ProcessEndpoint(name, home) for name, home in homes.items()}
+        for broker in (edge, center, side):
+            broker.start()
+        for endpoint in [*consumers.values(), *senders]:
+            endpoint.start()
+        expected = defaultdict(list)  # (consumer, sender, lane) -> indices
+        sent_to = {}  # seq -> its destination list
+        try:
+            def produce(sender):
+                for index in range(self.PER_SENDER):
+                    dst = self.ROUTES[index % len(self.ROUTES)]
+                    msg_type = MsgType.COMMAND if index % 7 == 0 else MsgType.DATA
+                    message = make_message(sender.name, dst, msg_type, index)
+                    sent_to[message.seq] = dst
+                    for name in dst:
+                        expected[name, sender.name, msg_type in CONTROL_TYPES].append(index)
+                    sender.send(message)
+
+            threads = [
+                spawn_thread(f"produce-{sender.name}", produce, args=(sender,))
+                for sender in senders
+            ]
+            for thread in threads:
+                thread.join(timeout=20)
+            assert not any(thread.is_alive() for thread in threads)
+            got = defaultdict(list)
+            for name, endpoint in consumers.items():
+                due = sum(
+                    len(indices) for key, indices in expected.items() if key[0] == name
+                )
+                for message in _receive_all(endpoint, due, timeout=30.0):
+                    lane = message.msg_type in CONTROL_TYPES
+                    got[name, message.src, lane].append(message.body)
+            assert got == expected  # nothing lost, nothing twice, FIFO per key
+            links = fabric.link_stats()
+            assert links["edge->center"]["items_sent"] == sum(
+                1 for dst in sent_to.values() if {"C0", "T0"} & set(dst)
+            )
+            # The batch path was taken: groups, not single messages, crossed.
+            assert links["edge->center"]["syscalls_per_message"] < 1.0
+            assert links["listen:center"]["reads_per_message"] < 1.0
+        finally:
+            for endpoint in [*senders, *consumers.values()]:
+                endpoint.stop()
+            for broker in (edge, center, side):
+                broker.stop()  # audits its store: every share was released
+            fabric.close()
+        fabric.raise_errors()
+        assert edge.router.dropped == center.router.dropped == side.router.dropped == 0
+        # One record per hop per message, however many travelled together.
+        hops = defaultdict(lambda: defaultdict(int))
+        for event in tracer.events():
+            stage = event.detail.get("stage")
+            if event.kind in ("routed", "delivered") or stage in (
+                "wire_send", "wire_deliver"
+            ):
+                hops[event.detail.get("seq")][event.kind, stage] += 1
+        for seq, dst in sent_to.items():
+            wire_hops = {("C0",): 1, ("T0",): 2}.get(tuple(dst))
+            if wire_hops is None:
+                continue
+            assert dict(hops[seq]) == {
+                ("routed", None): 1, ("delivered", None): 1,
+                ("stage_begin", "wire_send"): wire_hops,
+                ("stage_end", "wire_send"): wire_hops,
+                ("stage_begin", "wire_deliver"): wire_hops,
+                ("stage_end", "wire_deliver"): wire_hops,
+            }, (seq, dst)

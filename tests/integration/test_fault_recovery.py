@@ -1,8 +1,14 @@
 """Integration tests for the supervision layer: crash → detect → restart.
 
-These run real clusters with injected faults.  Timings are chosen so each
-scenario resolves in a couple of seconds: heartbeats every 50ms, death
-declared after 1s of silence, restart backoff ~0.1s.
+These run real clusters with injected faults.  A run ends on work done
+(``total_env_steps``), and a test first waits — under a ceiling — for the
+restart it is about, so a loaded box makes a test slower, not red;
+``max_seconds`` only fails a run that hangs.  An injected crash is
+*reported* to the supervisor the moment the workhorse dies, so the
+thresholds for inferring a death from silence are generous here: with
+death declared after 1 s, one training step a loaded box stretched past
+that was counted as a second failure.  (Silent hangs, where those
+thresholds are the subject, are tests/core/test_supervision.py's.)
 """
 
 import time
@@ -22,13 +28,21 @@ from repro.testing.faults import CrashingAgent, FaultSpec, FaultyFabric, Fuse
 
 FAST_SUPERVISION = dict(
     heartbeat_interval=0.05,
-    suspect_after=0.5,
-    dead_after=1.0,
+    suspect_after=10.0,
+    dead_after=20.0,
     max_restarts=2,
     backoff_base=0.1,
     backoff_max=0.5,
     seed=0,
 )
+
+#: fails a hung run or a restart that never comes; ends no healthy one
+CEILING_S = 120.0
+
+
+def work_stop(env_steps=20_000):
+    """About a second of rollouts on an idle box, however long that takes."""
+    return StopCondition(total_env_steps=env_steps, max_seconds=CEILING_S)
 
 
 def supervised_config(**overrides):
@@ -36,12 +50,22 @@ def supervised_config(**overrides):
     defaults = dict(
         explorers=4,
         fragment_steps=20,
-        stop=StopCondition(max_seconds=3.0),
+        stop=work_stop(),
         seed=7,
         supervision=supervision,
     )
     defaults.update(overrides)
     return single_machine_config("dqn", "CartPole", "qnet", **defaults)
+
+
+def await_recovery(cluster, recovered, what):
+    """Wait for ``recovered()`` under the ceiling; a run that can no longer
+    recover raises ``TrainingFailedError`` from the supervisor's check."""
+    deadline = time.monotonic() + CEILING_S
+    while not recovered():
+        cluster.center.supervisor.check()
+        assert time.monotonic() < deadline, f"{what}: not within {CEILING_S:g} s"
+        time.sleep(0.02)
 
 
 class TestExplorerCrashRecovery:
@@ -56,10 +80,16 @@ class TestExplorerCrashRecovery:
         victim.agent = CrashingAgent(victim.agent, crash_after=3, fuse=fuse)
         cluster.start()
         try:
-            reason = cluster.center.wait()
             collector = cluster.center.collector
             supervisor = cluster.center.supervisor
-            assert "time budget" in reason
+            await_recovery(
+                cluster,
+                lambda: collector.restarts >= 1
+                and supervisor.process(victim.name).fragments_sent > 0,
+                "the restarted explorer producing",
+            )
+            reason = cluster.center.wait()
+            assert reason.startswith("collected")
             assert fuse.blown
             assert collector.failures == 1
             assert collector.restarts == 1
@@ -76,7 +106,7 @@ class TestExplorerCrashRecovery:
     def test_run_result_reports_restart_counters(self):
         from repro.runtime import XingTianSession
 
-        session = XingTianSession(supervised_config(stop=StopCondition(max_seconds=1.0)))
+        session = XingTianSession(supervised_config(stop=work_stop(10_000)))
         result = session.run()
         assert result.extra["failures"] == 0.0
         assert result.extra["restarts"] == 0.0
@@ -88,7 +118,7 @@ class TestRestartBudgetExhaustion:
         dead_after + 2s instead of hanging."""
         config = supervised_config(
             stop=StopCondition(max_seconds=60.0),
-            supervision=dict(max_restarts=0),
+            supervision=dict(max_restarts=0, suspect_after=0.5, dead_after=1.0),
         )
         cluster = build_cluster(config)
         victim = cluster.explorers[0]
@@ -118,7 +148,7 @@ class TestLossyFabricRecovery:
                 MachineSpec("m1", explorers=2),
             ],
             fragment_steps=20,
-            stop=StopCondition(max_seconds=3.0),
+            stop=work_stop(),
             seed=7,
             supervision=SupervisionSpec(**FAST_SUPERVISION),
         )
@@ -131,8 +161,13 @@ class TestLossyFabricRecovery:
         victim.agent = CrashingAgent(victim.agent, crash_after=3, fuse=fuse)
         cluster.start()
         try:
+            await_recovery(
+                cluster,
+                lambda: cluster.center.collector.restarts >= 1,
+                "the crashed explorer restarted",
+            )
             reason = cluster.center.wait()
-            assert "time budget" in reason
+            assert reason.startswith("collected")
             counts = data_fabric.fault_counts()
             assert counts["dropped"] > 0  # the fabric really was lossy
             assert cluster.center.collector.restarts >= 1
@@ -147,7 +182,6 @@ class TestLearnerCrashRecovery:
         """Kill the learner; the supervisor rebuilds it and restores the
         latest checkpoint so train_count resumes, not resets."""
         config = supervised_config(
-            stop=StopCondition(max_seconds=4.0),
             algorithm_config={"learn_start": 64, "buffer_size": 5_000},
             supervision=dict(
                 checkpoint_dir=str(tmp_path), checkpoint_every=1, checkpoint_keep=2
@@ -167,10 +201,15 @@ class TestLearnerCrashRecovery:
         learner.algorithm.prepare_data = crash_once_trained
         cluster.start()
         try:
-            reason = cluster.center.wait()
             collector = cluster.center.collector
             supervisor = cluster.center.supervisor
-            assert "time budget" in reason
+            await_recovery(
+                cluster,
+                lambda: collector.restart_counts().get("learner") == 1,
+                "the crashed learner restarted",
+            )
+            reason = cluster.center.wait()
+            assert reason.startswith("collected")
             assert collector.restart_counts().get("learner") == 1
             replacement = supervisor.process("learner")
             assert replacement is not learner

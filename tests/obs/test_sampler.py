@@ -242,6 +242,13 @@ class TestWireFabricProbe:
             assert all(value <= 2.0 for value in per_message.values())
             received = values(registry, "wire_link_items_received")
             assert any(value >= 1 for value in received.values())
+            # The receive-side twin of syscalls_per_message, and the count
+            # of hand-ups that raised, are mirrored from the listener.
+            reads = values(registry, "wire_link_reads_per_message")
+            assert reads and all(0 < value <= 3.0 for value in reads.values())
+            assert values(registry, "wire_link_reads_total")
+            errors = values(registry, "wire_link_delivery_errors")
+            assert errors and not any(errors.values())
             # The process-wide zero-copy canary is exported alongside.
             assert values(registry, "serialization_copies_total")
         finally:

@@ -18,6 +18,18 @@ class TestFabric:
         assert received == ["hello"]
         fabric.close()
 
+    def test_send_many_goes_down_the_same_link_in_order(self):
+        fabric = Fabric()
+        received = []
+        fabric.register("b", received.append)
+        fabric.send_many("a", "b", [("x", 1), ("y", 2)])
+        fabric.send("a", "b", "z")
+        assert received == ["x", "y", "z"]
+        assert fabric.link("a", "b").items_sent == 3
+        with pytest.raises(KeyError, match="unknown node"):
+            fabric.send_many("a", "ghost", [("x", 0)])
+        fabric.close()
+
     def test_send_to_unknown_node_raises(self):
         fabric = Fabric()
         with pytest.raises(KeyError, match="unknown node"):

@@ -24,6 +24,22 @@ class TestDirectLink:
         link.send("a")
         assert received == []
 
+    def test_send_many_is_a_loop_over_send_that_says_how_far_it_got(self):
+        received = []
+
+        def deliver(item):
+            if item == "bad":
+                raise ValueError(item)
+            received.append(item)
+
+        link = DirectLink(deliver)
+        link.send_many([("a", 1), ("b", 2)])
+        assert (received, link.items_sent, link.bytes_sent) == (["a", "b"], 2, 3)
+        with pytest.raises(ValueError) as caught:
+            link.send_many([("c", 0), ("d", 0), ("bad", 0), ("never tried", 0)])
+        assert caught.value.sent == 2
+        assert received == ["a", "b", "c", "d"]
+
 
 class TestThrottledLink:
     def test_delivers_in_order(self):

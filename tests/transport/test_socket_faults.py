@@ -19,8 +19,8 @@ class _Sink:
         self.items = []
         self._event = threading.Event()
 
-    def deliver(self, src_node, item):
-        self.items.append(item)
+    def deliver(self, src_node, items):
+        self.items.extend(items)
         self._event.set()
 
     def wait(self, timeout=5.0):
@@ -108,4 +108,36 @@ class TestMidMessageReset:
             if listener.stats()["protocol_errors"] > 0:
                 break
             time.sleep(0.01)
+        assert listener.stats()["protocol_errors"] == 1
+
+
+class TestResetMidGather:
+    def test_the_error_says_how_many_messages_went_out_whole(self, listener):
+        """A gather of 1 KiB messages under 2 KiB-capped writes, dead after
+        four of them: the messages inside the first 8 KiB were written
+        whole and arrive; the error carries their number."""
+        link = _wrap(
+            listener,
+            SocketFaultSpec(max_send_bytes=2048, reset_after_syscalls=4),
+        )
+        items = [
+            (({"seq": index}, np.full(1024, index, dtype=np.uint8)), 1024)
+            for index in range(20)
+        ]
+        with pytest.raises(WireConnectionError) as caught:
+            link.send_many(items)
+        whole = caught.value.sent
+        assert 0 < whole < 20
+        stats = link.stats()
+        assert (stats["items_sent"], stats["send_errors"]) == (whole, 1)
+        link.close()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            if listener.stats()["protocol_errors"] > 0:
+                break
+            time.sleep(0.01)
+        # Exactly the whole ones were delivered, in order, before the cut.
+        assert [header["seq"] for header, _ in listener.sink.items] == list(
+            range(whole)
+        )
         assert listener.stats()["protocol_errors"] == 1

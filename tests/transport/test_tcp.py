@@ -34,9 +34,9 @@ class _Sink:
         self._lock = threading.Lock()
         self._expected = 0
 
-    def deliver(self, src_node, item):
+    def deliver(self, src_node, items):
         with self._lock:
-            self.items.append((src_node, item))
+            self.items.extend((src_node, item) for item in items)
             if self._expected and len(self.items) >= self._expected:
                 self._event.set()
 
@@ -222,6 +222,21 @@ class TestProtocolErrors:
             link.send(({"k": 1}, None))
         assert link.stats()["send_errors"] == 1
 
+    def test_a_link_that_died_keeps_raising_until_closed(self, listener):
+        """Only close() makes a send a silent no-op: after an error every
+        later message must fail as loudly as the first, or its sender
+        counts it shipped."""
+        link = _link(listener)
+        link._sock.close()
+        for _ in range(3):
+            with pytest.raises(WireConnectionError) as caught:
+                link.send_many([(({"k": 1}, None), 0), (({"k": 2}, None), 0)])
+            assert caught.value.sent == 0
+        stats = link.stats()
+        assert (stats["send_errors"], stats["items_sent"]) == (3, 0)
+        link.close()
+        link.send(({"k": 3}, None))  # closed on purpose: dropped, not raised
+
     def test_poisoned_connection_does_not_kill_healthy_one(self, listener):
         self._poison(listener, b"\xff" * 32)
         link = _link(listener)
@@ -230,6 +245,59 @@ class TestProtocolErrors:
             assert listener.sink.wait_for(1)
         finally:
             link.close()
+
+
+class TestListenerHygiene:
+    def test_a_raising_deliver_is_counted_and_logged_once_per_connection(self, caplog):
+        arrived = threading.Semaphore(0)
+
+        def deliver(src_node, items):
+            arrived.release()
+            raise LookupError("nobody home")
+
+        server = SocketListener(deliver, name="unlucky-listener")
+        link = SocketLink(server.address, src="a", dst="b")
+        try:
+            with caplog.at_level("ERROR", logger="repro.transport.tcp"):
+                for index in range(3):
+                    link.send(({"seq": index}, None))
+                    assert arrived.acquire(timeout=5)  # one delivery each
+                deadline = time.monotonic() + 5
+                while (
+                    server.stats()["delivery_errors"] < 3
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+            stats = server.stats()
+            assert (stats["delivery_errors"], stats["items_received"]) == (3, 3)
+            assert stats["protocol_errors"] == 0  # the stream is fine
+            logged = [
+                record for record in caplog.records if "nobody home" in str(
+                    record.exc_info and record.exc_info[1]
+                )
+            ]
+            assert len(logged) == 1 and logged[0].exc_info is not None
+        finally:
+            link.close()
+            server.close()
+
+    def test_finished_connections_are_not_kept(self, listener):
+        """A peer that reconnects must not leave one dead reader behind per
+        connection."""
+        for index in range(4):
+            link = _link(listener)
+            link.send(({"seq": index}, None))
+            assert listener.sink.wait_for(index + 1)
+            link.close()
+        deadline = time.monotonic() + 5
+        while listener._connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert listener._connections == []
+        stats = listener.stats()
+        assert (stats["connections_total"], stats["items_received"]) == (4, 4)
+        # What the finished readers read stays counted: a hello and a
+        # message each (in one read or two).
+        assert 4 <= stats["reads_total"] <= 8
 
 
 class TestShutdown:
@@ -296,6 +364,50 @@ class TestSocketFabric:
                 time.sleep(0.01)
             assert received and received[0][0]["k"] == 7
             assert "listen:node" in fabric.link_stats()
+        finally:
+            fabric.close()
+
+    def test_a_read_goes_up_whole_or_item_by_item(self):
+        """What one read brought goes to the node's batch handler in one
+        call; a node that registered only a per-item handler gets each
+        item, every one of them even when an earlier one raises."""
+        fabric = SocketFabric("batches")
+        batches, singles = [], []
+        done = threading.Event()
+
+        def one(item):
+            singles.append(item[0]["seq"])
+            if len(singles) == 6:
+                done.set()
+            if item[0]["seq"] == 1:
+                raise LookupError("an item nobody wanted")
+
+        def many(items):
+            batches.append([header["seq"] for header, _ in items])
+            if sum(map(len, batches)) == 6:
+                done.set()
+
+        items = [(({"seq": index}, None), 0) for index in range(6)]
+        try:
+            fabric.register("batched", lambda item: many([item]), many)
+            fabric.register("itemwise", one)
+            fabric.listen("batched")
+            fabric.listen("itemwise")
+            fabric.send_many("peer", "batched", items)
+            assert done.wait(timeout=5)
+            assert [seq for batch in batches for seq in batch] == list(range(6))
+            assert len(batches) < 6  # one gather, fewer reads than messages
+            done.clear()
+            fabric.send_many("peer", "itemwise", items)
+            assert done.wait(timeout=5)
+            assert singles == list(range(6))
+            deadline = time.monotonic() + 5
+            while (
+                not fabric.link_stats()["listen:itemwise"]["delivery_errors"]
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            assert fabric.link_stats()["listen:itemwise"]["delivery_errors"] >= 1
         finally:
             fabric.close()
 
