@@ -1,81 +1,82 @@
-"""Ablation: thread-backed deployment vs true OS processes.
+"""Ablation: one pipeline under two deployments — threads vs OS processes.
 
-DESIGN.md substitutes thread-backed "processes" for the paper's OS
-processes and claims the communication behaviour is preserved.  This bench
-checks the claim's load-bearing part directly: the same IMPALA workload
-runs under the thread deployment (`repro.cluster`) and under the real
-multi-process deployment (`repro.mp`, shared-memory segments +
-multiprocessing queues, the paper's §4.1 shape), and both must exhibit the
-push-model signature — the learner's wait-for-data is a small fraction of
-its training time, i.e. communication stays off the critical path.
+DESIGN.md backs the paper's OS processes with threads by default and
+claims the communication behaviour is preserved.  This bench checks the
+claim's load-bearing part directly: ONE config — the learner's machine
+plus one machine per explorer, joined by the wire transport — runs once
+with every machine in this process (`XingTianSession`: threads under one
+GIL) and once with one OS process per machine (`run_process_session`: the
+paper's §3.2.2 shape).  Brokers, routers, endpoints, explorers and the
+learner are the same classes both times; only who hosts which machine
+differs.  Both must exhibit the push-model signature — the learner's
+wait-for-data is a small fraction of fragment production time, i.e.
+communication stays off the critical path.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import run_training_xingtian
+from repro import StopCondition, XingTianConfig, XingTianSession
 from repro.bench.reporting import format_table
-from repro.mp import MpSession
+from repro.cluster import run_process_session
+from repro.core.config import MachineSpec
 
 from .conftest import emit
 
-MODEL_CONFIG = {"obs_dim": 4, "num_actions": 2, "hidden_sizes": [32], "seed": 0}
-COMMON = dict(fragment_steps=128, seed=0)
+EXPLORERS = 2
 BUDGET_SECONDS = 6.0
+
+
+def _config() -> XingTianConfig:
+    machines = [MachineSpec("m0", explorers=0, has_learner=True)] + [
+        MachineSpec(f"m{index + 1}", explorers=1) for index in range(EXPLORERS)
+    ]
+    return XingTianConfig(
+        algorithm="impala",
+        environment="CartPole",
+        model="actor_critic",
+        model_config={"hidden_sizes": [32]},
+        algorithm_config={"lr": 1e-3},
+        machines=machines,
+        transport="wire",
+        fragment_steps=128,
+        stop=StopCondition(max_seconds=BUDGET_SECONDS),
+        seed=0,
+    )
 
 
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_threads_vs_processes(once):
     def experiment():
-        threads = run_training_xingtian(
-            "impala", "CartPole",
-            explorers=2,
-            algorithm_config={"lr": 1e-3},
-            model_config={"hidden_sizes": [32]},
-            copy_bandwidth=None,
-            max_seconds=BUDGET_SECONDS,
-            **COMMON,
-        )
-        processes = MpSession(
-            dict(
-                algorithm="impala",
-                environment="CartPole",
-                model="actor_critic",
-                model_config=dict(MODEL_CONFIG),
-                algorithm_config={"lr": 1e-3},
-                **COMMON,
-            ),
-            num_explorers=2,
-        ).run(max_seconds=BUDGET_SECONDS)
+        threads = XingTianSession(_config()).run()
+        processes = run_process_session(_config()).result
         return threads, processes
 
     threads, processes = once(experiment)
     rows = [
         [
-            "threads (repro.cluster)",
-            threads.throughput_steps_per_s,
-            threads.mean_wait_s * 1e3,
-            threads.mean_train_s * 1e3,
-        ],
-        [
-            "OS processes (repro.mp)",
-            processes.throughput_steps_per_s,
-            processes.mean_wait_s * 1e3,
-            processes.mean_train_s * 1e3,
-        ],
+            label,
+            result.throughput_steps_per_s,
+            result.mean_wait_s * 1e3,
+            result.mean_train_s * 1e3,
+        ]
+        for label, result in (
+            ("all machines in one process (threads)", threads),
+            ("one OS process per machine", processes),
+        )
     ]
     emit(
         "ablation_threads_vs_processes",
         format_table(
             ["deployment", "steps/s", "learner wait ms", "train ms"],
             rows,
-            title="Ablation: thread-backed vs true multi-process deployment",
+            title="Ablation: one data plane, machines hosted by threads vs by OS processes",
         ),
     )
     # Both deployments train substantially.
-    assert threads.trained_steps > 1000
-    assert processes.trained_steps > 1000
+    assert threads.total_trained_steps > 1000
+    assert processes.total_trained_steps > 1000
     # The push-model signature holds in both deployments: the learner's
     # wait-for-data stays in the low-millisecond range (rollouts are already
     # in its buffers when it needs them), far below fragment production

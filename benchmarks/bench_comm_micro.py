@@ -1,14 +1,12 @@
 """Communication micro-benchmarks for the zero-copy hot path.
 
-Times the four layers the hot path crosses, in isolation:
+Times the three layers the hot path crosses, in isolation:
 
 * **serialize / deserialize** — scatter-gather frames vs the wire bytes
   they produce, plus the ``copy=False`` zero-copy read path;
 * **object store** — ``put``/``get``/``release`` of a 1 MB array through
   the pooled arena vs the legacy one-segment-per-message path, and the
   lease-against-copy break-even table ``LEASE_MIN_BYTES`` is set from;
-* **SHM transport** — ``write_segment``/``read_segment`` vs a
-  :class:`SharedSlabPool` block write/read;
 * **endpoint throughput** — small (≤4 KB) messages through a live broker
   with coalescing on vs off.
 
@@ -39,7 +37,6 @@ from repro.core.message import MsgType, make_message
 from repro.core.object_store import SharedMemoryObjectStore
 from repro.core.serialization import deserialize, make_frame, serialize
 from repro.bench.reporting import format_table, ratio
-from repro.mp.channel import SharedSlabPool, read_segment, write_segment
 
 from .conftest import emit
 
@@ -167,34 +164,7 @@ def _bench_lease_break_even() -> dict:
     return {"lease_min_bytes": shipped, "cycle": table}
 
 
-# -- layer 3: SHM transport (pool vs per-message segments) -----------------
-
-def _bench_shm_transport() -> dict:
-    body = {"rollout": np.random.default_rng(2).random((64, 512))}  # 256 KB
-
-    def segment_cycle():
-        read_segment(write_segment(body))
-
-    pool = SharedSlabPool(block_bytes=MB, num_blocks=4)
-    try:
-        def pool_cycle():
-            handle = pool.write(body)
-            assert handle is not None
-            pool.read(handle)
-
-        segment_s = _timeit(segment_cycle)
-        pool_s = _timeit(pool_cycle)
-    finally:
-        pool.close()
-    return {
-        "body_bytes": 64 * 512 * 8,
-        "segment_write_read_s": segment_s,
-        "pool_write_read_s": pool_s,
-        "pool_speedup": ratio(segment_s, pool_s),
-    }
-
-
-# -- layer 4: endpoint throughput (coalescing on vs off) -------------------
+# -- layer 3: endpoint throughput (coalescing on vs off) -------------------
 
 def _throughput(coalescing: CoalescingSpec | None) -> float:
     """Messages/s for SMALL_MESSAGES sub-4KB bodies through one pair.
@@ -255,14 +225,12 @@ def test_comm_micro(once):
             "serialization": _bench_serialization(),
             "object_store": _bench_object_store(),
             "lease_break_even": _bench_lease_break_even(),
-            "shm_transport": _bench_shm_transport(),
             "coalescing": _bench_coalescing(),
         }
 
     results = once(run)
 
     store = results["object_store"]
-    shm = results["shm_transport"]
     coal = results["coalescing"]
     rows = [
         ["serialize 2MB (ms)", results["serialization"]["serialize_s"] * 1e3],
@@ -278,8 +246,6 @@ def test_comm_micro(once):
              f"{row['copy_s'] * 1e6:.1f} / {row['lease_s'] * 1e6:.1f}"]
             for size, row in results["lease_break_even"]["cycle"].items()
         ),
-        ["256KB shm roundtrip: segment (ms)", shm["segment_write_read_s"] * 1e3],
-        ["256KB shm roundtrip: pool (ms)", shm["pool_write_read_s"] * 1e3],
         ["small msgs/s: coalescing off", f"{coal['baseline_msgs_per_s']:,.0f}"],
         ["small msgs/s: coalescing on", f"{coal['coalesced_msgs_per_s']:,.0f}"],
         ["coalescing speedup", f"{coal['speedup']:.2f}x"],

@@ -1,11 +1,11 @@
-"""Distributed tracing end to end: mp run -> merge -> Perfetto timeline.
+"""Distributed tracing end to end: process session -> merge -> Perfetto.
 
-Runs a short two-explorer multi-process session with per-process trace
-rings enabled, merges the rings on trace id, prints the critical-path
-report (the automated Table 1 split), exports a Chrome-trace JSON, and
-validates it against the format invariants.  CI's observability-smoke job
-runs this script; the exported file loads directly in
-https://ui.perfetto.dev or chrome://tracing.
+Runs a short session with one OS process per machine and tracing on,
+writes each process's hop-log events as its own trace file, merges the
+files on trace id, prints the critical-path report (the automated Table 1
+split), exports a Chrome-trace JSON, and validates it against the format
+invariants.  CI's observability-smoke job runs this script; the exported
+file loads directly in https://ui.perfetto.dev or chrome://tracing.
 
 Run:  python examples/distributed_tracing.py [output-dir]
 """
@@ -16,7 +16,10 @@ import json
 import sys
 import tempfile
 
-from repro.mp import MpSession
+from repro import StopCondition, XingTianConfig
+from repro.cluster import run_process_session
+from repro.core.config import MachineSpec
+from repro.core.tracing import write_events
 from repro.obs.trace.__main__ import main as trace_cli
 from repro.obs.trace.chrome import validate_chrome_trace
 
@@ -26,24 +29,30 @@ def main() -> int:
         prefix="repro-trace-"
     )
     trace_dir = f"{out_dir}/rings"
-    spec = dict(
+    config = XingTianConfig(
         algorithm="impala",
         environment="CartPole",
         model="actor_critic",
-        model_config={"obs_dim": 4, "num_actions": 2,
-                      "hidden_sizes": [16], "seed": 0},
+        model_config={"hidden_sizes": [16]},
         algorithm_config={"lr": 1e-3},
-        fragment_steps=32,
+        machines=[
+            MachineSpec("m0", explorers=0, has_learner=True),
+            MachineSpec("m1", explorers=1),
+            MachineSpec("m2", explorers=1),
+        ],
+        transport="wire",
+        fragment_steps=128,
+        # Stops on work done; max_seconds only fails a hung run.
+        stop=StopCondition(total_trained_steps=40_000, max_seconds=120.0),
         seed=0,
     )
-    print("Running 2-explorer mp session with tracing enabled...")
-    session = MpSession(spec, num_explorers=2, trace_dir=trace_dir)
-    result = session.run(max_seconds=5.0)
-    print(f"  rollouts received: {result.rollouts_received}")
-    print(f"  trace files      : {result.trace_files}")
-    if not result.trace_files:
-        print("no trace files written", file=sys.stderr)
-        return 1
+    print("Running a 3-process session (learner + 2 explorer machines), traced...")
+    report = run_process_session(config, trace=True)
+    print(f"  trained steps : {report.result.total_trained_steps}")
+    print(f"  children left : {report.exit_codes}")
+    for process, events in report.traces:
+        path = write_events(f"{trace_dir}/{process}.jsonl", events, process=process)
+        print(f"  {len(events):>6} events -> {path}")
 
     print("\nCritical-path report:")
     if trace_cli(["critical-path", trace_dir]) != 0:

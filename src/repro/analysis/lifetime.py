@@ -19,8 +19,7 @@ Three rules:
     escapes, nothing ties its lifetime to the block's.
 
 ``release-while-borrowed`` (error)
-    The owning block is freed (``arena.free``, ``read_body``,
-    ``discard_body``, ``pool.read``/``discard``) while a view derived from
+    The owning block is freed (``arena.free``) while a view derived from
     it is still live on that path — or a view is used after its backing
     block was released on every path reaching the use.
 
@@ -170,14 +169,8 @@ def _freed_roots(node: ast.AST) -> List[str]:
     """Root variables whose backing storage ``node`` releases, if any."""
     if not isinstance(node, ast.Call) or not node.args:
         return []
-    leaf = _call_leaf(node)
-    if leaf in ("read_body", "discard_body"):
-        return [_root_name(node.args[0])]
     if isinstance(node.func, ast.Attribute):
-        receiver = _dotted(node.func.value)
-        if leaf == "free" and "arena" in receiver:
-            return [_root_name(node.args[0])]
-        if leaf in ("read", "discard") and "pool" in receiver:
+        if _call_leaf(node) == "free" and "arena" in _dotted(node.func.value):
             return [_root_name(node.args[0])]
     return []
 
@@ -490,21 +483,16 @@ class _LifetimeAnalysis:
 # -- entry point -----------------------------------------------------------------
 
 
-_LIFETIME_MARKERS = ("deserialize", "read_body", "discard_body", ".alloc", ".view")
-
-
 def _has_lifetime_ops(info: FunctionInfo) -> bool:
     for node in ast.walk(info.node):
         if not isinstance(node, ast.Call):
             continue
         leaf = _call_leaf(node)
-        if leaf in ("deserialize", "read_body", "discard_body"):
+        if leaf == "deserialize":
             return True
         if isinstance(node.func, ast.Attribute):
             receiver = _dotted(node.func.value)
             if leaf in ("alloc", "view", "free") and "arena" in receiver:
-                return True
-            if leaf in ("read", "discard") and "pool" in receiver:
                 return True
     return False
 

@@ -3,6 +3,7 @@
 from .machine import SimulatedMachine
 from .cluster import Cluster, build_cluster
 from .wire import WireRunReport, run_wire_session, two_machine_wire_config
+from .processes import run_process_session
 
 __all__ = [
     "SimulatedMachine",
@@ -10,5 +11,6 @@ __all__ = [
     "build_cluster",
     "WireRunReport",
     "run_wire_session",
+    "run_process_session",
     "two_machine_wire_config",
 ]

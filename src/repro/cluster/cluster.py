@@ -9,7 +9,7 @@ are attached to their local brokers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from ..core.checkpoint import Checkpointer
 from ..core.compression import CompressionPolicy
 from ..core.config import SupervisionSpec, XingTianConfig
 from ..core.controller import CenterController, Controller
+from ..core.errors import ConfigError
 from ..core.explorer import ExplorerProcess
 from ..core.learner import LearnerProcess
 from ..core.object_store import InMemoryObjectStore
@@ -32,14 +33,20 @@ from .machine import SimulatedMachine
 LEARNER_NAME = "learner"
 
 
+def broker_name(machine: str) -> str:
+    """The fabric node of ``machine``'s broker, hosted here or elsewhere."""
+    return f"{machine}.broker"
+
+
 class Cluster:
-    """A built deployment, ready to start."""
+    """The machines of a deployment this OS process hosts, ready to start
+    (``center`` is ``None`` where the learner's is hosted elsewhere)."""
 
     def __init__(
         self,
         config: XingTianConfig,
         machines: List[SimulatedMachine],
-        center: CenterController,
+        center: Optional[CenterController],
         data_fabric: Fabric,
         control_fabric: Fabric,
     ):
@@ -48,7 +55,10 @@ class Cluster:
         self.center = center
         self.data_fabric = data_fabric
         self.control_fabric = control_fabric
-        self._started = False
+        #: ``run_process_session``'s handle on the OS processes hosting the
+        #: other machines: ``check()`` raises once one died, ``reap()`` waits
+        self.children: Optional[Any] = None
+        self.started = False
 
     # -- lookups ---------------------------------------------------------------
     def processes(self) -> List[Any]:
@@ -62,9 +72,8 @@ class Cluster:
 
     def endpoints(self) -> List[Any]:
         """The endpoint of every deployed process and of the controller."""
-        return [process.endpoint for process in self.processes()] + [
-            self.center.endpoint
-        ]
+        center = [] if self.center is None else [self.center.endpoint]
+        return [process.endpoint for process in self.processes()] + center
 
     @property
     def learner(self) -> LearnerProcess:
@@ -83,26 +92,47 @@ class Cluster:
 
     # -- lifecycle ---------------------------------------------------------------
     def start(self) -> None:
-        if self._started:
+        if self.started:
             return
-        self._started = True
+        self.started = True
         for machine in self.machines:
             machine.controller.start_all()
 
     def stop(self) -> None:
         # The center broadcasts shutdown; other controllers follow (§3.2.2).
-        self.center.stop_all()
+        if self.center is not None:
+            self.center.stop_all()
         for machine in self.machines:
             machine.controller.stop_all()
+        if self.children is not None:
+            # The listener outlives them: what a child sends on its way
+            # out finds a socket, not a reset connection.
+            self.children.reap()
         self.data_fabric.close()
         self.control_fabric.close()
 
     def raise_worker_errors(self) -> None:
-        """Surface any exception captured in a workhorse thread."""
+        """Surface any exception captured in a workhorse thread, and the
+        death of an OS process hosting another machine."""
+        if self.children is not None:
+            self.children.check()
         for process in self.processes():
             error = getattr(process.workhorse, "error", None)
             if error is not None:
                 raise error
+
+
+def check_hosted(config: XingTianConfig, hosted: Optional[Iterable[str]]) -> Set[str]:
+    """The machines of ``config`` this OS process hosts (``None``: all).
+    Spread over processes it needs real sockets and, for now, no supervisor
+    (a restart closure rebuilds a process in the supervisor's address space)."""
+    names = {spec.name for spec in config.machines}
+    chosen = names if hosted is None else set(hosted)
+    if chosen - names:
+        raise ConfigError(f"hosted names no machine of the config: {chosen - names}")
+    if chosen != names and (config.transport != "wire" or config.supervision):
+        raise ConfigError("hosting some machines needs transport='wire', supervision=None")
+    return chosen
 
 
 def build_cluster(
@@ -110,14 +140,19 @@ def build_cluster(
     *,
     data_fabric: Optional[Fabric] = None,
     control_fabric: Optional[Fabric] = None,
+    hosted: Optional[Iterable[str]] = None,
 ) -> Cluster:
-    """Construct the full deployment described by ``config``.
+    """Construct the deployment described by ``config``: all of it, or the
+    machines ``hosted`` names when other OS processes (or hosts) build the
+    rest from the same config.  A machine hosted elsewhere is not built:
+    its address goes on the wire fabric and the same routes are registered.
 
     ``data_fabric``/``control_fabric`` may be supplied to substitute an
     instrumented fabric — e.g. a :class:`repro.testing.faults.FaultyFabric`
     that drops or delays inter-machine traffic.
     """
     config.validate()
+    hosted = check_hosted(config, hosted)
     probe_env = registry.get("environment", config.environment)(dict(config.env_config))
     model_config = _fill_model_config(config, probe_env)
     probe_env.close()
@@ -141,13 +176,15 @@ def build_cluster(
     supervision = config.supervision
 
     for spec in config.machines:
+        if spec.name not in hosted:
+            continue
         store = InMemoryObjectStore(
             copy_on_fetch=config.copy_on_fetch,
             compression=compression,
             copy_bandwidth=config.copy_bandwidth,
         )
         broker = Broker(
-            f"{spec.name}.broker",
+            broker_name(spec.name),
             store=store,
             fabric=data_fabric,
             # Under supervision a worker may legitimately be gone for the
@@ -169,7 +206,6 @@ def build_cluster(
         else:
             controller = Controller(f"{spec.name}.controller", broker, control_fabric)
         machines.append(SimulatedMachine(spec.name, broker, controller))
-    assert center is not None
 
     _wire_fabrics(config, brokers, data_fabric, control_fabric, learner_machine_name)
     _register_routes(config, brokers, learner_machine_name)
@@ -189,6 +225,7 @@ def build_cluster(
         )
     supervisor: Optional[Supervisor] = None
     if supervision is not None:
+        assert center is not None  # supervised means all hosted here
         supervisor = Supervisor(
             suspect_after=supervision.suspect_after,
             dead_after=supervision.dead_after,
@@ -206,8 +243,19 @@ def build_cluster(
 
     seed_base = config.seed if config.seed is not None else 0
     explorer_index = 0
-    for spec, machine in zip(config.machines, machines):
-        broker = brokers[spec.name]
+    by_name = {machine.name: machine for machine in machines}
+    for spec in config.machines:
+        if spec.name not in hosted:
+            # Seeds follow the config, not who hosts what.  No controller
+            # of this machine is on the control fabric: the center tells
+            # its explorers to shut down by message.
+            explorer_index += spec.explorers
+            if center is not None:
+                center.remote_processes += [
+                    f"{spec.name}.explorer-{i}" for i in range(spec.explorers)
+                ]
+            continue
+        machine, broker = by_name[spec.name], brokers[spec.name]
         if spec.has_learner:
 
             def build_learner(broker=broker):
@@ -327,19 +375,23 @@ def _wire_fabrics(
     ``wire`` transport opens one TCP listener per machine (at its
     configured ``address``, or loopback with an ephemeral port) and
     connects the same star over real sockets — bandwidth comes from the
-    kernel, not a model.
+    kernel, not a model.  A machine hosted elsewhere contributes its
+    ``address`` (the launcher adds an ephemeral one) and is connected to lazily.
     """
     names = [spec.name for spec in config.machines]
     wire = config.transport == "wire" and isinstance(data_fabric, SocketFabric)
     if wire and len(names) > 1:
         for spec in config.machines:
-            if spec.address is not None:
+            if spec.name not in brokers:
+                if spec.address is not None:
+                    data_fabric.add_address(broker_name(spec.name), spec.address)
+            elif spec.address is not None:
                 host, _, port = spec.address.rpartition(":")
                 data_fabric.listen(brokers[spec.name].name, host, int(port))
             else:
                 data_fabric.listen(brokers[spec.name].name)
     for name in names:
-        if name == learner_machine:
+        if name == learner_machine or not {name, learner_machine} <= set(brokers):
             continue
         if wire:
             data_fabric.connect_bidirectional(
@@ -369,14 +421,16 @@ def _register_routes(
         for index in range(spec.explorers):
             home[f"{spec.name}.explorer-{index}"] = spec.name
     for spec in config.machines:
+        if spec.name not in brokers:
+            continue
         broker = brokers[spec.name]
         for process_name, machine_name in home.items():
             if machine_name == spec.name:
                 continue
             if spec.name == learner_machine:
-                target = brokers[machine_name].name
+                target = broker_name(machine_name)
             else:
-                target = brokers[learner_machine].name
+                target = broker_name(learner_machine)
             broker.add_remote_route(process_name, target)
 
 

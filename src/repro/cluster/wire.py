@@ -1,6 +1,6 @@
 """The ``wire`` deployment mode: machines joined by real TCP sockets.
 
-Third mode next to in-proc threads and ``repro.mp`` processes: the
+The transport that joins machines across OS processes and hosts: the
 cluster's data fabric becomes a :class:`~repro.transport.tcp.SocketFabric`
 whose inter-machine star is real TCP connections, addressed by each
 :class:`~repro.core.config.MachineSpec`'s ``host:port`` ``address`` (or
@@ -16,7 +16,7 @@ wire-smoke CI job and ``bench_fig5_two_machines.py --transport wire`` use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import MachineSpec, StopCondition, XingTianConfig
 from ..core.tracing import Tracer
@@ -81,6 +81,11 @@ class WireRunReport:
     #: wire_send/wire_deliver stage pairs) when ``trace`` was asked for,
     #: ready to merge with other per-process trace files
     trace_events: List[Any] = field(default_factory=list)
+    #: a process session's ``(machine, events)`` per OS process, as
+    #: :func:`repro.obs.trace.merge.merge` takes them
+    traces: List[Tuple[str, List[Any]]] = field(default_factory=list)
+    #: how each child of a process session left, by machine
+    exit_codes: Dict[str, Optional[int]] = field(default_factory=dict)
 
     @property
     def wire_bytes_sent(self) -> float:

@@ -19,7 +19,7 @@ from .broker import Broker
 from .concurrency import make_lock, spawn_thread
 from .config import StopCondition
 from .endpoint import ProcessEndpoint
-from .message import CMD_SHUTDOWN, Command, MsgType
+from .message import CMD_SHUTDOWN, Command, MsgType, make_message
 from .stats import StatsCollector
 from .supervision import Supervisor
 
@@ -109,6 +109,9 @@ class CenterController(Controller):
         self.shutdown_reason: Optional[str] = None
         #: optional fault-tolerance layer (attached by the cluster builder)
         self.supervisor: Optional[Supervisor] = None
+        #: explorers another OS process hosts (set by the cluster builder);
+        #: shutdown reaches them as a message
+        self.remote_processes: List[str] = []
 
     def attach_supervisor(self, supervisor: Supervisor) -> None:
         """Install the supervision layer; heartbeats arriving at this
@@ -131,6 +134,7 @@ class CenterController(Controller):
         if self.supervisor is not None:
             self.supervisor.stop()
         self._monitor_stop.set()
+        self._shut_down_remote()
         self.endpoint.stop()
         # Broadcast shutdown to the other controllers first (§3.2.2).
         if self._control_fabric is not None:
@@ -143,6 +147,25 @@ class CenterController(Controller):
             self._monitor = None
         if self._on_shutdown is not None:
             self._on_shutdown()
+
+    def _shut_down_remote(self, timeout: float = 2.0) -> None:
+        """Send ``remote_processes`` the COMMAND they already honour, down
+        the path every message to them takes, and wait until the router
+        thread has taken it: a stopping endpoint or broker drops what is
+        still queued, a batch the router has drained it settles."""
+        if not self.remote_processes or self._started_at is None:
+            return
+        handed_on = self.endpoint.sent_meter.count
+        self.endpoint.send(make_message(
+            self.ENDPOINT_NAME, self.remote_processes, MsgType.COMMAND,
+            Command(CMD_SHUTDOWN),
+        ))
+        header_queue = self.broker.communicator.header_queue
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline and (
+            self.endpoint.sent_meter.count == handed_on or header_queue.qsize()
+        ):
+            time.sleep(0.002)
 
     # -- stats & stop condition ----------------------------------------------
     def _monitor_loop(self) -> None:

@@ -28,6 +28,7 @@ from .errors import WorkerCrashedError
 from .message import CMD_SHUTDOWN, MsgType, make_message
 from .serialization import payload_nbytes
 from .stats import LatencyRecorder, ProcessStats, ThroughputMeter
+from .tracing import emit
 
 
 class LearnerProcess:
@@ -111,7 +112,9 @@ class LearnerProcess:
         self.algorithm.prepare_data(message.body, source=message.src)
 
         trained = False
-        while self.algorithm.ready_to_train():
+        # A replay learner can owe thousands of sessions for what is
+        # already staged: a stop request ends the burst, not the backlog.
+        while self.algorithm.ready_to_train() and not self.workhorse.stopping:
             # A burst of back-to-back training sessions can outlast the
             # failure detector's dead_after; keep beating inside the loop.
             self._maybe_send_heartbeat()
@@ -120,8 +123,10 @@ class LearnerProcess:
                 waited = time.monotonic() - self._wait_started
                 self.wait_recorder.record(waited)
                 self._wait_started = None
+            emit("train_start", self.name)
             with self.train_recorder.time():
                 metrics = self.algorithm.train()
+            emit("train_end", self.name)
             self.train_sessions += 1
             trained = True
             self.consumed_meter.record(int(metrics.get("trained_steps", steps)))

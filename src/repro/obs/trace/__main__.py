@@ -8,9 +8,10 @@ Subcommands::
                             Perfetto-loadable Chrome-trace JSON
     validate TRACE.json     check an exported Chrome trace's invariants
 
-``FILES`` are per-process trace files — JSONL rings written by
-``Telemetry.export_trace`` / ``MpSession(trace_dir=...)`` or binary
-flight-recorder dumps (``flightrec/*.bin``).  Directories are expanded to
+``FILES`` are per-process trace files — JSONL written by
+``Telemetry.export_trace`` or ``write_events`` (one file per pair of a
+process session's ``WireRunReport.traces``) or binary flight-recorder
+dumps (``flightrec/*.bin``).  Directories are expanded to
 every ``*.jsonl`` / ``*.bin`` inside, so ``python -m repro.obs.trace merge
 flightrec/`` post-mortems a whole crash at once.
 """

@@ -10,7 +10,9 @@ Slices within one track are packed onto greedy non-overlapping lanes
 (``tid``), so every track renders without slice nesting ambiguity and the
 validator's invariants hold by construction: per-(pid, tid) timestamps are
 monotonic, every ``B`` has a matching ``E``, and every flow ``f`` resolves
-to an earlier ``s`` with the same id.
+to an earlier ``s`` with the same id.  A slice of no length (two hops that
+read the same clock tick, or an effect stamped before its cause) is one
+complete ``X`` event instead of a pair.
 """
 
 from __future__ import annotations
@@ -81,6 +83,14 @@ def to_chrome_trace(merged: MergedTrace) -> Dict[str, Any]:
         start_us = _micros(start, origin)
         end_us = _micros(max(end, start), origin)
         tid = lanes.lane(pid, start_us, end_us)
+        if end_us == start_us:
+            # As a pair its E would sort before its own B (E goes first at
+            # equal timestamps, for back-to-back reuse of a lane).
+            spans.append({
+                "name": name, "ph": "X", "pid": pid, "tid": tid,
+                "ts": start_us, "dur": 0.0, "cat": "trace", "args": args or {},
+            })
+            return pid, tid
         spans.append({
             "name": name, "ph": "B", "pid": pid, "tid": tid,
             "ts": start_us, "cat": "trace", "args": args or {},
@@ -154,7 +164,7 @@ def to_chrome_trace(merged: MergedTrace) -> Dict[str, Any]:
 
     # Deterministic, validator-friendly order: by ts, with E before B at
     # equal timestamps so back-to-back lane reuse still balances.
-    phase_order = {"M": 0, "E": 1, "B": 2, "s": 3, "f": 4, "i": 5}
+    phase_order = {"M": 0, "E": 1, "X": 2, "B": 2, "s": 3, "f": 4, "i": 5}
     trace_events.extend(spans)
     trace_events.extend(flows)
     trace_events.extend(instants)

@@ -9,9 +9,9 @@ this module derives the same split automatically:
   deserialize), ``deliver`` (sent→delivered: whole transmission), and
   ``dwell`` (delivered→consumed: receive-buffer wait);
 * **explicit stages** come from ``stage_begin``/``stage_end`` event pairs
-  (benchmarks and the mp learner emit these around transmission and train
-  phases);
-* **iterations** are delimited by ``train_start``/``train_end`` pairs; each
+  (benchmarks emit these around transmission and train phases);
+* **iterations** are delimited by the ``train_start``/``train_end`` pairs
+  the learner emits around each training session; each
   iteration's critical path is the chain whose ``consumed`` event gated the
   train step, plus the learner's wait gap and the train duration itself.
 """

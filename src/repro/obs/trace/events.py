@@ -34,6 +34,11 @@ _KIND_RANK = {
 }
 
 
+def is_ranked(kind: str) -> bool:
+    """Whether ``kind`` has a place in the lifecycle order at all."""
+    return kind in _KIND_RANK
+
+
 def kind_rank(kind: str) -> int:
     """Causal ordering of lifecycle kinds (unknown kinds sort last)."""
     return _KIND_RANK.get(kind, len(_KIND_RANK))

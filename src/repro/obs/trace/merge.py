@@ -14,7 +14,8 @@ The merger:
   ``delivered`` records; only the earliest survives;
 * **clock-aligns** processes — per-process monotonic clocks can disagree,
   so offsets are relaxed until no effect precedes its cause (on one Linux
-  host ``CLOCK_MONOTONIC`` is system-wide and offsets stay ~0);
+  host ``CLOCK_MONOTONIC`` is system-wide: no cause follows its effect and
+  the offsets stay exactly 0);
 * marks chains that never reached a terminal or delivered state as
   **lost** (open spans — dropped messages under fault injection).
 """
@@ -25,10 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...core.message import format_trace_id
-from .events import TERMINAL_KINDS, event_to_dict, kind_rank
-
-#: clock-alignment relaxation passes (see :func:`_align_clocks`)
-_ALIGN_PASSES = 4
+from .events import TERMINAL_KINDS, event_to_dict, is_ranked, kind_rank
 
 
 @dataclass
@@ -83,6 +81,9 @@ class MergedTrace:
     events: List[Dict[str, Any]]
     chains: List[Chain]
     duplicates_dropped: int = 0
+    #: cross-process (cause, effect) pairs still out of order after
+    #: alignment — traffic both ways can ask for more than any offsets give
+    clock_violations: int = 0
 
     def chain(self, trace: int) -> Optional[Chain]:
         for chain in self.chains:
@@ -116,6 +117,7 @@ class MergedTrace:
             "processes": self.processes,
             "offsets": self.offsets,
             "duplicates_dropped": self.duplicates_dropped,
+            "clock_violations": self.clock_violations,
             "chains": [chain.to_dict() for chain in self.chains],
             "chain_stats": self.chain_stats(),
             "events": self.events,
@@ -133,22 +135,27 @@ def _dedup_key(event: Dict[str, Any]) -> Optional[Tuple[Any, ...]]:
 
 def _align_clocks(
     by_process: Dict[str, List[Dict[str, Any]]],
-) -> Dict[str, float]:
-    """Per-process offsets such that no effect precedes its cause.
+) -> Tuple[Dict[str, float], int]:
+    """Per-process offsets such that no effect precedes its cause, and how
+    many (cause, effect) pairs are still out of order under them.
 
-    Builds (cause, effect) constraints from same-trace event pairs that
-    crossed a process boundary and relaxes offsets upward until every
-    constraint holds (bounded passes — cycles cannot occur because the
-    relation follows lifecycle order).
+    Builds (cause, effect) constraints from same-trace lifecycle events
+    that crossed a process boundary and relaxes offsets upward, one pass
+    per process, until every constraint holds.  Rollouts constrain
+    explorer → learner and weights learner → explorer, so the relation can
+    have cycles and no offsets may satisfy all of it: offsets that leave
+    more pairs out of order than the raw timestamps do are discarded.
     """
-    offsets = {process: 0.0 for process in by_process}
+    zero = {process: 0.0 for process in by_process}
     # (cause_process, cause_ts, effect_process, effect_ts)
     constraints: List[Tuple[str, float, str, float]] = []
     chains: Dict[Any, List[Tuple[str, Dict[str, Any]]]] = {}
     for process, events in by_process.items():
         for event in events:
             trace = event["detail"].get("trace")
-            if trace is not None:
+            # Stage and train events carry a trace id but no place in the
+            # lifecycle order: they constrain nothing.
+            if trace is not None and is_ranked(event["kind"]):
                 chains.setdefault(trace, []).append((process, event))
     for members in chains.values():
         # One representative per lifecycle kind (the earliest), in causal
@@ -166,7 +173,15 @@ def _align_clocks(
                 constraints.append(
                     (proc_a, event_a["ts"], proc_b, event_b["ts"])
                 )
-    for _ in range(_ALIGN_PASSES):
+
+    def violations(offsets: Dict[str, float]) -> int:
+        return sum(
+            ts_a + offsets[proc_a] > ts_b + offsets[proc_b]
+            for proc_a, ts_a, proc_b, ts_b in constraints
+        )
+
+    offsets = dict(zero)
+    for _ in by_process:
         dirty = False
         for proc_a, ts_a, proc_b, ts_b in constraints:
             violation = (ts_a + offsets[proc_a]) - (ts_b + offsets[proc_b])
@@ -174,8 +189,9 @@ def _align_clocks(
                 offsets[proc_b] += violation
                 dirty = True
         if not dirty:
-            break
-    return offsets
+            return offsets, 0
+    found, left = violations(zero), violations(offsets)
+    return (offsets, left) if left <= found else (zero, found)
 
 
 def merge(
@@ -201,9 +217,10 @@ def merge(
                 seen.add(key)
             bucket.append(event)
 
-    offsets = _align_clocks(by_process) if align else {
-        process: 0.0 for process in by_process
-    }
+    if align:
+        offsets, clock_violations = _align_clocks(by_process)
+    else:
+        offsets, clock_violations = {process: 0.0 for process in by_process}, 0
 
     merged_events: List[Dict[str, Any]] = []
     for process, events in by_process.items():
@@ -222,6 +239,7 @@ def merge(
         events=merged_events,
         chains=chains,
         duplicates_dropped=duplicates,
+        clock_violations=clock_violations,
     )
 
 

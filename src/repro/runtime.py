@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .cluster import Cluster, build_cluster
 from .core.config import XingTianConfig
@@ -49,20 +49,35 @@ class RunResult:
 class XingTianSession:
     """Owns a cluster for the duration of one run."""
 
-    def __init__(self, config: XingTianConfig, *, data_fabric: Optional[Any] = None):
+    def __init__(
+        self, config: XingTianConfig, *, data_fabric: Optional[Any] = None,
+        hosted: Optional[Iterable[str]] = None,
+    ):
         config.validate()
         self.config = config
         #: substitute data fabric handed to :func:`build_cluster` (the wire
         #: mode supplies the ``SocketFabric`` it reports on)
         self._data_fabric = data_fabric
+        #: the machines this OS process hosts (``None``: all of them); the
+        #: learner's must be one — the session runs around its controller
+        self._hosted = hosted
         self.cluster: Optional[Cluster] = None
         self.telemetry: Optional[Any] = None
         self.flow_controller: Optional[Any] = None
 
+    def build(self) -> Cluster:
+        """Build the deployment; :meth:`run` starts it (and builds it
+        itself when nobody has)."""
+        self.cluster = build_cluster(
+            self.config, data_fabric=self._data_fabric, hosted=self._hosted
+        )
+        return self.cluster
+
     def run(self, poll_interval: float = 0.05) -> RunResult:
         """Start the deployment, wait for the stop condition, tear down."""
-        cluster = build_cluster(self.config, data_fabric=self._data_fabric)
-        self.cluster = cluster
+        cluster = self.cluster
+        if cluster is None or cluster.started:
+            cluster = self.build()
         # Both observers only read the cluster; neither needs the other.
         telemetry = controller = None
         spec = self.config.telemetry

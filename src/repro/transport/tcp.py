@@ -1,6 +1,6 @@
 """Real TCP transport: scatter-gather socket links between brokers.
 
-Third deployment mode next to in-proc fabrics and ``repro.mp``: a
+What joins brokers in different OS processes or on different hosts: a
 :class:`SocketLink` implements the :class:`~repro.transport.link.Link`
 interface over a TCP connection, and a :class:`SocketListener` accepts
 peer connections and feeds received messages to the local broker.  A

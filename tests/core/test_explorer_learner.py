@@ -10,8 +10,10 @@ from repro.algorithms.impala.agent import ImpalaAgent
 from repro.algorithms.ppo import PPOAgent, PPOAlgorithm
 from repro.algorithms.ppo.model import ActorCriticModel
 from repro.core.broker import Broker
+from repro.core.endpoint import ProcessEndpoint
 from repro.core.explorer import ExplorerProcess
 from repro.core.learner import LearnerProcess
+from repro.core.message import MsgType, make_message
 from repro.envs.cartpole import CartPoleEnv
 
 
@@ -200,3 +202,50 @@ class TestLearnerBroadcastPolicies:
         learner.start()
         assert learner.broadcasts == 0
         learner.stop()
+
+
+class _AlwaysReady:
+    """An algorithm that owes a training session for ever (a replay
+    learner behind on what is already staged)."""
+
+    on_policy = False
+
+    def __init__(self):
+        self.sessions = 0
+
+    def prepare_data(self, body, source=None):
+        pass
+
+    def ready_to_train(self):
+        return True
+
+    def train(self):
+        self.sessions += 1
+        return {"trained_steps": 1}
+
+    def should_broadcast(self):
+        return False
+
+
+class TestLearnerStop:
+    def test_stop_ends_a_training_backlog(self, started_broker):
+        """The trainer leaves its train-while-ready burst when asked to
+        stop; it used to run the backlog down first, outliving ``stop()``
+        (and the test, and the run) by however long that took."""
+        learner = LearnerProcess(
+            "learner", started_broker, _AlwaysReady, [],
+            broadcast_initial_weights=False, stats_interval=10,
+        )
+        feeder = ProcessEndpoint("feeder", started_broker)
+        learner.start()
+        feeder.start()
+        try:
+            feeder.send(make_message(
+                "feeder", ["learner"], MsgType.ROLLOUT, {"reward": [0.0]}
+            ))
+            assert _wait_for(lambda: learner.algorithm.sessions >= 3)
+        finally:
+            feeder.stop()
+            learner.stop()
+        assert not learner.workhorse.running
+        assert learner.train_sessions == learner.algorithm.sessions

@@ -14,7 +14,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-DATA_PLANE = ("core", "transport", "mp", "cluster")
+DATA_PLANE = ("core", "transport", "cluster")
 LOG_MODULE = SRC / "core" / "tracing.py"
 
 #: names the per-component observers went by
@@ -78,7 +78,7 @@ def test_data_plane_offers_telemetry_nothing_to_attach():
 def test_data_plane_does_not_import_the_observability_layer():
     found = []
     for path in _data_plane_paths():
-        # A relative import's package depth: ``..obs`` from repro/mp/x.py.
+        # A relative import's package depth: ``..obs`` from repro/core/x.py.
         depth = len(path.relative_to(SRC).parts)
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):

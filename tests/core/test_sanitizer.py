@@ -21,7 +21,7 @@ from repro.core.arena import (
 from repro.core.communicator import ShareMemCommunicator
 from repro.core.object_store import SharedMemoryObjectStore
 from repro.core.serialization import deserialize, serialize
-from repro.mp.channel import SharedSlabPool, discard_body, read_body, write_body
+
 
 pytestmark = pytest.mark.skipif(
     sys.platform == "win32", reason="POSIX shared memory semantics assumed"
@@ -281,48 +281,6 @@ class TestStorePinning:
             assert store.arena_stats()["live_exports"] == 0
         finally:
             store.close()
-
-
-class TestSlabPoolSanitizer:
-    def test_discard_after_read_raises(self):
-        pool = SharedSlabPool(block_bytes=1 << 12, num_blocks=2)
-        try:
-            handle = write_body({"k": 1}, pool)
-            assert read_body(handle, pool) == {"k": 1}  # read recycles
-            with pytest.raises(ValueError, match="double discard"):
-                discard_body(handle, pool)
-            assert pool.total_double_discard == 1
-        finally:
-            pool.close()
-
-    def test_read_of_discarded_block_raises(self):
-        pool = SharedSlabPool(block_bytes=1 << 12, num_blocks=2)
-        try:
-            handle = write_body({"k": 2}, pool)
-            discard_body(handle, pool)
-            with pytest.raises(ValueError, match="stale pool handle"):
-                read_body(handle, pool)
-            assert pool.total_stale_reads == 1
-        finally:
-            pool.close()
-
-    def test_double_discard_does_not_corrupt_free_stack(self):
-        pool = SharedSlabPool(block_bytes=1 << 12, num_blocks=2)
-        try:
-            handle = write_body({"k": 3}, pool)
-            discard_body(handle, pool)
-            with pytest.raises(ValueError):
-                discard_body(handle, pool)
-            # The free stack still holds exactly num_blocks distinct
-            # indices: both writers below get different blocks.
-            first = pool.write({"a": 1})
-            second = pool.write({"b": 2})
-            assert first is not None and second is not None
-            assert first[1] != second[1]
-            pool.discard(first)
-            pool.discard(second)
-        finally:
-            pool.close()
 
 
 class TestSanitizerOff:

@@ -34,6 +34,11 @@ class TestFullSessions:
                 explorers=2, fragment_steps=50,
                 algorithm_config={"epochs": 1, "minibatch_size": 50},
                 stop=StopCondition(total_trained_steps=500, max_seconds=30),
+                # Episodes reach the result through the explorers' STATS:
+                # at the default interval the learner's first report can
+                # end the run before an explorer has sent one (1 of 30
+                # runs on a 2-core box).
+                stats_interval=0.02,
                 seed=1,
             )
         )

@@ -40,6 +40,8 @@ class TestExamples:
         out = _run("multiprocess_deployment.py")
         assert "training sessions" in out
         assert "learner throughput" in out
+        # One OS process per explorer machine, each out by itself.
+        assert "{'m1': 0, 'm2': 0, 'm3': 0}" in out
 
     def test_all_examples_have_docstrings_and_main(self):
         for path in EXAMPLES_DIR.glob("*.py"):

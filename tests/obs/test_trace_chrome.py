@@ -92,6 +92,42 @@ class TestExport:
         assert any(e["tid"] > 0 for e in spans)
 
 
+class TestSlicesOfNoLength:
+    """Two hops can read the same clock tick, and across processes an
+    effect can be stamped before its cause: the stage between them has no
+    length, and its ``E`` must not sort before its own ``B``."""
+
+    @staticmethod
+    def _export(delivered_after_routed):
+        # One chain routed at 1.100, back to back with one that ends there.
+        chain = _chain(0x1, 1, 1.0)
+        chain[2]["ts"] = chain[1]["ts"] + delivered_after_routed
+        earlier = _chain(0x2, 2, 0.9)
+        earlier[2]["ts"] = chain[1]["ts"]  # its route slice ends at 1.100
+        return to_chrome_trace(merge([("p", earlier + chain)], align=False))
+
+    def test_equal_timestamps_export_and_validate(self):
+        trace = self._export(0.0)
+        assert validate_chrome_trace(trace) == []
+        complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert [(e["name"], e["dur"]) for e in complete] == [("route", 0.0)]
+
+    def test_effect_before_cause_exports_and_validates(self):
+        trace = self._export(-0.002)
+        assert validate_chrome_trace(trace) == []
+        complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert [(e["name"], e["dur"]) for e in complete] == [("route", 0.0)]
+
+    def test_back_to_back_lane_reuse_still_balances(self):
+        spans = [
+            e for e in self._export(0.0)["traceEvents"] if e["ph"] in "BE"
+        ]
+        assert validate_chrome_trace({"traceEvents": spans}) == []
+        # Every slice with a length is still a B/E pair: send and dwell of
+        # both chains, route of the earlier one.
+        assert len(spans) == 2 * 5
+
+
 class TestValidator:
     def test_rejects_non_object(self):
         assert validate_chrome_trace([]) == ["trace must be a JSON object"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import StopCondition, XingTianSession, single_machine_config
 from repro.obs.trace import merge
 from repro.obs.trace.critical import analyze, format_report
 
@@ -145,6 +146,40 @@ class TestIterations:
         (iteration,) = report["iterations"]
         assert iteration["train_s"] == pytest_approx(0.5)
         assert "gate_trace" not in iteration
+
+
+class TestRealSession:
+    def test_iterations_are_the_learners_training_sessions(self, tracer, monkeypatch):
+        """The learner brackets every ``algorithm.train()`` with
+        ``train_start`` / ``train_end``: a traced session's report has one
+        iteration per training session and a train side to its split."""
+        # The hop log is process-wide: a name of its own keeps this
+        # learner's events apart from any other test's.
+        monkeypatch.setattr("repro.cluster.cluster.LEARNER_NAME", "learner-traced")
+        config = single_machine_config(
+            "impala", "CartPole", "actor_critic", explorers=2,
+            fragment_steps=32,
+            model_config={"hidden_sizes": [16]},
+            stop=StopCondition(total_trained_steps=640, max_seconds=120.0),
+            seed=0,
+        )
+        session = XingTianSession(config)
+        result = session.run()
+        events = [
+            event for event in tracer.events()
+            if not event.kind.startswith("train_") or event.source == "learner-traced"
+        ]
+        report = analyze(merge([("session", events)]))
+        # The result is collected when the stop condition fires; the
+        # learner may train on until the cluster stops it.
+        sessions = session.cluster.learner.train_sessions
+        assert len(report["iterations"]) == sessions >= result.train_sessions > 0
+        assert {iteration["source"] for iteration in report["iterations"]} == {"learner-traced"}
+        split = report["transmission_vs_train"]
+        assert split["train_from"] == "train_sessions"
+        # The events bracket what the learner's own recorder times.
+        assert split["train_s"] >= session.cluster.learner.train_recorder.sum > 0
+        assert "iterations: %d" % sessions in format_report(report)
 
 
 class TestFormatReport:

@@ -105,6 +105,97 @@ class TestMergeBasics:
         assert doc["chain_stats"]["complete"] == 1
 
 
+def _two_way_trace(skew=None):
+    """A center and two edges with traffic both ways, as a process session
+    leaves it: rollouts edge -> center, weights center -> both edges, each
+    hop 1 ms after the last, wire stages included.  ``skew`` shifts the
+    timestamps one process stamped (its clock is off by that much)."""
+    skew = skew or {}
+    traces = {"center": [], "a": [], "b": []}
+
+    def emit(process, ts, kind, source, **detail):
+        traces[process].append(
+            _event(ts + skew.get(process, 0.0), kind, source, **detail)
+        )
+
+    trace_ids = iter(range(1, 1000))
+    for tick in range(20):
+        base = 100.0 + tick * 0.010
+        for edge in ("a", "b"):
+            trace = next(trace_ids)
+            detail = dict(seq=tick, trace=trace, dst="learner")
+            emit(edge, base, "sent", f"{edge}.explorer", span=trace * 2, **detail)
+            emit(edge, base + 0.001, "routed", f"{edge}.router", **detail)
+            emit(edge, base + 0.0012, "stage_begin", f"wire:{edge}", stage="wire_send", **detail)
+            emit(edge, base + 0.0014, "stage_end", f"wire:{edge}", stage="wire_send", **detail)
+            emit("center", base + 0.0016, "stage_begin", "listen", stage="wire_deliver", **detail)
+            emit("center", base + 0.0018, "stage_end", "listen", stage="wire_deliver", **detail)
+            emit("center", base + 0.002, "delivered", "learner", span=trace * 2 + 1, **detail)
+            emit("center", base + 0.003, "consumed", "learner", span=trace * 2 + 1, **detail)
+        trace = next(trace_ids)
+        detail = dict(seq=tick, trace=trace, dst="a.explorer,b.explorer")
+        emit("center", base + 0.004, "sent", "learner", span=trace * 2, **detail)
+        emit("center", base + 0.005, "routed", "center.router", **detail)
+        for edge in ("a", "b"):
+            emit("center", base + 0.0052, "stage_begin", f"wire:{edge}", stage="wire_send", **detail)
+            emit("center", base + 0.0054, "stage_end", f"wire:{edge}", stage="wire_send", **detail)
+            emit(edge, base + 0.006, "delivered", f"{edge}.explorer", span=trace * 2 + 1, **detail)
+            emit(edge, base + 0.007, "consumed", f"{edge}.explorer", span=trace * 2 + 1, **detail)
+    return list(traces.items())
+
+
+def _effects_before_causes(merged):
+    order = ("sent", "routed", "delivered", "consumed")
+    found = 0
+    for chain in merged.chains:
+        stamps = [chain.first(kind)["ts"] for kind in order]
+        found += sum(later < earlier for earlier, later in zip(stamps, stamps[1:]))
+    return found
+
+
+class TestTwoWayAlignment:
+    """Traffic both ways constrains every pair of clocks in both
+    directions: alignment must not invent offsets (the stage events of a
+    chain constrain nothing), and must still find a real one."""
+
+    def test_consistent_clocks_are_left_alone(self):
+        merged = merge(_two_way_trace())
+        assert merged.offsets == {"center": 0.0, "a": 0.0, "b": 0.0}
+        assert merged.clock_violations == 0
+        assert _effects_before_causes(merged) == 0
+        assert merged.chain_stats()["complete"] == 60
+
+    def test_alignment_never_adds_disorder(self):
+        raw = merge(_two_way_trace(), align=False)
+        aligned = merge(_two_way_trace())
+        assert _effects_before_causes(aligned) <= _effects_before_causes(raw)
+
+    @pytest.mark.parametrize("skew", [-0.050, 0.050])
+    def test_a_skewed_process_is_still_corrected(self, skew):
+        traces = _two_way_trace(skew={"b": skew})
+        assert _effects_before_causes(merge(traces, align=False)) == 20
+        merged = merge(traces)
+        assert _effects_before_causes(merged) == 0
+        assert merged.clock_violations == 0
+        # Offsets are relative: b ends up within a hop of the others.
+        correction = merged.offsets["b"] - merged.offsets["center"]
+        assert abs(correction + skew) <= 0.002
+        assert abs(merged.offsets["a"] - merged.offsets["center"]) <= 0.002
+
+    def test_inconsistent_constraints_report_the_residual(self):
+        """b stamps its sends late and its deliveries early: no offset
+        satisfies both directions.  The raw timestamps are kept unless the
+        relaxed ones are no worse, and what is left is reported."""
+        traces = dict(_two_way_trace())
+        for event in traces["b"]:
+            event["ts"] += 0.050 if event["kind"] in ("sent", "routed") else -0.050
+        raw = merge(list(traces.items()), align=False)
+        merged = merge(list(traces.items()))
+        assert merged.clock_violations > 0
+        assert _effects_before_causes(merged) <= _effects_before_causes(raw)
+        assert merged.to_dict()["clock_violations"] == merged.clock_violations
+
+
 @pytest.fixture(scope="module")
 def faulty_trace(tmp_path_factory):
     """A two-machine run over a drop/duplicate/reorder fabric, exported."""
