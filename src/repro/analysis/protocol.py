@@ -30,7 +30,7 @@ EXPLICITLY_UNROUTED: Set[str] = {"DATA"}
 _SEND_CALLS = {"make_message", "make_header", "Message"}
 
 #: Call names whose MsgType argument registers a handler/route.
-_REGISTER_CALLS = {"register_handler", "register_route", "add_route", "subscribe"}
+_REGISTER_CALLS = {"register_handler", "register_route", "add_route"}
 
 
 @dataclass(frozen=True)

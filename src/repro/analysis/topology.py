@@ -363,53 +363,28 @@ def topology_to_dot(topology: Topology) -> str:
 
 # -- trace conformance -------------------------------------------------------
 
-def observed_edges(events: Sequence) -> Set[Tuple[str, str, str]]:
+def observed_edges(records: Sequence) -> Set[Tuple[str, str, str]]:
     """``(src_role, TYPE, dst_role)`` triples from observed communication.
 
-    Accepts a mix of two record shapes through one code path:
-
-    * :class:`repro.core.tracing.TraceEvent` records — only ``kind ==
-      "sent"`` events contribute; ``detail`` must include ``dst``
-      (comma-joined destination names) and ``type`` (the ``str(MsgType)``
-      value), the fields :meth:`ProcessEndpoint.send` records;
-    * :class:`repro.obs.spans.SpanRecord` objects (anything with
-      ``msg_type``/``src``/``dst`` attributes and no ``kind``) — each is
-      one completed edge from the span aggregator.
+    ``records`` are :class:`repro.obs.spans.SpanRecord` objects (anything
+    with ``msg_type``/``src``/``dst`` attributes): one delivered edge each,
+    as the span correlator joins them from a run's hop-log records — a
+    fan-out's ``sent`` does not name its destinations, their ``delivered``
+    records do.  A record whose message type is unknown (its ``sent`` was
+    recorded by another process) is skipped.
     """
     edges: Set[Tuple[str, str, str]] = set()
-    for event in events:
-        kind = getattr(event, "kind", None)
-        if kind is None and hasattr(event, "msg_type"):
-            # SpanRecord shape: one (src, type, dst) edge per record.
-            member = str(event.msg_type).rsplit(".", 1)[-1].upper()
-            if not member:
-                continue
+    for record in records:
+        member = str(record.msg_type).rsplit(".", 1)[-1].upper()
+        if member:
             edges.add(
-                (
-                    role_for_name(str(getattr(event, "src", ""))),
-                    member,
-                    role_for_name(str(getattr(event, "dst", ""))),
-                )
+                (role_for_name(str(record.src)), member, role_for_name(str(record.dst)))
             )
-            continue
-        if kind != "sent":
-            continue
-        detail = getattr(event, "detail", {}) or {}
-        type_value = detail.get("type")
-        if not type_value:
-            continue
-        member = str(type_value).rsplit(".", 1)[-1].upper()
-        src_role = role_for_name(
-            getattr(event, "source", None) or getattr(event, "name", "")
-        )
-        for dst_name in str(detail.get("dst", "")).split(","):
-            if dst_name:
-                edges.add((src_role, member, role_for_name(dst_name)))
     return edges
 
 
 def conformance_violations(
-    events: Sequence, topology: Topology
+    records: Sequence, topology: Topology
 ) -> List[Tuple[str, str, str]]:
     """Observed runtime edges absent from the static topology.
 
@@ -419,7 +394,7 @@ def conformance_violations(
     """
     static = topology.role_edges()
     violations = []
-    for src, msg_type, dst in sorted(observed_edges(events)):
+    for src, msg_type, dst in sorted(observed_edges(records)):
         if (src, msg_type, dst) in static:
             continue
         if any(

@@ -48,13 +48,13 @@ def _host_machine(config: XingTianConfig, machine: str, pipe: Any, trace: bool) 
     tracer = Tracer(1 << 20)
     code = 1
     try:
+        if trace:  # before anybody can reach this machine: nothing unseen
+            tracer.attach()
         fabric = SocketFabric("data")
         cluster = build_cluster(config, data_fabric=fabric, hosted=[machine])
         pipe.send(fabric.addresses()[broker_name(machine)])
         center = broker_name(config.learner_machine.name)
         fabric.add_address(center, _receive(pipe, "the launcher"))
-        if trace:
-            tracer.attach()
         cluster.start()
         try:
             while os.getppid() == launcher and any(
@@ -66,7 +66,7 @@ def _host_machine(config: XingTianConfig, machine: str, pipe: Any, trace: bool) 
             tracer.detach()
         cluster.raise_worker_errors()
         fabric.raise_errors()
-        pipe.send({"link_stats": fabric.link_stats(), "events": tracer.events()})
+        pipe.send({"link_stats": fabric.link_stats(), "events": tracer.dicts()})
         code = 0
     except Exception:  # noqa: BLE001 - the exit code is the report
         traceback.print_exc()
@@ -149,9 +149,9 @@ def run_process_session(config: XingTianConfig, *, trace: bool = False) -> WireR
     try:
         session = XingTianSession(config, data_fabric=fabric, hosted=[center])
         session.build().children = children
-        children.exchange_addresses(fabric, broker_name(center))
-        if trace:
+        if trace:  # before a child learns where to send: nothing unseen
             tracer.attach()
+        children.exchange_addresses(fabric, broker_name(center))
         result = session.run()
     finally:
         tracer.detach()
@@ -161,7 +161,7 @@ def run_process_session(config: XingTianConfig, *, trace: bool = False) -> WireR
     if any(children.exit_codes.values()):
         raise TrainingFailedError(f"machines left with exit codes {children.exit_codes}")
     report = WireRunReport(
-        result, fabric.link_stats(), tracer.events(), exit_codes=children.exit_codes
+        result, fabric.link_stats(), tracer.dicts(), exit_codes=children.exit_codes
     )
     report.traces.append((center, report.trace_events))
     for machine, left in children.reports.items():

@@ -77,13 +77,13 @@ class WireRunReport:
     result: Any  #: the :class:`~repro.runtime.RunResult`
     #: per-link wire counters from :meth:`SocketFabric.link_stats`
     link_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: the run's hop-log events (message lifecycles plus the
+    #: the run's hop-log event dicts (message lifecycles plus the
     #: wire_send/wire_deliver stage pairs) when ``trace`` was asked for,
     #: ready to merge with other per-process trace files
-    trace_events: List[Any] = field(default_factory=list)
+    trace_events: List[Dict[str, Any]] = field(default_factory=list)
     #: a process session's ``(machine, events)`` per OS process, as
     #: :func:`repro.obs.trace.merge.merge` takes them
-    traces: List[Tuple[str, List[Any]]] = field(default_factory=list)
+    traces: List[Tuple[str, List[Dict[str, Any]]]] = field(default_factory=list)
     #: how each child of a process session left, by machine
     exit_codes: Dict[str, Optional[int]] = field(default_factory=dict)
 
@@ -138,7 +138,7 @@ def run_wire_session(
     report = WireRunReport(
         result=result,
         link_stats=fabric.link_stats(),
-        trace_events=tracer.events(),
+        trace_events=tracer.dicts(),
     )
     if require_traffic and report.wire_bytes_sent <= 0:
         raise RuntimeError(

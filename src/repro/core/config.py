@@ -229,19 +229,19 @@ class TelemetrySpec:
 
     When attached to a config, the session builds a
     :class:`~repro.obs.telemetry.Telemetry` object: a metrics registry, a
-    tracer and live message-lifecycle span aggregation subscribed to the
-    hop log, and a periodic sampler reading queue depths, object-store
-    totals and the meters each process keeps about itself.  The resulting
+    tracer and live message-lifecycle span aggregation reading the hop
+    log, and a periodic sampler reading queue depths, object-store totals
+    and the meters each process keeps about itself.  The resulting
     snapshot lands in ``RunResult.metrics``.  ``None`` (the default) keeps
     telemetry fully off; the data plane runs the same code either way.
     """
 
     enabled: bool = True
     sample_interval: float = 0.05
+    #: events the tracer keeps — and the hop-log ring size the run asks
+    #: for: what span aggregation may leave unread between two sweeps
     tracer_capacity: int = 65536
     series_capacity: int = 512
-    #: correlate sent→routed→delivered→consumed into latency histograms
-    spans: bool = True
     max_pending_spans: int = 8192
 
     def validate(self) -> None:

@@ -1,35 +1,33 @@
-"""The hop log: one process-wide event stream for every message hop.
+"""The hop log: one process-wide ring of packed records, one per message hop.
 
-Each hop of a message's life is observed by exactly one call —
+Each hop of a message's life is recorded by exactly one call —
 :func:`emit` (or :func:`emit_many` for a whole wake-up's batch) — which
-takes the header(s) the hop already holds; every field a consumer reads
-(``seq``, ``trace``, ``span``, ``src``, ``dst``, ``type``, ``body_size``)
-is in the header.  The kinds are ``sent``, ``routed``, ``delivered``,
-``consumed``, the terminal outcomes ``shed`` / ``expired`` / ``rejected``
-and explicit ``stage_begin`` / ``stage_end`` pairs
-(docs/OBSERVABILITY.md has the kind × thread × consumer table).
+takes the header(s) the hop already holds and packs one fixed 32-byte
+record per message into a preallocated ring: timestamp, interned kind and
+source, the message's type and its single (or narrowed) destination where
+those are news, ``seq`` and trace id.  That is all an emitter ever does —
+one clock read and one ``pack_into`` per record under the ring's lock, no
+allocation — whoever is or is not looking.  The kinds are ``sent``,
+``routed``, ``delivered``, ``consumed``, the terminal outcomes ``shed`` /
+``expired`` / ``rejected`` and explicit ``stage_begin`` / ``stage_end``
+pairs (docs/OBSERVABILITY.md has the kind × thread × consumer table).
 
-The log feeds two views of the same stream:
-
-* the **ring** — always on: a preallocated ``bytearray`` of fixed 32-byte
-  struct-packed records (timestamp, interned kind and source ids, seq,
-  trace id).  Emitting is one clock read and one ``pack_into`` per record
-  under one lock per call: no allocation, no serialization.  On
-  ``TrainingFailedError``, a ``BackpressureError`` escalation, a broker
-  shutdown-audit failure or ``SIGUSR2`` the ring is dumped to
-  ``flightrec/*.bin`` (override with ``REPRO_FLIGHTREC_DIR``) for
-  ``python -m repro.obs.trace`` to merge; ``REPRO_FLIGHTREC=0`` disables
-  the ring, ``REPRO_FLIGHTREC_CAPACITY`` sizes it.
-* **subscribers** — only while one is attached does the log also build the
-  detailed :class:`TraceEvent` of each record and hand the call's batch
-  over.  :class:`Tracer` is the stock subscriber (a bounded buffer);
-  telemetry attaches one, and its span aggregator, for the length of a run.
+The ring is the interface.  A consumer attaches a :class:`Reader` — a
+cursor: "the records since my last read", with an exact count of the ones
+the ring overwrote first — and decodes what it reads on its own thread:
+:class:`Tracer` is a reader plus a bounded buffer with a query API, the
+span aggregator of :mod:`repro.obs.spans` polls one from the telemetry
+sampler's sweep.  On ``TrainingFailedError``, a ``BackpressureError``
+escalation, a broker shutdown-audit failure or ``SIGUSR2`` the ring is
+dumped to ``flightrec/*.bin`` (override with ``REPRO_FLIGHTREC_DIR``) for
+``python -m repro.obs.trace`` to merge; ``REPRO_FLIGHTREC=0`` disables the
+ring, ``REPRO_FLIGHTREC_CAPACITY`` sizes it.
 
 A coalesced BATCH envelope stands for its sub-messages: the log expands
-its ``BATCH_SEQS`` into one record per sub-message, so every view sees the
-seqs that were ``sent`` and will be ``delivered``, never the envelope's.
-Stage events describe the one transfer that carried the envelope and are
-not expanded.
+its ``BATCH_SEQS`` into one record per sub-message, so every reader sees
+the seqs that were ``sent`` and will be ``delivered``, never the
+envelope's.  Stage events describe the one transfer that carried the
+envelope and are not expanded.
 
 Stdlib plus :mod:`repro.core.message` constants only, so every layer can
 import it.
@@ -51,17 +49,19 @@ from typing import (
 )
 
 from .concurrency import make_lock
-from .message import BATCH_SEQS, BODY_SIZE, DST, SEQ, SPAN, SRC, TRACE, TYPE
+from .errors import ConfigError
+from .message import BATCH_SEQS, DST, SEQ, TRACE, TYPE
 
 _LOGGER = logging.getLogger(__name__)
 
 #: dump-file magic + schema tag (bump together when the record layout changes)
-MAGIC = b"FREC1\n"
-FLIGHTREC_SCHEMA = "repro.flightrec/v1"
+MAGIC = b"FREC2\n"
+FLIGHTREC_SCHEMA = "repro.flightrec/v2"
 
-#: one record: ts (f64 monotonic), kind id (u32), source id (u32),
-#: seq (i64, -1 when absent), trace id (u64, 0 when absent)
-RECORD = struct.Struct("<dIIqQ")
+#: one record: ts (f64 monotonic); interned kind, source, message type and
+#: destination ids (u16 each; 0 in the last two when absent); seq (i64, -1
+#: when absent); trace id (u64, 0 when absent)
+RECORD = struct.Struct("<dHHHHqQ")
 RECORD_SIZE = RECORD.size
 
 #: default ring capacity in records (8192 * 32 B = 256 KiB per process)
@@ -74,51 +74,22 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 #: the hops of a message that arrives, in causal order ...
 LIFECYCLE_KINDS = ("sent", "routed", "delivered", "consumed")
 #: ... and the outcomes of one that will not: it never sees "delivered" /
-#: "consumed", so span aggregation and the trace merger close its chain
-#: instead of leaking it
+#: "consumed", so the span correlator closes its chain instead of leaking it
 TERMINAL_KINDS = TERMINAL_SHED, TERMINAL_EXPIRED, TERMINAL_REJECTED = (
     "shed", "expired", "rejected",
 )
 #: kinds that describe one transfer, not one message: never BATCH-expanded
 _STAGE_KINDS = frozenset({"stage_begin", "stage_end"})
+#: kinds whose type and destination the chain's ``sent`` already told:
+#: their records leave both columns 0 and pay for no lookup.  Every ring
+#: interns them first, so a kind id up to ``_LAST_PLAIN_ID`` says "plain"
+#: (0, the overflow bucket, has no name to describe either)
+_PLAIN_KINDS = LIFECYCLE_KINDS[1:]
+_LAST_PLAIN_ID = len(_PLAIN_KINDS)
 
 _ENV_ENABLE = "REPRO_FLIGHTREC"
 _ENV_CAPACITY = "REPRO_FLIGHTREC_CAPACITY"
 _ENV_DIR = "REPRO_FLIGHTREC_DIR"
-
-
-@dataclass
-class TraceEvent:
-    """One hop as subscribers see it."""
-
-    timestamp: float
-    kind: str
-    source: str
-    detail: Dict[str, Any] = field(default_factory=dict)
-
-
-#: called with the events of one ``emit``/``emit_many`` call, on the
-#: emitting thread; must be thread-safe and cheap
-Subscriber = Callable[[List[TraceEvent]], None]
-
-
-def _detail(header: Dict[str, Any], extra: Dict[str, Any]) -> Dict[str, Any]:
-    """A hop's detail: the header's identifying fields, then ``extra``."""
-    if not header:
-        return dict(extra)
-    dst = header.get(DST)
-    detail = {
-        "seq": header.get(SEQ),
-        "trace": header.get(TRACE),
-        "span": header.get(SPAN),
-        "src": header.get(SRC),
-        "dst": ",".join(dst) if dst else "",
-        "type": str(header.get(TYPE)),
-        "nbytes": header.get(BODY_SIZE, 0),
-    }
-    if extra:
-        detail.update(extra)
-    return detail
 
 
 class _Ring:
@@ -132,45 +103,99 @@ class _Ring:
         self.buf = bytearray(capacity * RECORD_SIZE)
         self.head = 0  # total records ever written
         self.lock = threading.Lock()
-        #: kinds and sources share one table; id 0 is its overflow bucket
-        self.names: List[str] = ["?"]
-        self.name_ids: Dict[str, int] = {"?": 0}
+        #: every id column shares one table; id 0 is its overflow bucket
+        self.names: List[str] = ["?", *_PLAIN_KINDS]
+        self.name_ids: Dict[Any, int] = {name: i for i, name in enumerate(self.names)}
 
-    def ids(self, kind: str, source: str, extra: Dict[str, Any]) -> Tuple[int, int]:
-        """Interned ids of a record; a stage event's ``stage`` is kept by
-        folding it into the kind."""
+    def ids(
+        self, kind: str, source: str, header: Optional[Dict[str, Any]],
+        extra: Dict[str, Any],
+    ) -> Tuple[int, int, int, int]:
+        """Interned ``(kind, source, type, destination)`` ids of a record.
+        A stage event's ``stage`` is kept by folding it into the kind; type
+        and destination — the one the header names, a narrowed ``dst=``
+        first — are 0 when absent and for the plain kinds."""
         if extra and "stage" in extra:
             kind = f"{kind}:{extra['stage']}"
         # Fast path: dict reads are atomic in CPython; misses take the lock.
-        kind_id = self.name_ids.get(kind)
-        if kind_id is None:
+        name_ids = self.name_ids
+        if (kind_id := name_ids.get(kind)) is None:
             kind_id = self._intern(kind)
-        source_id = self.name_ids.get(source)
-        if source_id is None:
+        if (source_id := name_ids.get(source)) is None:
             source_id = self._intern(source)
-        return kind_id, source_id
+        if kind_id <= _LAST_PLAIN_ID or not header:
+            return kind_id, source_id, 0, 0
+        type_id = dst_id = 0
+        msg_type = header.get(TYPE)
+        if msg_type is not None and (type_id := name_ids.get(msg_type)) is None:
+            type_id = self._intern(msg_type)
+        dst = extra.get("dst") if extra else None
+        if dst is None and len(named := header.get(DST) or ()) == 1:
+            dst = named[0]
+        if dst and (dst_id := name_ids.get(dst)) is None:
+            dst_id = self._intern(dst)
+        return kind_id, source_id, type_id, dst_id
 
-    def _intern(self, name: str) -> int:
+    def _intern(self, name: Any) -> int:
         with self.lock:
             if name not in self.name_ids and len(self.names) < _MAX_INTERNED:
                 self.name_ids[name] = len(self.names)
-                self.names.append(name)
+                self.names.append(str(name))
             return self.name_ids.get(name, 0)
 
-    def snapshot(self) -> Tuple[bytes, int, List[str]]:
-        """Chronologically-ordered copy of the records + the name table."""
-        with self.lock:
+    def copy(self, start: int) -> Tuple[bytes, int, int]:
+        """The records from ``start`` on that the ring still holds, oldest
+        first, as ``(data, head, overwritten)``."""
+        with self.lock, memoryview(self.buf) as view:
             head = self.head
-            if head <= self.capacity:
-                data = bytes(self.buf[: head * RECORD_SIZE])
-            else:
-                split = (head % self.capacity) * RECORD_SIZE
-                data = bytes(self.buf[split:]) + bytes(self.buf[:split])
-            return data, head, list(self.names)
+            first = max(start, head - self.capacity)
+            begin = (first % self.capacity) * RECORD_SIZE
+            end = begin + (head - first) * RECORD_SIZE
+            data = bytes(view[begin:end])
+            if end > len(view):  # the span wraps
+                data += bytes(view[: end - len(view)])
+            return data, head, first - start
+
+
+class Reader:
+    """A cursor on a hop log: :meth:`read` returns what was recorded since
+    the last read.  Loss is never silent — :attr:`missed` counts, exactly,
+    the records that were overwritten (or retired with their ring) unread.
+
+    One reader serves one consumer; a consumer read from several threads
+    serializes them itself.
+    """
+
+    def __init__(self, log: "HopLog", capacity: int, ring: _Ring):
+        self._log = log
+        #: the ring holds at least this many records while this is attached
+        self.capacity = capacity
+        self.missed = 0
+        self._ring: Optional[_Ring] = ring
+        self._cursor = ring.head
+
+    def read(self) -> Tuple[bytes, Sequence[str]]:
+        """``(records, names)``: packed :data:`RECORD` rows, oldest first,
+        and the table their id columns index.  When ``configure()`` or a
+        larger reader swapped the ring it restarts on the new one."""
+        ring = self._log._ring
+        if ring is not self._ring:
+            if self._ring is not None:
+                self.missed += self._ring.head - self._cursor
+            self._ring, self._cursor = ring, 0
+        if ring is None:
+            return b"", ()
+        data, self._cursor, missed = ring.copy(self._cursor)
+        self.missed += missed
+        return data, ring.names
+
+    def close(self) -> None:
+        with self._log._lock:
+            self._log.readers = tuple(r for r in self._log.readers if r is not self)
 
 
 class HopLog:
-    """The event stream of one process: an always-on ring plus subscribers.
+    """The event stream of one process: a ring of records and its readers.
 
     The process-wide instance is :data:`HOP_LOG`; tests build private ones
     to pin a clock or a capacity.
@@ -185,9 +210,10 @@ class HopLog:
         enabled: Optional[bool] = None,
     ):
         self._clock = clock
-        self._subscribers: Tuple[Subscriber, ...] = ()
+        #: who is attached now (emitting costs the same either way)
+        self.readers: Tuple[Reader, ...] = ()
         self._dumps = 0
-        #: guards the subscriber tuple and the dump counter
+        #: guards the reader tuple, ring swaps and the dump counter
         self._lock = threading.Lock()
         self.configure(enabled=enabled, capacity=capacity, process=process)
 
@@ -198,9 +224,10 @@ class HopLog:
         capacity: Optional[int] = None,
         process: Optional[str] = None,
     ) -> Optional["HopLog"]:
-        """Start a fresh ring — or none, when not ``enabled`` — keeping the
-        subscribers; unset arguments come from the environment.  Returns
-        the log, or ``None`` when it now keeps no ring."""
+        """Start a fresh ring — or none, when not ``enabled`` — no smaller
+        than any attached reader asked for; unset arguments come from the
+        environment.  Returns the log, or ``None`` when it now keeps no
+        ring."""
         if enabled is None:
             enabled = os.environ.get(_ENV_ENABLE, "1") != "0"
         if capacity is None:
@@ -208,35 +235,27 @@ class HopLog:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.process = process or f"pid{os.getpid()}"
-        self._ring: Optional[_Ring] = _Ring(int(capacity)) if enabled else None
+        with self._lock:
+            capacity = max([int(capacity)] + [r.capacity for r in self.readers])
+            self._ring: Optional[_Ring] = _Ring(capacity) if enabled else None
         return self if enabled else None
 
-    # -- subscribers ----------------------------------------------------------
-    @property
-    def subscribers(self) -> Tuple[Subscriber, ...]:
-        """Who is attached now (empty: hops cost their ring record only)."""
-        return self._subscribers
-
-    def subscribe(self, subscriber: Subscriber) -> None:
+    def reader(self, capacity: int = 0) -> Reader:
+        """Attach a cursor at the ring's head.  ``capacity`` is how many
+        records the consumer may leave unread: a smaller ring is swapped
+        for one that holds them."""
         with self._lock:
-            if subscriber not in self._subscribers:
-                self._subscribers += (subscriber,)
-
-    def unsubscribe(self, subscriber: Subscriber) -> None:
-        with self._lock:
-            self._subscribers = tuple(
-                held for held in self._subscribers if held != subscriber
-            )
-
-    def _publish(
-        self, subscribers: Tuple[Subscriber, ...], events: List[TraceEvent]
-    ) -> None:
-        for subscriber in subscribers:
-            try:
-                subscriber(events)
-            except Exception:  # noqa: BLE001 - a broken subscriber must not kill senders
-                _LOGGER.exception("hop-log subscriber %r raised; detached", subscriber)
-                self.unsubscribe(subscriber)
+            ring = self._ring
+            if ring is None:
+                raise ConfigError(
+                    f"this hop log keeps no ring ({_ENV_ENABLE}=0): "
+                    "there is nothing for a reader to observe"
+                )
+            if ring.capacity < capacity:
+                ring = self._ring = _Ring(capacity)
+            attached = Reader(self, capacity, ring)
+            self.readers += (attached,)
+        return attached
 
     # -- hot path -------------------------------------------------------------
     def emit(
@@ -248,26 +267,23 @@ class HopLog:
     ) -> None:
         """Record one hop of the message ``header`` describes.
 
-        ``extra`` (``stage=``, a narrowed ``dst=``, a wire ``nbytes=``)
-        overrides the header's fields in the subscriber view; ``stage`` is
-        also kept by the ring.
+        Of ``extra`` the record keeps ``stage=`` and a narrowed ``dst=``.
         """
         ring = self._ring
-        if (
-            ring is None or self._subscribers
-            or not header or header.get(BATCH_SEQS)
-        ):
+        if ring is None:
+            return
+        if not header or header.get(BATCH_SEQS):
             self.emit_many(kind, source, (header or {},), **extra)
             return
-        # The common case — one plain header into the ring, nobody listening.
-        kind_id, source_id = ring.ids(kind, source, extra)
+        # The common case — one plain header.
+        kind_id, source_id, type_id, dst_id = ring.ids(kind, source, header, extra)
         seq = header.get(SEQ)
         ts = self._clock()
         with ring.lock:
             RECORD.pack_into(
                 ring.buf, (ring.head % ring.capacity) * RECORD_SIZE, ts,
-                kind_id, source_id, -1 if seq is None else seq,
-                (header.get(TRACE) or 0) & _U64,
+                kind_id, source_id, type_id, dst_id,
+                -1 if seq is None else seq, (header.get(TRACE) or 0) & _U64,
             )
             ring.head += 1
 
@@ -282,49 +298,39 @@ class HopLog:
         with one clock read under one lock acquisition: a thread holding a
         whole wake-up's batch pays the fixed cost once."""
         ring = self._ring
-        subscribers = self._subscribers
-        if not headers or (ring is None and not subscribers):
+        if ring is None or not headers:
             return
         ts = self._clock()
         expand = kind not in _STAGE_KINDS
-        if ring is not None:
-            kind_id, source_id = ring.ids(kind, source, extra)
-            buf, capacity, pack_into = ring.buf, ring.capacity, RECORD.pack_into
-            with ring.lock:
-                head = ring.head
-                for header in headers:
-                    subs = header.get(BATCH_SEQS) if expand else None
-                    if not subs:
-                        seq = header.get(SEQ)
-                        pack_into(
-                            buf, (head % capacity) * RECORD_SIZE, ts, kind_id,
-                            source_id, -1 if seq is None else seq,
-                            (header.get(TRACE) or 0) & _U64,
-                        )
-                        head += 1
-                        continue
-                    for seq, trace in subs:
-                        pack_into(
-                            buf, (head % capacity) * RECORD_SIZE, ts, kind_id,
-                            source_id, -1 if seq is None else seq,
-                            (trace or 0) & _U64,
-                        )
-                        head += 1
-                ring.head = head
-        if subscribers:
-            events: List[TraceEvent] = []
+        kind_id, source_id, type_id, dst_id = ring.ids(kind, source, None, extra)
+        # Interning takes the ring's lock: look each header up before it.
+        described = None if kind_id <= _LAST_PLAIN_ID else iter(
+            [ring.ids(kind, source, header, extra)[2:] for header in headers]
+        )
+        buf, capacity, pack_into = ring.buf, ring.capacity, RECORD.pack_into
+        with ring.lock:
+            head = ring.head
             for header in headers:
-                detail = _detail(header, extra)
+                if described is not None:
+                    type_id, dst_id = next(described)
                 subs = header.get(BATCH_SEQS) if expand else None
                 if not subs:
-                    events.append(TraceEvent(ts, kind, source, detail))
+                    seq = header.get(SEQ)
+                    pack_into(
+                        buf, (head % capacity) * RECORD_SIZE, ts, kind_id,
+                        source_id, type_id, dst_id, -1 if seq is None else seq,
+                        (header.get(TRACE) or 0) & _U64,
+                    )
+                    head += 1
                     continue
                 for seq, trace in subs:
-                    events.append(TraceEvent(
-                        ts, kind, source,
-                        {**detail, "seq": seq, "trace": trace, "span": None},
-                    ))
-            self._publish(subscribers, events)
+                    pack_into(
+                        buf, (head % capacity) * RECORD_SIZE, ts, kind_id,
+                        source_id, type_id, dst_id, -1 if seq is None else seq,
+                        (trace or 0) & _U64,
+                    )
+                    head += 1
+            ring.head = head
 
     # -- the ring, read back ----------------------------------------------------
     @property
@@ -349,26 +355,24 @@ class HopLog:
         ring = self._ring
         if ring is None:
             return []
-        data, head, names = ring.snapshot()
-        return _decode_records(data, min(head, ring.capacity), names, names)
+        return decode_records(ring.copy(0)[0], ring.names)
 
     def dump(self, path: str, reason: str = "manual") -> str:
         """Write the ring to ``path`` (magic + JSON meta + raw records)."""
         ring = self._ring
         assert ring is not None, "this hop log keeps no ring to dump"
-        data, head, names = ring.snapshot()
+        data, head, overwritten = ring.copy(0)
         meta = {
             "format": FLIGHTREC_SCHEMA,
             "process": self.process,
             "pid": os.getpid(),
             "reason": reason,
             "capacity": ring.capacity,
-            "count": min(head, ring.capacity),
+            "count": len(data) // RECORD_SIZE,
             "total": head,
-            "overwritten": max(0, head - ring.capacity),
-            # One interned table serves both id columns of a record.
-            "kinds": names,
-            "sources": names,
+            "overwritten": overwritten,
+            # Copied after the records: it names every id they hold.
+            "names": list(ring.names),
             # Paired readings let the merger map monotonic ts to wall time.
             "wall_time": time.time(),
             "mono_time": self._clock(),
@@ -406,27 +410,35 @@ class HopLog:
         return path
 
 
-def _decode_records(
-    data: bytes, count: int, kinds: List[str], sources: List[str]
-) -> List[Dict[str, Any]]:
+#: packed records as ``(ts, kind, source, msg_type, dst, seq, trace)`` rows;
+#: the four after ``ts`` are ids into the name table read with them (0: no
+#: type, no destination; a stage event's kind name carries its ``:stage``)
+unpack_records = RECORD.iter_unpack
+
+
+def decode_records(data: bytes, names: Sequence[str]) -> List[Dict[str, Any]]:
+    """Packed records as event dicts ``{"ts", "kind", "source", "detail"}``
+    — the one decoded shape: what a trace file holds and the merger takes."""
     events: List[Dict[str, Any]] = []
-    for index in range(count):
-        ts, kind_id, source_id, seq, trace = RECORD.unpack_from(
-            data, index * RECORD_SIZE
-        )
-        kind = kinds[kind_id] if kind_id < len(kinds) else "?"
-        source = sources[source_id] if source_id < len(sources) else "?"
+    known = len(names)
+    for ts, kind, source, msg_type, dst, seq, trace in unpack_records(data):
+        # A dump file's ids come from outside the program: out of range is "?".
+        kind, _, stage = (names[kind] if kind < known else "?").partition(":")
         detail: Dict[str, Any] = {}
         if seq >= 0:
             detail["seq"] = seq
         if trace:
             detail["trace"] = trace
-        kind, _, stage = kind.partition(":")
+        if 0 < msg_type < known:
+            detail["type"] = names[msg_type]
+        if 0 < dst < known:
+            detail["dst"] = names[dst]
         if stage:
             detail["stage"] = stage
-        events.append(
-            {"ts": ts, "kind": kind, "source": source, "detail": detail}
-        )
+        events.append({
+            "ts": ts, "kind": kind, "detail": detail,
+            "source": names[source] if source < known else "?",
+        })
     return events
 
 
@@ -435,42 +447,33 @@ def load_dump(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     with open(path, "rb") as handle:
         magic = handle.read(len(MAGIC))
         if magic != MAGIC:
-            raise ValueError(f"{path}: not a flight-recorder dump")
+            raise ValueError(
+                f"{path}: not a flight-recorder dump of this layout "
+                f"(magic {magic!r}, expected {MAGIC!r})"
+            )
         (meta_len,) = struct.unpack("<I", handle.read(4))
         meta = json.loads(handle.read(meta_len).decode("utf-8"))
         data = handle.read()
-    count = min(int(meta.get("count", 0)), len(data) // RECORD_SIZE)
-    events = _decode_records(
-        data, count, list(meta.get("kinds", [])), list(meta.get("sources", []))
-    )
-    return meta, events
+    if meta.get("format") != FLIGHTREC_SCHEMA:
+        raise ValueError(
+            f"{path}: dump schema {meta.get('format')!r}, expected {FLIGHTREC_SCHEMA!r}"
+        )
+    if len(data) != int(meta.get("count", -1)) * RECORD_SIZE:
+        raise ValueError(
+            f"{path}: {len(data)} bytes of records, expected "
+            f"{meta.get('count')} x {RECORD_SIZE}"
+        )
+    return meta, decode_records(data, meta.get("names", []))
 
 
 #: schema tag of a JSONL trace file (see :mod:`repro.obs.trace.events`)
 TRACE_SCHEMA = "repro.trace/v1"
 
 
-def event_to_dict(event: Any) -> Dict[str, Any]:
-    """Normalize a :class:`~repro.core.tracing.TraceEvent` (or dict)."""
-    if isinstance(event, dict):
-        return {
-            "ts": float(event.get("ts", 0.0)),
-            "kind": str(event.get("kind", "")),
-            "source": str(event.get("source", "")),
-            "detail": dict(event.get("detail") or {}),
-        }
-    return {
-        "ts": float(event.timestamp),
-        "kind": str(event.kind),
-        "source": str(event.source),
-        "detail": dict(event.detail),
-    }
-
-
 def write_events(
-    path: str, events: Iterable[Any], *, process: Optional[str] = None
+    path: str, events: Iterable[Dict[str, Any]], *, process: Optional[str] = None
 ) -> str:
-    """Write a JSONL trace file (its meta line first)."""
+    """Write event dicts as a JSONL trace file (its meta line first)."""
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -480,67 +483,83 @@ def write_events(
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps({"meta": header}, sort_keys=True) + "\n")
         for event in events:
-            handle.write(
-                json.dumps(event_to_dict(event), sort_keys=True, default=str)
-                + "\n"
-            )
+            handle.write(json.dumps(event, sort_keys=True, default=str) + "\n")
     return path
 
 
-class Tracer:
-    """The stock hop-log subscriber: a bounded in-memory event buffer.
+@dataclass
+class TraceEvent:
+    """One hop as :meth:`Tracer.events` hands it out."""
 
-    Anything that must see *every* event, however far the buffer has
-    wrapped, subscribes to the log itself (the span aggregator does).
+    timestamp: float
+    kind: str
+    source: str
+    detail: Dict[str, Any] = field(default_factory=dict)
+
+
+class Tracer:
+    """A reader with a memory: the newest ``capacity`` events recorded
+    while it was attached, behind a query API.
+
+    Attaching sizes the ring to ``capacity`` records, so the buffer is
+    filled on demand — by a query, or at :meth:`detach` — and nothing
+    decodes while traffic flows.
     """
 
     def __init__(self, capacity: int = 10_000):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self._events: Deque[Dict[str, Any]] = deque(maxlen=capacity)
         self._lock = make_lock("tracer")
-        self._log: Optional[HopLog] = None
+        self._reader: Optional[Reader] = None
 
     def attach(self, log: Optional[HopLog] = None) -> "Tracer":
-        """Start receiving ``log``'s events (the process-wide log's unless
+        """Start keeping ``log``'s events (the process-wide log's unless
         told otherwise)."""
         self.detach()
-        self._log = HOP_LOG if log is None else log
-        self._log.subscribe(self._observe)
+        with self._lock:
+            self._reader = (HOP_LOG if log is None else log).reader(self._events.maxlen)
         return self
 
     def detach(self) -> None:
-        if self._log is not None:
-            self._log.unsubscribe(self._observe)
-            self._log = None
-
-    def _observe(self, events: Iterable[TraceEvent]) -> None:
         with self._lock:
-            self._events.extend(events)
+            if self._reader is not None:
+                self._pull()
+                self._reader.close()
+                self._reader = None
+
+    def _pull(self) -> None:
+        if self._reader is not None:
+            self._events.extend(decode_records(*self._reader.read()))
 
     # -- queries -----------------------------------------------------------
+    def dicts(self) -> List[Dict[str, Any]]:
+        """The buffer as event dicts: what trace files and the merger take."""
+        with self._lock:
+            self._pull()
+            return list(self._events)
+
     def events(
         self,
         kind: Optional[str] = None,
         source: Optional[str] = None,
     ) -> List[TraceEvent]:
-        with self._lock:
-            snapshot = list(self._events)
         return [
-            event
-            for event in snapshot
-            if (kind is None or event.kind == kind)
-            and (source is None or event.source == source)
+            TraceEvent(event["ts"], event["kind"], event["source"], event["detail"])
+            for event in self.dicts()
+            if (kind is None or event["kind"] == kind)
+            and (source is None or event["source"] == source)
         ]
 
     def count(self, kind: Optional[str] = None) -> int:
         return len(self.events(kind=kind))
 
     def kinds(self) -> Dict[str, int]:
-        return dict(Counter(event.kind for event in self.events()))
+        return dict(Counter(event["kind"] for event in self.dicts()))
 
     def clear(self) -> None:
         with self._lock:
+            self._pull()
             self._events.clear()
 
     def format(self, limit: int = 50) -> str:
@@ -582,11 +601,12 @@ dump_all = HOP_LOG.dump_all
 
 def _reset_after_fork() -> None:
     """A forked child starts its own stream: a fresh ring instead of a
-    copy of the parent's, fresh locks (another thread may have held one at
-    the fork) and none of the parent's subscribers."""
+    copy of the parent's, a fresh lock (another thread may have held it at
+    the fork), and the readers it inherited start on that ring."""
     HOP_LOG._lock = threading.Lock()
-    HOP_LOG._subscribers = ()
     configure()
+    for reader in HOP_LOG.readers:
+        reader._ring, reader._cursor = HOP_LOG._ring, 0
 
 
 os.register_at_fork(after_in_child=_reset_after_fork)

@@ -1,16 +1,12 @@
-"""Message-lifecycle spans: correlate hop-log events into stage latencies.
+"""Message-lifecycle spans: the one correlator of hop-log records.
 
-The asynchronous channel emits four lifecycle events per message (see
-``repro.core``): ``sent`` at the producing endpoint, ``routed`` when the
-broker's router dispatches the header, ``delivered`` when the destination
+The asynchronous channel records four lifecycle hops per message (see
+:mod:`repro.core.tracing`): ``sent`` at the producing endpoint, ``routed``
+when a router dispatches the header, ``delivered`` when the destination
 endpoint's receiver thread lands the message in the local receive buffer,
-and ``consumed`` when the workhorse thread actually reads it.  The
-:class:`SpanAggregator` correlates them by message ``seq`` into per-stage
-latency histograms — the paper's "where does transmission time go"
-quantities (Figs. 4–10) — broken down per MsgType and per
-``(src_role, type, dst_role)`` edge aligned with ``docs/topology.json``.
-
-Stages (named by what the duration covers):
+and ``consumed`` when the workhorse thread reads it.  :class:`Correlator`
+joins them by trace id into stage durations — the paper's "where does
+transmission time go" quantities (Figs. 4–10):
 
 ========  =======================  =====================================
 stage     interval                 meaning
@@ -21,55 +17,92 @@ deliver   sent → delivered         end-to-end transmission
 consume   delivered → consumed     receive-buffer dwell (workhorse lag)
 ========  =======================  =====================================
 
-Correlation state is bounded: at most ``max_pending`` in-flight starts per
-stage, FIFO-evicted (each eviction counted).  Lost end events — routine
-under :class:`repro.testing.faults.FaultyLink` drops — therefore cannot
-grow memory, they only increment the unmatched counters that the JSON
-snapshot and Prometheus exposition report.
+``delivered`` and ``consumed`` are recorded by the destination, so the
+last three stages close once per destination of a fan-out; a terminal
+``shed`` / ``expired`` / ``rejected`` closes the destinations it names
+(the whole message when it names none) with a counted outcome instead.
 
-The aggregator can run **live** (:meth:`SpanAggregator.attach` subscribes
-it to the hop log, so it sees every event of every hop) or **offline** via
-:meth:`ingest` over recorded events.  Completed edges are retained as :class:`SpanRecord` entries that
-:func:`repro.analysis.topology.conformance_violations` accepts directly,
-so static-vs-observed topology diffing has one code path whether it is fed
-raw hop-log events or span records.
+There is one matcher and two ways to run it.  :class:`SpanAggregator` runs
+it **live**: bounded (at most ``max_pending`` chains in flight, FIFO
+evicted and counted), incrementally, over the batches of packed records
+its hop-log reader hands it at each :meth:`~SpanAggregator.poll`, feeding
+registry histograms per MsgType and per ``(src_role, type, dst_role)``
+edge.  :func:`repro.obs.trace.critical.analyze` runs it **offline**,
+unbounded, over a merged trace.  Same records in, same spans out.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.concurrency import make_lock
-from ..core.tracing import HOP_LOG, LIFECYCLE_KINDS, TERMINAL_KINDS, HopLog
+from ..core.tracing import (
+    HOP_LOG, LIFECYCLE_KINDS, TERMINAL_KINDS, HopLog, Reader, unpack_records,
+)
 from .metrics import MetricsRegistry
 
-#: Stage name -> (start event kind, end event kind).
+#: Stage name -> (start kind, end kind): the one stage table.
 STAGES: Dict[str, Tuple[str, str]] = {
     "send": ("sent", "routed"),
     "route": ("routed", "delivered"),
     "deliver": ("sent", "delivered"),
     "consume": ("delivered", "consumed"),
 }
+#: where a chain keeps the time of each start kind: ``sent`` and ``routed``
+#: once per message, ``delivered`` once per destination (slot -1: there)
+_SENT, _ROUTED, _TYPE, _SRC, _DST, _SEQ, _TRACE, _MATCHED, _AT = range(9)
+_START_SLOT = {"sent": _SENT, "routed": _ROUTED, "delivered": -1}
+#: lifecycle kind -> (its place in the lifecycle, the (stage, start slot)
+#: pairs a record of it closes)
+_STEPS: Dict[str, Tuple[int, Any]] = {
+    kind: (place, tuple(
+        (stage, _START_SLOT[start]) for stage, (start, end) in STAGES.items()
+        if end == kind
+    ))
+    for place, kind in enumerate(LIFECYCLE_KINDS)
+}
+_IS_SENT, _IS_ROUTED, _IS_DELIVERED, _IS_CONSUMED = range(4)
+#: ... and a terminal kind -> (no place in it, the outcome it records)
+_IS_TERMINAL = -1
+_STEPS.update({kind: (_IS_TERMINAL, kind) for kind in TERMINAL_KINDS})
+#: the stage an evicted never-matched chain is charged to, by its earliest
+#: hop (``sent`` anchors two stages: charged once, to the end-to-end one)
+_EVICTED_AS = {_SENT: "deliver", _ROUTED: "route", _AT: "consume"}
+
+#: one record to correlate: ``(ts, kind, source, msg_type, dst, seq,
+#: trace)``, the four after ``ts`` ids into the name table fed with it
+Row = Tuple[Any, ...]
+#: what closed stages are grouped by: ``(stage, msg_type, src, dst)``;
+#: ``dst`` is ``""`` for the stage no destination records (``send``)
+Edge = Tuple[str, str, str, str]
 
 
-_ROLE_CACHE: Dict[str, str] = {}
-
-
+@lru_cache(maxsize=None)  # endpoint names are a small fixed set per deployment
 def role_of(name: str) -> str:
-    """Framework role of an endpoint name (explorer/learner/controller).
+    """Framework role of an endpoint name (explorer/learner/controller)."""
+    from ..analysis.topology import role_for_name  # stdlib-only module
 
-    Memoized: this sits on the per-message aggregation path and endpoint
-    names are a small fixed set per deployment.
-    """
-    role = _ROLE_CACHE.get(name)
-    if role is None:
-        from ..analysis.topology import role_for_name  # stdlib-only module
+    return role_for_name(name)
 
-        role = role_for_name(name)
-        _ROLE_CACHE[name] = role
-    return role
+
+def event_rows(events: Iterable[Dict[str, Any]]) -> Tuple[List[Row], List[str]]:
+    """Event dicts (a trace file's, a merged trace's) as the rows and name
+    table the correlator takes — what a ring's reader hands it packed."""
+    ids: Dict[str, int] = {"": 0}
+    rows = []
+    for event in events:
+        detail = event["detail"]
+        rows.append((event["ts"], *(
+            ids.setdefault(name, len(ids)) for name in (
+                event["kind"], event["source"],
+                str(detail.get("type") or ""), str(detail.get("dst") or ""),
+            )
+        ), detail.get("seq", -1), detail.get("trace") or 0))
+    return rows, list(ids)
 
 
 @dataclass(frozen=True)
@@ -78,8 +111,8 @@ class SpanRecord:
 
     ``src``/``dst`` are endpoint names; ``msg_type`` is the ``str(MsgType)``
     value.  ``durations`` maps stage name -> seconds for the stages that
-    completed for this (seq, dst) pair.  Conformance checking reads only
-    (src, msg_type, dst) — see ``repro.analysis.topology.observed_edges``.
+    closed at this destination.  Conformance checking reads only (src,
+    msg_type, dst) — see ``repro.analysis.topology.observed_edges``.
     """
 
     seq: int
@@ -87,6 +120,7 @@ class SpanRecord:
     src: str
     dst: str
     durations: Tuple[Tuple[str, float], ...] = ()
+    trace: int = 0
 
     @property
     def src_role(self) -> str:
@@ -104,7 +138,7 @@ class SpanStats:
     matched: Dict[str, int] = field(default_factory=dict)
     unmatched_ends: Dict[str, int] = field(default_factory=dict)
     evicted_starts: Dict[str, int] = field(default_factory=dict)
-    #: terminal outcome name -> messages closed by it (shed/expired/rejected)
+    #: terminal outcome name -> terminal events that closed pending state
     terminated: Dict[str, int] = field(default_factory=dict)
     negative_durations: int = 0
 
@@ -115,53 +149,184 @@ class SpanStats:
         return sum(self.terminated.values())
 
 
-class _PendingMap:
-    """Bounded FIFO map of correlation key -> start timestamp.
+class Correlator:
+    """The matcher: records in, closed stage durations out, keyed by trace id.
 
-    Entries that matched at least one end event are evicted silently;
-    never-matched entries bump ``evicted`` so they can be reported as
-    unmatched (a fan-out ``sent`` start legitimately outlives many matches,
-    so eviction itself is not a failure — only eviction before any match).
+    ``max_pending`` bounds the chains in flight (``None``: unbounded, for
+    offline use), ``max_records`` the per-destination records kept for
+    :meth:`records`.  Not thread-safe; the aggregator serializes.
+
+    A pending chain is a list — ``[sent time, routed time, msg_type, src,
+    dst, seq, trace, matched, at]``, type / src / dst as ``sent`` told them
+    — whose ``at`` maps a destination to ``[when it was delivered there
+    (``None`` once closed: consumed, or a terminal outcome), {stage:
+    seconds} of the stages closed there]``.
     """
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.evicted = 0
-        self._entries: "OrderedDict[Any, List[Any]]" = OrderedDict()
+    def __init__(
+        self, *, max_pending: Optional[int] = None, max_records: Optional[int] = None
+    ):
+        self._max_pending = max_pending
+        self._pending: "OrderedDict[int, List[Any]]" = OrderedDict()
+        self._stats = SpanStats(
+            matched=dict.fromkeys(STAGES, 0),
+            unmatched_ends=dict.fromkeys(STAGES, 0),
+            evicted_starts=dict.fromkeys(STAGES, 0),
+            terminated=dict.fromkeys(TERMINAL_KINDS, 0),
+        )
+        #: (chain, destination, the {stage: seconds} its chain fills in)
+        self._records: Deque[Tuple[List[Any], str, Dict[str, float]]] = deque(
+            maxlen=max_records
+        )
+        self._edges: set = set()
 
-    def put(self, key: Any, timestamp: Any) -> None:
-        if key in self._entries:
-            # A duplicate start (FaultyLink duplication): keep the earliest
-            # so durations err on the long side rather than negative.
-            return
-        self._entries[key] = [timestamp, False]
-        if len(self._entries) > self.capacity:
-            _, (_, matched) = self._entries.popitem(last=False)
-            if not matched:
-                self.evicted += 1
+    def feed(self, rows: Iterable[Row], names: Sequence[str]) -> Dict[Edge, List[float]]:
+        """Correlate ``rows`` (in recording order) against the pending
+        chains; returns the durations of the stages they closed."""
+        closed: Dict[Edge, List[float]] = {}
+        pending, stats, bound = self._pending, self._stats, self._max_pending
+        unmatched = stats.unmatched_ends
+        # Resolved once per batch, by kind id: what a record of that kind
+        # does (``None``: a stage or train event, not a hop of a message).
+        plan = [_STEPS.get(name) for name in names]
+        for ts, kind, source, msg_type, dst, seq, trace in rows:
+            step = plan[kind]
+            if step is None or not trace:
+                continue
+            chain = pending.get(trace)
+            kind, closes = step
+            if kind == _IS_TERMINAL:
+                if chain is not None:
+                    self._terminate(closes, chain, names[dst] if dst else "")
+                continue
+            if chain is None:
+                if kind == _IS_CONSUMED:
+                    unmatched["consume"] += 1
+                    continue
+                chain = pending[trace] = [None, None, "", "", "", seq, trace, False, None]
+                if bound is not None and len(pending) > bound:
+                    self._evict()
+            if kind == _IS_SENT:
+                if chain[_SENT] is None:
+                    chain[_SENT] = ts
+                    chain[_SRC] = names[source]
+                    # Id 0 is "none" in these two columns, whatever names[0] is.
+                    chain[_TYPE] = names[msg_type] if msg_type else ""
+                    chain[_DST] = names[dst] if dst else ""
+                continue
+            source = names[source]
+            if kind == _IS_ROUTED:
+                if chain[_ROUTED] is not None:
+                    continue  # a duplicating link: the earliest stands
+                chain[_ROUTED] = ts
+                here, where = None, ""
+            else:  # recorded by the destination: ``source`` is where
+                at = chain[_AT]
+                if at is None:
+                    at = chain[_AT] = {}
+                here, where = at.get(source), source
+                if kind == _IS_DELIVERED:
+                    if here is not None:
+                        continue
+                    here = at[source] = [ts, {}]
+                    self._records.append((chain, source, here[1]))
+                elif here is None:
+                    here = at[source] = [None, {}]
+            for stage, slot in closes:
+                started = chain[slot] if slot >= 0 else here[0]
+                if started is None:
+                    unmatched[stage] += 1
+                    continue
+                seconds = ts - started
+                if seconds < 0:
+                    stats.negative_durations += 1
+                    continue
+                chain[_MATCHED] = True
+                edge = (stage, chain[_TYPE], chain[_SRC], where)
+                try:
+                    closed[edge].append(seconds)
+                except KeyError:
+                    closed[edge] = [seconds]
+                if here is not None:
+                    here[1][stage] = seconds
+            if kind == _IS_CONSUMED:
+                here[0] = None
+                if source == chain[_DST]:  # its one destination: complete
+                    del pending[trace]
+        for (stage, msg_type, src, dst), seconds in closed.items():
+            stats.matched[stage] += len(seconds)
+            if src and dst:
+                self._edges.add((src, msg_type, dst))
+        return closed
 
-    def peek(self, key: Any) -> Optional[Any]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        entry[1] = True
-        return entry[0]
+    def _terminate(self, outcome: str, chain: List[Any], dst: str) -> None:
+        """A shed/expired/rejected message: close the destinations the
+        event names — all of them when it names none — so they are a
+        counted outcome, not starts left to be evicted as unmatched."""
+        if chain[_AT] is None:
+            chain[_AT] = {}
+        named = [name for name in dst.split(",") if name]
+        states = [chain[_AT].setdefault(name, [None, {}]) for name in named]
+        if states and all(state[1] is None for state in states):
+            return  # the queue and the router both reported it: count once
+        for state in states:
+            state[:] = None, None  # closed for good: by a terminal outcome
+        chain[_MATCHED] = True
+        self._stats.terminated[outcome] += 1
+        # A fan-out's other destinations are still in flight: only a
+        # terminal that covers the message's one destination, or names
+        # none, retires the chain.
+        if not named or chain[_DST] in named:
+            del self._pending[chain[_TRACE]]
 
-    def pop(self, key: Any) -> Optional[Any]:
-        entry = self._entries.pop(key, None)
-        return None if entry is None else entry[0]
+    def _evict(self) -> None:
+        _, chain = self._pending.popitem(last=False)
+        if not chain[_MATCHED]:
+            earliest = next(slot for slot in _EVICTED_AS if chain[slot] is not None)
+            self._stats.evicted_starts[_EVICTED_AS[earliest]] += 1
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    # -- reads -------------------------------------------------------------
+    def stats(self) -> SpanStats:
+        return deepcopy(self._stats)
+
+    def records(self) -> List[SpanRecord]:
+        """Per-destination records of closed stages (oldest first; the
+        newest ``max_records`` when bounded)."""
+        return [
+            SpanRecord(
+                seq=chain[_SEQ], msg_type=chain[_TYPE], src=chain[_SRC], dst=dst,
+                durations=tuple(sorted(durations.items())), trace=chain[_TRACE],
+            )
+            for chain, dst, durations in self._records
+        ]
+
+    def edges(self) -> List[Tuple[str, str, str]]:
+        """Observed (src, msg_type, dst) endpoint-name triples, sorted."""
+        return sorted(self._edges)
+
+    def pending(self) -> int:
+        """Chains in flight (never more than ``max_pending``)."""
+        return len(self._pending)
 
 
-class SpanAggregator:
-    """Correlates lifecycle hop-log events into registry histograms.
+def _polled(read):
+    """A read of the correlator's state that polls the log first — so it
+    covers everything recorded before the call — under the lock."""
+    def polled(self):
+        self.poll()
+        with self._lock:
+            return read(self)
+    return polled
 
-    :meth:`attach` it to the hop log for live aggregation, or feed recorded
-    events to :meth:`ingest`.  Thread-safe: events may arrive from sender,
-    router, and receiver threads at once.  Like any subscriber, one that
-    raises is logged and detached by the log.
+
+class SpanAggregator(Correlator):
+    """The correlator run live: polls a hop-log reader, feeds a registry.
+
+    :meth:`attach` it to a log and :meth:`poll` it — the telemetry
+    sampler's sweep does; every read here does first, so a caller sees
+    everything recorded before its call — or feed recorded events to
+    :meth:`ingest`.  It shares no lock with any emitter: decoding and
+    matching run on the polling thread, under the aggregator's own lock.
     """
 
     def __init__(
@@ -172,297 +337,103 @@ class SpanAggregator:
         max_records: int = 4096,
         latency_buckets=None,
     ):
+        super().__init__(max_pending=max_pending, max_records=max_records)
         self.registry = registry
         self._lock = make_lock("obs.spans")
-        self._log: Optional[HopLog] = None
-        # Stage start state.  "sent"/"routed" are keyed by seq (one producer
-        # event fans out to N destinations, so matches peek rather than
-        # pop); "delivered" is keyed by (seq, dst) and popped on match.
-        self._sent = _PendingMap(max_pending)
-        self._routed = _PendingMap(max_pending)
-        self._delivered = _PendingMap(max_pending)
-        #: seq -> (msg_type, src, dst list) from the sent event
-        self._meta = _PendingMap(max_pending)
-        self._stats = SpanStats(
-            matched={stage: 0 for stage in STAGES},
-            unmatched_ends={stage: 0 for stage in STAGES},
-            evicted_starts={stage: 0 for stage in STAGES},
-            terminated={outcome: 0 for outcome in TERMINAL_KINDS},
-        )
-        self._records: "OrderedDict[Tuple[int, str], Dict[str, float]]" = OrderedDict()
-        self._record_meta: Dict[Tuple[int, str], Tuple[str, str]] = {}
-        self._max_records = max_records
-        self._edges: set = set()
+        self._reader: Optional[Reader] = None
+        #: records the ring overwrote before a poll got to them: each one
+        #: is a hop this aggregator never correlated
+        self.missed = 0
+        self._missed_before = 0  # by readers since detached
         self._histograms: Dict[tuple, Any] = {}
         self._hist_kwargs = (
             {} if latency_buckets is None else {"buckets": latency_buckets}
         )
-        self._unmatched_counter = {
-            stage: registry.counter(
-                "message_spans_unmatched_total",
-                {"stage": stage},
-                help="lifecycle end events with no matching start",
+        #: (what a counter family exports of the stats, its counters by label)
+        self._counters = [
+            (totals, {
+                label: registry.counter(metric, {key: label}, help=help)
+                for label in totals
+            })
+            for metric, key, totals, help in (
+                ("message_spans_unmatched_total", "stage", self._stats.unmatched_ends,
+                 "lifecycle end events with no matching start"),
+                ("message_spans_evicted_total", "stage", self._stats.evicted_starts,
+                 "pending starts FIFO-evicted before any end matched"),
+                ("message_spans_terminal_total", "outcome", self._stats.terminated,
+                 "messages closed by a terminal outcome "
+                 "(flow-control shed/expired, routing rejected)"),
             )
-            for stage in STAGES
-        }
-        self._evicted_counter = {
-            stage: registry.counter(
-                "message_spans_evicted_total",
-                {"stage": stage},
-                help="pending starts FIFO-evicted before any end matched",
-            )
-            for stage in STAGES
-        }
-        self._terminal_counter = {
-            outcome: registry.counter(
-                "message_spans_terminal_total",
-                {"outcome": outcome},
-                help="messages closed by a terminal outcome "
-                     "(flow-control shed/expired, routing rejected)",
-            )
-            for outcome in TERMINAL_KINDS
-        }
+        ]
         self._negative_counter = registry.counter(
             "message_spans_negative_total",
             help="stage durations that came out negative (clock skew/reorder)",
         )
 
-    # -- event intake ------------------------------------------------------
+    # -- record intake -----------------------------------------------------
     def attach(self, log: HopLog = HOP_LOG) -> "SpanAggregator":
-        """Subscribe to ``log``: aggregate every hop from now on."""
+        """Read ``log`` from here on (the ring keeps whatever size it has:
+        whoever attaches this sizes it — telemetry's tracer does)."""
         self.detach()
-        self._log = log
-        log.subscribe(self.observe_many)
+        with self._lock:
+            self._reader, self._missed_before = log.reader(), self.missed
         return self
 
     def detach(self) -> None:
-        if self._log is not None:
-            self._log.unsubscribe(self.observe_many)
-            self._log = None
-
-    def observe(self, event: Any) -> None:
-        """Take one TraceEvent-shaped object."""
-        kind = getattr(event, "kind", None)
-        if kind not in LIFECYCLE_KINDS:
-            if kind in TERMINAL_KINDS:
-                self._observe_terminal(kind, event)
-            return
-        detail = getattr(event, "detail", None) or {}
-        seq = detail.get("seq")
-        if seq is None:
-            return
-        timestamp = getattr(event, "timestamp", 0.0)
-        source = getattr(event, "source", "") or ""
-        # Histogram updates are deferred until after the correlation lock is
-        # released: histograms carry their own locks, and nesting them inside
-        # ours would serialize sender/router/receiver threads on the hot path.
-        updates: List[Tuple[Any, float]] = []
+        self.poll()
         with self._lock:
-            if kind == "sent":
-                self._sent.put(seq, timestamp)
-                self._meta.put(
-                    seq,
-                    (  # type: ignore[arg-type]
-                        str(detail.get("type", "")),
-                        source,
-                        str(detail.get("dst", "")),
-                    ),
-                )
-            elif kind == "routed":
-                self._routed.put(seq, timestamp)
-                self._close_stage("send", seq, None, timestamp, updates)
-            elif kind == "delivered":
-                self._delivered.put((seq, source), timestamp)
-                self._close_stage("route", seq, source, timestamp, updates)
-                self._close_stage("deliver", seq, source, timestamp, updates)
-            elif kind == "consumed":
-                self._close_stage("consume", seq, source, timestamp, updates)
-            if self._sent.evicted or self._routed.evicted or self._delivered.evicted:
-                self._sync_evictions()
-        for histogram, duration in updates:
-            histogram.record(duration)
+            if self._reader is not None:
+                self._reader.close()
+                self._reader = None
 
-    def observe_many(self, events: Iterable[Any]) -> None:
-        """The subscriber: one ``emit``/``emit_many`` call's events."""
-        for event in events:
-            self.observe(event)
+    def poll(self) -> None:
+        """Correlate what the log recorded since the last poll."""
+        with self._lock:
+            if self._reader is not None:
+                data, names = self._reader.read()
+                self._correlate(unpack_records(data), names)
+                self.missed = self._missed_before + self._reader.missed
 
-    def ingest(self, events: Iterable[Any]) -> SpanStats:
-        """Offline path: feed recorded events; returns the current stats."""
-        self.observe_many(events)
+    def ingest(self, events: Iterable[Dict[str, Any]]) -> SpanStats:
+        """Offline path: feed recorded event dicts; returns the stats."""
+        with self._lock:
+            self._correlate(*event_rows(events))
         return self.stats()
 
-    def _observe_terminal(self, outcome: str, event: Any) -> None:
-        """A shed/expired/rejected message: close its pending state.
-
-        Without this, a bulk shed under ``FlowControlSpec`` leaves its
-        ``sent`` (and possibly ``routed``/``(seq, dst)``) entries pending
-        until FIFO eviction mislabels them as unmatched.  The terminal
-        event instead records a definite outcome in a labeled counter.
-        """
-        detail = getattr(event, "detail", None) or {}
-        seq = detail.get("seq")
-        if seq is None:
-            return
-        with self._lock:
-            dsts = [d for d in str(detail.get("dst") or "").split(",") if d]
-            for dst in dsts:
-                self._delivered.pop((seq, dst))
-            meta = self._meta.peek(seq)
-            sent_dsts = (
-                {d for d in str(meta[2]).split(",") if d} if meta else None
-            )
-            # A router reject is per-destination: when other destinations of
-            # the same fan-out are still in flight, the sent/routed starts
-            # must survive to match their deliveries.  peek() marks them
-            # matched, so a later FIFO eviction stays silent.
-            partial = (
-                sent_dsts is not None and dsts and set(dsts) < sent_dsts
-            )
-            if partial:
-                known = (
-                    self._sent.peek(seq) is not None
-                    or self._routed.peek(seq) is not None
-                )
-            else:
-                known = self._sent.pop(seq) is not None
-                known = (self._routed.pop(seq) is not None) or known
-                self._meta.pop(seq)
-            if not known:
-                # Duplicate terminal (e.g. queue and router both report the
-                # same rejected header) or untraced sender: count once.
-                return
-            self._stats.terminated[outcome] = (
-                self._stats.terminated.get(outcome, 0) + 1
-            )
-            self._terminal_counter[outcome].inc()
-
-    # -- correlation internals (call with lock held) -----------------------
-    def _close_stage(
-        self,
-        stage: str,
-        seq: int,
-        dst: Optional[str],
-        end_timestamp: float,
-        updates: List[Tuple[Any, float]],
-    ) -> None:
-        start_kind = STAGES[stage][0]
-        if start_kind == "sent":
-            started = self._sent.peek(seq)
-        elif start_kind == "routed":
-            started = self._routed.peek(seq)
-        else:  # delivered: per-destination, consumed exactly once
-            started = self._delivered.pop((seq, dst))
-        if started is None:
-            self._stats.unmatched_ends[stage] += 1
-            self._unmatched_counter[stage].inc()
-            return
-        duration = end_timestamp - started
-        if duration < 0:
-            self._stats.negative_durations += 1
-            self._negative_counter.inc()
-            return
-        self._stats.matched[stage] += 1
-        meta = self._meta.peek(seq)
-        msg_type, src = (meta[0], meta[1]) if meta else ("", "")
-        updates.append((
-            self._histogram(
-                "message_stage_seconds", "per-stage message lifecycle latency",
-                stage=stage, type=msg_type,
-            ),
-            duration,
-        ))
-        if dst is not None:
-            updates.append((
+    def _correlate(self, rows: Iterable[Row], names: Sequence[str]) -> None:
+        """One batch through the matcher, then each histogram fed once."""
+        for (stage, msg_type, src, dst), seconds in self.feed(rows, names).items():
+            self._histogram(stage, msg_type).record_many(seconds)
+            if dst:
                 self._histogram(
-                    "message_edge_stage_seconds",
-                    "per-(src_role,type,dst_role) lifecycle latency",
-                    stage=stage, src_role=role_of(src), type=msg_type,
-                    dst_role=role_of(dst),
-                ),
-                duration,
-            ))
-            self._note_record(seq, msg_type, src, dst, stage, duration)
+                    stage, msg_type, role_of(src), role_of(dst)
+                ).record_many(seconds)
+        for totals, counters in self._counters:
+            for label, counter in counters.items():
+                counter.inc(totals[label] - counter.value)
+        self._negative_counter.inc(
+            self._stats.negative_durations - self._negative_counter.value
+        )
 
-    def _histogram(self, metric: str, help: str, **labels: str):
-        """The registry histogram ``metric{labels}``, resolved once."""
-        key = (metric, *labels.values())
-        histogram = self._histograms.get(key)
+    def _histogram(self, stage: str, msg_type: str, *roles: str):
+        """The registry histogram of one stage and type (and, with
+        ``roles``, one edge), resolved once."""
+        histogram = self._histograms.get((stage, msg_type, *roles))
         if histogram is None:
-            histogram = self._histograms[key] = self.registry.histogram(
-                metric, labels, help=help, **self._hist_kwargs
+            labels = {"stage": stage, "type": msg_type}
+            if roles:
+                labels.update(src_role=roles[0], dst_role=roles[1])
+            histogram = self._histograms[(stage, msg_type, *roles)] = (
+                self.registry.histogram(
+                    "message_edge_stage_seconds" if roles else "message_stage_seconds",
+                    labels, **self._hist_kwargs,
+                    help="per-(src_role,type,dst_role) lifecycle latency" if roles
+                    else "per-stage message lifecycle latency",
+                )
             )
         return histogram
 
-    def _note_record(
-        self, seq: int, msg_type: str, src: str, dst: str, stage: str, duration: float
-    ) -> None:
-        key = (seq, dst)
-        durations = self._records.get(key)
-        if durations is None:
-            durations = {}
-            self._records[key] = durations
-            self._record_meta[key] = (msg_type, src)
-            if len(self._records) > self._max_records:
-                old_key, _ = self._records.popitem(last=False)
-                self._record_meta.pop(old_key, None)
-        durations[stage] = duration
-        self._edges.add((src, msg_type, dst))
-
-    def _sync_evictions(self) -> None:
-        """Fold _PendingMap evictions into per-stage counters.
-
-        An evicted ``sent`` start breaks both sent-anchored stages; the
-        accounting charges it to ``deliver`` (the end-to-end stage) to avoid
-        double counting.
-        """
-        for pending, stage in (
-            (self._sent, "deliver"),
-            (self._routed, "route"),
-            (self._delivered, "consume"),
-        ):
-            while pending.evicted > 0:
-                pending.evicted -= 1
-                self._stats.evicted_starts[stage] += 1
-                self._evicted_counter[stage].inc()
-
-    # -- reads -------------------------------------------------------------
-    def stats(self) -> SpanStats:
-        with self._lock:
-            return SpanStats(
-                matched=dict(self._stats.matched),
-                unmatched_ends=dict(self._stats.unmatched_ends),
-                evicted_starts=dict(self._stats.evicted_starts),
-                terminated=dict(self._stats.terminated),
-                negative_durations=self._stats.negative_durations,
-            )
-
-    def records(self) -> List[SpanRecord]:
-        """Completed spans (bounded, newest-first eviction order)."""
-        with self._lock:
-            out = []
-            for (seq, dst), durations in self._records.items():
-                msg_type, src = self._record_meta.get((seq, dst), ("", ""))
-                out.append(
-                    SpanRecord(
-                        seq=seq,
-                        msg_type=msg_type,
-                        src=src,
-                        dst=dst,
-                        durations=tuple(sorted(durations.items())),
-                    )
-                )
-            return out
-
-    def edges(self) -> List[Tuple[str, str, str]]:
-        """Observed (src, msg_type, dst) endpoint-name triples, sorted."""
-        with self._lock:
-            return sorted(self._edges)
-
-    def pending_counts(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "sent": len(self._sent),
-                "routed": len(self._routed),
-                "delivered": len(self._delivered),
-            }
+    stats = _polled(Correlator.stats)
+    records = _polled(Correlator.records)
+    edges = _polled(Correlator.edges)
+    pending = _polled(Correlator.pending)

@@ -3,18 +3,18 @@
 One :class:`Telemetry` object observes one deployment.  It owns the
 :class:`~repro.obs.metrics.MetricsRegistry`; a
 :class:`~repro.core.tracing.Tracer` and the
-:class:`~repro.obs.spans.SpanAggregator`, both subscribed to the process's
+:class:`~repro.obs.spans.SpanAggregator`, each a reader of the process's
 hop log between :meth:`Telemetry.start` and :meth:`Telemetry.stop`; and
-the periodic :class:`~repro.obs.sampler.TelemetrySampler`, which reads the
-meters, recorders and queue depths the data plane keeps anyway.  Sessions
-build one from a :class:`~repro.core.config.TelemetrySpec`, point it at a
-cluster, start it alongside the run, and export a snapshot into
-``RunResult.metrics``.
+the periodic :class:`~repro.obs.sampler.TelemetrySampler`, whose sweep
+polls the aggregator and reads the meters, recorders and queue depths the
+data plane keeps anyway.  Sessions build one from a
+:class:`~repro.core.config.TelemetrySpec`, point it at a cluster, start it
+alongside the run, and export a snapshot into ``RunResult.metrics``.
 
 Everything is off unless a config opts in (``telemetry=TelemetrySpec()``).
-Nothing is attached *to* the data plane either way: with no subscriber the
-hop log only packs its ring records, and what a process records about
-itself it records once, whether or not anybody reads it.
+Nothing is attached *to* the data plane either way: a hop packs its ring
+record and what a process records about itself it records once, whether
+or not anybody reads it.
 """
 
 from __future__ import annotations
@@ -42,21 +42,19 @@ class Telemetry:
         tracer_capacity: int = 65536,
         sample_interval: float = 0.05,
         series_capacity: int = 512,
-        spans: bool = True,
         max_pending_spans: int = 8192,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.spans: Optional[SpanAggregator] = (
-            SpanAggregator(self.registry, max_pending=max_pending_spans)
-            if spans
-            else None
-        )
+        self.spans = SpanAggregator(self.registry, max_pending=max_pending_spans)
+        #: its capacity is also the ring size this run asks the hop log for:
+        #: what the aggregator may leave unread between two sweeps
         self.tracer = Tracer(capacity=tracer_capacity)
         self.sampler = TelemetrySampler(
             self.registry,
             interval=sample_interval,
             series_capacity=series_capacity,
         )
+        self.sampler.add_probe(lambda _timestamp: self.spans.poll())
 
     @classmethod
     def from_spec(cls, spec: "TelemetrySpec") -> "Telemetry":
@@ -64,7 +62,6 @@ class Telemetry:
             tracer_capacity=spec.tracer_capacity,
             sample_interval=spec.sample_interval,
             series_capacity=spec.series_capacity,
-            spans=spec.spans,
             max_pending_spans=spec.max_pending_spans,
         )
 
@@ -95,22 +92,20 @@ class Telemetry:
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
         self.tracer.attach()
-        if self.spans is not None:
-            self.spans.attach()
+        self.spans.attach()
         self.sampler.start()
 
     def stop(self) -> None:
         self.sampler.stop()
-        if self.spans is not None:
-            self.spans.detach()
+        self.spans.detach()
         self.tracer.detach()
 
     # -- exports ------------------------------------------------------------
-    def span_stats(self) -> Optional[SpanStats]:
-        return self.spans.stats() if self.spans is not None else None
+    def span_stats(self) -> SpanStats:
+        return self.spans.stats()
 
     def span_records(self) -> List[SpanRecord]:
-        return self.spans.records() if self.spans is not None else []
+        return self.spans.records()
 
     def export_trace(self, path: str, *, process: str = "main") -> int:
         """Write the tracer's buffer to ``path`` as a JSONL trace file.
@@ -121,24 +116,25 @@ class Telemetry:
         """
         from .trace.events import write_events
 
-        events = self.tracer.events()
+        events = self.tracer.dicts()
         write_events(path, events, process=process)
         return len(events)
 
     def snapshot(self, meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         merged: Dict[str, Any] = dict(meta or {})
-        if self.spans is not None:
-            stats = self.spans.stats()
-            merged.setdefault(
-                "spans",
-                {
-                    "matched": stats.matched,
-                    "unmatched_ends": stats.unmatched_ends,
-                    "evicted_starts": stats.evicted_starts,
-                    "negative_durations": stats.negative_durations,
-                    "terminated": dict(stats.terminated),
-                },
-            )
+        stats = self.spans.stats()
+        merged.setdefault(
+            "spans",
+            {
+                "matched": stats.matched,
+                "unmatched_ends": stats.unmatched_ends,
+                "evicted_starts": stats.evicted_starts,
+                "negative_durations": stats.negative_durations,
+                "terminated": stats.terminated,
+                # Records the ring overwrote before a sweep read them.
+                "missed": self.spans.missed,
+            },
+        )
         self.sampler.read_totals()
         return snapshot(self.registry, meta=merged)
 

@@ -17,7 +17,6 @@ from .chrome import CHROME_SCHEMA, to_chrome_trace, validate_chrome_trace
 from .critical import analyze, format_report
 from .events import (
     TRACE_SCHEMA,
-    event_to_dict,
     load_trace_file,
     read_events,
     write_events,
@@ -30,7 +29,6 @@ __all__ = [
     "Chain",
     "MergedTrace",
     "analyze",
-    "event_to_dict",
     "format_report",
     "load_trace_file",
     "merge",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ...core.message import format_trace_id
+from ..spans import STAGES
 from .events import TERMINAL_KINDS
 from .merge import MergedTrace
 
@@ -28,10 +29,8 @@ CHROME_SCHEMA = "repro.trace.chrome/v1"
 #: stage slices drawn per chain: (name, start_kind, end_kind).  ``deliver``
 #: is deliberately absent — it is the sum of ``send`` + ``route`` and would
 #: double-draw the same wall-clock interval.
-_SLICES: Tuple[Tuple[str, str, str], ...] = (
-    ("send", "sent", "routed"),
-    ("route", "routed", "delivered"),
-    ("dwell", "delivered", "consumed"),
+_SLICES: Tuple[Tuple[str, str, str], ...] = tuple(
+    (name, *STAGES[name]) for name in ("send", "route", "consume")
 )
 
 
@@ -138,29 +137,14 @@ def to_chrome_trace(merged: MergedTrace) -> Dict[str, Any]:
                 })
 
     # -- explicit stage + train slices --------------------------------------
-    open_stages: Dict[Tuple[str, str], List[float]] = {}
-    for event in merged.events:
-        kind = event["kind"]
-        detail = event["detail"]
-        if kind == "stage_begin":
-            key = (event["source"], str(detail.get("stage")))
-            open_stages.setdefault(key, []).append(event["ts"])
-        elif kind == "stage_end":
-            key = (event["source"], str(detail.get("stage")))
-            starts = open_stages.get(key)
-            if starts:
-                add_span(
-                    event["source"], key[1], starts.pop(0), event["ts"],
-                    {k: v for k, v in detail.items() if k != "stage"},
-                )
-        elif kind == "train_start":
-            open_stages.setdefault((event["source"], "train"), []).append(
-                event["ts"]
+    for opening, source, start, end, detail in merged.pairs():
+        if opening == "train_start":
+            add_span(source, "train", start, end)
+        else:
+            add_span(
+                source, str(detail.get("stage")), start, end,
+                {k: v for k, v in detail.items() if k != "stage"},
             )
-        elif kind == "train_end":
-            starts = open_stages.get((event["source"], "train"))
-            if starts:
-                add_span(event["source"], "train", starts.pop(0), event["ts"])
 
     # Deterministic, validator-friendly order: by ts, with E before B at
     # equal timestamps so back-to-back lane reuse still balances.

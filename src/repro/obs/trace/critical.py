@@ -4,10 +4,10 @@ The paper's Table 1 splits one training iteration into *transmission* and
 *train* time by hand-instrumenting each framework.  Given a merged trace
 this module derives the same split automatically:
 
-* **message stages** come from chain event gaps — ``send`` (sent→routed:
-  serialize + queue-wait), ``route`` (routed→delivered: routing + link +
-  deserialize), ``deliver`` (sent→delivered: whole transmission), and
-  ``dwell`` (delivered→consumed: receive-buffer wait);
+* **message stages** — ``send``, ``route``, ``deliver``, ``consume``: the
+  one stage table, :data:`repro.obs.spans.STAGES` — come from running each
+  chain through the matcher the live span aggregator runs
+  (:class:`repro.obs.spans.Correlator`), unbounded;
 * **explicit stages** come from ``stage_begin``/``stage_end`` event pairs
   (benchmarks emit these around transmission and train phases);
 * **iterations** are delimited by the ``train_start``/``train_end`` pairs
@@ -18,75 +18,23 @@ this module derives the same split automatically:
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..spans import Correlator, event_rows
 from .merge import Chain, MergedTrace
 
-#: chain stages, as (name, start_kind, end_kind)
-CHAIN_STAGES: Tuple[Tuple[str, str, str], ...] = (
-    ("send", "sent", "routed"),
-    ("route", "routed", "delivered"),
-    ("deliver", "sent", "delivered"),
-    ("dwell", "delivered", "consumed"),
-)
 
-
-class _StageAccumulator:
-    def __init__(self) -> None:
-        self._stages: Dict[str, List[float]] = {}
-
-    def add(self, stage: str, seconds: float) -> None:
-        self._stages.setdefault(stage, []).append(max(0.0, seconds))
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        out: Dict[str, Dict[str, float]] = {}
-        for stage, values in sorted(self._stages.items()):
-            total = sum(values)
-            out[stage] = {
-                "count": float(len(values)),
-                "total_s": total,
-                "mean_s": total / len(values),
-                "max_s": max(values),
-            }
-        return out
-
-    def total(self, stage: str) -> Optional[float]:
-        values = self._stages.get(stage)
-        return sum(values) if values else None
-
-
-def _explicit_stages(merged: MergedTrace) -> _StageAccumulator:
-    """Match ``stage_begin``/``stage_end`` pairs per (source, stage)."""
-    acc = _StageAccumulator()
-    open_stages: Dict[Tuple[str, str], List[float]] = {}
-    for event in merged.events:
-        detail = event["detail"]
-        if event["kind"] == "stage_begin":
-            key = (event["source"], str(detail.get("stage")))
-            open_stages.setdefault(key, []).append(event["ts"])
-        elif event["kind"] == "stage_end":
-            key = (event["source"], str(detail.get("stage")))
-            starts = open_stages.get(key)
-            if starts:
-                acc.add(key[1], event["ts"] - starts.pop(0))
-        elif event["kind"] == "stage" and "seconds" in detail:
-            acc.add(str(detail.get("stage")), float(detail["seconds"]))
-    return acc
-
-
-def _train_sessions(merged: MergedTrace) -> List[Tuple[float, float, str]]:
-    """(start_ts, end_ts, source) per train_start/train_end pair."""
-    sessions: List[Tuple[float, float, str]] = []
-    open_starts: Dict[str, List[float]] = {}
-    for event in merged.events:
-        if event["kind"] == "train_start":
-            open_starts.setdefault(event["source"], []).append(event["ts"])
-        elif event["kind"] == "train_end":
-            starts = open_starts.get(event["source"])
-            if starts:
-                sessions.append((starts.pop(0), event["ts"], event["source"]))
-    sessions.sort()
-    return sessions
+def _summary(stages: Dict[str, List[float]]) -> Dict[str, Dict[str, float]]:
+    return {
+        stage: {
+            "count": float(len(values)),
+            "total_s": sum(values),
+            "mean_s": sum(values) / len(values),
+            "max_s": max(values),
+        }
+        for stage, values in sorted(stages.items())
+    }
 
 
 def _gating_chain(
@@ -107,15 +55,32 @@ def _gating_chain(
 
 def analyze(merged: MergedTrace) -> Dict[str, Any]:
     """Stage attribution + per-iteration critical paths for one trace."""
-    chain_acc = _StageAccumulator()
+    chain_acc: Dict[str, List[float]] = {}
+    correlator = Correlator()
+    #: trace -> {stage: seconds} (a fan-out's first destination)
+    chain_stages: Dict[int, Dict[str, float]] = {}
     for chain in merged.chains:
-        for stage, start_kind, end_kind in CHAIN_STAGES:
-            gap = chain.gap(start_kind, end_kind)
-            if gap is not None:
-                chain_acc.add(stage, gap)
+        # A chain's events are in causal order, whatever skew alignment left.
+        closed = correlator.feed(*event_rows(chain.events))
+        for (stage, _, _, _), durations in closed.items():
+            chain_acc.setdefault(stage, []).extend(durations)
+            chain_stages.setdefault(chain.trace, {}).setdefault(stage, durations[0])
 
-    explicit_acc = _explicit_stages(merged)
-    sessions = _train_sessions(merged)
+    #: explicit stages (benchmarks bracket their phases; a ``stage`` event
+    #: carries a duration measured elsewhere) and the learner's sessions
+    explicit: Dict[str, List[float]] = {}
+    sessions: List[Tuple[float, float, str]] = []
+    for opening, source, start, end, detail in merged.pairs():
+        if opening == "train_start":
+            sessions.append((start, end, source))
+        else:
+            explicit.setdefault(str(detail.get("stage")), []).append(max(0.0, end - start))
+    for event in merged.events:
+        if event["kind"] == "stage" and "seconds" in event["detail"]:
+            explicit.setdefault(str(event["detail"].get("stage")), []).append(
+                float(event["detail"]["seconds"])
+            )
+    sessions.sort()
 
     iterations: List[Dict[str, Any]] = []
     previous_start = float("-inf")
@@ -131,34 +96,30 @@ def analyze(merged: MergedTrace) -> Dict[str, Any]:
             chain, consumed_ts = gate
             iteration["gate_trace"] = chain.trace_hex
             iteration["wait_s"] = max(0.0, start - consumed_ts)
-            stages: Dict[str, float] = {}
-            for stage, start_kind, end_kind in CHAIN_STAGES:
-                gap = chain.gap(start_kind, end_kind)
-                if gap is not None:
-                    stages[stage] = gap
-            iteration["stages"] = stages
+            iteration["stages"] = chain_stages.get(chain.trace, {})
         previous_start = start
         iterations.append(iteration)
 
     # Transmission: explicit "transmission" stages when instrumented
     # (benchmarks), else the sum of whole-chain deliver gaps.
-    transmission = explicit_acc.total("transmission")
-    transmission_source = "stage_events"
+    transmission, transmission_source = explicit.get("transmission"), "stage_events"
     if transmission is None:
-        transmission = chain_acc.total("deliver") or 0.0
+        transmission = chain_acc.get("deliver", [])
         transmission_source = "chain_deliver_gaps"
-    train = explicit_acc.total("train")
-    train_source = "stage_events"
+    train, train_source = explicit.get("train"), "stage_events"
     if train is None:
-        train = sum(end - start for start, end, _ in sessions)
+        train = [end - start for start, end, _ in sessions]
         train_source = "train_sessions"
+    transmission, train = sum(transmission), sum(train)
 
-    stages = chain_acc.summary()
-    stages.update(explicit_acc.summary())
+    stages = _summary({**chain_acc, **explicit})
     return {
         "stages": stages,
         "iterations": iterations,
         "chain_stats": merged.chain_stats(),
+        # What the live aggregator exports of the same records.
+        "spans": asdict(correlator.stats()),
+        "edges": [list(edge) for edge in correlator.edges()],
         "transmission_vs_train": {
             "transmission_s": transmission,
             "train_s": train,

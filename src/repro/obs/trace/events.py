@@ -4,8 +4,8 @@ A *trace file* is what one process leaves behind for offline analysis:
 
 * ``*.jsonl`` — one JSON object per line.  An optional first line
   ``{"meta": {...}}`` names the process; every other line is an event
-  ``{"ts": float, "kind": str, "source": str, "detail": {...}}`` (the
-  in-memory :class:`~repro.core.tracing.TraceEvent` shape).
+  ``{"ts": float, "kind": str, "source": str, "detail": {...}}`` (what
+  :func:`repro.core.tracing.decode_records` makes of a packed record).
 * ``*.bin`` — a flight-recorder dump (see :mod:`repro.core.tracing`).
 
 :func:`load_trace_file` reads either and returns ``(process, events)``;
@@ -19,29 +19,11 @@ import os
 from typing import Any, Dict, List, Tuple
 
 from ...core.tracing import (  # noqa: F401 - the JSONL writer is the log's
-    LIFECYCLE_KINDS,
     TERMINAL_KINDS,
     TRACE_SCHEMA,
-    event_to_dict,
     load_dump,
     write_events,
 )
-
-#: causal rank of the message kinds (terminal kinds close a chain)
-_KIND_RANK = {
-    kind: rank
-    for rank, kind in enumerate(LIFECYCLE_KINDS + TERMINAL_KINDS)
-}
-
-
-def is_ranked(kind: str) -> bool:
-    """Whether ``kind`` has a place in the lifecycle order at all."""
-    return kind in _KIND_RANK
-
-
-def kind_rank(kind: str) -> int:
-    """Causal ordering of lifecycle kinds (unknown kinds sort last)."""
-    return _KIND_RANK.get(kind, len(_KIND_RANK))
 
 
 def read_events(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
@@ -57,7 +39,12 @@ def read_events(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
             if "meta" in obj and "kind" not in obj:
                 meta = dict(obj["meta"])
                 continue
-            events.append(event_to_dict(obj))
+            events.append({
+                "ts": float(obj.get("ts", 0.0)),
+                "kind": str(obj.get("kind", "")),
+                "source": str(obj.get("source", "")),
+                "detail": dict(obj.get("detail") or {}),
+            })
     return meta, events
 
 

@@ -9,8 +9,8 @@ into its own ring.
 
 The merger:
 
-* **dedups** events by span/trace id — a link that duplicates a message
-  (see :class:`repro.testing.faults.FaultyLink`) yields two identical
+* **dedups** events by trace id — a link that duplicates a message (see
+  :class:`repro.testing.faults.FaultyLink`) yields two identical
   ``delivered`` records; only the earliest survives;
 * **clock-aligns** processes — per-process monotonic clocks can disagree,
   so offsets are relaxed until no effect precedes its cause (on one Linux
@@ -23,10 +23,18 @@ The merger:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...core.message import format_trace_id
-from .events import TERMINAL_KINDS, event_to_dict, is_ranked, kind_rank
+from ...core.tracing import LIFECYCLE_KINDS, TERMINAL_KINDS
+
+
+#: causal rank of the message kinds (terminal kinds close a chain); stage
+#: and train events have no place in that order and sort last
+_RANK = {kind: rank for rank, kind in enumerate(LIFECYCLE_KINDS + TERMINAL_KINDS)}
+#: explicit spans: the kind that opens one -> the kind that closes it
+_CLOSED_BY = {"stage_begin": "stage_end", "train_start": "train_end"}
+_OPENED_BY = {end: begin for begin, end in _CLOSED_BY.items()}
 
 
 @dataclass
@@ -50,14 +58,6 @@ class Chain:
             if event["kind"] == kind:
                 found = event
         return found
-
-    def gap(self, start_kind: str, end_kind: str) -> Optional[float]:
-        """Seconds between the first ``start_kind`` and first ``end_kind``."""
-        start = self.first(start_kind)
-        end = self.first(end_kind)
-        if start is None or end is None:
-            return None
-        return max(0.0, end["ts"] - start["ts"])
 
     @property
     def trace_hex(self) -> str:
@@ -85,11 +85,25 @@ class MergedTrace:
     #: alignment — traffic both ways can ask for more than any offsets give
     clock_violations: int = 0
 
-    def chain(self, trace: int) -> Optional[Chain]:
-        for chain in self.chains:
-            if chain.trace == trace:
-                return chain
-        return None
+    def pairs(self) -> Iterator[Tuple[str, str, float, float, Dict[str, Any]]]:
+        """``(opening kind, source, start, end, the closing event's detail)``
+        of every ``stage_begin``/``stage_end`` pair (per source and stage)
+        and ``train_start``/``train_end`` pair (per source), first in first
+        out; an end nothing opened is skipped."""
+        opened: Dict[Tuple[str, str, Any], List[float]] = {}
+        for event in self.events:
+            kind = event["kind"]
+            opening = kind if kind in _CLOSED_BY else _OPENED_BY.get(kind)
+            if opening is None:
+                continue
+            key = (opening, event["source"], event["detail"].get("stage"))
+            if kind == opening:
+                opened.setdefault(key, []).append(event["ts"])
+            elif opened.get(key):
+                yield (
+                    opening, event["source"], opened[key].pop(0), event["ts"],
+                    event["detail"],
+                )
 
     def chain_stats(self) -> Dict[str, Any]:
         stats: Dict[str, Any] = {
@@ -127,10 +141,10 @@ class MergedTrace:
 def _dedup_key(event: Dict[str, Any]) -> Optional[Tuple[Any, ...]]:
     """Identity of a message-lifecycle event; ``None`` = never dedup."""
     detail = event["detail"]
-    span = detail.get("span") or detail.get("trace")
-    if span is None:
+    trace = detail.get("trace")
+    if trace is None:
         return None
-    return (event["kind"], event["source"], span, detail.get("seq"))
+    return (event["kind"], event["source"], trace, detail.get("seq"))
 
 
 def _align_clocks(
@@ -155,7 +169,7 @@ def _align_clocks(
             trace = event["detail"].get("trace")
             # Stage and train events carry a trace id but no place in the
             # lifecycle order: they constrain nothing.
-            if trace is not None and is_ranked(event["kind"]):
+            if trace is not None and event["kind"] in _RANK:
                 chains.setdefault(trace, []).append((process, event))
     for members in chains.values():
         # One representative per lifecycle kind (the earliest), in causal
@@ -163,7 +177,7 @@ def _align_clocks(
         # ordered against each other.
         by_kind: Dict[int, Tuple[str, Dict[str, Any]]] = {}
         for process, event in members:
-            rank = kind_rank(event["kind"])
+            rank = _RANK[event["kind"]]
             held = by_kind.get(rank)
             if held is None or event["ts"] < held[1]["ts"]:
                 by_kind[rank] = (process, event)
@@ -195,20 +209,16 @@ def _align_clocks(
 
 
 def merge(
-    traces: Sequence[Tuple[str, Sequence[Any]]], *, align: bool = True
+    traces: Sequence[Tuple[str, Sequence[Dict[str, Any]]]], *, align: bool = True
 ) -> MergedTrace:
-    """Merge ``[(process_name, events), ...]`` into one timeline.
-
-    ``events`` may be :class:`~repro.core.tracing.TraceEvent` objects or
-    already-normalized dicts (flight-recorder decodes, JSONL reads).
-    """
+    """Merge ``[(process_name, events), ...]`` into one timeline; ``events``
+    are event dicts (ring decodes, ``Tracer.dicts()``, JSONL reads)."""
     by_process: Dict[str, List[Dict[str, Any]]] = {}
     duplicates = 0
     seen: set = set()
-    for process, raw_events in traces:
+    for process, events in traces:
         bucket = by_process.setdefault(process, [])
-        for raw in raw_events:
-            event = event_to_dict(raw)
+        for event in events:
             key = _dedup_key(event)
             if key is not None:
                 if key in seen:
@@ -252,7 +262,7 @@ def _build_chains(events: Sequence[Dict[str, Any]]) -> List[Chain]:
         grouped.setdefault(int(trace), []).append(event)
     chains: List[Chain] = []
     for trace, members in sorted(grouped.items()):
-        members.sort(key=lambda event: (kind_rank(event["kind"]), event["ts"]))
+        members.sort(key=lambda event: (_RANK.get(event["kind"], len(_RANK)), event["ts"]))
         kinds = {event["kind"] for event in members}
         terminal = next(
             (kind for kind in TERMINAL_KINDS if kind in kinds), None

@@ -97,13 +97,15 @@ class XingTianSession:
         self.telemetry = telemetry
         self.flow_controller = controller
         supervisor = cluster.center.supervisor
-        if telemetry is not None:
-            telemetry.start()  # subscribed before the first message is sent
-        if controller is not None:
-            controller.start()
         started = time.monotonic()
-        cluster.start()
         try:
+            # Inside the try: a start that raises must not leave the
+            # observers' threads and hop-log readers behind.
+            if telemetry is not None:
+                telemetry.start()  # reading before the first message is sent
+            if controller is not None:
+                controller.start()
+            cluster.start()
             while True:
                 reason = cluster.center.should_stop()
                 if reason is not None:

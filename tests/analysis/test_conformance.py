@@ -1,5 +1,5 @@
-"""Unit tests for trace conformance: observed tracer edges vs the static
-topology (the integration half lives in
+"""Unit tests for trace conformance: observed edges — the span correlator's
+records — vs the static topology (the integration half lives in
 ``tests/integration/test_trace_conformance.py``)."""
 
 from __future__ import annotations
@@ -12,12 +12,12 @@ from repro.analysis.topology import (
     extract_topology,
     observed_edges,
 )
-from repro.core.tracing import TraceEvent
 from repro.obs import SpanRecord
 
 
-def sent(source: str, msg_type: str, dst: str) -> TraceEvent:
-    return TraceEvent(0.0, "sent", source, {"type": msg_type, "dst": dst})
+def sent(source: str, msg_type: str, dst: str) -> SpanRecord:
+    """One delivered edge, as the correlator records it."""
+    return SpanRecord(seq=0, msg_type=msg_type, src=source, dst=dst)
 
 
 def topology_for(source: str):
@@ -43,32 +43,12 @@ class TestObservedEdges:
         assert observed_edges(events) == {("explorer", "ROLLOUT", "learner")}
 
     def test_multi_destination_fan_out(self):
-        events = [sent("learner", "MsgType.WEIGHTS", "explorer-0,explorer-1")]
-        assert observed_edges(events) == {("learner", "WEIGHTS", "explorer")}
-
-    def test_non_sent_events_ignored(self):
+        # One record per destination that the broadcast was delivered to.
         events = [
-            TraceEvent(0.0, "delivered", "learner", {"type": "MsgType.ROLLOUT"}),
-            TraceEvent(0.0, "sent", "learner", {"dst": "explorer-0"}),  # no type
-        ]
-        assert observed_edges(events) == set()
-
-    def test_span_records_accepted_alongside_events(self):
-        # One code path: telemetry span records and raw tracer events mix.
-        mixed = [
-            SpanRecord(
-                seq=4,
-                msg_type="rollout",
-                src="machine-0.explorer-1",
-                dst="learner",
-                durations=(("deliver", 0.01),),
-            ),
             sent("learner", "MsgType.WEIGHTS", "explorer-0"),
+            sent("learner", "MsgType.WEIGHTS", "explorer-1"),
         ]
-        assert observed_edges(mixed) == {
-            ("explorer", "ROLLOUT", "learner"),
-            ("learner", "WEIGHTS", "explorer"),
-        }
+        assert observed_edges(events) == {("learner", "WEIGHTS", "explorer")}
 
     def test_span_record_msgtype_forms_normalized(self):
         for spelling in ("MsgType.STATS", "stats", "STATS"):
@@ -78,6 +58,9 @@ class TestObservedEdges:
             assert observed_edges([record]) == {
                 ("explorer", "STATS", "controller")
             }
+        # A delivery whose ``sent`` another process recorded has no type
+        # (and no source) in this process's records: not an edge.
+        assert observed_edges([SpanRecord(seq=1, msg_type="", src="", dst="learner")]) == set()
 
 
 class TestConformance:

@@ -152,14 +152,16 @@ class TestProcessSession:
         """Both directions crossed: the learner's broadcasts were delivered
         to, and consumed by, the explorers in the child processes."""
         report, _, _ = run
-        for machine in ("m1", "m2"):
-            events = dict(report.traces)[machine]
-            consumed = [
-                event for event in events
-                if event.kind == "consumed" and event.detail["type"] == "weights"
-            ]
-            assert consumed, machine
-            assert {event.source for event in consumed} == {f"{machine}.explorer-0"}
+        # A child's own ring does not say what it consumed — the type is on
+        # the ``sent`` record, in the learner's process: the merged chain
+        # has both.
+        consumers = set()
+        for chain in merge(report.traces).chains:
+            sent, consumed = chain.first("sent"), chain.last("consumed")
+            if sent and consumed and sent["detail"]["type"] == "weights":
+                assert (sent["process"], sent["source"]) == ("m0", "learner")
+                consumers.add((consumed["process"], consumed["source"]))
+        assert consumers == {("m1", "m1.explorer-0"), ("m2", "m2.explorer-0")}
 
     def test_episode_returns_collected(self, run):
         """Statistics cross processes as the STATS messages they are."""
@@ -240,18 +242,17 @@ def test_forks_before_anything_of_the_run_exists(monkeypatch, tmp_path):
 def test_killed_child_fails_the_run():
     """SIGKILL one child mid-run: the run fails naming its machine, well
     inside the ceiling, and the other child is seen out."""
-    tracer = Tracer(1 << 16).attach()  # children start with no subscriber
+    tracer = Tracer(1 << 16).attach()
     killed = []
 
     def kill_one_once_training():
-        def rollouts_from_the_victim():
-            return [
-                event for event in tracer.events("consumed")
-                if event.detail["src"] == "m1.explorer-0"
-            ]
-
+        # This machine hosts no explorer: whatever the learner consumes is
+        # a rollout that crossed from a child.
         deadline = time.monotonic() + CEILING_S
-        while len(rollouts_from_the_victim()) < 3 and time.monotonic() < deadline:
+        while (
+            len(tracer.events("consumed", "learner")) < 6
+            and time.monotonic() < deadline
+        ):
             time.sleep(0.01)
         victim = next(child for child in _our_children() if child.name == "repro-m1")
         killed.append(victim.pid)

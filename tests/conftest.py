@@ -47,12 +47,12 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def tracer():
-    """A :class:`Tracer` subscribed to the process-wide hop log for the
-    length of the test (the log is process-wide: it sees every component
-    the test builds, whichever broker they belong to)."""
-    subscriber = Tracer(capacity=100_000).attach()
-    yield subscriber
-    subscriber.detach()
+    """A :class:`Tracer` reading the process-wide hop log for the length of
+    the test (the log is process-wide: it sees every component the test
+    builds, whichever broker they belong to)."""
+    attached = Tracer(capacity=100_000).attach()
+    yield attached
+    attached.detach()
 
 
 @pytest.fixture

@@ -1,14 +1,15 @@
-"""Tests for the hop log's subscriber side: the Tracer buffer and sinks.
+"""Tests for the hop log's stock reader: the Tracer buffer and its queries.
 
-The ring side (record layout, wrap, dumps) is in tests/obs/test_flightrec.py
-and the agreement of the two views in tests/obs/test_hop_stream.py.
+The ring side (record layout, wrap, dumps) is in tests/obs/test_flightrec.py,
+the cursor's own properties in tests/obs/test_hop_reader.py.
 """
 
 import threading
 
 import pytest
 
-from repro.core.tracing import HopLog, TraceEvent, Tracer
+from repro.core.errors import ConfigError
+from repro.core.tracing import RECORD_SIZE, HopLog, TraceEvent, Tracer
 
 
 @pytest.fixture
@@ -37,12 +38,16 @@ class TestTracer:
             {"seq": 7, "trace": 0xA, "span": 0xB, "src": "e",
              "dst": ["l", "m"], "type": "data", "body_size": 12},
         )
-        (event,) = tracer.events()
-        assert isinstance(event, TraceEvent)
-        assert event.detail == {
-            "seq": 7, "trace": 0xA, "span": 0xB, "src": "e", "dst": "l,m",
-            "type": "data", "nbytes": 12,
-        }
+        log.emit("sent", "e", {"seq": 8, "trace": 0xC, "dst": ["l"], "type": "data"})
+        log.emit("routed", "r", {"seq": 8, "trace": 0xC, "dst": ["l"], "type": "data"})
+        fan_out, single, routed = tracer.events()
+        assert isinstance(fan_out, TraceEvent)
+        # What the record keeps: a fan-out's destinations are told by their
+        # ``delivered`` records, the source by the ``sent`` record itself ...
+        assert fan_out.detail == {"seq": 7, "trace": 0xA, "type": "data"}
+        assert single.detail == {"seq": 8, "trace": 0xC, "type": "data", "dst": "l"}
+        # ... and a hop after ``sent`` repeats neither type nor destination.
+        assert routed.detail == {"seq": 8, "trace": 0xC}
 
     def test_extra_overrides_header_fields(self, log):
         tracer = Tracer().attach(log)
@@ -51,7 +56,6 @@ class TestTracer:
         rejected, stage = tracer.events()
         assert rejected.detail["dst"] == "m"
         assert stage.detail["stage"] == "wire_send"
-        assert stage.detail["nbytes"] == 99
 
     def test_headerless_event(self, log):
         tracer = Tracer().attach(log)
@@ -133,31 +137,21 @@ class TestAttachDetach:
         other.emit("sent", "e", _header(2))
         assert [e.detail["seq"] for e in tracer.events()] == [2]
 
-    def test_raising_subscriber_is_detached_alone(self, log):
-        calls = []
-
-        def broken(events):
-            calls.append(events)
-            raise RuntimeError("subscriber blew up")
-
-        log.subscribe(broken)
-        tracer = Tracer().attach(log)
-        log.emit("sent", "e", _header(1))
-        log.emit("sent", "e", _header(2))  # must not raise; broken is gone
-        assert len(calls) == 1
-        assert tracer.count() == 2
-        assert log.total == 2
-
     def test_subscriber_sees_every_event_past_buffer_wrap(self, log):
-        """Whatever must see everything subscribes to the log itself (the
-        span aggregator does); a Tracer's buffer is only a bounded window."""
-        seen = []
-        log.subscribe(seen.extend)
+        """Whatever must see everything reads the log itself (the span
+        aggregator does); a Tracer's buffer is only a bounded window."""
+        reader = log.reader()
         tracer = Tracer(capacity=2).attach(log)
         for index in range(10):
             log.emit("sent", "e", _header(index))
         assert len(tracer.events()) == 2
-        assert len(seen) == 10
+        assert len(reader.read()[0]) == 10 * RECORD_SIZE
+        assert reader.missed == 0
+
+    def test_attaching_to_a_log_with_no_ring_raises(self):
+        """``REPRO_FLIGHTREC=0``: a tracer would observe nothing, silently."""
+        with pytest.raises(ConfigError, match="no ring"):
+            Tracer().attach(HopLog("off", enabled=False))
 
 
 class TestHopLogWiredIntoEndpoints:

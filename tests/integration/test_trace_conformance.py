@@ -21,6 +21,7 @@ from repro.analysis.topology import (
     observed_edges,
 )
 from repro.cluster.cluster import build_cluster
+from repro.obs import MetricsRegistry, SpanAggregator
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -55,11 +56,13 @@ def test_live_cluster_trace_conforms_to_static_topology(static_topology, tracer)
         process.endpoint.name
         for process in [cluster.learner, *cluster.explorers, cluster.center]
     }
-    events = [event for event in tracer.events() if event.source in endpoints]
-    observed = observed_edges(events)
+    spans = SpanAggregator(MetricsRegistry())
+    spans.ingest(event for event in tracer.dicts() if event["source"] in endpoints)
+    records = spans.records()
+    observed = observed_edges(records)
     # The trace must actually exercise the paper's data path...
     assert ("explorer", "ROLLOUT", "learner") in observed
     assert ("learner", "WEIGHTS", "explorer") in observed
     # ...and contain nothing the static topology does not predict.
-    violations = conformance_violations(events, static_topology)
+    violations = conformance_violations(records, static_topology)
     assert violations == [], f"runtime edges missing from static graph: {violations}"

@@ -11,7 +11,7 @@ import threading
 import pytest
 
 from repro.core.concurrency import spawn_thread
-from repro.core.errors import TrainingFailedError
+from repro.core.errors import ConfigError, TrainingFailedError
 from repro.core.supervision import Supervisor
 from repro.core.tracing import (
     FLIGHTREC_SCHEMA,
@@ -26,6 +26,7 @@ from repro.core.tracing import (
     load_dump,
     set_process,
 )
+from repro.obs import Telemetry
 from repro.obs.trace.__main__ import main as trace_cli
 
 
@@ -57,6 +58,13 @@ class TestRing:
         events = recorder.events()
         assert [e["kind"] for e in events] == ["sent", "delivered"]
         assert events[0]["detail"] == {"seq": 1, "trace": 0xA}
+        # A fan-out's ``sent`` tells the type; a lone destination is named.
+        recorder.emit("sent", "alice", {**_h(2, 0xB), "type": "data", "dst": ["b", "c"]})
+        recorder.emit("sent", "alice", {**_h(3, 0xC), "type": "data", "dst": ["b"]})
+        assert [e["detail"] for e in recorder.events()[2:]] == [
+            {"seq": 2, "trace": 0xB, "type": "data"},
+            {"seq": 3, "trace": 0xC, "type": "data", "dst": "b"},
+        ]
         assert events[0]["ts"] < events[1]["ts"]
 
     def test_missing_seq_and_trace_are_omitted(self):
@@ -131,8 +139,36 @@ class TestDumpFormat:
     def test_load_rejects_non_dump(self, tmp_path):
         path = tmp_path / "not-a-dump.bin"
         path.write_bytes(b"hello world")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="magic"):
             load_dump(str(path))
+
+    def test_load_rejects_another_layout_naming_what_differs(self, tmp_path):
+        """A dump is raw records: read under the wrong layout it would
+        decode into plausible nonsense, so the loader refuses it."""
+        recorder = HopLog("p", capacity=4)
+        recorder.emit("sent", "a", _h(1))
+        raw = open(recorder.dump(str(tmp_path / "ring.bin")), "rb").read()
+        meta_len = int.from_bytes(raw[len(MAGIC):len(MAGIC) + 4], "little")
+        meta = json.loads(raw[len(MAGIC) + 4:len(MAGIC) + 4 + meta_len])
+        records = raw[len(MAGIC) + 4 + meta_len:]
+
+        def write(magic=MAGIC, records=records, **changed):
+            payload = json.dumps({**meta, **changed}).encode("utf-8")
+            path = tmp_path / "changed.bin"
+            path.write_bytes(
+                magic + len(payload).to_bytes(4, "little") + payload + records
+            )
+            return str(path)
+
+        assert load_dump(write())[1][0]["detail"] == {"seq": 1}
+        with pytest.raises(ValueError, match="FREC1"):
+            load_dump(write(magic=b"FREC1\n"))  # the 32-byte v1 layout
+        with pytest.raises(ValueError, match="repro.flightrec/v1"):
+            load_dump(write(format="repro.flightrec/v1"))
+        with pytest.raises(ValueError, match=f"{RECORD_SIZE - 1} bytes"):
+            load_dump(write(records=records[:-1]))  # a truncated file
+        with pytest.raises(ValueError, match=f"2 x {RECORD_SIZE}"):
+            load_dump(write(count=2))
 
 
 class TestProcessSingleton:
@@ -142,6 +178,15 @@ class TestProcessSingleton:
         emit("sent", "alice", _h(1))  # nowhere to go, and no error
         assert HOP_LOG.events() == []
         assert dump_all("nothing") is None  # must not raise when disabled
+
+    def test_telemetry_refuses_a_log_with_no_ring(self):
+        """``REPRO_FLIGHTREC=0`` and ``telemetry=TelemetrySpec()`` ask for
+        opposite things: say so, instead of exporting empty span metrics."""
+        configure(enabled=False)
+        telemetry = Telemetry()
+        with pytest.raises(ConfigError, match="REPRO_FLIGHTREC=0"):
+            telemetry.start()
+        assert not telemetry.sampler.running and HOP_LOG.readers == ()
 
     def test_dump_all_honors_env_dir(self, tmp_path):
         target = str(tmp_path / "dumps")
@@ -184,13 +229,19 @@ class TestProcessSingleton:
         assert len(os.listdir(target)) == 8
 
     def test_configure_keeps_subscribers(self):
-        tracer = Tracer().attach()
+        """A reader survives a ring restart: it moves to the new ring, which
+        is no smaller than it asked for."""
+        tracer = Tracer(capacity=64).attach()
         try:
+            emit("sent", "alice", _h(0))
+            assert tracer.count("sent") == 1
             configure(enabled=True, capacity=16)
+            assert HOP_LOG.readers and HOP_LOG._ring.capacity == 64
             emit("sent", "alice", _h(1))
         finally:
             tracer.detach()
-        assert tracer.count("sent") == 1
+        assert [e.detail["seq"] for e in tracer.events("sent")] == [0, 1]
+        assert HOP_LOG.readers == ()
 
 
 class TestFailureTriggers:

@@ -338,7 +338,7 @@ class TestAgainstRealComponents:
         started, stands in for a stalled link).  Telemetry only *exports*
         the controller's decisions; the controller does not need it."""
         flow = spec(bulk_watermark=4, escalate_after=1)
-        telemetry = Telemetry(sample_interval=0.01, spans=False)
+        telemetry = Telemetry(sample_interval=0.01)
         controller = FlowController(flow)
         telemetry.attach_flow_controller(controller)
         fabric = Fabric()

@@ -1,10 +1,10 @@
-"""One stream, two views: the always-on ring and a subscriber must agree.
+"""One stream: what a reader is handed is what the ring holds.
 
-Every hop is observed by one ``emit``/``emit_many`` call, so whatever a
-subscriber sees in detail the ring holds in brief — including the terminal
-and wire-stage events that say *why* a run stalled.  (Detaching, and a
-raising sink or subscriber disabling only itself, are in
-tests/core/test_tracing.py.)
+Every hop is recorded by one ``emit``/``emit_many`` call, and a Tracer is
+a cursor on the same ring a dump writes out — so whatever it saw while a
+run was live a post-mortem finds too, including the terminal and
+wire-stage events that say *why* a run stalled.  (Attaching and detaching
+are in tests/core/test_tracing.py, the cursor in test_hop_reader.py.)
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.transport.tcp import SocketFabric
 
 @pytest.fixture(autouse=True)
 def fresh_ring(tracer):
-    """Both views start empty and together (subscribers survive a ring
+    """Both views start empty and together (readers survive a ring
     restart); the ring is large enough that nothing here wraps it."""
     configure(enabled=True, capacity=1 << 15)
     tracer.clear()
@@ -49,7 +49,7 @@ def _receive(endpoint, count, timeout=10.0):
     return received
 
 
-def _subscriber_view(tracer, sources):
+def _tracer_view(tracer, sources):
     """(kind, source, seq, trace) multiset of what ``sources`` emitted —
     the log is process-wide, so a thread some earlier test left running
     may be emitting too."""
@@ -97,7 +97,7 @@ def test_subscriber_and_ring_agree_over_two_brokers(tracer):
     sources = {"sender", "local", "remote", "near.router", "far.router"}
     ring = _ring_view(sources)
     assert HOP_LOG.total == HOP_LOG.count, "the run must fit in the ring"
-    assert ring == _subscriber_view(tracer, sources)
+    assert ring == _tracer_view(tracer, sources)
     kinds = Counter(kind for kind, *_ in ring.elements())
     assert kinds["sent"] == kinds["routed"] == 40  # one routed per message
     assert kinds["delivered"] == kinds["consumed"] == 53
@@ -124,7 +124,7 @@ def test_coalesced_batch_is_one_routed_and_delivered_per_sub_message(tracer):
         bob.stop()
         broker.stop()
     sources = {"b.router", "bob"}
-    for view in (_subscriber_view(tracer, sources), _ring_view(sources)):
+    for view in (_tracer_view(tracer, sources), _ring_view(sources)):
         for kind, source in (("routed", "b.router"), ("delivered", "bob")):
             seen = Counter(
                 seq for (k, s, seq, _), n in view.items()
@@ -138,7 +138,7 @@ def test_coalesced_batch_is_one_routed_and_delivered_per_sub_message(tracer):
 def test_a_flight_dump_holds_terminal_and_wire_stage_events(tmp_path):
     """What a dump taken on BackpressureError or TrainingFailedError must
     contain to say why: the sheds, expiries and rejects, and the wire hops."""
-    expected = {}  # kind -> the (seq, trace) it must carry
+    expected = {}  # kind -> the (seq, trace, destination) it must carry
 
     spec = FlowControlSpec(
         bulk_watermark=1, control_watermark=1, low_fraction=0.5,
@@ -148,13 +148,13 @@ def test_a_flight_dump_holds_terminal_and_wire_stage_events(tmp_path):
     bulk = [make_header("a", ["b"], MsgType.DATA) for _ in range(2)]
     for header in bulk:
         queue.put(header)  # the second sheds the first
-    expected["shed"] = (bulk[0][SEQ], bulk[0][TRACE])
+    expected["shed"] = (bulk[0][SEQ], bulk[0][TRACE], "b")
 
     control = [make_header("a", ["b"], MsgType.COMMAND) for _ in range(2)]
     queue.put(control[0])
     with pytest.raises(BackpressureError):
         queue.put(control[1])  # nobody drains: the deadline expires
-    expected["expired"] = (control[1][SEQ], control[1][TRACE])
+    expected["expired"] = (control[1][SEQ], control[1][TRACE], "b")
 
     comm = ShareMemCommunicator("c")
     router = AlgorithmAgnosticRouter(comm, on_unroutable="drop")
@@ -163,7 +163,7 @@ def test_a_flight_dump_holds_terminal_and_wire_stage_events(tmp_path):
     bounced[OBJECT_ID] = comm.object_store.put("body")
     router.route(bounced)  # put bounced off the closed ID queue
     assert router.dropped == 1
-    expected["rejected"] = (bounced[SEQ], bounced[TRACE])
+    expected["rejected"] = (bounced[SEQ], bounced[TRACE], "gone")
 
     fabric = SocketFabric("loop")
     arrived = threading.Event()
@@ -179,9 +179,10 @@ def test_a_flight_dump_holds_terminal_and_wire_stage_events(tmp_path):
     path = dump_all("unit-test", directory=str(tmp_path))
     assert path is not None
     _, events = load_dump(path)
-    for kind, (seq, trace) in expected.items():
+    for kind, (seq, trace, dst) in expected.items():
         assert any(
-            e["kind"] == kind and e["detail"] == {"seq": seq, "trace": trace}
+            e["kind"] == kind
+            and {"seq": seq, "trace": trace, "dst": dst}.items() <= e["detail"].items()
             for e in events
         ), f"no {kind} record for seq {seq}"
     stages = Counter(

@@ -1,18 +1,25 @@
 """Telemetry overhead guard.
 
 The paper's entire point is communication efficiency, so the observability
-layer is only acceptable if it does not eat the win.  Two guards:
+layer is only acceptable if it does not eat the win — and a perf PR must
+be able to leave it on.  Telemetry touches only the message path (it reads
+the hop log's ring from the sampler's thread), so both guards stand on one
+low-variance measurement — the per-message cost of ``Telemetry`` on a
+message-dominated pump, the least over alternating on/off pairs:
 
-* **Workload guard** — the CI smoke workload (compute-charged modelled env,
-  the same shape the Fig. 6-11 benchmarks use) must keep >90% of its
-  metrics-off training throughput with the full registry + hop-log
-  subscriber + span aggregation + sampler enabled.
-* **Hot-path budget** — a raw message-pump microbenchmark bounds the
-  absolute per-message instrumentation cost.  A pump saturates on
-  microsecond-scale bodies, so a relative bound there would just measure
-  Python function-call overhead; the absolute budget instead catches
-  pathological regressions (e.g. an O(n) store scan sneaking onto the
-  sampling path) without flaking on scheduler noise.
+* **Hot-path budget** — that cost is at most 5 µs per message on the box
+  the budget was set on, and stretches with the pump on a slower one
+  (measured there, one pinned core: +3.4 to +9.5 µs per pair, least of
+  seven 3.4–4.6, 4.1 µs of CPU per message in isolation; it was +48–50 µs
+  while every hop was rebuilt as an object and correlated on the emitting
+  thread).
+* **Workload guard** — projected onto a real smoke-workload run (the
+  compute-charged modelled env of the Fig. 6-11 benchmarks) through that
+  run's own message counts, it is under 10% of the run.  An A/B of two
+  3 s trainings would instead measure which of them the box slowed down.
+
+That nothing an *emitter* does depends on who reads is structural:
+tests/core/test_hop_log_structure.py.
 """
 
 from __future__ import annotations
@@ -25,9 +32,7 @@ from repro.bench.harness import run_training_xingtian
 from repro.core.broker import Broker
 from repro.core.config import TelemetrySpec
 from repro.core.endpoint import ProcessEndpoint
-from repro.core import tracing
 from repro.core.message import MsgType, make_message
-from repro.core.tracing import HOP_LOG, TraceEvent
 from repro.obs import Telemetry
 
 SMOKE_KWARGS = dict(
@@ -39,31 +44,16 @@ SMOKE_KWARGS = dict(
     max_seconds=3.0,
     seed=0,
 )
-MAX_OVERHEAD = 0.10  # fraction of baseline throughput telemetry may cost
+MAX_OVERHEAD = 0.10  # fraction of a smoke run telemetry may cost
 
-PUMP_MESSAGES = 1500
-# Absolute per-message budget for tracer + spans + counters + histograms
-# across all four lifecycle events.  Measured ~50-60us on an idle machine;
-# the margin absorbs slow CI boxes without hiding an order-of-magnitude
-# regression.
-MAX_COST_PER_MESSAGE_S = 300e-6
-
-
-def smoke_throughput(spec):
-    best = 0.0
-    for _ in range(2):
-        result = run_training_xingtian("ppo", telemetry=spec, **SMOKE_KWARGS)
-        best = max(best, result.throughput_steps_per_s)
-    return best
-
-
-def test_workload_overhead_under_10_percent():
-    baseline = smoke_throughput(None)
-    instrumented = smoke_throughput(TelemetrySpec())
-    assert instrumented >= (1.0 - MAX_OVERHEAD) * baseline, (
-        f"telemetry costs {(baseline - instrumented) / baseline:.1%} of "
-        f"throughput ({baseline:.0f}/s -> {instrumented:.0f}/s)"
-    )
+PUMP_MESSAGES = 20_000
+PUMP_WINDOW = 32  # messages in flight
+PUMP_PAIRS = 7
+MAX_COST_PER_MESSAGE_S = 5e-6
+#: what an uninstrumented pump message takes, under this suite's runtime
+#: checks, on the box the budget was set on — the yardstick for "this box
+#: is slower right now" (a shared box's speed flips up to 2x for minutes)
+REFERENCE_MESSAGE_S = 27e-6
 
 
 def pump_once(instrumented: bool) -> float:
@@ -74,7 +64,7 @@ def pump_once(instrumented: bool) -> float:
     bob = ProcessEndpoint("bob", broker)
     telemetry = None
     if instrumented:
-        telemetry = Telemetry(sample_interval=0.01)
+        telemetry = Telemetry(sample_interval=0.05)
         telemetry.attach_broker(broker)
         telemetry.attach_endpoint(alice)
         telemetry.attach_endpoint(bob)
@@ -85,12 +75,13 @@ def pump_once(instrumented: bool) -> float:
     try:
         body = {"payload": list(range(16))}
         started = time.perf_counter()
-        for _ in range(PUMP_MESSAGES):
-            alice.send(make_message("alice", ["bob"], MsgType.DATA, body))
-        received = 0
-        while received < PUMP_MESSAGES:
-            assert bob.receive(timeout=10.0) is not None
-            received += 1
+        for index in range(PUMP_MESSAGES + PUMP_WINDOW):
+            if index >= PUMP_WINDOW:
+                assert bob.receive(timeout=10.0) is not None
+            if index < PUMP_MESSAGES:
+                alice.send(make_message("alice", ["bob"], MsgType.DATA, body))
+        if telemetry is not None:
+            telemetry.spans.poll()  # the last sweep's worth is paid for too
         elapsed = time.perf_counter() - started
     finally:
         if telemetry is not None:
@@ -99,46 +90,50 @@ def pump_once(instrumented: bool) -> float:
         bob.stop()
         broker.stop()
     if telemetry is not None:
-        # The run must actually have exercised the instruments.
-        assert telemetry.span_stats().matched["deliver"] > 0
+        # Cheap, not blind: every message was read off the ring and matched.
+        assert telemetry.spans.missed == 0
+        assert telemetry.span_stats().matched["consume"] == PUMP_MESSAGES
     return elapsed
 
 
-def test_hot_path_cost_within_budget():
-    baseline = min(pump_once(False) for _ in range(3))
-    instrumented = min(pump_once(True) for _ in range(3))
-    per_message = (instrumented - baseline) / PUMP_MESSAGES
-    assert per_message < MAX_COST_PER_MESSAGE_S, (
-        f"instrumentation costs {per_message * 1e6:.0f}us per message "
-        f"(budget {MAX_COST_PER_MESSAGE_S * 1e6:.0f}us)"
+@pytest.fixture(scope="module")
+def pump_costs():
+    """``(telemetry's cost, an uninstrumented message's)`` per message, each
+    the least over alternating pairs, so a box that slows down mid-test
+    slows both sides of a pair."""
+    costs, plain = [], []
+    for pair in range(PUMP_PAIRS):
+        order = (False, True) if pair % 2 == 0 else (True, False)
+        seconds = {instrumented: pump_once(instrumented) for instrumented in order}
+        costs.append((seconds[True] - seconds[False]) / PUMP_MESSAGES)
+        plain.append(seconds[False] / PUMP_MESSAGES)
+    return max(0.0, min(costs)), min(plain)
+
+
+def test_hot_path_cost_within_budget(pump_costs):
+    cost, plain = pump_costs
+    # The budget is 5 us on the reference box; on a slower one (or this one
+    # in a slow minute) it stretches by as much as the pump itself did.
+    budget = MAX_COST_PER_MESSAGE_S * max(1.0, plain / REFERENCE_MESSAGE_S)
+    assert cost < budget, (
+        f"telemetry costs {cost * 1e6:.1f}us per message "
+        f"(budget {budget * 1e6:.1f}us on a {plain * 1e6:.1f}us message)"
     )
 
 
-def test_uninstrumented_pays_nothing():
-    """There is nothing for telemetry to switch on inside an endpoint — it
-    holds no registry instrument, only its own meters and recorders — and
-    the hop log, with no subscriber, builds no TraceEvent: it pays for its
-    ring record and nothing else."""
-    built = []
-
-    class Spy(TraceEvent):
-        def __init__(self, *args, **kwargs):
-            built.append(args)
-            super().__init__(*args, **kwargs)
-
-    broker = Broker("plain-broker")
-    broker.start()
-    solo = ProcessEndpoint("solo", broker)
-    solo.start()
-    try:
-        assert not HOP_LOG.subscribers
-        before = HOP_LOG.total
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tracing, "TraceEvent", Spy)
-            solo.send(make_message("solo", ["solo"], MsgType.DATA, {"k": 1}))
-            assert solo.receive(timeout=10.0) is not None
-        assert HOP_LOG.total - before >= 4  # sent, routed, delivered, consumed
-        assert not built
-    finally:
-        solo.stop()
-        broker.stop()
+def test_workload_overhead_under_10_percent(pump_costs):
+    cost_per_message, _ = pump_costs
+    result = run_training_xingtian("ppo", telemetry=TelemetrySpec(), **SMOKE_KWARGS)
+    messages = sum(
+        metric["value"]
+        for metric in result.metrics["metrics"]
+        if metric["name"] == "endpoint_messages_sent_total"
+    )
+    assert messages > 0
+    assert result.metrics["meta"]["spans"]["missed"] == 0
+    share = cost_per_message * messages / result.elapsed_s
+    assert share < MAX_OVERHEAD, (
+        f"telemetry costs {share:.2%} of the smoke workload "
+        f"({messages:.0f} messages x {cost_per_message * 1e6:.1f}us "
+        f"over {result.elapsed_s:.1f}s)"
+    )

@@ -66,7 +66,7 @@ def test_replacement_explorer_continues_the_counter_with_no_hook():
     victim = cluster.explorers[0]
     fuse = Fuse()
     victim.agent = CrashingAgent(victim.agent, crash_after=3, fuse=fuse)
-    telemetry = Telemetry(spans=False)
+    telemetry = Telemetry()
     telemetry.attach_cluster(cluster)  # before the restart, and never again
     sample = telemetry.sampler.sample_once  # driven by hand: no thread, no race
     labels = {"process": victim.name}
@@ -235,7 +235,7 @@ def test_flow_control_alone_builds_no_telemetry():
         """Looks around from inside the run, on the controller's thread."""
 
         def poll_once(self):
-            seen["subscribers"] = HOP_LOG.subscribers
+            seen["readers"] = HOP_LOG.readers
             seen["threads"] = {thread.name for thread in threading.enumerate()}
             super().poll_once()
 
@@ -244,7 +244,7 @@ def test_flow_control_alone_builds_no_telemetry():
         result = session.run()
     assert session.telemetry is None and result.metrics == {}
     assert session.flow_controller.polls > 0 and not session.flow_controller.running
-    assert seen["subscribers"] == ()
+    assert seen["readers"] == ()
     assert "flow-controller" in seen["threads"]
     assert "telemetry-sampler" not in seen["threads"]
 
@@ -288,7 +288,7 @@ def test_single_broker_overload_escalates_with_no_telemetry():
         # consumer's ID queue (or the producer's send buffer behind it).
         assert broker.communicator.flow_stats()["headers"]["bulk_put"] == 0
         assert producer.coalescing.max_message_bytes >= 128  # the lever moved
-        assert HOP_LOG.subscribers == ()
+        assert HOP_LOG.readers == ()
     finally:
         controller.stop()
         producer.stop()

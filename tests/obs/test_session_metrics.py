@@ -10,11 +10,14 @@ a Prometheus exposition that parses line by line.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
 from repro import StopCondition, single_machine_config
-from repro.core.config import TelemetrySpec
+from repro.core.config import FlowControlSpec, TelemetrySpec
+from repro.core.errors import LifecycleError
+from repro.core.tracing import HOP_LOG
 from repro.obs import STAGES, parse_prometheus, validate_snapshot
 from repro.runtime import XingTianSession
 
@@ -109,6 +112,36 @@ def test_span_health_in_meta(instrumented_run):
     for stage in STAGES:
         assert spans["matched"][stage] > 0
     assert spans["negative_durations"] == 0
+    # Every record of the run was read off the ring before it was lapped.
+    assert spans["missed"] == 0
+
+
+def test_a_start_that_raises_leaves_no_observer_behind(monkeypatch):
+    """Telemetry and the flow controller start inside the session's ``try``:
+    when a start raises — here the cluster's, last of the three — their
+    threads are stopped and their hop-log readers closed."""
+    config = single_machine_config(
+        "impala", "CartPole", "actor_critic", explorers=1,
+        stop=StopCondition(max_seconds=5), seed=7,
+        telemetry=TelemetrySpec(), flow_control=FlowControlSpec(),
+    )
+    session = XingTianSession(config)
+
+    def refuse():
+        raise LifecycleError("injected: the cluster refuses to start")
+
+    monkeypatch.setattr(session.build(), "start", refuse)
+    threads = set(threading.enumerate())
+    readers = HOP_LOG.readers
+    with pytest.raises(LifecycleError, match="injected"):
+        session.run()
+    assert HOP_LOG.readers == readers
+    assert [
+        thread.name for thread in threading.enumerate()
+        if thread not in threads and thread.is_alive()
+    ] == []
+    assert not session.telemetry.sampler.running
+    assert not session.flow_controller.running
 
 
 def test_prometheus_parses(instrumented_run):

@@ -5,24 +5,31 @@ from __future__ import annotations
 import pytest
 
 from repro.core.concurrency import spawn_thread
-from repro.core.tracing import HopLog, TraceEvent, Tracer
+from repro.core.tracing import HopLog, Tracer
 from repro.obs import MetricsRegistry, SpanAggregator, SpanRecord, STAGES
 
 
+def event(t, kind, source, seq, **detail):
+    """An event dict as a ring decode or a trace file holds it; the
+    correlator keys on the trace id (here ``seq + 1``: 0 means none)."""
+    return {"ts": t, "kind": kind, "source": source,
+            "detail": {"seq": seq, "trace": seq + 1, **detail}}
+
+
 def sent(seq, t, src="machine-0.explorer-0", msg_type="MsgType.ROLLOUT", dst="learner"):
-    return TraceEvent(t, "sent", src, {"seq": seq, "type": msg_type, "dst": dst})
+    return event(t, "sent", src, seq, type=msg_type, dst=dst)
 
 
 def routed(seq, t, broker="broker-0"):
-    return TraceEvent(t, "routed", broker, {"seq": seq})
+    return event(t, "routed", broker, seq)
 
 
 def delivered(seq, t, dst="learner"):
-    return TraceEvent(t, "delivered", dst, {"seq": seq})
+    return event(t, "delivered", dst, seq)
 
 
 def consumed(seq, t, dst="learner"):
-    return TraceEvent(t, "consumed", dst, {"seq": seq})
+    return event(t, "consumed", dst, seq)
 
 
 def lifecycle(seq, base, dst="learner", **kwargs):
@@ -116,9 +123,8 @@ class TestCorrelationHealth:
 
     def test_pending_is_bounded_and_evictions_counted(self):
         registry, aggregator = make_aggregator(max_pending=8)
-        for seq in range(20):
-            aggregator.observe(sent(seq, float(seq)))
-        assert aggregator.pending_counts()["sent"] <= 8
+        aggregator.ingest(sent(seq, float(seq)) for seq in range(20))
+        assert aggregator.pending() <= 8
         stats = aggregator.stats()
         # Evicted never-matched sent starts are charged to "deliver".
         assert stats.evicted_starts["deliver"] == 12
@@ -133,11 +139,11 @@ class TestCorrelationHealth:
     def test_matched_entries_evict_silently(self):
         registry, aggregator = make_aggregator(max_pending=4)
         for seq in range(4):
-            aggregator.observe(sent(seq, float(seq)))
-            aggregator.observe(routed(seq, float(seq) + 0.1))
-        for seq in range(4, 10):  # push the matched entries out
-            aggregator.observe(sent(seq, float(seq)))
+            aggregator.ingest([sent(seq, float(seq)), routed(seq, float(seq) + 0.1)])
+        # Push the matched entries out.
+        aggregator.ingest(sent(seq, float(seq)) for seq in range(4, 10))
         assert aggregator.stats().evicted_starts["route"] == 0
+        assert aggregator.stats().evicted_starts["deliver"] == 2  # of 4..9
         # sent starts that matched "send" still count as matched-at-least-once.
         assert aggregator.stats().matched["send"] == 4
 
@@ -151,8 +157,11 @@ class TestCorrelationHealth:
 
     def test_non_lifecycle_events_ignored(self):
         registry, aggregator = make_aggregator()
-        aggregator.observe(TraceEvent(0.0, "train", "learner", {"seq": 1}))
-        aggregator.observe(TraceEvent(0.0, "sent", "x", {}))  # no seq
+        aggregator.ingest([
+            event(0.0, "train_start", "learner", 1),
+            event(0.0, "stage_begin", "link", 1, stage="wire_send"),
+            {"ts": 0.0, "kind": "sent", "source": "x", "detail": {}},  # no trace id
+        ])
         assert aggregator.stats().matched == {s: 0 for s in STAGES}
         assert len(registry) >= 5  # only the pre-registered counters
 
@@ -188,56 +197,84 @@ class TestRecordsAndEdges:
 
 
 class TestLiveSubscription:
+    """Live = attached to a hop log and polled (the class keeps the name its
+    tests are known by)."""
+
     def test_aggregates_past_buffer_wrap(self):
-        # A tracer's buffer holds 4 events; the aggregator, subscribed to
-        # the log itself, still sees all 8.
+        # A tracer's buffer holds 4 events; the aggregator, reading the log
+        # itself, still sees all 8.
         registry, aggregator = make_aggregator()
         clock_value = [0.0]
         log = HopLog("spans", capacity=64, clock=lambda: clock_value[0])
         tracer = Tracer(capacity=4).attach(log)
         aggregator.attach(log)
         for seq in range(2):
-            for event in lifecycle(seq, float(seq) * 10):
-                clock_value[0] = event.timestamp
+            for hop in lifecycle(seq, float(seq) * 10):
+                clock_value[0] = hop["ts"]
                 log.emit(
-                    event.kind, event.source,
-                    {"seq": seq, "type": "MsgType.ROLLOUT", "dst": ["learner"]},
+                    hop["kind"], hop["source"],
+                    {"seq": seq, "trace": seq + 1, "type": "MsgType.ROLLOUT",
+                     "dst": ["learner"]},
                 )
         assert len(tracer.events()) == 4  # buffer wrapped
-        assert aggregator.stats().matched["deliver"] == 2  # saw everything
+        stats = aggregator.stats()  # polls: everything emitted before the call
+        assert stats.matched == {"send": 2, "route": 2, "deliver": 2, "consume": 2}
+        assert aggregator.missed == 0
+        (record, _) = aggregator.records()
+        assert (record.src, record.msg_type, record.dst) == (
+            "machine-0.explorer-0", "MsgType.ROLLOUT", "learner"
+        )
         aggregator.detach()
-        log.emit("sent", "x", {"seq": 99, "type": "MsgType.ROLLOUT", "dst": ["l"]})
-        assert aggregator.pending_counts()["sent"] == 2  # detached: not 3
+        assert log.readers == (tracer._reader,)
+        log.emit("sent", "x", {"seq": 99, "trace": 100, "type": "t", "dst": ["l"]})
+        assert aggregator.pending() == 0  # detached: the new chain is not seen
 
-    def test_a_raising_aggregator_is_logged_and_detached(self, caplog):
-        """Satellite fix: a broken span aggregator used to be disabled with
-        no trace of it; as a subscriber it is logged and detached."""
+    def test_a_record_that_names_no_type_or_destination_says_so_live_too(self):
+        """Id 0 in the type and destination columns is "none", not the name
+        table's overflow entry: a fan-out's shed retires the whole chain, and
+        an untyped header's spans carry no type."""
         registry, aggregator = make_aggregator()
         log = HopLog("spans", capacity=64)
         aggregator.attach(log)
-        aggregator.observe = None  # the next event blows up inside observe_many
-        bystander = Tracer().attach(log)
-        with caplog.at_level("ERROR", logger="repro.core.tracing"):
-            log.emit("sent", "x", {"seq": 1, "type": "t", "dst": ["l"]})
-            log.emit("sent", "x", {"seq": 2, "type": "t", "dst": ["l"]})
-        assert "raised; detached" in caplog.text
-        assert bystander.count() == 2
+        fan_out = {"seq": 1, "trace": 2, "type": "weights", "dst": ["a", "b"]}
+        log.emit("sent", "learner", fan_out)
+        log.emit_many("shed", "q", [fan_out])  # names no one: all of it
+        assert aggregator.pending() == 0
+        assert aggregator.stats().terminated["shed"] == 1
+        untyped = {"seq": 3, "trace": 4, "dst": ["a"]}
+        log.emit("sent", "x", untyped)
+        log.emit_many("delivered", "a", [untyped])
+        (record,) = aggregator.records()
+        assert (record.msg_type, record.src, record.dst) == ("", "x", "a")
+
+    def test_a_lapped_aggregator_counts_exactly_what_it_missed(self):
+        registry, aggregator = make_aggregator()
+        log = HopLog("spans", capacity=8)
+        aggregator.attach(log)
+        for seq in range(20):  # nobody polls: the ring laps the cursor
+            log.emit("sent", "x", {"seq": seq, "trace": seq + 1, "dst": ["l"]})
+        assert aggregator.pending() == 8
+        assert aggregator.missed == 12
+        aggregator.detach()
+        assert aggregator.missed == 12  # outlives the reader
 
     def test_observe_is_thread_safe(self):
+        """Several threads may ingest (and any may poll or read) at once:
+        the aggregator's own lock serializes them."""
         registry, aggregator = make_aggregator()
 
         def worker(offset):
             for index in range(200):
                 seq = offset + index
-                for event in lifecycle(seq, float(seq)):
-                    aggregator.observe(event)
+                aggregator.ingest(lifecycle(seq, float(seq)))
 
         threads = [
             spawn_thread(f"span-worker-{offset}", worker, args=(offset,))
             for offset in (0, 10_000, 20_000)
         ]
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
         stats = aggregator.stats()
         assert stats.matched["deliver"] == 600
         assert stats.negative_durations == 0

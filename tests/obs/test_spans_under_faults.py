@@ -69,7 +69,10 @@ def test_spans_still_match_on_surviving_messages(faulty_run):
     telemetry, _, _ = faulty_run
     stats = telemetry.span_stats()
     for stage in STAGES:
-        assert stats.matched[stage] > 0, f"no {stage} spans despite traffic"
+        assert stats.matched[stage] > 0, (
+            f"no {stage} spans despite traffic: {stats}, "
+            f"missed {telemetry.spans.missed}"
+        )
 
 
 def test_no_negative_durations_recorded(faulty_run):
@@ -88,8 +91,9 @@ def test_losses_surface_as_unmatched_not_silence(faulty_run):
     # be tracked and non-negative, and the pending maps bounded.
     assert all(value >= 0 for value in stats.unmatched_ends.values())
     assert all(value >= 0 for value in stats.evicted_starts.values())
-    pending = telemetry.spans.pending_counts()
-    assert all(count <= 256 for count in pending.values())
+    assert telemetry.spans.pending() <= 256
+    # Nothing was lost unseen either: the sweeps kept up with the ring.
+    assert telemetry.spans.missed == 0
 
 
 def test_snapshot_still_validates_under_faults(faulty_run):

@@ -62,7 +62,7 @@ class TestExport:
         }
         # deliver is deliberately absent: it equals send + route.
         assert slice_names == {
-            "send", "route", "dwell", "train", "transmission"
+            "send", "route", "consume", "train", "transmission"
         }
 
     def test_flow_arrows_cross_processes(self):
@@ -123,7 +123,7 @@ class TestSlicesOfNoLength:
             e for e in self._export(0.0)["traceEvents"] if e["ph"] in "BE"
         ]
         assert validate_chrome_trace({"traceEvents": spans}) == []
-        # Every slice with a length is still a B/E pair: send and dwell of
+        # Every slice with a length is still a B/E pair: send and consume of
         # both chains, route of the earlier one.
         assert len(spans) == 2 * 5
 

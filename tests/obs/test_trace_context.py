@@ -176,7 +176,7 @@ class TestTelemetryExport:
         bob = ProcessEndpoint("bob", broker)
         telemetry.attach_endpoint(alice)
         telemetry.attach_endpoint(bob)
-        telemetry.start()  # subscribes the tracer to the hop log
+        telemetry.start()  # attaches the tracer to the hop log
         alice.start()
         bob.start()
         try:

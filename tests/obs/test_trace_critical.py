@@ -38,7 +38,7 @@ class TestChainStages:
         assert stages["send"]["total_s"] == pytest_approx(0.2)
         assert stages["route"]["total_s"] == pytest_approx(0.3)
         assert stages["deliver"]["total_s"] == pytest_approx(0.5)
-        assert stages["dwell"]["total_s"] == pytest_approx(0.1)
+        assert stages["consume"]["total_s"] == pytest_approx(0.1)
         assert stages["deliver"]["count"] == 1
 
     def test_multiple_chains_accumulate(self):
@@ -166,8 +166,8 @@ class TestRealSession:
         session = XingTianSession(config)
         result = session.run()
         events = [
-            event for event in tracer.events()
-            if not event.kind.startswith("train_") or event.source == "learner-traced"
+            event for event in tracer.dicts()
+            if not event["kind"].startswith("train_") or event["source"] == "learner-traced"
         ]
         report = analyze(merge([("session", events)]))
         # The result is collected when the stop condition fires; the

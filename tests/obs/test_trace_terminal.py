@@ -8,8 +8,6 @@ FIFO eviction).  Now every drop path emits a terminal hop-log event and the
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.core.config import FlowControlSpec
@@ -21,7 +19,7 @@ from repro.obs.spans import TERMINAL_KINDS, SpanAggregator
 
 
 def _event(kind, source, ts=0.0, **detail):
-    return SimpleNamespace(kind=kind, source=source, timestamp=ts, detail=detail)
+    return {"ts": ts, "kind": kind, "source": source, "detail": detail}
 
 
 @pytest.fixture
@@ -38,12 +36,12 @@ def _counter_value(registry, name, **labels):
 class TestTerminalOutcomes:
     def test_shed_closes_pending_state(self, aggregator):
         spans, _ = aggregator
-        spans.observe(_event("sent", "alice", 1.0, seq=7, dst="bob",
-                             type="DATA", trace=0xA))
-        assert spans.pending_counts()["sent"] == 1
-        spans.observe(_event("shed", "q.headers", 1.1, seq=7, dst="bob",
-                             trace=0xA))
-        assert spans.pending_counts()["sent"] == 0
+        spans.ingest([_event("sent", "alice", 1.0, seq=7, dst="bob",
+                             type="DATA", trace=0xA)])
+        assert spans.pending() == 1
+        spans.ingest([_event("shed", "q.headers", 1.1, seq=7, dst="bob",
+                             trace=0xA)])
+        assert spans.pending() == 0
         stats = spans.stats()
         assert stats.terminated["shed"] == 1
         assert stats.total_terminated() == 1
@@ -52,9 +50,10 @@ class TestTerminalOutcomes:
     def test_each_terminal_kind_counted_separately(self, aggregator):
         spans, registry = aggregator
         for index, outcome in enumerate(TERMINAL_KINDS):
-            spans.observe(_event("sent", "alice", 1.0, seq=index, dst="bob",
-                                 type="DATA", trace=index + 1))
-            spans.observe(_event(outcome, "q", 1.1, seq=index, dst="bob"))
+            spans.ingest([_event("sent", "alice", 1.0, seq=index, dst="bob",
+                                 type="DATA", trace=index + 1)])
+            spans.ingest([_event(outcome, "q", 1.1, seq=index, dst="bob",
+                                 trace=index + 1)])
         stats = spans.stats()
         for outcome in TERMINAL_KINDS:
             assert stats.terminated[outcome] == 1
@@ -65,28 +64,31 @@ class TestTerminalOutcomes:
     def test_duplicate_terminal_counted_once(self, aggregator):
         # The queue and the router may both report the same rejected header.
         spans, _ = aggregator
-        spans.observe(_event("sent", "alice", 1.0, seq=3, dst="bob",
-                             type="DATA", trace=0xB))
-        spans.observe(_event("rejected", "q", 1.1, seq=3, dst="bob"))
-        spans.observe(_event("rejected", "router", 1.2, seq=3, dst="bob"))
+        spans.ingest([_event("sent", "alice", 1.0, seq=3, dst="bob",
+                             type="DATA", trace=0xB)])
+        spans.ingest([_event("rejected", "q", 1.1, seq=3, dst="bob", trace=0xB)])
+        spans.ingest([_event("rejected", "router", 1.2, seq=3, dst="bob", trace=0xB)])
         assert spans.stats().terminated["rejected"] == 1
 
     def test_partial_fanout_reject_keeps_other_destinations(self, aggregator):
         # Fan-out to bob+carol; bob's copy is rejected, carol's delivery
         # must still match the (kept-alive) sent start.
         spans, _ = aggregator
-        spans.observe(_event("sent", "alice", 1.0, seq=9, dst="bob,carol",
-                             type="DATA", trace=0xC))
-        spans.observe(_event("rejected", "router", 1.1, seq=9, dst="bob"))
-        spans.observe(_event("delivered", "carol", 1.2, seq=9, trace=0xC))
+        # (A fan-out's ``sent`` record names no destination.)
+        spans.ingest([_event("sent", "alice", 1.0, seq=9, type="DATA", trace=0xC)])
+        spans.ingest([_event("rejected", "router", 1.1, seq=9, dst="bob", trace=0xC)])
+        # The queue and the router may both report it: still once.
+        spans.ingest([_event("rejected", "q", 1.1, seq=9, dst="bob", trace=0xC)])
+        spans.ingest([_event("delivered", "carol", 1.2, seq=9, trace=0xC)])
         stats = spans.stats()
         assert stats.terminated["rejected"] == 1
         assert stats.matched["deliver"] == 1
         assert stats.unmatched_ends["deliver"] == 0
+        assert spans.edges() == [("alice", "DATA", "carol")]
 
     def test_terminal_without_state_is_ignored(self, aggregator):
         spans, _ = aggregator
-        spans.observe(_event("shed", "q", 1.0, seq=999, dst="bob"))
+        spans.ingest([_event("shed", "q", 1.0, seq=999, dst="bob", trace=0x3E7)])
         assert spans.stats().total_terminated() == 0
 
 
@@ -95,8 +97,8 @@ class TestEvictionCounters:
         """Satellite: evicted starts are evictions, not unmatched ends."""
         spans, registry = aggregator
         for seq in range(70):  # capacity 64: the oldest six spill
-            spans.observe(_event("sent", "alice", float(seq), seq=seq,
-                                 dst="bob", type="DATA", trace=seq + 1))
+            spans.ingest([_event("sent", "alice", float(seq), seq=seq,
+                                 dst="bob", type="DATA", trace=seq + 1)])
         stats = spans.stats()
         assert sum(stats.evicted_starts.values()) >= 6
         assert stats.total_unmatched() >= 6  # still visible in the total
@@ -156,4 +158,4 @@ class TestQueueEmitsTerminals:
             spans.detach()
         stats = spans.stats()
         assert stats.terminated["shed"] == 2
-        assert spans.pending_counts()["sent"] == 2  # only the live ones
+        assert spans.pending() == 2  # only the live ones
