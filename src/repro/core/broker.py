@@ -17,6 +17,7 @@ from ..transport.fabric import Fabric
 from .communicator import HeaderQueue, ShareMemCommunicator
 from .compression import WireCompressor, wire_decode
 from .concurrency import make_lock, runtime_checks_enabled
+from .config import CoalescingSpec
 from .errors import LifecycleError
 from .flowcontrol import release_header_shares
 from .object_store import ObjectStore
@@ -36,13 +37,13 @@ class Broker:
         fabric: Optional[Fabric] = None,
         rank: int = 0,
         on_unroutable: str = "raise",
-        coalescing: Optional[Any] = None,
+        coalescing: CoalescingSpec = CoalescingSpec(),
         flow: Optional[Any] = None,
     ):
         self.name = name
         self.rank = rank
-        #: :class:`~repro.core.config.CoalescingSpec` (or None) inherited by
-        #: every endpoint registered against this broker
+        #: how every endpoint registered against this broker packs its
+        #: wake-ups (an endpoint may override it)
         self.coalescing = coalescing
         #: :class:`~repro.core.config.FlowControlSpec` (or None); when set,
         #: the lanes of the communicator's queues, and of the buffers of

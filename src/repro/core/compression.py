@@ -13,9 +13,11 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Tuple
 
+import numpy as np
+
 from .concurrency import make_lock
 from .flowcontrol import Lane, lane_of
-from .message import TYPE, WIRE_CODEC
+from .message import TYPE, WIRE_CODEC, MsgType
 from .serialization import deserialize, serialize
 
 DEFAULT_THRESHOLD = 1 << 20  # 1 MB, the paper's default
@@ -141,8 +143,12 @@ class WireCompressor:
     store).  ``encode`` serializes the body, frames it with the policy and
     rewrites the wire byte count, so a throttled NIC model charges the
     compressed size; :func:`wire_decode` on the receiving broker restores
-    the original body before routing.  Only bulk-lane bodies of at least
-    ``min_bytes`` (the policy's threshold) are taken.
+    the original body before routing.  A BATCH envelope keeps its shape:
+    each sub-body is framed on its own, as a ``uint8`` array so the wire
+    carries the blobs in its raw array frame, and the sub-headers are left
+    as they are, for the wire to carry as rows — never serialized.  Only
+    bulk-lane bodies of at least ``min_bytes`` (the policy's threshold) are
+    taken.
     """
 
     def __init__(self, name: str, *, codec: str = "zlib", min_bytes: int = 1 << 10):
@@ -174,14 +180,23 @@ class WireCompressor:
         self, header: Dict[str, Any], body: Any, nbytes: int
     ) -> Tuple[Dict[str, Any], Any, int]:
         policy = self._policy
-        blob, compressed = policy.encode(serialize(body))
+        if header.get(TYPE) == MsgType.BATCH:
+            coded = [policy.encode(serialize(sub_body)) for _, sub_body in body]
+            body = [
+                (sub, np.frombuffer(blob, np.uint8))
+                for (sub, _), (blob, _) in zip(body, coded)
+            ]
+        else:
+            coded = [policy.encode(serialize(body))]
+            body = coded[0][0]
+        size = sum(len(blob) for blob, _ in coded)
         header = dict(header)
         header[WIRE_CODEC] = policy.codec
         with self._lock:
-            self.compressed_total += compressed
+            self.compressed_total += sum(compressed for _, compressed in coded)
             self.bytes_in += max(0, int(nbytes))
-            self.bytes_out += len(blob)
-        return header, blob, len(blob)
+            self.bytes_out += size
+        return header, body, size
 
     def stats(self) -> Dict[str, float]:
         with self._lock:
@@ -203,7 +218,14 @@ def wire_decode(header: Dict[str, Any], body: Any) -> Tuple[Dict[str, Any], Any]
     codec = header.get(WIRE_CODEC)
     if codec is None:
         return header, body
-    restored = deserialize(CompressionPolicy(codec=codec).decode(body))
+    policy = CompressionPolicy(codec=codec)
+    if header.get(TYPE) == MsgType.BATCH:
+        restored: Any = [
+            (sub, deserialize(policy.decode(memoryview(blob))))
+            for sub, blob in body
+        ]
+    else:
+        restored = deserialize(policy.decode(body))
     header = dict(header)
     header[WIRE_CODEC] = None
     return header, restored

@@ -114,21 +114,20 @@ class SupervisionSpec:
             raise ConfigError("checkpoint_every and checkpoint_keep must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoalescingSpec:
-    """Adaptive small-message coalescing knobs (see docs/PERFORMANCE.md).
+    """How a sender thread stages a drained wake-up (docs/PERFORMANCE.md).
 
-    When attached to a config, every endpoint's sender thread drains its
-    send buffer once per wakeup and packs consecutive sub-threshold bodies
-    for the same destination set into one ``MsgType.BATCH`` store entry —
-    one object-store insert, one header, one routing decision for the whole
-    run.  Receivers unpack transparently; workhorses never see the
-    envelope.  Disable (or set ``None`` on the config) for workloads
-    dominated by large bodies, or to measure the ablation.
+    Each wake-up packs consecutive small bulk-lane messages that share
+    ``(src, type, dst)`` and hold only :data:`~repro.core.message.PACKABLE_FIELDS`
+    into one ``MsgType.BATCH`` envelope — one object-store insert, one
+    header, one routing pass and one wire message for the whole run.
+    Control traffic, larger bodies and headers with extras are staged
+    alone, in order.  Receivers unpack transparently; workhorses never see
+    the envelope.  ``max_batch=1`` stages one header per message.
     """
 
-    enabled: bool = True
-    #: only bodies at most this many bytes are coalesced
+    #: only bodies at most this many bytes are packed
     max_message_bytes: int = 4096
     #: cap on sub-messages per envelope (bounds unpack latency)
     max_batch: int = 64
@@ -136,8 +135,8 @@ class CoalescingSpec:
     def validate(self) -> None:
         if self.max_message_bytes < 0:
             raise ConfigError("coalescing.max_message_bytes must be >= 0")
-        if self.max_batch < 2:
-            raise ConfigError("coalescing.max_batch must be >= 2")
+        if self.max_batch < 1:
+            raise ConfigError("coalescing.max_batch must be >= 1")
 
 
 @dataclass
@@ -293,9 +292,8 @@ class XingTianConfig:
     supervision: Optional[SupervisionSpec] = None
     #: observability layer; None keeps telemetry fully off
     telemetry: Optional[TelemetrySpec] = None
-    #: small-message coalescing on the endpoint hot path; None keeps the
-    #: one-store-insert-per-message seed behaviour
-    coalescing: Optional[CoalescingSpec] = None
+    #: how sender threads pack small messages into BATCH envelopes
+    coalescing: CoalescingSpec = field(default_factory=CoalescingSpec)
     #: adaptive overload control (priority lanes, watermarks, backpressure);
     #: None keeps the unbounded seed behaviour
     flow_control: Optional[FlowControlSpec] = None
@@ -356,8 +354,7 @@ class XingTianConfig:
             self.supervision.validate()
         if self.telemetry is not None:
             self.telemetry.validate()
-        if self.coalescing is not None:
-            self.coalescing.validate()
+        self.coalescing.validate()
         if self.flow_control is not None:
             self.flow_control.validate()
 
@@ -375,12 +372,12 @@ class XingTianConfig:
             _build(MachineSpec, spec, "machines[]")
             for spec in data.pop("machines", [])
         ] or [MachineSpec("machine-0", explorers=1, has_learner=True)]
-        nested = {
+        built = {
             key: _build(spec_cls, data.pop(key, None), key)
             for key, spec_cls in _NESTED_SPECS.items()
         }
-        if nested["stop"] is None:
-            nested["stop"] = StopCondition(max_seconds=10.0)
+        # An absent or empty block takes the field's default.
+        nested = {key: spec for key, spec in built.items() if spec is not None}
         config = _build(cls, {**data, "machines": machines, **nested}, "config")
         config.validate()
         return config

@@ -39,11 +39,13 @@ from .message import (
     COMPRESSED,
     DST,
     OBJECT_ID,
+    SRC,
     TYPE,
     Message,
     MsgType,
     ensure_trace,
     pack_batch,
+    packable,
     unpack_batch,
 )
 from .ownership import receives_ownership, transfers_ownership
@@ -58,8 +60,8 @@ _Staged = Tuple[dict, List[Message]]
 #: envelope sizes are counts, not seconds: 2 .. 1024 sub-messages
 _BATCH_SIZE_BUCKETS = tuple(float(2 ** power) for power in range(1, 11))
 
-#: Per-wakeup drain bound when coalescing is off (amortizes queue locks
-#: without changing what crosses the wire).
+#: Per-wakeup drain bound of the receiver thread, and the sender thread's
+#: floor (amortizes queue locks whatever the envelope cap).
 _DRAIN_LIMIT = 64
 
 _LOG = logging.getLogger(__name__)
@@ -77,11 +79,10 @@ class ProcessEndpoint:
     ):
         self.name = name
         self.broker = broker
-        #: small-message coalescing policy; inherited from the broker's
-        #: deployment config unless overridden per endpoint
-        self.coalescing = (
-            coalescing if coalescing is not None
-            else getattr(broker, "coalescing", None)
+        #: how the sender thread packs a wake-up; the broker's unless
+        #: overridden per endpoint
+        self.coalescing: CoalescingSpec = (
+            coalescing if coalescing is not None else broker.coalescing
         )
         #: :class:`~repro.core.config.FlowControlSpec` inherited from the
         #: broker; when set, the local buffers' lanes have watermarks and
@@ -230,42 +231,42 @@ class ProcessEndpoint:
         header[OBJECT_ID] = object_id
         return header, [message]
 
-    def _stage_coalesced(
+    def _stage_wakeup(
         self, messages: Sequence[Message], spec: CoalescingSpec
     ) -> List[_Staged]:
-        """Stage a drained batch, packing runs of small same-destination
-        messages into BATCH envelopes.
+        """Stage what one wake-up drained, packing each run of consecutive
+        small bulk messages that share ``(src, type, dst)`` into one BATCH
+        envelope of at most ``spec.max_batch``.
 
-        Only *consecutive* messages with an identical destination list are
-        packed, so per-destination FIFO order is exactly what it was without
-        coalescing.  Messages above the size threshold (or already BATCH,
-        or body-less control headers) pass through individually.
+        Everything else — control traffic (a BATCH envelope rides the bulk
+        lane, so packing it would forfeit its priority), bodies over
+        ``spec.max_message_bytes``, headers with fields a sub-header row
+        cannot carry — is staged alone, in order, so per-(destination,
+        lane) FIFO is what it would be one message at a time.
         """
+        if len(messages) == 1:  # an idle wake-up: nothing to scan
+            return [self._stage(messages[0])]
         staged: List[_Staged] = []
         run: List[Message] = []
-        run_dst: Optional[tuple] = None
+        run_key: Optional[tuple] = None
         for message in messages:
-            packable = (
-                message.body is not None
-                and message.body_size <= spec.max_message_bytes
-                and message.msg_type is not MsgType.BATCH
-                # A BATCH envelope rides the bulk lane, so packing a control
-                # message into one would forfeit its priority: control
-                # traffic always travels individually.
-                and lane_of(message.header[TYPE]) is Lane.BULK
-            )
-            dst_key = tuple(message.header.get(DST, ())) if packable else None
-            if packable and dst_key == run_dst and len(run) < spec.max_batch:
-                run.append(message)
-                continue
+            header = message.header
+            key = None
+            if (
+                header.get(BODY_SIZE, 0) <= spec.max_message_bytes
+                and packable(header)
+                and lane_of(header.get(TYPE)) is Lane.BULK
+            ):
+                key = (header.get(SRC), header.get(TYPE), tuple(header.get(DST, ())))
+                if key == run_key and len(run) < spec.max_batch:
+                    run.append(message)
+                    continue
             self._flush_run(run, staged)
-            if packable:
-                run = [message]
-                run_dst = dst_key
-            else:
-                run = []
-                run_dst = None
+            if key is None:
+                run, run_key = [], None
                 staged.append(self._stage(message))
+            else:
+                run, run_key = [message], key
         self._flush_run(run, staged)
         return staged
 
@@ -275,17 +276,16 @@ class ProcessEndpoint:
         if len(run) == 1:
             staged.append(self._stage(run[0]))
             return
-        envelope = pack_batch(run)
-        header, _ = self._stage(envelope)
-        staged.append((header, list(run)))
+        header, _ = self._stage(pack_batch(run))
+        staged.append((header, run))
         self.coalesce_sizes.record(len(run))
 
     @transfers_ownership("headers carry the object IDs to the ID queues")
     def _sender_loop(self) -> None:
         """Monitor the send buffer; push staged messages to their destinations.
 
-        Each wakeup drains the send buffer (up to the batch cap), coalesces
-        small same-destination runs when configured, inserts bodies into the
+        Each wakeup drains the send buffer (up to the batch cap), packs
+        small same-destination runs into envelopes, inserts bodies into the
         object store with refcounts equal to their destination fan-out, and
         routes the whole batch on this thread: every local destination's ID
         queue takes its headers in one insert.  Only what is left of a
@@ -297,17 +297,14 @@ class ProcessEndpoint:
             # Re-read the spec every wakeup: the FlowController retunes the
             # coalescing threshold at runtime by swapping self.coalescing.
             spec = self.coalescing
-            coalesce = spec is not None and spec.enabled
-            drain = spec.max_batch if coalesce else _DRAIN_LIMIT
-            messages = self.send_buffer.get_many(drain, timeout=0.25)
+            messages = self.send_buffer.get_many(
+                max(spec.max_batch, _DRAIN_LIMIT), timeout=0.25
+            )
             if not messages:
                 if self.send_buffer.closed:
                     return
                 continue
-            if coalesce:
-                staged = self._stage_coalesced(messages, spec)
-            else:
-                staged = [self._stage(message) for message in messages]
+            staged = self._stage_wakeup(messages, spec)
             remainders = router.route_local([entry[0] for entry in staged])
             if remainders:
                 staged = self._forward_remote(staged, remainders)

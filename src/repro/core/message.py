@@ -53,8 +53,8 @@ BATCH_SEQS = "batch_seqs"
 #: compact causal-trace context (see :mod:`repro.obs.trace`): ``TRACE`` is a
 #: u64 id shared by every event in one message's causal chain, ``SPAN`` a u64
 #: id unique to this hop.  Stamped by :func:`make_header`, so the ids survive
-#: coalescing (sub-headers travel whole through pack/unpack), mp metadata
-#: hops, and flow-control sheds.
+#: coalescing (a sub-header's row on the wire keeps both), metadata hops,
+#: and flow-control sheds.
 TRACE = "trace"
 SPAN = "span"
 PARENT_SPAN = "parent_span"
@@ -65,6 +65,27 @@ WIRE_CODEC = "wire_codec"
 #: sender thread already dispatched: its ``routed`` event is on record, so
 #: the router thread that ships the remainder must not emit a second one
 ROUTED = "routed"
+#: the fields :func:`make_header` sets: a header with no other key may ride
+#: in a BATCH envelope, whose sub-headers cross the wire as fixed-size rows
+PACKABLE_FIELDS = frozenset(
+    (SRC, DST, TYPE, SEQ, CREATED_AT, BODY_SIZE, OBJECT_ID, COMPRESSED, TRACE, SPAN)
+)
+
+
+def packable(header: Dict[str, Any]) -> bool:
+    """Whether ``header`` fits a BATCH envelope's row: only
+    :data:`PACKABLE_FIELDS`, no object ID, not compressed."""
+    return (
+        header.keys() <= PACKABLE_FIELDS
+        and header.get(OBJECT_ID) is None
+        and not header.get(COMPRESSED)
+    )
+
+
+def message_count(header: Dict[str, Any]) -> int:
+    """How many messages ``header`` stands for: a BATCH envelope's
+    sub-message count, else one (what routing and wire counters count)."""
+    return header.get(BATCH_COUNT, 1)
 
 
 # -- trace-context ids ------------------------------------------------------

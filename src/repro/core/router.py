@@ -42,7 +42,7 @@ from .concurrency import make_lock, spawn_thread
 from .ownership import receives_ownership, transfers_ownership
 from .errors import UnknownDestinationError
 from .flowcontrol import release_header_shares
-from .message import COMPRESSED, DST, OBJECT_ID, ROUTED
+from .message import COMPRESSED, DST, OBJECT_ID, ROUTED, message_count
 from .tracing import emit, emit_many
 
 _LOG = logging.getLogger(__name__)
@@ -112,6 +112,7 @@ class AlgorithmAgnosticRouter:
         self._stop = threading.Event()
         # Counters are mutated from the router thread *and* from fabric
         # delivery threads (``on_remote_receive``), so they take a lock.
+        # They count messages: a BATCH envelope counts its sub-messages.
         self._counters_lock = make_lock(f"{name}.counters")
         self._routed_local = 0
         self._routed_remote = 0
@@ -290,7 +291,7 @@ class AlgorithmAgnosticRouter:
         span accounting closes its pending state instead of leaking it.
         """
         with self._counters_lock:
-            self._dropped += 1
+            self._dropped += message_count(header)
         emit("rejected", self.name, header, dst=destination)
 
     def _deliver_local(
@@ -312,8 +313,9 @@ class AlgorithmAgnosticRouter:
         else:
             delivered = id_queue.put_many(headers)
         if delivered:
+            count = sum(map(message_count, headers[:delivered]))
             with self._counters_lock:
-                self._routed_local += delivered
+                self._routed_local += count
         for header in headers[delivered:]:
             self._reject(destination, header)
 
@@ -376,7 +378,10 @@ class AlgorithmAgnosticRouter:
                 )
                 for destination in header[DST]:
                     self._reject(destination, header)
-            shipped = sum(len(header[DST]) for (header, _), _ in shipments[:sent])
+            shipped = sum(
+                len(header[DST]) * message_count(header)
+                for (header, _), _ in shipments[:sent]
+            )
             with self._counters_lock:
                 self._routed_remote += shipped
             shipments = shipments[sent + 1:]

@@ -86,7 +86,7 @@ class FlowController:
 
     def attach_endpoint(self, endpoint: Any) -> None:
         """Watch an endpoint's send buffer; manage its coalescing spec
-        (None: nothing to retune)."""
+        (``max_batch=1``: nothing to retune)."""
         with self._lock:
             self._endpoint_sources.append(lambda: (endpoint,))
 
@@ -116,7 +116,7 @@ class FlowController:
         self._escalated = True
         for endpoint in endpoints:
             current = endpoint.coalescing
-            if current is None or not current.enabled:
+            if current.max_batch == 1:  # one header per message, by choice
                 continue
             raised = min(
                 self.spec.coalescing_max_bytes, current.max_message_bytes * 2

@@ -172,7 +172,7 @@ _HELP = {
     "trainer_train_seconds": "wall time of one training session",
     "flow_adaptations_total": "degradation / recovery steps taken by the flow controller",
     "flow_polls_total": "completed flow-controller polls",
-    "flow_degradation_level": "0 at baseline, 1 while degraded (coalescing/compression on)",
+    "flow_degradation_level": "0 at baseline, 1 while degraded (coalescing raised, compression on)",
     "flow_admission_tightened": "1 while scaled (pressure) bulk admission is active",
 }
 

@@ -7,10 +7,10 @@ peer connections and feeds received messages to the local broker.  A
 :class:`SocketFabric` ties both into the existing
 :class:`~repro.transport.fabric.Fabric` API, so
 :meth:`~repro.core.broker.Broker._remote_send` traffic crosses real
-sockets with no broker/router changes — including coalesced BATCH
-envelopes (in-network batching: one wire message carries a whole run of
-small messages) and adaptive wire compression, which both apply per-link
-upstream of this module.
+sockets with no broker/router changes — including BATCH envelopes (one
+wire message carries a sender wake-up's run of small messages; its
+counters count the messages) and adaptive wire compression, which both
+apply upstream of this module.
 
 The unit of work on both sides is what one wake-up holds, a single
 message being the group of one.  The send path is zero-copy:
@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.concurrency import make_lock, spawn_thread
 from ..core.errors import TransportError
-from ..core.message import make_header, MsgType
+from ..core.message import make_header, message_count, MsgType
 from ..core.serialization import _count_copy, view_holder
 from ..core.tracing import emit
 from .fabric import Fabric
@@ -260,8 +260,9 @@ class SocketLink(Link):
         finally:
             for header, _ in messages:
                 emit("stage_end", self.name, header, stage="wire_send")
+            count = sum(message_count(header) for header, _ in messages[:written])
             with self._counters_lock:
-                self.items_sent += written
+                self.items_sent += count
 
     def _write_buffers(self, buffers: List[Any], ends: Sequence[int] = ()) -> None:
         """Gather-write ``buffers`` fully, advancing across partial writes.
@@ -659,8 +660,9 @@ class SocketListener:
             items.append(body if header.get(RAW) else (header, body))
             headers.append(header)
             nbytes_total += nbytes
+        count = sum(map(message_count, headers))
         with self._lock:
-            self.items_received += len(items)
+            self.items_received += count
             self.bytes_received += nbytes_total
         if not items:
             return

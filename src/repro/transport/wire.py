@@ -5,7 +5,7 @@ frame payloads, in order::
 
     offset  size  field
     0       4     magic      0x31575458  ("XTW1" as LE bytes)
-    4       1     version    2
+    4       1     version    3
     5       1     flags      reserved, must be 0
     6       2     frame_count (u16)
     8       8     msg_length  (u64, sum of the frame lengths)
@@ -20,10 +20,12 @@ garbage or hanging on a bogus length.
 
 A broker-to-broker message is two frames: the message header as a *header
 record* (:func:`encode_header`; its layout is in docs/NETWORKING.md), then
-the body as a :class:`~repro.core.serialization.Frame`.  No header is ever
-unpickled: the record holds only None, bools, ints, floats, strings and
-lists or tuples of them, and a header holding anything else cannot be
-sent.  :func:`encode_message` returns the buffer list *unconcatenated* so
+the body as a :class:`~repro.core.serialization.Frame`.  A BATCH envelope
+is three: its header record, a *row table* of its sub-headers, and the
+sub-bodies as one frame.  No header is ever unpickled: the record holds
+only None, bools, ints, floats, strings and lists or tuples of them, a row
+only numbers, and a header holding anything else cannot be sent.
+:func:`encode_message` returns the buffer list *unconcatenated* so
 :meth:`socket.socket.sendmsg` can gather them straight from their owners
 (NumPy array memory, arena views) — an N-frame message costs one syscall
 and zero intermediate copies on the send side.  :func:`decode_message` is
@@ -33,27 +35,28 @@ arrays are read-only views into the receive buffer.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from typing import Any, Dict, List, Sequence, Tuple
 
 from ..core.errors import TransportError
 from ..core.message import (
-    BODY_SIZE, COMPRESSED, CREATED_AT, DST, OBJECT_ID, SEQ, SPAN, SRC, TRACE,
-    TYPE, MsgType,
+    BATCH_COUNT, BATCH_SEQS, BODY_SIZE, COMPRESSED, CREATED_AT, DST, OBJECT_ID,
+    SEQ, SPAN, SRC, TRACE, TYPE, MsgType, packable,
 )
 from ..core.serialization import deserialize, make_frame
 
 MAGIC = 0x31575458  # b"XTW1" read as a little-endian u32
-VERSION = 2
+VERSION = 3
 
 #: fixed leading part of the wire header: magic, version, flags,
 #: frame_count, msg_length
 PREAMBLE = struct.Struct("<IBBHQ")
 _CRC = struct.Struct("<I")
 
-#: sanity bound on frames per message (a broker message is 2; coalesced
-#: BATCH envelopes still travel as one body frame)
+#: sanity bound on frames per message (a broker message is at most 3: a
+#: BATCH envelope's header record, row table and bodies)
 MAX_FRAMES = 256
 #: the frame length table, per frame count: one u32 per frame
 _TABLES = [struct.Struct(f"<{count}I") for count in range(MAX_FRAMES + 1)]
@@ -91,6 +94,15 @@ _LAYOUTS = {
 _U16 = _LAYOUTS[_STR]
 #: how deep extras may nest
 _MAX_DEPTH = 16
+#: one row of a BATCH envelope's row table: a sub-header's seq, created_at,
+#: body_size, trace and span (0: none); the table leads with the sub type code
+_ROW = struct.Struct("<qdQQQ")
+
+
+@functools.lru_cache(maxsize=64)
+def _row_table(count: int) -> struct.Struct:
+    """The row table of ``count`` sub-headers, type code included."""
+    return struct.Struct("<B" + "qdQQQ" * count)
 
 
 class WireProtocolError(TransportError):
@@ -345,23 +357,99 @@ def decode_header(data: bytes) -> Dict[str, Any]:
     return header
 
 
+def _encode_rows(header: Dict[str, Any], pairs: Any) -> Tuple[bytes, List[Any]]:
+    """A BATCH envelope's ``[(sub-header, sub-body), ...]`` as its row table
+    and its list of sub-bodies.  A row carries no src, dst, object ID or
+    compressed flag, so a sub-header must have the envelope's src, no
+    object ID, no compression and no extras, or :class:`WireProtocolError`
+    is raised."""
+    if type(pairs) is not list or not pairs or header.get(BATCH_COUNT) != len(pairs):
+        raise WireProtocolError(
+            f"BATCH envelope of batch_count {header.get(BATCH_COUNT)!r}: its "
+            "body must be that many (sub-header, sub-body) pairs"
+        )
+    src = header.get(SRC)
+    values: List[Any] = []
+    bodies: List[Any] = []
+    try:
+        sub_type = pairs[0][0][TYPE]
+        code = _TYPE_CODES[sub_type]
+        for sub, body in pairs:
+            if not packable(sub) or sub[TYPE] != sub_type or sub[SRC] != src:
+                raise TypeError("a field the row table does not carry")
+            values += (
+                sub[SEQ], sub[CREATED_AT], sub[BODY_SIZE],
+                sub.get(TRACE) or 0, sub.get(SPAN) or 0,
+            )
+            bodies.append(body)
+        if code == _TYPE_CODES[MsgType.BATCH]:
+            raise TypeError("an envelope inside an envelope")
+        return _row_table(len(pairs)).pack(code, *values), bodies
+    except (AttributeError, KeyError, TypeError, ValueError, struct.error) as exc:
+        raise WireProtocolError(
+            f"BATCH sub-header does not fit the row table: {exc!r}"
+        ) from None
+
+
+def _decode_rows(header: Dict[str, Any], rows: bytes, bodies: Any) -> List[Any]:
+    """Inverse of :func:`_encode_rows`; stamps the envelope's ``BATCH_SEQS``
+    back from the rows.  Every part is checked against the others."""
+    count = header.get(BATCH_COUNT)
+    if type(count) is not int or count < 1 or len(rows) != 1 + count * _ROW.size:
+        raise WireProtocolError(
+            f"BATCH row table: {len(rows)} bytes do not hold batch_count "
+            f"{count!r} rows of {_ROW.size} bytes"
+        )
+    sub_type = _CODE_TYPES.get(rows[0])
+    if sub_type is None or sub_type is MsgType.BATCH:
+        raise WireProtocolError(f"BATCH row table: bad sub type code {rows[0]}")
+    if type(bodies) is not list or len(bodies) != count:
+        raise WireProtocolError(
+            f"BATCH bodies frame: {len(bodies) if type(bodies) is list else 'no'} "
+            f"bodies for {count} rows"
+        )
+    src, dst = header.get(SRC), header.get(DST, [])
+    pairs: List[Any] = []
+    seqs: List[Tuple[int, Any]] = []
+    for (seq, created_at, body_size, trace, span), body in zip(
+        _ROW.iter_unpack(memoryview(rows)[1:]), bodies
+    ):
+        sub = {
+            SRC: src, DST: list(dst), TYPE: sub_type, SEQ: seq,
+            OBJECT_ID: None, CREATED_AT: created_at, BODY_SIZE: body_size,
+            COMPRESSED: False,
+        }
+        if trace:
+            sub[TRACE] = trace
+        if span:
+            sub[SPAN] = span
+        pairs.append((sub, body))
+        seqs.append((seq, trace or None))
+    header[BATCH_SEQS] = seqs
+    return pairs
+
+
 def encode_message(header: Dict[str, Any], body: Any) -> Tuple[List[Any], int]:
     """Scatter-gather buffers for one (header, body) broker message.
 
     Returns ``(buffers, payload_nbytes)`` where ``buffers`` is the wire
     header followed by every frame segment, ready for
     ``socket.sendmsg(buffers)``; nothing has been concatenated or copied —
-    NumPy bodies contribute raw views of their own memory.
+    NumPy bodies contribute raw views of their own memory.  A BATCH
+    envelope's header record leaves out ``BATCH_SEQS``: its rows carry them.
     """
-    record = encode_header(header)
-    if body is None:
-        lengths = [len(record)]
-        buffers: List[Any] = [encode_wire_header(lengths), record]
-    else:
+    rows: List[Any] = []  # a BATCH envelope's row table
+    if header.get(TYPE) == MsgType.BATCH:
+        table, body = _encode_rows(header, body)
+        header = {key: value for key, value in header.items() if key != BATCH_SEQS}
+        rows = [table]
+    frames: List[Any] = [encode_header(header), *rows]
+    lengths = [len(frame) for frame in frames]
+    if body is not None:
         body_frame = make_frame(body)
-        lengths = [len(record), body_frame.nbytes]
-        buffers = [encode_wire_header(lengths), record, *body_frame.segments]
-    return buffers, sum(lengths)
+        lengths.append(body_frame.nbytes)
+        frames += body_frame.segments
+    return [encode_wire_header(lengths), *frames], sum(lengths)
 
 
 def decode_message(
@@ -377,26 +465,35 @@ def decode_message(
     header record is decoded into a fresh dict, the body is deserialized
     with ``copy=False`` when ``zero_copy`` — arrays come back as read-only
     views into ``payload``, so the caller must keep ``payload`` alive for
-    as long as the body is referenced.
+    as long as the body is referenced.  A BATCH envelope's sub-headers are
+    rebuilt from its row table.
     """
     view = memoryview(payload)
     if view.format != "B" or view.ndim != 1:
         view = view.cast("B")
-    if not 1 <= len(frame_lengths) <= 2:
-        raise WireProtocolError(
-            f"broker messages carry 1 or 2 frames, got {len(frame_lengths)}"
-        )
+    frames = len(frame_lengths)
+    if not 1 <= frames <= 3:
+        raise WireProtocolError(f"broker messages carry 1 to 3 frames, got {frames}")
     start, end = frame_lengths[0], sum(frame_lengths)
     if view.nbytes < end:
         raise WireProtocolError(f"short payload: {view.nbytes} < {end} bytes")
     header = decode_header(bytes(view[:start]))
-    if len(frame_lengths) == 1:
+    batch = header.get(TYPE) is MsgType.BATCH
+    if batch != (frames == 3):
+        raise WireProtocolError(
+            f"a BATCH envelope carries 3 frames, other messages 1 or 2 frames: "
+            f"got {frames} for type {header.get(TYPE)}"
+        )
+    if frames == 1:
         return header, None
+    rows = bytes(view[start : start + frame_lengths[1]]) if batch else b""
+    start += len(rows)
     try:
-        return header, deserialize(
+        body = deserialize(
             view[start:end],
             copy=not zero_copy,
             view_registry=view_registry if zero_copy else None,
         )
     except Exception as exc:
         raise WireProtocolError(f"undecodable body frame: {exc}") from exc
+    return header, _decode_rows(header, rows, body) if batch else body

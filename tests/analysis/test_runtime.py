@@ -26,6 +26,7 @@ from repro.core.concurrency import (
     spawn_thread,
     spawned_threads,
 )
+from repro.core.config import CoalescingSpec
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.errors import LockOrderError, RefcountLeakError
 from repro.core.message import MsgType, make_message
@@ -172,9 +173,10 @@ class TestRefcountAudit:
     def test_broker_shutdown_releases_undrained_sink_queue(self, monkeypatch):
         """Regression: headers routed into a registered sink queue nobody
         drains must not strand refcounts (the audit would reject every such
-        teardown otherwise)."""
+        teardown otherwise).  One header per message: the sink's queue
+        depth counts them."""
         monkeypatch.setenv(RUNTIME_CHECKS_ENV, "1")
-        broker = Broker("sinky")
+        broker = Broker("sinky", coalescing=CoalescingSpec(max_batch=1))
         broker.start()
         broker.register_process("sink")
         sender = ProcessEndpoint("src", broker)
@@ -196,9 +198,10 @@ class TestRefcountAudit:
 
     def test_endpoint_stop_releases_undrained_receive_queue(self, monkeypatch):
         """Regression for the PR-1 leak: bodies fanned out to an endpoint
-        that stops without receiving them must be released by its stop()."""
+        that stops without receiving them must be released by its stop().
+        One header per message: queue depth and store size count them."""
         monkeypatch.setenv(RUNTIME_CHECKS_ENV, "1")
-        broker = Broker("drainy")
+        broker = Broker("drainy", coalescing=CoalescingSpec(max_batch=1))
         broker.start()
         sender = ProcessEndpoint("src", broker)
         # Never started: nothing drains its ID queue until stop().

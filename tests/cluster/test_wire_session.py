@@ -23,12 +23,13 @@ from repro.obs.trace.merge import merge
 def _short_config(**overrides):
     """Stops on work done, not on wall time: the run ends when the learner
     has trained on rollouts that crossed the sockets, however loaded the
-    box is; ``max_seconds`` is only the ceiling that fails a hung run."""
+    box is; ``max_seconds`` is only the ceiling that fails a hung run,
+    below the suite's 120 s per-test watchdog so that it can."""
     overrides.setdefault(
         "algorithm_config", {"learn_start": 256, "buffer_size": 5000}
     )
     return two_machine_wire_config(
-        stop=StopCondition(total_trained_steps=320, max_seconds=120.0),
+        stop=StopCondition(total_trained_steps=320, max_seconds=90.0),
         **overrides,
     )
 

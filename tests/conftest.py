@@ -9,7 +9,9 @@ for refcount leaks at shutdown.  The env var must be set before any
 
 from __future__ import annotations
 
+import faulthandler
 import os
+import sys
 import tempfile
 
 os.environ.setdefault("REPRO_RUNTIME_CHECKS", "1")
@@ -27,6 +29,37 @@ from repro.analysis.runtime import lock_monitor
 from repro.core.broker import Broker
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.tracing import Tracer
+
+
+#: a test running longer than this is hung: pyproject's ``timeout``, which
+#: pytest-timeout enforces where it is installed (CI)
+HANG_S = 120.0
+#: the terminal's stderr, kept before output capture can redirect it
+_hang_report_fd = -1
+
+
+def pytest_configure(config):
+    global _hang_report_fd
+    _hang_report_fd = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    if _hang_report_fd >= 0:
+        os.close(_hang_report_fd)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item):
+    """Without pytest-timeout, a test that hangs dumps every thread's stack
+    to the terminal and ends the run after :data:`HANG_S`, instead of
+    wedging it with nothing to show."""
+    if item.config.pluginmanager.hasplugin("timeout"):
+        return (yield)
+    faulthandler.dump_traceback_later(HANG_S, exit=True, file=_hang_report_fd)
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session", autouse=True)

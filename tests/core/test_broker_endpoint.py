@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.broker import Broker
+from repro.core.config import CoalescingSpec
 from repro.core.endpoint import ProcessEndpoint, WorkhorseThread
 from repro.core.errors import LifecycleError
 from repro.core.message import MsgType, make_message
@@ -178,8 +179,11 @@ class TestRefcountLeaks:
 
     def test_stop_releases_undrained_id_queue(self, broker):
         """A destination that stops before draining its ID queue must release
-        the refcounts of every header still parked there."""
-        alice = ProcessEndpoint("alice", broker)
+        the refcounts of every header still parked there (one header per
+        message here; an envelope: the test below)."""
+        alice = ProcessEndpoint(
+            "alice", broker, coalescing=CoalescingSpec(max_batch=1)
+        )
         bob = ProcessEndpoint("bob", broker)  # registered, but never started
         alice.start()
         try:
@@ -193,6 +197,29 @@ class TestRefcountLeaks:
             assert len(store) == 5
             bob.stop()  # drains the ID queue, releasing each body
             assert len(store) == 0
+        finally:
+            alice.stop()
+
+    def test_stop_releases_an_undrained_envelope(self, broker):
+        """A whole BATCH envelope parked in a stopped destination's ID
+        queue is one store entry holding every sub-message: releasing it
+        balances the store."""
+        alice = ProcessEndpoint("alice", broker)
+        bob = ProcessEndpoint("bob", broker)  # registered, but never started
+        for index in range(5):  # queued first: one wake-up drains them all
+            alice.send(make_message("alice", ["bob"], MsgType.DATA, index))
+        alice.start()
+        try:
+            store = broker.communicator.object_store
+            deadline = time.monotonic() + 2
+            while broker.router.routed_local < 5 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert broker.router.routed_local == 5
+            assert len(store) == 1
+            assert broker.communicator.id_queue("bob").qsize() == 1
+            bob.stop()
+            assert len(store) == 0
+            assert store.leak_report() == []
         finally:
             alice.stop()
 

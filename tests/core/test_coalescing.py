@@ -69,7 +69,14 @@ class TestCoalescingSpec:
         with pytest.raises(ConfigError):
             CoalescingSpec(max_message_bytes=-1).validate()
         with pytest.raises(ConfigError):
-            CoalescingSpec(max_batch=1).validate()
+            CoalescingSpec(max_batch=0).validate()
+
+    def test_one_message_per_envelope_is_valid(self):
+        CoalescingSpec(max_batch=1).validate()
+
+    def test_has_no_off_switch(self):
+        with pytest.raises(TypeError):
+            CoalescingSpec(enabled=False)
 
 
 def _coalescing_broker(spec=None):
@@ -203,14 +210,85 @@ class TestEndpointCoalescing:
                 worker.stop()
             broker.stop()
 
-    def test_coalescing_off_by_default(self, endpoint_pair):
+    def test_coalescing_on_by_default(self, endpoint_pair):
         alice, _ = endpoint_pair
-        assert alice.coalescing is None
+        assert alice.coalescing == CoalescingSpec()
+        assert alice.broker.coalescing == CoalescingSpec()
+
+    def test_max_batch_one_stages_one_header_per_message(self):
+        broker = _coalescing_broker(CoalescingSpec(max_batch=1))
+        alice = ProcessEndpoint("alice", broker)
+        bob = ProcessEndpoint("bob", broker)
+        try:
+            count = 50
+            for index in range(count):  # queued before the sender runs:
+                alice.send(  # its first wake-up drains them all
+                    make_message("alice", ["bob"], MsgType.DATA, {"i": index})
+                )
+            alice.start()
+            bob.start()
+            received = _drain_endpoint(bob, count)
+            assert [m.body["i"] for m in received] == list(range(count))
+            assert broker.communicator.object_store.total_put == count
+            assert alice.coalesce_sizes.count == 0
+        finally:
+            alice.stop()
+            bob.stop()
+            broker.stop()
+
+    def test_a_queued_run_is_one_envelope(self):
+        broker = _coalescing_broker()
+        alice = ProcessEndpoint("alice", broker)
+        bob = ProcessEndpoint("bob", broker)
+        try:
+            for index in range(50):
+                alice.send(make_message("alice", ["bob"], MsgType.DATA, index))
+            alice.start()
+            bob.start()
+            received = _drain_endpoint(bob, 50)
+            assert [m.body for m in received] == list(range(50))
+            assert broker.communicator.object_store.total_put == 1
+            assert broker.router.routed_local == 50  # counted in messages
+        finally:
+            alice.stop()
+            bob.stop()
+            broker.stop()
+
+    def test_headers_with_extras_and_control_traffic_travel_alone(self):
+        broker = _coalescing_broker()
+        alice = ProcessEndpoint("alice", broker)
+        bob = ProcessEndpoint("bob", broker)
+        try:
+            sent = [
+                make_message("alice", ["bob"], MsgType.DATA, 0),
+                make_message("alice", ["bob"], MsgType.DATA, 1),
+                make_message("alice", ["bob"], MsgType.STATS, 2),  # control
+                make_message("alice", ["bob"], MsgType.DATA, 3, extra={"k": 1}),
+                make_message("alice", ["bob"], MsgType.DATA, 4),
+                make_message("alice", ["bob"], MsgType.ROLLOUT, 5),  # new type
+                make_message("alice", ["bob"], MsgType.ROLLOUT, 6),
+            ]
+            for message in sent:
+                alice.send(message)
+            alice.start()
+            bob.start()
+            received = _drain_endpoint(bob, len(sent))
+            # FIFO per lane: the control message may overtake bulk ones
+            bulk = [m for m in received if m.msg_type is not MsgType.STATS]
+            assert [m.body for m in bulk] == [0, 1, 3, 4, 5, 6]
+            assert bulk[2].header["k"] == 1
+            assert [m.body for m in received if m not in bulk] == [2]
+            # [0, 1] and [5, 6] pack; 2, 3 and 4 are staged alone
+            assert broker.communicator.object_store.total_put == 5
+        finally:
+            alice.stop()
+            bob.stop()
+            broker.stop()
 
     def test_receiver_unpacks_even_when_sender_not_coalescing(self):
         """BATCH handling is unconditional on the receive side: a manually
         packed envelope is transparently unpacked."""
-        broker = Broker("plain-broker")
+        broker = Broker("plain-broker", coalescing=CoalescingSpec(max_batch=1))
         broker.start()
         alice = ProcessEndpoint("alice", broker)
         bob = ProcessEndpoint("bob", broker)
@@ -295,3 +373,50 @@ class TestEndpointCoalescing:
         alice.stop()
         bob.stop()
         broker.stop()  # raises RefcountLeakError on any imbalance
+
+
+class TestOverSockets:
+    def test_small_messages_cross_as_envelopes_exactly_once_in_order(self):
+        """Two brokers, each on its own socket fabric: 1 000 small messages
+        from two producers arrive exactly once and in per-producer order,
+        the wire counters count messages, and the writes are envelopes."""
+        from repro.transport.tcp import SocketFabric, format_address
+
+        near_fabric, far_fabric = SocketFabric("near"), SocketFabric("far")
+        near = Broker("near", fabric=near_fabric)
+        far = Broker("far", fabric=far_fabric)
+        near_fabric.add_address("far", format_address(far_fabric.listen("far")))
+        near.add_remote_route("sink", "far")
+        producers = [ProcessEndpoint(f"p{pid}", near) for pid in range(2)]
+        sink = ProcessEndpoint("sink", far)
+        per_producer = 500
+        for index in range(per_producer):  # queued before the senders run
+            for pid, producer in enumerate(producers):
+                producer.send(make_message(
+                    producer.name, ["sink"], MsgType.ROLLOUT,
+                    np.array([pid, index], dtype=np.int64), body_size=16,
+                ))
+        try:
+            for component in (far, near, sink, *producers):
+                component.start()
+            received = _drain_endpoint(sink, 2 * per_producer, timeout=20.0)
+            for pid in range(2):
+                assert [
+                    int(m.body[1]) for m in received if int(m.body[0]) == pid
+                ] == list(range(per_producer))
+            assert len(received) == 2 * per_producer
+            assert sink.receive(timeout=0.2) is None  # nothing twice
+            link = near_fabric.link_stats()["near->far"]
+            assert link["items_sent"] == 2 * per_producer
+            assert link["syscalls_total"] <= 2 * per_producer / 10
+            listener = far_fabric.link_stats()["listen:far"]
+            assert listener["items_received"] == 2 * per_producer
+            assert near.router.routed_remote == 2 * per_producer
+            assert far.router.routed_local == 2 * per_producer
+        finally:
+            for endpoint in (*producers, sink):
+                endpoint.stop()
+            near.stop()
+            far.stop()
+            near_fabric.close()
+            far_fabric.close()

@@ -49,7 +49,7 @@ class TestSlowLinkAdaptation:
         broker_b.start()
         alice = ProcessEndpoint(
             "alice", broker_a,
-            coalescing=CoalescingSpec(enabled=True, max_message_bytes=512),
+            coalescing=CoalescingSpec(max_message_bytes=512),
         )
         bob = ProcessEndpoint("bob", broker_b)
         alice.start()

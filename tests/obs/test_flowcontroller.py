@@ -126,7 +126,7 @@ def controller_with_fakes(flow=None):
     pressure dial)``."""
     controller = FlowController(flow or spec())
     broker = FakeBroker()
-    endpoint = FakeEndpoint(CoalescingSpec(enabled=True, max_message_bytes=1024))
+    endpoint = FakeEndpoint(CoalescingSpec(max_message_bytes=1024))
     controller.attach_broker(broker)
     controller.attach_endpoint(endpoint)
     depth = broker.communicator.bulk_depth
@@ -193,9 +193,9 @@ class TestEscalation:
         assert store.compression.threshold == 512  # one halving applied
         # (admission tightening is one-shot; the floor guards re-entry)
 
-    def test_disabled_coalescing_left_alone(self):
+    def test_single_message_spec_left_alone(self):
         controller = FlowController(spec())
-        endpoint = FakeEndpoint(CoalescingSpec(enabled=False, max_message_bytes=512))
+        endpoint = FakeEndpoint(CoalescingSpec(max_message_bytes=512, max_batch=1))
         controller.attach_endpoint(endpoint)
         broker = FakeBroker()
         controller.attach_broker(broker)
@@ -347,7 +347,10 @@ class TestAgainstRealComponents:
         fabric.connect("b", "far")
         broker.add_remote_route("sink", "far")
         controller.attach_broker(broker)
-        alice = ProcessEndpoint("alice", broker)
+        # One header per message: the backlog is counted in queue entries.
+        alice = ProcessEndpoint(
+            "alice", broker, coalescing=CoalescingSpec(max_batch=1)
+        )
         controller.attach_endpoint(alice)
         alice.start()
         try:

@@ -56,7 +56,7 @@ def test_replacement_explorer_continues_the_counter_with_no_hook():
     config = single_machine_config(
         "dqn", "CartPole", "qnet",
         explorers=2, fragment_steps=20, seed=7,
-        stop=StopCondition(max_seconds=120.0),  # ceiling; the test stops it
+        stop=StopCondition(max_seconds=90.0),  # ceiling; the test stops it
         supervision=SupervisionSpec(
             heartbeat_interval=0.05, suspect_after=0.5, dead_after=1.0,
             max_restarts=2, backoff_base=0.5, backoff_max=0.5, seed=0,
@@ -153,7 +153,7 @@ def smoke_run():
     config = single_machine_config(
         "impala", "CartPole", "actor_critic",
         explorers=2, fragment_steps=25, seed=7,
-        stop=StopCondition(total_trained_steps=300, max_seconds=120),
+        stop=StopCondition(total_trained_steps=300, max_seconds=90),
         telemetry=TelemetrySpec(sample_interval=0.02),
         flow_control=FlowControlSpec(),
         coalescing=CoalescingSpec(),
@@ -225,7 +225,7 @@ def test_flow_control_alone_builds_no_telemetry():
     config = single_machine_config(
         "impala", "CartPole", "actor_critic",
         explorers=1, fragment_steps=25, seed=3,
-        stop=StopCondition(total_trained_steps=100, max_seconds=120),
+        stop=StopCondition(total_trained_steps=100, max_seconds=90),
         flow_control=FlowControlSpec(adapt_interval_s=0.01),
     )
     session = XingTianSession(config)

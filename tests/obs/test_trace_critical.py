@@ -160,7 +160,7 @@ class TestRealSession:
             "impala", "CartPole", "actor_critic", explorers=2,
             fragment_steps=32,
             model_config={"hidden_sizes": [16]},
-            stop=StopCondition(total_trained_steps=640, max_seconds=120.0),
+            stop=StopCondition(total_trained_steps=640, max_seconds=90.0),
             seed=0,
         )
         session = XingTianSession(config)

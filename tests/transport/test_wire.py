@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.message import (
     WIRE_CODEC,
+    Message,
     MsgType,
     make_header,
     make_message,
@@ -183,9 +184,16 @@ class TestMessageCodec:
             for buf in buffers[1:]
         )
 
-    def test_three_frames_rejected(self):
+    def test_three_frames_on_a_non_batch_rejected(self):
+        buffers, _ = encode_message(_header(), [1, 2, 3])
+        wire_header, payload = _split(buffers)
+        _, _, lengths = _decode_header(wire_header)
         with pytest.raises(WireProtocolError, match="1 or 2 frames"):
-            decode_message(bytearray(30), [10, 10, 10])
+            decode_message(bytearray(payload + b"\0" * 10), [*lengths, 10])
+
+    def test_four_frames_rejected(self):
+        with pytest.raises(WireProtocolError, match="1 to 3 frames"):
+            decode_message(bytearray(40), [10, 10, 10, 10])
 
     def test_short_payload_rejected(self):
         with pytest.raises(WireProtocolError, match="short payload"):
@@ -211,6 +219,15 @@ def test_version_1_preamble_rejected():
     preamble, before anything reads frame 0."""
     stale = PREAMBLE.pack(MAGIC, 1, 0, 1, 10)
     with pytest.raises(WireProtocolError, match="unsupported wire version 1"):
+        decode_preamble(stale)
+
+
+def test_version_2_preamble_rejected():
+    """A peer that still pickles BATCH sub-headers (version 2) fails at the
+    preamble too, before anything reads a row table it does not send."""
+    assert VERSION == 3
+    stale = PREAMBLE.pack(MAGIC, 2, 0, 2, 10)
+    with pytest.raises(WireProtocolError, match="unsupported wire version 2"):
         decode_preamble(stale)
 
 
@@ -347,6 +364,10 @@ class TestHeaderRecordProperties:
     def test_round_trip(self, header):
         record = encode_header(header)
         assert _typed(decode_header(record)) == _typed(header)
+        if header.get("type") is MsgType.BATCH:  # an envelope needs its body
+            with pytest.raises(WireProtocolError, match="BATCH envelope"):
+                encode_message(header, None)
+            return
         buffers, _ = encode_message(header, None)
         wire_header, payload = _split(buffers)
         _, _, lengths = _decode_header(wire_header)
@@ -373,17 +394,12 @@ class TestNoHeaderIsUnpickled:
         hello[HELLO] = 1
         raw = make_header("m1", ["m0"], MsgType.DATA)
         raw[RAW] = 1
-        batch = pack_batch([
-            make_message("e0", ["learner"], MsgType.ROLLOUT, index)
-            for index in range(3)
-        ]).header
-        batch[WIRE_CODEC] = None
         stats = make_header(
             "learner", ["center"], MsgType.STATS, extra={"trained_steps": 512}
         )
         weights = make_header("learner", ["e0", "e1", "e2"], MsgType.WEIGHTS)
         return [
-            (hello, None), (raw, np.arange(8)), (batch, None),
+            (hello, None), (raw, np.arange(8)),
             (stats, None), (weights, [np.ones((4, 4)), np.zeros(4)]),
         ]
 
@@ -408,3 +424,217 @@ class TestNoHeaderIsUnpickled:
                 assert all(map(np.array_equal, got_body, body)) if isinstance(
                     body, list
                 ) else np.array_equal(got_body, body)
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_batch_envelope_with_its_body_decodes_without_pickle(
+        self, monkeypatch, compressed
+    ):
+        import pickle
+
+        from repro.core.compression import WireCompressor, wire_decode
+
+        bodies = [np.full(256, index, dtype=np.uint8) for index in range(4)]
+        envelope = pack_batch([
+            make_message("e0", ["learner"], MsgType.ROLLOUT, body, body_size=256)
+            for body in bodies
+        ])
+        header, body = envelope.header, envelope.body
+        if compressed:
+            wire = WireCompressor("w", min_bytes=64)
+            wire.set_enabled(True)
+            header, body, _ = wire.encode(header, body, envelope.body_size)
+            assert header[WIRE_CODEC] == "zlib"
+            assert wire.stats()["compressed_total"] == 4
+        frames = _frames(header, body)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pickle.loads called while decoding")
+
+        monkeypatch.setattr(pickle, "loads", refuse)
+        got_header, got_body = wire_decode(*_decode_frames(frames))
+        assert _typed(got_header) == _typed({**envelope.header, **(
+            {WIRE_CODEC: None} if compressed else {}
+        )})
+        for (sub, sub_body), message, expected in zip(
+            got_body, envelope.body, bodies
+        ):
+            assert _typed(sub) == _typed(message[0])
+            assert np.array_equal(sub_body, expected)
+
+
+def _frames(header, body):
+    """The frames of ``(header, body)`` on the wire, each as bytes."""
+    buffers, _ = encode_message(header, body)
+    wire_header, payload = _split(buffers)
+    frames, at = [], 0
+    for length in _decode_header(wire_header)[2]:
+        frames.append(payload[at : at + length])
+        at += length
+    return frames
+
+
+def _decode_frames(frames, **kwargs):
+    return decode_message(
+        bytearray(b"".join(frames)), [len(frame) for frame in frames], **kwargs
+    )
+
+
+def _envelope(rows, bodies, src="e0", dst=("learner",), msg_type=MsgType.DATA):
+    """A BATCH envelope of one sub-message per ``(seq, created_at,
+    body_size, trace, span)`` row (a trace or span of ``None`` is absent)."""
+    messages = []
+    for (seq, created_at, body_size, trace, span), body in zip(rows, bodies):
+        header = make_header(src, list(dst), msg_type)
+        header.update(seq=seq, created_at=created_at, body_size=body_size)
+        for key, value in (("trace", trace), ("span", span)):
+            if value is None:
+                del header[key]
+            else:
+                header[key] = value
+        messages.append(Message(header, body))
+    envelope = pack_batch(messages)
+    envelope.header["body_size"] = min(envelope.body_size, 2 ** 64 - 1)
+    return envelope
+
+
+def _same_body(got, expected):
+    if isinstance(expected, np.ndarray):
+        return isinstance(got, np.ndarray) and np.array_equal(got, expected)
+    return got == expected
+
+
+_IDS = st.sampled_from([None, 0, 1, 2 ** 64 - 1]) | st.integers(1, 2 ** 64 - 1)
+_ROW_VALUES = st.tuples(
+    st.sampled_from([-(2 ** 63), 2 ** 63 - 1]) | st.integers(-(2 ** 63), 2 ** 63 - 1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2 ** 64 - 1),
+    _IDS,
+    _IDS,
+)
+_ARRAY_BODIES = st.integers(0, 16).map(lambda n: np.arange(n, dtype=np.uint8))
+_ANY_BODIES = _ARRAY_BODIES | st.none() | st.integers() | st.text(max_size=8)
+_TABLES = st.integers(1, 6).flatmap(lambda count: st.tuples(
+    st.lists(_ROW_VALUES, min_size=count, max_size=count),
+    st.lists(_ARRAY_BODIES, min_size=count, max_size=count)
+    | st.lists(_ANY_BODIES, min_size=count, max_size=count),
+))
+
+
+class TestBatchEnvelope:
+    """A BATCH envelope is three frames: header record, row table, bodies."""
+
+    @given(_TABLES, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, table, zero_copy):
+        rows, bodies = table
+        envelope = _envelope(rows, bodies)
+        frames = _frames(envelope.header, envelope.body)
+        assert len(frames) == 3
+        assert b"batch_seqs" not in frames[0]  # the rows carry them
+        header, pairs = _decode_frames(frames, zero_copy=zero_copy)
+        expected_header = dict(envelope.header)
+        expected_header["batch_seqs"] = [
+            (seq, trace or None) for seq, _, _, trace, _ in rows
+        ]
+        assert _typed(header) == _typed(expected_header)
+        assert len(pairs) == len(rows)
+        for (sub, body), (original, sent_body) in zip(pairs, envelope.body):
+            expected = {
+                key: value for key, value in original.items()
+                if key not in ("trace", "span") or value
+            }
+            assert _typed(sub) == _typed(expected)
+            assert _same_body(body, sent_body)
+
+    @given(_TABLES, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_cut_of_any_frame_is_refused(self, table, data):
+        frames = _frames(*_as_pair(_envelope(*table)))
+        index = data.draw(st.integers(0, 2))
+        cut = data.draw(st.integers(0, len(frames[index]) - 1))
+        frames[index] = frames[index][:cut]
+        with pytest.raises(WireProtocolError):
+            _decode_frames(frames)
+
+    @pytest.mark.parametrize("bodies", [
+        [np.arange(3, dtype=np.uint8), np.arange(0, dtype=np.uint8)],
+        [np.arange(3, dtype=np.uint8), None],
+    ], ids=["array frame", "pickle frame"])
+    def test_every_cut_of_every_frame_is_refused(self, bodies):
+        rows = [(1, 2.0, 3, 4, 5), (-1, 0.5, 0, None, None)]
+        whole = _frames(*_as_pair(_envelope(rows, bodies)))
+        for index, frame in enumerate(whole):
+            for cut in range(len(frame)):
+                frames = list(whole)
+                frames[index] = frame[:cut]
+                with pytest.raises(WireProtocolError):
+                    _decode_frames(frames)
+
+    def _parts(self, count=3):
+        envelope = _envelope(
+            [(index, 1.0, 8, 7, 9) for index in range(count)],
+            [np.arange(4, dtype=np.uint8)] * count,
+        )
+        return _frames(envelope.header, envelope.body)
+
+    def test_a_row_table_shorter_than_batch_count_is_refused(self):
+        header, rows, bodies = self._parts()
+        fewer = _frames(*_as_pair(_envelope(
+            [(0, 1.0, 8, 7, 9)] * 2, [np.arange(4, dtype=np.uint8)] * 2
+        )))
+        with pytest.raises(WireProtocolError, match="row table"):
+            _decode_frames([header, rows[: -1], bodies])
+        with pytest.raises(WireProtocolError, match="row table"):
+            _decode_frames([header, fewer[1], bodies])
+
+    @pytest.mark.parametrize("code", [0, 7, 99])
+    def test_a_bad_sub_type_code_is_refused(self, code):
+        header, rows, bodies = self._parts()
+        with pytest.raises(WireProtocolError, match="row table: bad sub type code"):
+            _decode_frames([header, bytes([code]) + rows[1:], bodies])
+
+    def test_one_body_per_row(self):
+        header, rows, _ = self._parts(3)
+        for count in (2, 4):
+            bodies = _frames(*_as_pair(_envelope(
+                [(0, 1.0, 8, 7, 9)] * count, [np.arange(4, dtype=np.uint8)] * count
+            )))[2]
+            with pytest.raises(WireProtocolError, match="bodies frame: .* for 3 rows"):
+                _decode_frames([header, rows, bodies])
+        not_a_list = _frames(_header(), np.arange(4, dtype=np.uint8))[1]
+        with pytest.raises(WireProtocolError, match="bodies frame"):
+            _decode_frames([header, rows, not_a_list])
+
+    def test_a_batch_header_needs_three_frames(self):
+        header, rows, bodies = self._parts()
+        with pytest.raises(WireProtocolError, match="BATCH envelope carries 3"):
+            _decode_frames([header, bodies])
+
+    @pytest.mark.parametrize("misfit", [
+        {"extra": 1}, {"object_id": "o-1"}, {"compressed": True},
+        {"src": "someone-else"}, {"type": MsgType.ROLLOUT}, {"seq": 2 ** 63},
+        {"trace": 2 ** 64}, {"body_size": -1}, {"created_at": "noon"},
+    ], ids=lambda misfit: next(iter(misfit)))
+    def test_a_sub_header_that_does_not_fit_is_refused_at_the_sender(self, misfit):
+        envelope = _envelope([(0, 1.0, 1, 1, 1)] * 2, [None, None])
+        envelope.body[1][0].update(misfit)
+        with pytest.raises(WireProtocolError, match="does not fit the row table"):
+            encode_message(envelope.header, envelope.body)
+
+    def test_an_envelope_in_an_envelope_is_refused_at_the_sender(self):
+        inner = _envelope([(0, 1.0, 1, 1, 1)], [None])
+        header = dict(inner.header)
+        del header["batch_count"], header["batch_seqs"]
+        outer = pack_batch([Message(header, None)])
+        with pytest.raises(WireProtocolError, match="does not fit the row table"):
+            encode_message(outer.header, outer.body)
+
+    def test_a_body_that_is_not_the_pairs_is_refused_at_the_sender(self):
+        envelope = _envelope([(0, 1.0, 1, 1, 1)] * 2, [None, None])
+        for body in (None, envelope.body[:1], tuple(envelope.body)):
+            with pytest.raises(WireProtocolError, match="BATCH envelope"):
+                encode_message(envelope.header, body)
+
+
+def _as_pair(message):
+    return message.header, message.body
