@@ -10,32 +10,23 @@ messages hide.  This package turns that debugging into tooling:
   mutation in threaded classes, raw ``threading.Thread`` creation bypassing
   :func:`repro.core.concurrency.spawn_thread`, and ``MsgType`` send sites
   with no registered handler);
-* :mod:`repro.analysis.protocol` — extraction of the message protocol
-  (who sends / who handles each :class:`~repro.core.message.MsgType`) from
-  the source tree, cross-checked by the ``unrouted-msgtype`` rule and the
-  routing-table exhaustiveness test;
-* :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.ownership` — an
-  interprocedural ownership dataflow pass over per-function CFGs tracking
-  ``ObjectStore.put``/``get``/``release`` handle flow: refcount leaks along
-  any control-flow path, double releases of single-share handles, and
-  handles escaping without a
-  :func:`repro.core.ownership.transfers_ownership` annotation;
-* :mod:`repro.analysis.lifetime` — a zero-copy lifetime pass over the same
-  CFGs tracking views derived from ``deserialize(copy=False)``, arena
-  blocks, and pool handles: view-escapes past the owning block's release,
-  release-while-borrowed, and writes through read-only views;
-* :mod:`repro.analysis.topology` — static extraction of the communication
-  topology (which component sends which ``MsgType`` to which role), the
-  ``docs/topology.json``/DOT artifacts, the ``orphan-destination`` and
-  ``bounded-queue-cycle`` rules, and the trace-conformance checker diffing
-  :class:`repro.core.tracing.Tracer` events against the static graph;
+* :mod:`repro.analysis.protocol` — one walk recording every ``MsgType``
+  send and handle site with its component and role, cross-checked by the
+  ``unrouted-msgtype`` rule and the routing-table exhaustiveness test;
+* :mod:`repro.analysis.topology` — the communication topology built from
+  those sites (which role sends which ``MsgType`` to which role), the
+  ``docs/topology.json``/DOT artifacts, the ``orphan-destination`` rule,
+  and the trace-conformance checker diffing observed hop-log edges against
+  the static graph;
 * :mod:`repro.analysis.configcheck` — static validation of the examples'
   configuration calls against the config schema and
   :data:`repro.api.registry.registry`;
 * :mod:`repro.analysis.runtime` — opt-in runtime checkers: an instrumented
   lock that records the per-thread lock-acquisition graph and reports
   cycles (potential deadlocks), and an object-store refcount auditor that
-  asserts all refs are balanced at broker shutdown;
+  asserts all refs are balanced at broker shutdown.  Handle ownership and
+  zero-copy view lifetimes are checked here and by the arena sanitizer
+  (:mod:`repro.core.arena`), not statically;
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis <path>`` emitting
   ``file:line severity rule message`` findings (``--format json``/``gha``
   for machine consumption), compared against a committed baseline so CI
@@ -48,8 +39,6 @@ from __future__ import annotations
 
 from .engine import analyze_path, analyze_paths, analyze_source
 from .findings import Baseline, Finding, Severity
-from .lifetime import run_lifetime_rules
-from .ownership import run_ownership_rules
 from .protocol import EXPLICITLY_UNROUTED, Protocol, extract_protocol
 from .topology import (
     Topology,
@@ -68,8 +57,6 @@ __all__ = [
     "Protocol",
     "extract_protocol",
     "EXPLICITLY_UNROUTED",
-    "run_ownership_rules",
-    "run_lifetime_rules",
     "Topology",
     "extract_topology",
     "observed_edges",

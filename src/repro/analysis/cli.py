@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .configcheck import validate_configs
-from .engine import analyze_paths, filter_sources, parse_tree_reporting_errors
+from .engine import analyze_paths, load_sources
 from .findings import Baseline, Finding, sort_findings
 from .rules import RULES
 from .topology import extract_topology, topology_to_dict, topology_to_dot, topology_to_json
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Concurrency, ownership & message-protocol analyzer for the "
+            "Concurrency & message-protocol analyzer for the "
             "comms stack."
         ),
     )
@@ -150,14 +150,6 @@ def _json_payload(findings: List[Finding], summary: dict) -> str:
     )
 
 
-def _load_sources(paths: List[str], excludes: List[str]):
-    sources = []
-    for path in paths:
-        root_sources, _ = parse_tree_reporting_errors(path)
-        sources.extend(root_sources)
-    return filter_sources(sources, excludes)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -183,7 +175,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_NEW_FINDINGS if findings else EXIT_CLEAN
 
     if args.emit_topology or args.check_topology:
-        topology = extract_topology(_load_sources(args.paths, args.exclude))
+        topology = extract_topology(load_sources(args.paths, args.exclude)[0])
         if args.emit_topology:
             out = Path(args.emit_topology)
             out.write_text(topology_to_json(topology), encoding="utf-8")

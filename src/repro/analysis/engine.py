@@ -8,11 +8,9 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Set, Tuple
 
 from .findings import Finding, Severity, sort_findings
-from .lifetime import run_lifetime_rules
-from .ownership import run_ownership_rules
-from .protocol import extract_from_sources
+from .protocol import Protocol, extract_from_sources
 from .rules import SYNTAX_ERROR, run_file_rules, run_protocol_rule
-from .topology import run_topology_rules
+from .topology import build_topology, orphan_findings
 
 _SKIP_DIR_NAMES = {"__pycache__", ".git", ".mypy_cache", ".ruff_cache"}
 
@@ -45,21 +43,12 @@ def iter_python_files(root: Path) -> List[Path]:
     return files
 
 
-def parse_tree(root: str) -> List[Tuple[str, ast.AST]]:
-    """Parse every ``.py`` under ``root`` into ``(display_path, ast)`` pairs.
-
-    Files with syntax errors are skipped here (callers that need a finding
-    for them use :func:`parse_tree_reporting_errors`).
-    """
-    sources, _ = parse_tree_reporting_errors(root)
-    return sources
-
-
 def parse_tree_reporting_errors(
     root: str,
 ) -> Tuple[List[Tuple[str, ast.AST]], List[Finding]]:
-    """Like :func:`parse_tree`, plus a ``syntax-error`` finding per unparsable
-    file — a file no rule can inspect must fail the gate, not silently pass."""
+    """Parse every ``.py`` under ``root`` into ``(display_path, ast)`` pairs,
+    plus a ``syntax-error`` finding per unparsable file — a file no rule can
+    inspect must fail the gate, not silently pass."""
     root_path = Path(root)
     sources: List[Tuple[str, ast.AST]] = []
     errors: List[Finding] = []
@@ -83,31 +72,29 @@ def parse_tree_reporting_errors(
     return sources, errors
 
 
-def filter_sources(
-    sources: List[Tuple[str, ast.AST]], excludes: Iterable[str]
-) -> List[Tuple[str, ast.AST]]:
-    """Drop sources whose display path matches any exclude pattern.
-
-    A pattern matches when it is a substring of the path or an ``fnmatch``
-    glob for it — ``tests/analysis/fixtures`` excludes the seeded-violation
-    fixture files when the analyzer is pointed at ``tests/``.
-    """
+def load_sources(
+    roots: Iterable[str], excludes: Iterable[str] = ()
+) -> Tuple[List[Tuple[str, ast.AST]], List[Finding]]:
+    """Parse several trees as one program, dropping every file whose display
+    path contains an exclude pattern or ``fnmatch``-es it —
+    ``tests/analysis/fixtures`` excludes the seeded-violation fixture files
+    when the analyzer is pointed at ``tests/``."""
     patterns = list(excludes)
-    if not patterns:
-        return sources
-    return [
-        (path, tree)
-        for path, tree in sources
-        if not any(
-            pattern in path or fnmatch.fnmatch(path, pattern)
-            for pattern in patterns
-        )
-    ]
+
+    def kept(path: str) -> bool:
+        return not any(p in path or fnmatch.fnmatch(path, p) for p in patterns)
+
+    sources: List[Tuple[str, ast.AST]] = []
+    errors: List[Finding] = []
+    for root in roots:
+        root_sources, root_errors = parse_tree_reporting_errors(root)
+        sources.extend(item for item in root_sources if kept(item[0]))
+        errors.extend(finding for finding in root_errors if kept(finding.path))
+    return sources, errors
 
 
 def _run_protocol_rules(
-    sources: List[Tuple[str, ast.AST]],
-    ignored_msgtypes: Optional[Set[str]],
+    protocol: Protocol, ignored_msgtypes: Optional[Set[str]]
 ) -> List[Finding]:
     """The whole-program ``unrouted-msgtype`` rule, scoped per tree.
 
@@ -116,18 +103,11 @@ def _run_protocol_rules(
     unrouted production type.  Sends elsewhere (tests, benchmarks) may be
     handled anywhere in the analyzed set.
     """
-    src_sources = [(p, t) for p, t in sources if p.startswith("src/")]
-    if not src_sources or len(src_sources) == len(sources):
-        return run_protocol_rule(extract_from_sources(sources), ignored_msgtypes)
-    findings = list(
-        run_protocol_rule(extract_from_sources(src_sources), ignored_msgtypes)
-    )
-    for finding in run_protocol_rule(
-        extract_from_sources(sources), ignored_msgtypes
-    ):
-        if not finding.path.startswith("src/"):
-            findings.append(finding)
-    return findings
+    return run_protocol_rule(protocol.under("src/"), ignored_msgtypes) + [
+        finding
+        for finding in run_protocol_rule(protocol, ignored_msgtypes)
+        if not finding.path.startswith("src/")
+    ]
 
 
 def analyze_sources(
@@ -138,10 +118,9 @@ def analyze_sources(
     findings: List[Finding] = []
     for path, tree in sources:
         findings.extend(run_file_rules(path, tree))
-    findings.extend(_run_protocol_rules(sources, ignored_msgtypes))
-    findings.extend(run_ownership_rules(sources))
-    findings.extend(run_lifetime_rules(sources))
-    findings.extend(run_topology_rules(sources))
+    protocol = extract_from_sources(sources)
+    findings.extend(_run_protocol_rules(protocol, ignored_msgtypes))
+    findings.extend(orphan_findings(build_topology(protocol)))
     return sort_findings(findings)
 
 
@@ -152,23 +131,7 @@ def analyze_paths(
     excludes: Iterable[str] = (),
 ) -> List[Finding]:
     """Analyze several trees as one program; returns sorted findings."""
-    sources: List[Tuple[str, ast.AST]] = []
-    errors: List[Finding] = []
-    for root in roots:
-        root_sources, root_errors = parse_tree_reporting_errors(root)
-        sources.extend(root_sources)
-        errors.extend(root_errors)
-    sources = filter_sources(sources, excludes)
-    excluded = {pattern for pattern in excludes}
-    if excluded:
-        errors = [
-            finding
-            for finding in errors
-            if not any(
-                pattern in finding.path or fnmatch.fnmatch(finding.path, pattern)
-                for pattern in excluded
-            )
-        ]
+    sources, errors = load_sources(roots, excludes)
     return sort_findings(
         analyze_sources(sources, ignored_msgtypes=ignored_msgtypes) + errors
     )

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 
 class Severity(str, Enum):
@@ -139,7 +139,3 @@ class Baseline:
             diff.stale.extend([fingerprint] * count)
         return diff
 
-
-def summarize(diff: BaselineDiff) -> Tuple[int, int, int]:
-    """(new, baselined, stale) counts."""
-    return len(diff.new), len(diff.baselined), len(diff.stale)

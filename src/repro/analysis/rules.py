@@ -1,6 +1,6 @@
 """Framework-specific AST lint rules.
 
-Four rules, tuned to this codebase's concurrency idioms (every rule has a
+Five rules, tuned to this codebase's concurrency idioms (every rule has a
 triggering fixture and a near-miss fixture under ``tests/analysis/fixtures``):
 
 ``lock-held-blocking-call`` (error)
@@ -44,18 +44,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from .configcheck import UNKNOWN_CONFIG_KEY, UNREGISTERED_NAME
 from .findings import Finding, Severity
-from .lifetime import (
-    RELEASE_WHILE_BORROWED,
-    VIEW_ESCAPE,
-    WRITE_THROUGH_READONLY_VIEW,
-)
-from .ownership import DOUBLE_RELEASE, REFCOUNT_LEAK, UNANNOTATED_HANDLE_ESCAPE
-from .protocol import Protocol, Site
-from .topology import BOUNDED_QUEUE_CYCLE, ORPHAN_DESTINATION
+from .protocol import Protocol
+from .topology import ORPHAN_DESTINATION
 
 LOCK_HELD_BLOCKING_CALL = "lock-held-blocking-call"
 UNGUARDED_SHARED_MUTATION = "unguarded-shared-mutation"
@@ -97,25 +91,9 @@ RULES: Dict[str, RuleInfo] = {
         SYNTAX_ERROR, Severity.ERROR,
         "file cannot be parsed, so no rule can inspect it",
     ),
-    REFCOUNT_LEAK: RuleInfo(
-        REFCOUNT_LEAK, Severity.ERROR,
-        "object-store handle not released on every control-flow path",
-    ),
-    DOUBLE_RELEASE: RuleInfo(
-        DOUBLE_RELEASE, Severity.ERROR,
-        "single-share object-store handle released twice on one path",
-    ),
-    UNANNOTATED_HANDLE_ESCAPE: RuleInfo(
-        UNANNOTATED_HANDLE_ESCAPE, Severity.WARNING,
-        "handle escapes its function without @transfers_ownership",
-    ),
     ORPHAN_DESTINATION: RuleInfo(
         ORPHAN_DESTINATION, Severity.ERROR,
         "MsgType sent to a role that never handles it",
-    ),
-    BOUNDED_QUEUE_CYCLE: RuleInfo(
-        BOUNDED_QUEUE_CYCLE, Severity.WARNING,
-        "send/recv cycle through a bounded queue (static deadlock risk)",
     ),
     UNKNOWN_CONFIG_KEY: RuleInfo(
         UNKNOWN_CONFIG_KEY, Severity.ERROR,
@@ -124,18 +102,6 @@ RULES: Dict[str, RuleInfo] = {
     UNREGISTERED_NAME: RuleInfo(
         UNREGISTERED_NAME, Severity.ERROR,
         "environment/model/algorithm/agent name is not registered",
-    ),
-    VIEW_ESCAPE: RuleInfo(
-        VIEW_ESCAPE, Severity.WARNING,
-        "zero-copy view escapes its frame without @detaches_view",
-    ),
-    RELEASE_WHILE_BORROWED: RuleInfo(
-        RELEASE_WHILE_BORROWED, Severity.ERROR,
-        "block released while a derived zero-copy view is still live",
-    ),
-    WRITE_THROUGH_READONLY_VIEW: RuleInfo(
-        WRITE_THROUGH_READONLY_VIEW, Severity.ERROR,
-        "element/slice write through a read-only deserialize view",
     ),
 }
 
@@ -448,43 +414,34 @@ class _FileVisitor(ast.NodeVisitor):
         for mutation in record.mutations:
             if mutation.under_lock or mutation.method in ("__init__", "__post_init__"):
                 continue
-            if mutation.augmented and not mutation.container:
-                self.findings.append(
-                    Finding(
-                        self.path,
-                        mutation.line,
-                        RULES[UNGUARDED_SHARED_MUTATION].severity,
-                        UNGUARDED_SHARED_MUTATION,
-                        f"read-modify-write of self.{mutation.attr} outside a "
-                        f"lock in threaded class {record.name}",
-                        mutation.scope,
-                    )
+            if mutation.container:
+                message = (
+                    f"container mutation of self.{mutation.attr}"
+                    f"{mutation.container} outside a lock in threaded "
+                    f"class {record.name}"
                 )
-            elif mutation.container:
-                self.findings.append(
-                    Finding(
-                        self.path,
-                        mutation.line,
-                        RULES[UNGUARDED_SHARED_MUTATION].severity,
-                        UNGUARDED_SHARED_MUTATION,
-                        f"container mutation of self.{mutation.attr}"
-                        f"{mutation.container} outside a lock in threaded "
-                        f"class {record.name}",
-                        mutation.scope,
-                    )
+            elif mutation.augmented:
+                message = (
+                    f"read-modify-write of self.{mutation.attr} outside a "
+                    f"lock in threaded class {record.name}"
                 )
             elif mutation.attr in guarded_attrs:
-                self.findings.append(
-                    Finding(
-                        self.path,
-                        mutation.line,
-                        RULES[UNGUARDED_SHARED_MUTATION].severity,
-                        UNGUARDED_SHARED_MUTATION,
-                        f"self.{mutation.attr} is lock-guarded elsewhere in "
-                        f"{record.name} but assigned here without the lock",
-                        mutation.scope,
-                    )
+                message = (
+                    f"self.{mutation.attr} is lock-guarded elsewhere in "
+                    f"{record.name} but assigned here without the lock"
                 )
+            else:
+                continue
+            self.findings.append(
+                Finding(
+                    self.path,
+                    mutation.line,
+                    RULES[UNGUARDED_SHARED_MUTATION].severity,
+                    UNGUARDED_SHARED_MUTATION,
+                    message,
+                    mutation.scope,
+                )
+            )
 
 
 @dataclass
@@ -534,20 +491,16 @@ def run_protocol_rule(
     protocol: Protocol, ignored: Optional[Set[str]] = None
 ) -> List[Finding]:
     """The project-wide ``unrouted-msgtype`` rule."""
-    findings: List[Finding] = []
-    for site in protocol.unrouted_sends(ignored or set()):
-        findings.append(_unrouted_finding(site))
-    return findings
-
-
-def _unrouted_finding(site: Site) -> Finding:
-    return Finding(
-        site.path,
-        site.line,
-        RULES[UNROUTED_MSGTYPE].severity,
-        UNROUTED_MSGTYPE,
-        f"MsgType.{site.member} is sent here but no handler/route exists "
-        "anywhere in the analyzed tree (add one, or list it in "
-        "repro.analysis.protocol.EXPLICITLY_UNROUTED)",
-        site.scope,
-    )
+    return [
+        Finding(
+            site.path,
+            site.line,
+            RULES[UNROUTED_MSGTYPE].severity,
+            UNROUTED_MSGTYPE,
+            f"MsgType.{site.member} is sent here but no handler/route exists "
+            "anywhere in the analyzed tree (add one, or list it in "
+            "repro.analysis.protocol.EXPLICITLY_UNROUTED)",
+            site.scope,
+        )
+        for site in protocol.unrouted_sends(ignored or set())
+    ]

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.errors import LockOrderError, RefcountLeakError
+from ..core.errors import LockOrderError
 
 LOG = logging.getLogger("repro.analysis.runtime")
 
@@ -203,19 +203,6 @@ def audit_object_store(store, context: str = "") -> None:
     remaining entry is a body whose refcount was never balanced by
     fetch-and-release cycles — a leak.
     """
-    leak_report = getattr(store, "leak_report", None)
-    if leak_report is None:
-        return
-    leaks = leak_report()
-    if not leaks:
-        return
-    where = f" at {context}" if context else ""
-    detail = ", ".join(
-        f"{object_id} (refcount={refcount}, {nbytes}B)"
-        for object_id, refcount, nbytes in leaks[:10]
-    )
-    more = "" if len(leaks) <= 10 else f" … and {len(leaks) - 10} more"
-    raise RefcountLeakError(
-        f"object store refcount imbalance{where}: {len(leaks)} unreleased "
-        f"object(s): {detail}{more}"
-    )
+    assert_balanced = getattr(store, "assert_balanced", None)
+    if assert_balanced is not None:
+        assert_balanced(context)

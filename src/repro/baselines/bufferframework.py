@@ -18,6 +18,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..api.agent import Agent
+from ..core.concurrency import spawn_thread
 from ..core.serialization import payload_nbytes
 from ..core.stats import LatencyRecorder, ThroughputMeter
 
@@ -49,10 +50,7 @@ class BufferServer:
         self.total_inserted = 0
         self.total_sampled = 0
         self.bytes_processed = 0
-        self._thread = threading.Thread(
-            target=self._serve, name="buffer-server", daemon=True
-        )
-        self._thread.start()
+        self._thread = spawn_thread("buffer-server", self._serve)
 
     # -- client API (each call blocks until the server processed it) -----------
     def insert(self, item: Any, timeout: Optional[float] = None) -> None:
@@ -163,8 +161,7 @@ class BufferWorker:
         self.steps_meter = ThroughputMeter()
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._run, name=self.name, daemon=True)
-        self._thread.start()
+        self._thread = spawn_thread(self.name, self._run)
 
     def _run(self) -> None:
         while not self._stopped.is_set():

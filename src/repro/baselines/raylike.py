@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..api.agent import Agent
 from ..api.algorithm import Algorithm
+from ..core.concurrency import spawn_thread
 from ..core.stats import LatencyRecorder, ThroughputMeter
 from ..replay import ReplayBuffer
 from .rpc import RpcChannel, RpcFuture, wait_any
@@ -37,11 +38,10 @@ class RaylikeWorker:
         self.name = name
         self.agent = agent_factory()
         self._requests: "queue.Queue[Optional[Tuple[int, RpcFuture]]]" = queue.Queue()
-        self._thread = threading.Thread(target=self._run, name=name, daemon=True)
         self._stopped = threading.Event()
         self.episode_returns: List[float] = []
         self.steps_meter = ThroughputMeter()
-        self._thread.start()
+        self._thread = spawn_thread(name, self._run)
 
     def sample_async(self, fragment_steps: int) -> RpcFuture:
         """Request one rollout fragment; compute happens on the worker."""

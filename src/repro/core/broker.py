@@ -21,7 +21,6 @@ from .config import CoalescingSpec
 from .errors import LifecycleError
 from .flowcontrol import release_header_shares
 from .object_store import ObjectStore
-from .ownership import receives_ownership
 from .router import AlgorithmAgnosticRouter, Shipment
 from .tracing import dump_all
 
@@ -127,7 +126,6 @@ class Broker:
             if self._fabric is not None:
                 self._fabric.unregister(self.name)
 
-    @receives_ownership("drains shares parked by stopped senders")
     def _release_undispatched(self) -> None:
         """Release refcounts of headers the router never got to dispatch.
 

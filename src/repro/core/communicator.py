@@ -32,7 +32,6 @@ from .flowcontrol import (
 )
 from .message import TYPE
 from .object_store import InMemoryObjectStore, ObjectStore
-from .ownership import receives_ownership
 from .tracing import emit_many
 
 
@@ -67,7 +66,6 @@ class HeaderQueue:
             name, spec, on_drop=self._dropped, clock=clock
         )
 
-    @receives_ownership("dropped headers still carry their senders' shares")
     def _dropped(self, outcome: str, headers: Sequence[Dict[str, Any]]) -> None:
         # A shed or expired header gets its terminal event here, so span
         # accounting sees a definite outcome instead of a forever-pending
@@ -113,7 +111,6 @@ class HeaderQueue:
         whole wakeup's worth of headers."""
         return self._channel.take_many(max_items, timeout=timeout)
 
-    @receives_ownership("drained headers still carry their senders' shares")
     def drain(self) -> List[Dict[str, Any]]:
         """Pop and return every queued header without blocking.
 
@@ -177,12 +174,10 @@ class ShareMemCommunicator:
         self._lock = make_lock(f"{name}.registry")
 
     # -- reclaim -------------------------------------------------------------
-    @receives_ownership("unrouted headers still carry their senders' shares")
     def _reclaim_header(self, header: Dict[str, Any]) -> None:
         """Release every share of a header that never crossed the router."""
         release_header_shares(self.object_store, header)
 
-    @receives_ownership("routed headers still carry one share")
     def _reclaim_routed_header(self, header: Dict[str, Any]) -> None:
         """Release the single share of a header dropped at an ID queue."""
         release_header_shares(self.object_store, header, shares=1)
@@ -263,7 +258,6 @@ class ShareMemCommunicator:
         for id_queue in queues:
             id_queue.set_pressure(active)
 
-    @receives_ownership("parked headers still carry their senders' shares")
     def drain_parked(self) -> List[Dict[str, Any]]:
         """Pop every header still parked in any ID queue (shutdown path).
 

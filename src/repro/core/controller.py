@@ -58,9 +58,19 @@ class Controller:
             return list(self._processes)
 
     def start_all(self) -> None:
+        """Start the broker, every endpoint and the control plane, then the
+        workers: a running worker competes for the GIL with every thread
+        started after it, so workers start last."""
         self.broker.start()
-        for process in self._managed():
-            process.start()
+        processes = self._managed()
+        for process in processes:
+            process.endpoint.start()
+        self._start_control()
+        for process in processes:
+            process.run()
+
+    def _start_control(self) -> None:
+        """Start what watches the workers (the center's monitor)."""
 
     def stop_all(self) -> None:
         if self._stopped.is_set():
@@ -118,8 +128,7 @@ class CenterController(Controller):
         controller's endpoint will feed its failure detector."""
         self.supervisor = supervisor
 
-    def start_all(self) -> None:
-        super().start_all()
+    def _start_control(self) -> None:
         self.endpoint.start()
         self._started_at = time.monotonic()
         self._monitor = spawn_thread(f"{self.name}.monitor", self._monitor_loop)

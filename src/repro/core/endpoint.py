@@ -48,7 +48,6 @@ from .message import (
     packable,
     unpack_batch,
 )
-from .ownership import receives_ownership, transfers_ownership
 from .serialization import measure
 from .stats import LatencyRecorder, ThroughputMeter
 from .tracing import dump_all, emit, emit_many
@@ -148,7 +147,6 @@ class ProcessEndpoint:
         # pin none (the broker's refcount and arena audits come next).
         self.receive_buffer.drain()
 
-    @receives_ownership("drained headers carry shares acquired by senders")
     def _release_unconsumed(self) -> None:
         """Release refcounts of bodies still parked in the ID queue.
 
@@ -207,7 +205,6 @@ class ProcessEndpoint:
         return messages
 
     # -- internal threads -----------------------------------------------------
-    @transfers_ownership("staged header carries the object ID across the queue")
     def _stage(self, message: Message) -> _Staged:
         """Insert ``message``'s body into the object store; build its header.
 
@@ -280,7 +277,6 @@ class ProcessEndpoint:
         staged.append((header, run))
         self.coalesce_sizes.record(len(run))
 
-    @transfers_ownership("headers carry the object IDs to the ID queues")
     def _sender_loop(self) -> None:
         """Monitor the send buffer; push staged messages to their destinations.
 
@@ -367,7 +363,6 @@ class ProcessEndpoint:
             entry for index, entry in enumerate(staged) if index not in refused
         ]
 
-    @receives_ownership("releases the shares the senders acquired for us")
     def _receiver_loop(self) -> None:
         """Monitor the ID queue; copy bodies into the local receive buffer.
 

@@ -66,6 +66,10 @@ class ExplorerProcess:
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
         self.endpoint.start()
+        self.run()
+
+    def run(self) -> None:
+        """Start rollouts (the endpoint is already started)."""
         self.workhorse.start()
 
     def stop(self, timeout: float = 5.0) -> None:

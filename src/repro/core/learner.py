@@ -75,6 +75,10 @@ class LearnerProcess:
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
         self.endpoint.start()
+        self.run()
+
+    def run(self) -> None:
+        """Start training (the endpoint is already started)."""
         if self._broadcast_initial:
             self._broadcast(self.explorer_names)
         self.workhorse.start()

@@ -41,7 +41,6 @@ from .arena import ArenaError, BlockHandle, SlabArena
 from .compression import _HDR_RAW, _HDR_ZLIB, CompressionPolicy, disabled_policy
 from .concurrency import make_lock
 from .errors import ObjectStoreError, RefcountLeakError, UnknownObjectError
-from .ownership import borrows_view, detaches_view
 from .serialization import Frame, deserialize, make_frame, serialize, view_holder
 
 _OBJECT_COUNTER = itertools.count()
@@ -452,7 +451,6 @@ class SharedMemoryObjectStore(ObjectStore):
         return object_id
 
     # -- read path ----------------------------------------------------------
-    @detaches_view("a leased body leaves with its own share of the backing block")
     def get(self, object_id: str) -> Any:
         self._reap()
         with self._lock:
@@ -503,7 +501,6 @@ class SharedMemoryObjectStore(ObjectStore):
         finally:
             segment.close()
 
-    @borrows_view("decodes in place; only copied buffers leave the call")
     def _decode_view(self, view: memoryview) -> Any:
         """Deserialize a framed body straight from shared memory.
 

@@ -39,7 +39,6 @@ from typing import (
 
 from .communicator import HeaderQueue, ShareMemCommunicator
 from .concurrency import make_lock, spawn_thread
-from .ownership import receives_ownership, transfers_ownership
 from .errors import UnknownDestinationError
 from .flowcontrol import release_header_shares
 from .message import COMPRESSED, DST, OBJECT_ID, ROUTED, message_count
@@ -182,7 +181,6 @@ class AlgorithmAgnosticRouter:
             for remainder in self._dispatch_local(headers)
         ]
 
-    @receives_ownership("hands each local share to its destination's ID queue")
     def _dispatch_local(
         self, headers: Sequence[Dict[str, Any]]
     ) -> List[_Remainder]:
@@ -234,7 +232,6 @@ class AlgorithmAgnosticRouter:
             self._deliver_local(destination, batch, id_queue)
         return remainders
 
-    @receives_ownership("releases the shares of remote and unroutable destinations")
     def _route_remainders(self, remainders: Sequence[_Remainder]) -> None:
         """Second stage: ship each remainder's remote groups over the fabric
         and reject what has no route.
@@ -390,7 +387,6 @@ class AlgorithmAgnosticRouter:
         """Handle one (header, body) pair arriving from another machine."""
         self.on_remote_receive_many(((header, body),))
 
-    @transfers_ownership("re-inserted bodies are handed to local ID queues")
     def on_remote_receive_many(
         self, arrivals: Sequence[Tuple[Dict[str, Any], Any]]
     ) -> None:

@@ -28,9 +28,12 @@ from repro.core.concurrency import (
 )
 from repro.core.config import CoalescingSpec
 from repro.core.endpoint import ProcessEndpoint
-from repro.core.errors import LockOrderError, RefcountLeakError
+from repro.core.errors import LockOrderError, RefcountLeakError, UnknownObjectError
 from repro.core.message import MsgType, make_message
-from repro.core.object_store import InMemoryObjectStore
+from repro.core.object_store import InMemoryObjectStore, SharedMemoryObjectStore
+
+#: both object stores, for the audit cases that must hold on either
+STORES = (InMemoryObjectStore, SharedMemoryObjectStore)
 
 
 class TestLockOrderMonitor:
@@ -161,6 +164,39 @@ class TestRefcountAudit:
             audit_object_store(store, context="unit test")
         assert object_id in str(excinfo.value)
         assert "unit test" in str(excinfo.value)
+
+    @pytest.mark.parametrize("store_cls", STORES)
+    def test_release_skipped_by_a_raising_get_is_named(self, store_cls, monkeypatch):
+        """A ``get`` that raises between ``put`` and ``release`` (a timing
+        loop with no ``try``/``finally``) strands the share: the audit names
+        the object it leaked."""
+        store = store_cls()
+        object_id = store.put(b"x" * 64)
+
+        def failing_get(oid):
+            raise RuntimeError(f"decode of {oid} failed")
+
+        monkeypatch.setattr(store, "get", failing_get)
+        try:
+            with pytest.raises(RuntimeError):
+                store.get(object_id)
+                store.release(object_id)
+            with pytest.raises(RefcountLeakError, match=object_id):
+                store.assert_balanced(context="timing loop")
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("store_cls", STORES)
+    def test_second_release_of_a_single_share_raises(self, store_cls):
+        store = store_cls()
+        object_id = store.put(b"x" * 64)
+        try:
+            store.release(object_id)
+            with pytest.raises(UnknownObjectError):
+                store.release(object_id)
+            store.assert_balanced(context="double release")
+        finally:
+            store.close()
 
     def test_broker_shutdown_audit_raises_on_seeded_leak(self, monkeypatch):
         monkeypatch.setenv(RUNTIME_CHECKS_ENV, "1")

@@ -1,4 +1,4 @@
-"""Topology extraction: edges, handled sets, cycles, rules, and the
+"""Topology extraction: edges, handled sets, rules, and the
 committed ``docs/topology.json`` artifact."""
 
 from __future__ import annotations
@@ -10,11 +10,10 @@ from pathlib import Path
 
 from repro.analysis.engine import parse_tree_reporting_errors
 from repro.analysis.topology import (
-    BOUNDED_QUEUE_CYCLE,
     ORPHAN_DESTINATION,
     extract_topology,
+    orphan_findings,
     role_for_name,
-    run_topology_rules,
     topology_to_dict,
     topology_to_dot,
     topology_to_json,
@@ -28,7 +27,7 @@ def topology_for(source: str, path: str = "mod.py"):
 
 
 def rules_for(source: str, path: str = "mod.py"):
-    return run_topology_rules([(path, ast.parse(textwrap.dedent(source)))])
+    return orphan_findings(topology_for(source, path))
 
 
 PAIR = """
@@ -78,19 +77,6 @@ class TestExtraction:
         )
         assert ("learner", "WEIGHTS", "explorer") in topology.role_edges()
 
-    def test_cycle_detection(self):
-        topology = topology_for(
-            PAIR
-            + textwrap.dedent(
-                """
-                class LearnerBroadcast(LearnerProcess):
-                    def push_weights(self, explorers):
-                        return make_message(MsgType.WEIGHTS, list(explorers), 0)
-                """
-            )
-        )
-        assert topology.cycles() == [["explorer", "learner"]]
-
 
 class TestRules:
     def test_orphan_destination(self):
@@ -133,32 +119,6 @@ class TestRules:
             == []
         )
 
-    CYCLE = PAIR + textwrap.dedent(
-        """
-        class LearnerBroadcast(LearnerProcess):
-            def push_weights(self, explorers):
-                return make_message(MsgType.WEIGHTS, list(explorers), 0)
-
-        class ExplorerReceiver(ExplorerProcess):
-            def on_message(self, message):
-                if message.msg_type == MsgType.WEIGHTS:
-                    return message
-        """
-    )
-
-    def test_bounded_queue_cycle(self):
-        findings = rules_for(
-            self.CYCLE + 'channel = LaneChannel("c", control_watermark=8)\n'
-        )
-        assert [f.rule for f in findings] == [BOUNDED_QUEUE_CYCLE]
-        assert "explorer->learner->explorer" in findings[0].message
-
-    def test_unbounded_queues_do_not_warn(self):
-        assert rules_for(
-            self.CYCLE + 'channel = LaneChannel("c", bulk_watermark=8)\n'
-        ) == []
-        assert rules_for(self.CYCLE + "inbox = Queue(maxsize=0)\n") == []
-
 
 class TestArtifacts:
     def test_dict_is_deterministic_and_line_free(self):
@@ -193,9 +153,6 @@ class TestArtifacts:
         # The §3.2 data path: rollouts up, weights back down.
         assert ("explorer", "ROLLOUT", "learner") in triples
         assert ("learner", "WEIGHTS", "explorer") in triples
-        assert ["explorer", "learner"] in committed["cycles"]
-        # The framework's queues are unbounded: no static deadlock risk.
-        assert committed["bounded_queues"] == []
 
     def test_json_round_trips(self):
         topology = topology_for(PAIR)

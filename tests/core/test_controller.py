@@ -2,23 +2,28 @@
 
 import time
 
-import pytest
-
 from repro.core.broker import Broker
 from repro.core.config import StopCondition
 from repro.core.controller import CenterController, Controller
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.message import CMD_SHUTDOWN, Command, MsgType, make_message
 from repro.core.stats import ProcessStats
+from repro.core.supervision import Supervisor
 from repro.transport.fabric import Fabric
+
+
+class _FakeEndpoint:
+    def start(self):
+        pass
 
 
 class _FakeProcess:
     def __init__(self):
+        self.endpoint = _FakeEndpoint()
         self.started = False
         self.stopped = False
 
-    def start(self):
+    def run(self):
         self.started = True
 
     def stop(self):
@@ -72,6 +77,23 @@ class TestCenterController:
         broker = Broker("b")
         center = CenterController("center", broker, stop)
         return broker, center
+
+    def test_workers_run_after_the_control_plane_started(self):
+        """A worker's rollouts compete for the GIL with every thread started
+        after it: the supervisor and monitor start first."""
+        broker, center = self._make(StopCondition(max_seconds=60))
+        supervisor = Supervisor()
+        center.attach_supervisor(supervisor)
+        seen = []
+
+        class _Worker(_FakeProcess):
+            def run(self):
+                seen.append((center._monitor is not None, supervisor._thread is not None))
+
+        center.manage(_Worker())
+        center.start_all()
+        center.stop_all()
+        assert seen == [(True, True)]
 
     def test_collects_stats_messages(self):
         broker, center = self._make(StopCondition(max_seconds=60))

@@ -14,7 +14,6 @@ from repro.core.communicator import ShareMemCommunicator
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.errors import UnknownDestinationError
 from repro.core.message import DST, OBJECT_ID, MsgType, make_header, make_message
-from repro.core.ownership import transfers_ownership
 from repro.core.router import AlgorithmAgnosticRouter
 from repro.transport.link import Link
 
@@ -131,7 +130,6 @@ class TestUnroutableDestinations:
         assert [event.detail["dst"] for event in rejected] == ["ghost", "ghost"]
         broker.stop()
 
-    @transfers_ownership("the headers carry the handles into the router")
     def test_raise_mode_settles_the_batch_before_the_thread_dies(self, monkeypatch):
         died = []
         monkeypatch.setattr(threading, "excepthook", lambda args: died.append(args))
@@ -158,7 +156,6 @@ class TestUnroutableDestinations:
         assert store.outstanding_refcounts == 2
         router.stop()
 
-    @transfers_ownership("the header carries the handle into the router")
     def test_route_raises_only_after_releasing_the_unroutable_share(self):
         comm = ShareMemCommunicator()
         queue = comm.register("a")
@@ -333,7 +330,6 @@ class TestFailedFabricSend:
     """A send that fails on the fabric is a terminal outcome for that
     group of destinations, not for the thread that was routing it."""
 
-    @transfers_ownership("the headers carry the handles into the router")
     def test_one_failed_send_rejects_its_group_and_routing_goes_on(self, tracer):
         comm = ShareMemCommunicator()
         attempts = []
@@ -372,7 +368,6 @@ class TestFailedFabricSend:
         )
         store.assert_balanced(context="failed fabric send")
 
-    @transfers_ownership("the headers carry the handles into the router")
     def test_mid_message_socket_reset_leaks_nothing(self, tracer):
         from repro.testing import FaultySocketLink, SocketFaultSpec
         from repro.transport.tcp import SocketLink, SocketListener
@@ -404,7 +399,6 @@ class TestFailedFabricSend:
         store.assert_balanced(context="socket reset mid-message")
 
 
-    @transfers_ownership("the headers carry the handles into the router")
     def test_reset_mid_gather_accounts_for_every_message(self, tracer):
         """One drained batch is one gather on the link; the connection dies
         part-way through it.  What was written whole arrives, the message
@@ -432,7 +426,6 @@ class TestFailedFabricSend:
             near.add_remote_route(name, "far")
         store = near.communicator.object_store
 
-        @transfers_ownership("the headers carry the handles into the router")
         def batch(count):
             headers = []
             for index in range(count):

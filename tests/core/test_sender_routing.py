@@ -29,7 +29,6 @@ from repro.core.flowcontrol import CONTROL_TYPES, release_header_shares
 from repro.core.message import (
     DST, OBJECT_ID, ROUTED, SEQ, MsgType, make_header, make_message,
 )
-from repro.core.ownership import transfers_ownership
 from repro.core.router import AlgorithmAgnosticRouter
 from repro.core.tracing import Tracer
 from repro.transport.fabric import Fabric
@@ -178,7 +177,6 @@ class TestDestinationGoesAway:
 
 
 class TestRegistrationChangesInFlight:
-    @transfers_ownership("the header carries the handle into the router")
     def test_late_registration_is_served_without_the_routed_marker(self, tracer):
         """A name with no route on the sender thread registers before the
         router thread sees the remainder: it is delivered there, traced
@@ -246,7 +244,6 @@ class SenderRoutingMachine(RuleBasedStateMachine):
         self.overtaken = set()
 
     @rule(batch=st.lists(st.tuples(ROUTABLE, TYPES), min_size=1, max_size=5))
-    @transfers_ownership("the headers carry the handles into the router")
     def sender_wakeup(self, batch):
         headers = []
         for dst, msg_type in batch:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.ownership import borrows_view
 from repro.core.serialization import (
     deserialize,
     make_frame,
@@ -226,14 +225,12 @@ _ARRAY_BODIES = st.one_of(
 )
 
 
-@borrows_view("lists the body's arrays for the caller's frame")
 def _arrays_of(body):
     return list(body.values()) if isinstance(body, dict) else (
         [body] if isinstance(body, np.ndarray) else list(body)
     )
 
 
-@borrows_view("compares in place; keeps nothing")
 def _assert_same_body(restored, body):
     assert type(restored) is type(body)
     if isinstance(body, dict):

@@ -36,7 +36,6 @@ from repro.core.endpoint import ProcessEndpoint
 from repro.core.errors import RefcountLeakError
 from repro.core.message import MsgType, make_message
 from repro.core.object_store import LEASE_MIN_BYTES, SharedMemoryObjectStore
-from repro.core.ownership import transfers_ownership
 from repro.nn.network import mlp
 
 pytestmark = pytest.mark.skipif(
@@ -96,7 +95,6 @@ class LeaseMachine(RuleBasedStateMachine):
     # -- actions --------------------------------------------------------------
     @precondition(lambda self: len(self.shares) < 6)
     @rule(nbytes=st.sampled_from(SIZES), refcount=st.integers(1, 3))
-    @transfers_ownership("the model releases the shares in later steps")
     def put(self, nbytes, refcount):
         self.puts += 1
         body = _payload(nbytes, self.puts)

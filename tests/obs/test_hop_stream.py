@@ -21,7 +21,6 @@ from repro.core.config import CoalescingSpec, FlowControlSpec
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.errors import BackpressureError
 from repro.core.message import OBJECT_ID, SEQ, TRACE, MsgType, make_header, make_message
-from repro.core.ownership import transfers_ownership
 from repro.core.router import AlgorithmAgnosticRouter
 from repro.core.tracing import HOP_LOG, configure, dump_all, load_dump
 from repro.transport.fabric import Fabric
@@ -134,7 +133,6 @@ def test_coalesced_batch_is_one_routed_and_delivered_per_sub_message(tracer):
             assert seen == Counter(seqs), kind
 
 
-@transfers_ownership("the header carries the handle into the router")
 def test_a_flight_dump_holds_terminal_and_wire_stage_events(tmp_path):
     """What a dump taken on BackpressureError or TrainingFailedError must
     contain to say why: the sheds, expiries and rejects, and the wire hops."""

@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.communicator import ShareMemCommunicator
 from repro.core.message import OBJECT_ID, MsgType, make_header
-from repro.core.ownership import transfers_ownership
 from repro.core.router import AlgorithmAgnosticRouter
 from repro.testing import FaultySocketLink, SocketFaultSpec
 from repro.transport.tcp import (
@@ -181,7 +180,6 @@ class TestMalformedHeaderRecord:
 
 
 class TestUnencodableExtra:
-    @transfers_ownership("the headers carry the handles into the router")
     def test_is_one_rejected_message_and_the_rest_ship(self, listener, tracer):
         """A header whose extra has no wire encoding ends as one
         ``rejected`` terminal event; what the router shipped beside it, in
