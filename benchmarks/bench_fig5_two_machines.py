@@ -15,8 +15,11 @@ traffic.  Reproduced shapes:
 model for real loopback TCP: the same dummy algorithm, but the throughput
 is *measured* through ``sendmsg`` scatter-gather sockets, and the run
 asserts the zero-copy acceptance bars (0 intermediate copies, ≤ 2
-syscalls per message).  Results land in ``BENCH_wire.json`` at the repo
-root, the committed baseline the perf CI lane diffs against.
+syscalls per message).  Both machines share this host, so their 1 MiB
+bodies now travel on the same-host lane (docs/NETWORKING.md): the socket
+carries a block handle per body, and ``lane_shipments`` counts them.
+Results land in ``BENCH_wire.json`` at the repo root, the committed
+baseline the perf CI lane diffs against.
 """
 
 from __future__ import annotations
@@ -156,6 +159,7 @@ def _run_wire_experiment() -> dict:
         "protocol_errors": sum(
             s["protocol_errors"] for s in listeners.values()
         ),
+        "lane_shipments": sum(s["lane_shipments"] for s in links.values()),
     }
 
 
@@ -186,6 +190,7 @@ def _emit_wire(results: dict) -> None:
                  f"{results['syscalls_per_message']:.2f}"],
                 ["partial writes", results["partial_writes"]],
                 ["wire bytes", results["bytes_sent"]],
+                ["lane shipments", results["lane_shipments"]],
             ],
             title="Fig 5 on real loopback TCP (measured, not modelled)",
         ),

@@ -4,9 +4,9 @@ Five rules, tuned to this codebase's concurrency idioms (every rule has a
 triggering fixture and a near-miss fixture under ``tests/analysis/fixtures``):
 
 ``lock-held-blocking-call`` (error)
-    A blocking call — ``sleep``, ``join``, ``recv``, ``accept``, ``select``,
-    or a ``wait``/``get`` with no timeout — made inside a ``with <lock>:``
-    block.  Blocking while holding a lock stalls every thread contending for
+    A blocking call — ``sleep``, ``join``, ``recv`` (unless passed
+    ``MSG_DONTWAIT``), ``accept``, ``select``, or a ``wait``/``get`` with no
+    timeout — made inside a ``with <lock>:`` block.  Blocking while holding a lock stalls every thread contending for
     it; with the sender/receiver/router threads all event-driven off queue
     gets, one held lock can freeze the whole comms stack.
 
@@ -109,6 +109,8 @@ RULES: Dict[str, RuleInfo] = {
 _ALWAYS_BLOCKING = {"sleep", "join", "recv", "recv_bytes", "accept", "select"}
 #: Attribute calls that block only when called without a timeout.
 _BLOCKING_WITHOUT_TIMEOUT = {"wait", "get"}
+#: The socket flag that makes a ``recv`` return at once instead of waiting.
+_DONTWAIT = "MSG_DONTWAIT"
 #: Dotted-name suffixes that look blocking but are not (string/path joins).
 _SAFE_CALL_SUFFIXES = ("path.join", "posixpath.join", "ntpath.join")
 
@@ -351,6 +353,10 @@ class _FileVisitor(ast.NodeVisitor):
         if func.attr == "join" and isinstance(func.value, ast.Constant):
             return None
         if func.attr in _ALWAYS_BLOCKING:
+            if func.attr.startswith("recv") and any(
+                _dotted_name(arg).endswith(_DONTWAIT) for arg in node.args
+            ):
+                return None
             return f"{func.attr}()"
         if func.attr in _BLOCKING_WITHOUT_TIMEOUT:
             has_timeout = any(kw.arg == "timeout" for kw in node.keywords)

@@ -100,12 +100,18 @@ class Broker:
         # refused (and reclaimed) instead of parking headers behind the
         # drain below.
         self.communicator.close_queues()
-        # Closing the header queue woke any sender blocked on control-lane
-        # admission; wait for them to finish their queue-side reclaims, so
-        # the refcount audit below cannot race a woken producer.
-        self.communicator.header_queue.join_producers(timeout=2.0)
-        self._release_undispatched()
         try:
+            # Stop arrivals: once unregistered, no fabric delivery to this
+            # broker is under way or can start, so an arrival coming off
+            # the wire is refused and reclaimed by the closed queues before
+            # the audit below, never during it.
+            if self._fabric is not None:
+                self._fabric.unregister(self.name)
+            # Closing the header queue woke any sender blocked on
+            # control-lane admission; wait for them to finish their
+            # queue-side reclaims, so the audit cannot race a woken producer.
+            self.communicator.header_queue.join_producers(timeout=2.0)
+            self._release_undispatched()
             if runtime_checks_enabled():
                 # Refcount audit (see repro.analysis.runtime): endpoints
                 # released their undrained ID queues at their own stop();
@@ -123,8 +129,6 @@ class Broker:
                     raise
         finally:
             self.communicator.close()
-            if self._fabric is not None:
-                self._fabric.unregister(self.name)
 
     def _release_undispatched(self) -> None:
         """Release refcounts of headers the router never got to dispatch.

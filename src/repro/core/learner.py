@@ -120,8 +120,10 @@ class LearnerProcess:
         # already staged: a stop request ends the burst, not the backlog.
         while self.algorithm.ready_to_train() and not self.workhorse.stopping:
             # A burst of back-to-back training sessions can outlast the
-            # failure detector's dead_after; keep beating inside the loop.
+            # failure detector's dead_after, and the stats interval: keep
+            # beating, and reporting what was trained, inside the loop.
             self._maybe_send_heartbeat()
+            self._maybe_send_stats()
             # "Actual wait": from going idle to having enough data to train.
             if self._wait_started is not None:
                 waited = time.monotonic() - self._wait_started

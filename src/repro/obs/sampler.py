@@ -86,7 +86,8 @@ _WIRE_LINK_STATS = (
     "bytes_sent", "items_sent", "syscalls_total", "syscalls_per_message",
     "segments_per_message", "partial_writes", "send_errors", "bytes_received",
     "items_received", "reads_total", "reads_per_message", "protocol_errors",
-    "delivery_errors", "connections_total",
+    "delivery_errors", "connections_total", "lane_shipments", "lane_bytes",
+    "lane_fallbacks", "lane_outstanding", "lane_arrivals", "credits_sent",
 )
 
 #: every metric the sampler exports, and what it means
@@ -151,6 +152,14 @@ _HELP = {
     "wire_link_delivery_errors":
         "hand-ups of received messages that raised in the broker",
     "wire_link_connections_total": "peer connections accepted",
+    "wire_link_lane_shipments":
+        "bodies written to same-host lane blocks (running total)",
+    "wire_link_lane_bytes": "body frame bytes shipped on the lane (running total)",
+    "wire_link_lane_fallbacks":
+        "lane bodies sent as bytes because the lane arena was exhausted",
+    "wire_link_lane_outstanding": "lane blocks not credited back yet",
+    "wire_link_lane_arrivals": "lane handles received (running total)",
+    "wire_link_credits_sent": "lane blocks credited back to the link",
     "endpoint_send_backlog":
         "messages staged but not yet pushed by the sender thread (sender "
         "backpressure)",

@@ -28,33 +28,63 @@ own, reused for a later large message once the body decoded from it has
 died.  Bodies are deserialized with ``copy=False``, and a payload buffer
 stays alive (and out of reuse) for exactly as long as any zero-copy view
 of it does.
+
+**Same-host lane.**  When both ends share ``/dev/shm`` — the handshake's
+probe says so — a body frame of at least
+:data:`~repro.core.object_store.LEASE_MIN_BYTES` is written into a block of
+the link's own :class:`~repro.core.arena.SlabArena` and only its handle
+crosses the socket.  The reader hands the body up as a read-only lease on
+the block; when the lease dies the block's handle goes back to the link as
+a *credit*, on the same connection, and the link frees it.  Anything that
+stops the lane (another host, a refused probe, an exhausted arena, a dead
+connection) leaves the byte path above.  docs/NETWORKING.md has the
+records.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import socket
 import threading
 import time
 import weakref
 from bisect import bisect_right
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core.arena import (
+    ArenaError,
+    ArenaExhaustedError,
+    BlockHandle,
+    SlabArena,
+    attach_segment,
+    create_probe,
+    detach_segment,
+    read_probe,
+    unlink_segment,
+)
 from ..core.concurrency import make_lock, spawn_thread
 from ..core.errors import TransportError
 from ..core.message import make_header, message_count, MsgType
-from ..core.serialization import _count_copy, view_holder
+from ..core.object_store import LEASE_MIN_BYTES
+from ..core.serialization import Frame, _count_copy, view_holder
 from ..core.tracing import emit
 from .fabric import Fabric
 from .link import Link
 from .wire import (
+    ACK,
     DEFAULT_MAX_MESSAGE_BYTES,
+    FLAG_LANE,
+    HANDLE,
+    MAGIC,
     PREAMBLE,
     WireProtocolError,
     decode_frame_table,
     decode_message,
     decode_preamble,
+    encode_handle,
     encode_message,
+    preamble_flags,
     wire_header_size,
 )
 
@@ -81,12 +111,25 @@ _IDLE_BYTES = 16 * 1024 * 1024
 
 #: key marking a handshake header (first message on every connection)
 HELLO = "wire_hello"
+#: HELLO key naming the link's probe segment and its nonce: ``(name, nonce)``
+LANE_PROBE = "wire_probe"
 #: key marking a raw (non-broker) item wrapped for the wire
 RAW = "wire_raw"
 
 #: how long a reader keeps draining an in-flight message after close()
 _GRACE_S = 2.0
 _POLL_S = 0.25
+
+#: A lane's arena: size classes from LEASE_MIN_BYTES up to _LANE_MAX_BLOCK,
+#: four blocks to a slab, at most _LANE_CAPACITY of slabs per link.  A body
+#: frame over the largest class travels as bytes.
+_LANE_MAX_BLOCK = 16 << 20
+_LANE_SLAB_BLOCKS = 4
+_LANE_CAPACITY = 64 << 20
+#: how much one non-blocking read of credits asks for
+_CREDIT_READ = 256 * HANDLE.size
+#: how long SocketFabric.unregister waits for a delivery still in progress
+_SETTLE_S = 5.0
 
 
 class WireConnectionError(TransportError):
@@ -113,6 +156,36 @@ def format_address(address: Tuple[str, int]) -> str:
     return f"{address[0]}:{address[1]}"
 
 
+class _Lane:
+    """A link's same-host lane: the arena bodies are written to, the blocks
+    out with the peer, and the credits that bring them back.
+
+    A block is *outstanding* from the write of its handle until the credit
+    naming it arrives; only then is it freed.  A lane whose connection died
+    abandons what is outstanding — a reader may still hold those blocks, so
+    they are never recycled — and the segments go when the link closes.
+    """
+
+    def __init__(self, name: str):
+        self.lock = make_lock(f"{name}.lane")
+        #: created on the first shipment
+        self.arena: Optional[SlabArena] = None
+        #: handle record sent -> the block, for each outstanding block (a
+        #: credit is the record, sent back unchanged)
+        self.outstanding: Dict[bytes, BlockHandle] = {}
+        #: the start of a credit record whose rest has not been read yet
+        self.partial = b""
+        self.dead = False
+        self.shipments = 0
+        self.nbytes = 0
+        self.fallbacks = 0
+
+    def abandon(self) -> None:
+        """The connection is gone: no credit will come (lock held)."""
+        self.dead = True
+        self.outstanding.clear()
+
+
 class SocketLink(Link):
     """One-directional broker link over a TCP connection.
 
@@ -127,6 +200,9 @@ class SocketLink(Link):
     A connection error kills the link: that send and every later one
     raises :class:`WireConnectionError`.  Only :meth:`close` makes sending
     a silent no-op.
+
+    The handshake turns the same-host lane on when the listener can read
+    the link's probe segment (see the module docstring).
     """
 
     def __init__(
@@ -160,21 +236,49 @@ class SocketLink(Link):
         #: test/fault hook: cap bytes accepted per sendmsg (forces partial
         #: writes without shrinking SO_SNDBUF); None means unlimited
         self._max_send_bytes: Optional[int] = None
+        #: the same-host lane, None while it is off.  Test hook: set it to
+        #: None right after construction to keep large bodies on the byte
+        #: path.
+        self._lane: Optional[_Lane] = None
         self._sock = socket.create_connection(address, timeout=connect_timeout)
-        self._sock.settimeout(None)
         if nodelay:
             # Broker messages are latency-sensitive and already batched
             # upstream (coalescing), so Nagle only adds delay.
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._handshake()
+        self._sock.settimeout(None)
 
     # -- wire plumbing ------------------------------------------------------
     def _handshake(self) -> None:
-        """First message on the connection names the sending/receiving node."""
+        """First message on the connection names the sending/receiving node
+        and offers the lane: it names a probe segment holding a nonce, and
+        the listener's ack says whether it read that nonce.  A listener
+        that does not ack within the connect timeout leaves the lane off."""
         hello = make_header(self.src, [self.dst], MsgType.COMMAND)
         hello[HELLO] = 1
-        _, buffers, _ = self._encode((hello, None))
-        self._write_buffers(buffers)
+        try:
+            probe = create_probe()
+        except OSError:  # no room or no access in /dev/shm: bytes only
+            probe = None
+        try:
+            if probe is not None:
+                hello[LANE_PROBE] = probe
+            _, buffers, _ = self._encode((hello, None))
+            self._write_buffers(buffers)
+            ack = b""
+            try:
+                while len(ack) < ACK.size:
+                    chunk = self._sock.recv(ACK.size - len(ack))
+                    if not chunk:
+                        break
+                    ack += chunk
+            except OSError:  # socket.timeout included
+                pass
+            if probe is not None and len(ack) == ACK.size and ACK.unpack(ack) == (MAGIC, 1):
+                self._lane = _Lane(self.name)
+        finally:
+            if probe is not None:
+                unlink_segment(probe[0])
 
     def _encode(self, item: Any) -> Tuple[Dict[str, Any], List[Any], int]:
         """``item`` as (its header, its wire buffers, its payload bytes);
@@ -189,8 +293,99 @@ class SocketLink(Link):
             header = make_header(self.src, [self.dst], MsgType.DATA)
             header[RAW] = 1
             body = item
-        buffers, payload = encode_message(header, body)
+        lane = self._ship if self._lane is not None else None
+        buffers, payload = encode_message(header, body, lane)
         return header, buffers, payload
+
+    def _check_size(self, payload: int) -> None:
+        if payload > self.max_message_bytes:
+            raise WireProtocolError(
+                f"{self.name}: message of {payload} bytes exceeds "
+                f"the {self.max_message_bytes}-byte link maximum"
+            )
+
+    # -- the same-host lane -------------------------------------------------
+    def _ship(self, frame: Frame) -> Optional[bytes]:
+        """Write ``frame`` into a lane block; returns the block's handle
+        record, or None when the frame travels as bytes: it is under
+        ``LEASE_MIN_BYTES`` or over the largest block, the lane is dead, or
+        the arena is exhausted even after reading the credits in."""
+        lane = self._lane
+        nbytes = frame.nbytes
+        if lane is None or lane.dead or not LEASE_MIN_BYTES <= nbytes <= _LANE_MAX_BLOCK:
+            return None
+        self._check_size(nbytes)
+        with lane.lock:
+            if lane.arena is None:
+                lane.arena = SlabArena(
+                    name="lane",
+                    min_block=LEASE_MIN_BYTES,
+                    max_block=_LANE_MAX_BLOCK,
+                    slab_blocks=_LANE_SLAB_BLOCKS,
+                    capacity_bytes=_LANE_CAPACITY,
+                    track=False,  # close() unlinks; no tracker process
+                )
+            arena = lane.arena
+        try:
+            try:
+                block = arena.alloc(nbytes)
+            except ArenaExhaustedError:
+                self._collect_credits()
+                block = arena.alloc(nbytes)
+        except ArenaExhaustedError:
+            with lane.lock:
+                lane.fallbacks += 1
+            return None
+        except ArenaError:  # closed by a concurrent close()
+            return None
+        frame.serialize_into(block.buf[:nbytes])
+        block.release()
+        handle = block.handle
+        record = encode_handle(BlockHandle(
+            handle.segment, handle.offset, nbytes, generation=handle.generation
+        ))
+        with lane.lock:
+            lane.outstanding[record] = handle
+            lane.shipments += 1
+            lane.nbytes += nbytes
+        return record
+
+    def _collect_credits(self) -> None:
+        """Free every block the peer has credited back so far, reading the
+        socket without blocking and only while blocks are outstanding.  A
+        closed connection, or a credit for a block that is not out, ends
+        the lane: what is outstanding is abandoned."""
+        lane = self._lane
+        if lane is None:
+            return
+        with lane.lock:
+            if lane.dead or not lane.outstanding:
+                return
+            data = lane.partial
+            while True:
+                try:
+                    chunk = self._sock.recv(_CREDIT_READ, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    break
+                except OSError:
+                    chunk = b""
+                if not chunk:
+                    lane.abandon()
+                    return
+                data += chunk
+                if len(chunk) < _CREDIT_READ:
+                    break
+            whole = len(data) - len(data) % HANDLE.size
+            lane.partial = data[whole:]
+            assert lane.arena is not None  # blocks are outstanding
+            for at in range(0, whole, HANDLE.size):
+                credit = data[at : at + HANDLE.size]
+                handle = lane.outstanding.pop(credit, None)
+                if handle is None:
+                    _LOG.error("%s: a credit for no block out: %r", self.name, credit)
+                    lane.abandon()
+                    return
+                lane.arena.free(handle)
 
     def send(self, item: Any, nbytes: int = 0) -> None:
         self.send_many(((item, nbytes),))
@@ -207,6 +402,9 @@ class SocketLink(Link):
         """
         if self._closed.is_set():
             return
+        lane = self._lane
+        if lane is not None and lane.outstanding:
+            self._collect_credits()
         done = 0
         #: the gather being built: (header, payload bytes) per message, every
         #: message's buffers, and where each message ends in their byte stream
@@ -217,11 +415,7 @@ class SocketLink(Link):
             for item, _ in items:
                 try:
                     header, encoded, payload = self._encode(item)
-                    if payload > self.max_message_bytes:
-                        raise WireProtocolError(
-                            f"{self.name}: message of {payload} bytes exceeds "
-                            f"the {self.max_message_bytes}-byte link maximum"
-                        )
+                    self._check_size(payload)
                 except WireProtocolError:
                     if pending:
                         self._write_messages(pending, buffers, ends)
@@ -304,6 +498,10 @@ class SocketLink(Link):
             except OSError as exc:
                 lost = "lost mid-send" if self._dead is None else "already lost"
                 self._dead = str(exc)
+                lane = self._lane
+                if lane is not None:
+                    with lane.lock:
+                        lane.abandon()
                 with self._counters_lock:
                     self.send_errors += 1
                 raise WireConnectionError(
@@ -340,7 +538,24 @@ class SocketLink(Link):
 
     # -- observability ------------------------------------------------------
     def stats(self) -> Dict[str, float]:
-        """Wire counters for the telemetry sampler's per-link gauges."""
+        """Wire counters for the telemetry sampler's per-link gauges.
+
+        ``lane_shipments`` / ``lane_bytes`` count the bodies (and their
+        frame bytes) written to lane blocks, ``lane_fallbacks`` the lane
+        bodies that went as bytes because the arena was exhausted, and
+        ``lane_outstanding`` the blocks not credited back yet (read after
+        taking in the credits that have arrived).
+        """
+        lane = self._lane
+        lane_counts = [0, 0, 0, 0]
+        if lane is not None:
+            if lane.outstanding:
+                self._collect_credits()
+            with lane.lock:
+                lane_counts = [
+                    lane.shipments, lane.nbytes, lane.fallbacks,
+                    len(lane.outstanding),
+                ]
         with self._counters_lock:
             items = self.items_sent
             return {
@@ -355,9 +570,12 @@ class SocketLink(Link):
                 "syscalls_per_message": (
                     self.syscalls_total / items if items else 0.0
                 ),
+                **dict(zip(_LANE_STATS, map(float, lane_counts))),
             }
 
     def close(self) -> None:
+        """Close the connection; a lane abandons its outstanding blocks and
+        unlinks its segments (a reader's live lease keeps its mapping)."""
         if self._closed.is_set():
             return
         self._closed.set()
@@ -366,6 +584,16 @@ class SocketLink(Link):
         except OSError:
             pass
         self._sock.close()
+        lane = self._lane
+        if lane is not None:
+            with lane.lock:
+                lane.abandon()
+                arena = lane.arena
+            if arena is not None:
+                arena.close()
+
+
+_LANE_STATS = ("lane_shipments", "lane_bytes", "lane_fallbacks", "lane_outstanding")
 
 
 #: one decoded wire message: (header, body, payload bytes on the wire)
@@ -387,6 +615,13 @@ class _Connection:
         #: large-message buffers no body uses any more: finalizers on any
         #: thread append, only the reader takes
         self._idle: List[bytearray] = []
+        #: whether the peer's lane is on: its HELLO's probe nonce was read
+        self.lane = False
+        #: handle records of lane bodies that have died, to credit back:
+        #: finalizers on any thread append, only the reader takes
+        self._credits: List[bytes] = []
+        #: a credit write failed: the link is gone and abandons its blocks
+        self._credits_lost = False
         sock.settimeout(_POLL_S)
         self.thread: Optional[threading.Thread] = None
 
@@ -421,6 +656,7 @@ class _Connection:
             try:
                 read = self.sock.recv_into(into)
             except socket.timeout:
+                self._flush_credits()
                 continue
             except OSError as exc:
                 if listener.closing and not held:
@@ -449,6 +685,79 @@ class _Connection:
                 return buffer
         return bytearray(size)
 
+    # -- the same-host lane ---------------------------------------------------
+    def hello(self, header: Dict[str, Any]) -> None:
+        """The peer's HELLO: learn its node, read its probe, ack."""
+        self.node = str(header.get("src") or "")
+        probe = header.get(LANE_PROBE)
+        if type(probe) is tuple and len(probe) == 2 and type(probe[0]) is str:
+            self.lane = read_probe(probe[0]) == probe[1]
+        if self.lane:
+            # Read once, needed no more: unlinked here as well as by the
+            # link, so a link killed while it waits for this ack leaves
+            # nothing behind.
+            unlink_segment(probe[0])
+        self._send(ACK.pack(MAGIC, int(self.lane)))
+
+    def _send(self, data: bytes) -> bool:
+        try:
+            self.sock.sendall(data)
+        except OSError:  # the link is gone; its reader side sees EOF
+            return False
+        return True
+
+    def _lease(self, attached: Set[str], handle: BlockHandle) -> memoryview:
+        """The body frame ``handle`` names, as a read-only view of its
+        block that credits the block back once the last array decoded
+        from it has died; its segment joins ``attached``."""
+        listener = self.listener
+        if not self.lane:
+            raise WireProtocolError(
+                f"{listener.name}: a lane message from a peer whose probe failed"
+            )
+        if handle.size > listener.max_message_bytes:
+            raise WireProtocolError(
+                f"oversized message: {handle.size} > "
+                f"{listener.max_message_bytes} bytes"
+            )
+        try:
+            segment = attach_segment(handle.segment)
+        except OSError as exc:
+            raise WireProtocolError(
+                f"{listener.name}: cannot attach {handle.segment!r}: {exc}"
+            ) from None
+        attached.add(handle.segment)
+        end = handle.offset + handle.size
+        if end > segment.nbytes:
+            raise WireProtocolError(
+                f"{listener.name}: handle {handle} reaches past its "
+                f"{segment.nbytes}-byte segment"
+            )
+        holder = view_holder(segment[handle.offset : end])
+        weakref.finalize(holder, self._credits.append, encode_handle(handle))
+        listener._count(lane_arrivals=1)
+        return memoryview(holder)
+
+    def _flush_credits(self) -> None:
+        """Write back the handles of the lane bodies that have died."""
+        credits = self._credits
+        if not credits or self._credits_lost:
+            return
+        taken = credits[:]
+        del credits[: len(taken)]
+        if self._send(b"".join(taken)):
+            self.listener._count(credits_sent=len(taken))
+        else:
+            self._credits_lost = True
+
+    def _hand_up(self, batch: List["_Received"]) -> None:
+        """Deliver what a read completed, then credit what has died.  The
+        batch is emptied: a body the consumer let go of must not live on
+        in the reader while it waits for the next read."""
+        self.listener._on_messages(self, batch)
+        batch.clear()
+        self._flush_credits()
+
     def _lend(self, buffer: bytearray, payload: memoryview) -> memoryview:
         """``payload`` (the message's bytes in ``buffer``) as the read-only
         view it is decoded from: ``buffer`` goes idle when the last view of
@@ -457,9 +766,10 @@ class _Connection:
         weakref.finalize(holder, _go_idle, self._idle, buffer)
         return memoryview(holder)
 
-    def _receive(self) -> None:
+    def _receive(self, attached: Set[str]) -> None:
         """Read the stream until a clean EOF, handing up what each read
-        completed before blocking for the next.
+        completed before blocking for the next; the segments lane handles
+        named join ``attached``.
 
         While messages are small (the last one decoded fits the read-ahead
         buffer) a read asks for as much as the buffer holds and every
@@ -470,6 +780,7 @@ class _Connection:
         allocated for the payload they describe.
         """
         listener = self.listener
+        lease = functools.partial(self._lease, attached)
         window = memoryview(bytearray(_READ_AHEAD))
         start = end = 0  # window[start:end]: received, not yet decoded
         read_ahead = True
@@ -493,13 +804,14 @@ class _Connection:
                     lengths = decode_frame_table(
                         preamble, window[start + PREAMBLE.size : start + need]
                     )
+                    lane = lease if preamble_flags(preamble) & FLAG_LANE else None
                     need += msg_length
                     if need > _READ_AHEAD:
                         # Too large for the window: into a buffer of its
                         # own, starting with what the window holds of it.
                         # Nothing decoded waits for those reads.
                         if batch:
-                            listener._on_messages(self, batch)
+                            self._hand_up(batch)
                             batch = []
                         buffer = self._large_buffer(msg_length)
                         payload = memoryview(buffer)[:msg_length]
@@ -519,7 +831,8 @@ class _Connection:
                         start += need
                     batch.append((
                         *decode_message(
-                            payload, lengths, zero_copy=listener.zero_copy
+                            payload, lengths, zero_copy=listener.zero_copy,
+                            lane=lane,
                         ),
                         msg_length,
                     ))
@@ -528,7 +841,7 @@ class _Connection:
                 # Also when the stream turns out poisoned further on: what
                 # was valid before that point is delivered.
                 if batch:
-                    listener._on_messages(self, batch)
+                    self._hand_up(batch)
             if start:
                 window[:held] = window[start:end]
                 start, end = 0, held
@@ -539,8 +852,9 @@ class _Connection:
             end += read
 
     def _run(self) -> None:
+        attached: Set[str] = set()
         try:
-            self._receive()
+            self._receive(attached)
         except _Stop:
             pass
         except WireProtocolError as exc:
@@ -551,6 +865,8 @@ class _Connection:
             )
         finally:
             self.close()
+            for name in attached:
+                detach_segment(name)
             self.listener._forget(self)
 
     def close(self) -> None:
@@ -610,6 +926,8 @@ class SocketListener:
         self.protocol_errors = 0
         self.delivery_errors = 0
         self.connections_total = 0
+        self.lane_arrivals = 0
+        self.credits_sent = 0
         self.last_error: Optional[WireProtocolError] = None
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -654,7 +972,7 @@ class SocketListener:
         nbytes_total = 0
         for header, body, nbytes in messages:
             if header.get(HELLO):
-                connection.node = str(header.get("src") or "")
+                connection.hello(header)
                 continue
             emit("stage_begin", self.name, header, stage="wire_deliver", nbytes=nbytes)
             items.append(body if header.get(RAW) else (header, body))
@@ -699,6 +1017,11 @@ class SocketListener:
         with self._lock:
             self.reads_total += 1
 
+    def _count(self, **counts: int) -> None:
+        with self._lock:
+            for counter, count in counts.items():
+                setattr(self, counter, getattr(self, counter) + count)
+
     def _forget(self, connection: _Connection) -> None:
         """``connection``'s reader has finished: stop listing it."""
         with self._lock:
@@ -722,6 +1045,8 @@ class SocketListener:
                 "protocol_errors": float(self.protocol_errors),
                 "delivery_errors": float(self.delivery_errors),
                 "connections_total": float(self.connections_total),
+                "lane_arrivals": float(self.lane_arrivals),
+                "credits_sent": float(self.credits_sent),
             }
 
     def close(self, timeout: float = 5.0) -> None:
@@ -779,6 +1104,9 @@ class SocketFabric(Fabric):
         self._listeners: Dict[str, SocketListener] = {}
         #: links :meth:`close` has closed, kept for their final counters
         self._closed_links: Dict[Tuple[str, str], Link] = {}
+        #: node -> the reader threads inside a delivery to it right now
+        self._delivering: Dict[str, List[int]] = {}
+        self._settled = threading.Condition(self._lock)
 
     # -- wiring -------------------------------------------------------------
     def listen(
@@ -794,10 +1122,20 @@ class SocketFabric(Fabric):
         """
 
         def deliver(src_node: str, items: List[Any]) -> None:
+            # The handler runs outside the lock, so unregister() learns
+            # from ``_delivering`` whether a delivery is still under way.
+            me = threading.get_ident()
             with self._lock:
                 handler_many = self._batch_handlers.get(node)
-            if handler_many is not None:
+                if handler_many is None:
+                    return
+                self._delivering.setdefault(node, []).append(me)
+            try:
                 handler_many(items)
+            finally:
+                with self._settled:
+                    self._delivering[node].remove(me)
+                    self._settled.notify_all()
 
         listener = SocketListener(
             deliver,
@@ -828,6 +1166,22 @@ class SocketFabric(Fabric):
             return self._listeners.get(node)
 
     # -- Fabric overrides ---------------------------------------------------
+    def unregister(self, node: str) -> None:
+        """Stop delivering to ``node``, and wait until no reader thread is
+        still inside a delivery to it: once this returns, nothing more
+        arrives for ``node``.  A delivery on the calling thread itself is
+        not waited for, and none is waited for longer than a few seconds."""
+        super().unregister(node)
+        me = threading.get_ident()
+        deadline = time.monotonic() + _SETTLE_S
+        with self._settled:
+            while any(ident != me for ident in self._delivering.get(node, ())):
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    _LOG.warning("%s: a delivery to %r outlived unregister", self.name, node)
+                    return
+                self._settled.wait(left)
+
     def connect(
         self,
         src: str,

@@ -6,7 +6,7 @@ frame payloads, in order::
     offset  size  field
     0       4     magic      0x31575458  ("XTW1" as LE bytes)
     4       1     version    3
-    5       1     flags      reserved, must be 0
+    5       1     flags      :data:`FLAG_LANE` or 0; every other bit reserved
     6       2     frame_count (u16)
     8       8     msg_length  (u64, sum of the frame lengths)
     16      4*n   frame lengths, one u32 per frame
@@ -25,6 +25,10 @@ is three: its header record, a *row table* of its sub-headers, and the
 sub-bodies as one frame.  No header is ever unpickled: the record holds
 only None, bools, ints, floats, strings and lists or tuples of them, a row
 only numbers, and a header holding anything else cannot be sent.
+On a same-host lane (docs/NETWORKING.md) a large body does not cross the
+socket at all: the sender writes its frame into a shared-memory block and
+the message carries a fixed *handle record* naming that block in place of
+the body frame, under :data:`FLAG_LANE`.
 :func:`encode_message` returns the buffer list *unconcatenated* so
 :meth:`socket.socket.sendmsg` can gather them straight from their owners
 (NumPy array memory, arena views) — an N-frame message costs one syscall
@@ -38,14 +42,15 @@ from __future__ import annotations
 import functools
 import struct
 import zlib
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.arena import BlockHandle
 from ..core.errors import TransportError
 from ..core.message import (
     BATCH_COUNT, BATCH_SEQS, BODY_SIZE, COMPRESSED, CREATED_AT, DST, OBJECT_ID,
     SEQ, SPAN, SRC, TRACE, TYPE, MsgType, packable,
 )
-from ..core.serialization import deserialize, make_frame
+from ..core.serialization import Frame, deserialize, make_frame
 
 MAGIC = 0x31575458  # b"XTW1" read as a little-endian u32
 VERSION = 3
@@ -63,6 +68,17 @@ _TABLES = [struct.Struct(f"<{count}I") for count in range(MAX_FRAMES + 1)]
 #: reject messages larger than this instead of trying to allocate a buffer
 #: for a corrupted length field (tunable per listener/link)
 DEFAULT_MAX_MESSAGE_BYTES = 1 << 30
+
+#: preamble flag: the message's last frame is a handle record, and its body
+#: frame sits in the shared-memory block that record names
+FLAG_LANE = 0x80
+#: a handle record: segment name (UTF-8, NUL-padded), offset, body frame
+#: size and generation of one block.  The same record travels back, alone,
+#: as the credit that returns the block.
+HANDLE = struct.Struct("<32sQQQ")
+#: the listener's one reply to a HELLO: magic, then 1 if it read the
+#: HELLO's probe nonce (the lane is on) or 0
+ACK = struct.Struct("<IB3x")
 
 # -- the header record (frame 0) ---------------------------------------------
 #: wire codes of the message types: a table of their own, so reordering or
@@ -115,7 +131,7 @@ class WireProtocolError(TransportError):
     """
 
 
-def encode_wire_header(frame_lengths: Sequence[int]) -> bytes:
+def encode_wire_header(frame_lengths: Sequence[int], flags: int = 0) -> bytes:
     """The fixed header for a message with the given frame lengths."""
     if not frame_lengths:
         raise WireProtocolError("a wire message needs at least one frame")
@@ -126,7 +142,7 @@ def encode_wire_header(frame_lengths: Sequence[int]) -> bytes:
     count = len(frame_lengths)
     try:  # a length must fit its u32 slot
         head = PREAMBLE.pack(
-            MAGIC, VERSION, 0, count, sum(frame_lengths)
+            MAGIC, VERSION, flags, count, sum(frame_lengths)
         ) + _TABLES[count].pack(*frame_lengths)
     except struct.error:
         raise WireProtocolError(
@@ -153,7 +169,7 @@ def decode_preamble(
         raise WireProtocolError(f"bad magic 0x{magic:08x} (not a wire stream)")
     if version != VERSION:
         raise WireProtocolError(f"unsupported wire version {version}")
-    if flags != 0:
+    if flags & ~FLAG_LANE:
         raise WireProtocolError(f"reserved flags set: 0x{flags:02x}")
     if not 1 <= frame_count <= MAX_FRAMES:
         raise WireProtocolError(f"frame count {frame_count} out of range")
@@ -162,6 +178,35 @@ def decode_preamble(
             f"oversized message: {msg_length} > {max_message_bytes} bytes"
         )
     return frame_count, msg_length
+
+
+def preamble_flags(preamble: Any) -> int:
+    """The flags byte of a preamble :func:`decode_preamble` accepted."""
+    return preamble[5]
+
+
+def encode_handle(handle: BlockHandle) -> bytes:
+    """``handle`` as a handle record (its ``size`` is the body frame's)."""
+    segment = handle.segment.encode("utf-8")
+    if len(segment) > HANDLE.size - 24:
+        raise WireProtocolError(f"segment name {handle.segment!r} is too long")
+    return HANDLE.pack(segment, handle.offset, handle.size, handle.generation)
+
+
+def decode_handle(data: Any) -> BlockHandle:
+    """Inverse of :func:`encode_handle`."""
+    if len(data) != HANDLE.size:
+        raise WireProtocolError(
+            f"handle record of {len(data)} bytes, not {HANDLE.size}"
+        )
+    segment, offset, size, generation = HANDLE.unpack(data)
+    try:
+        name = segment.rstrip(b"\0").decode("utf-8")
+    except UnicodeDecodeError:
+        raise WireProtocolError("handle record: segment name is not UTF-8") from None
+    if not name:
+        raise WireProtocolError("handle record names no segment")
+    return BlockHandle(name, offset, size, generation=generation)
 
 
 def decode_frame_table(preamble: bytes, table: bytes) -> List[int]:
@@ -429,7 +474,11 @@ def _decode_rows(header: Dict[str, Any], rows: bytes, bodies: Any) -> List[Any]:
     return pairs
 
 
-def encode_message(header: Dict[str, Any], body: Any) -> Tuple[List[Any], int]:
+def encode_message(
+    header: Dict[str, Any],
+    body: Any,
+    lane: Optional[Callable[[Frame], Optional[bytes]]] = None,
+) -> Tuple[List[Any], int]:
     """Scatter-gather buffers for one (header, body) broker message.
 
     Returns ``(buffers, payload_nbytes)`` where ``buffers`` is the wire
@@ -437,6 +486,10 @@ def encode_message(header: Dict[str, Any], body: Any) -> Tuple[List[Any], int]:
     ``socket.sendmsg(buffers)``; nothing has been concatenated or copied —
     NumPy bodies contribute raw views of their own memory.  A BATCH
     envelope's header record leaves out ``BATCH_SEQS``: its rows carry them.
+
+    ``lane`` is offered the body frame last, once everything else encoded:
+    a handle record it returns replaces the frame, under :data:`FLAG_LANE`
+    (None: the frame travels as bytes).
     """
     rows: List[Any] = []  # a BATCH envelope's row table
     if header.get(TYPE) == MsgType.BATCH:
@@ -445,11 +498,18 @@ def encode_message(header: Dict[str, Any], body: Any) -> Tuple[List[Any], int]:
         rows = [table]
     frames: List[Any] = [encode_header(header), *rows]
     lengths = [len(frame) for frame in frames]
+    flags = 0
     if body is not None:
         body_frame = make_frame(body)
-        lengths.append(body_frame.nbytes)
-        frames += body_frame.segments
-    return [encode_wire_header(lengths), *frames], sum(lengths)
+        record = lane(body_frame) if lane is not None else None
+        if record is None:
+            lengths.append(body_frame.nbytes)
+            frames += body_frame.segments
+        else:
+            lengths.append(len(record))
+            frames.append(record)
+            flags = FLAG_LANE
+    return [encode_wire_header(lengths, flags), *frames], sum(lengths)
 
 
 def decode_message(
@@ -458,6 +518,7 @@ def decode_message(
     *,
     zero_copy: bool = True,
     view_registry: Any = None,
+    lane: Optional[Callable[[BlockHandle], Any]] = None,
 ) -> Tuple[Dict[str, Any], Any]:
     """Inverse of :func:`encode_message` over a received payload buffer.
 
@@ -467,6 +528,10 @@ def decode_message(
     views into ``payload``, so the caller must keep ``payload`` alive for
     as long as the body is referenced.  A BATCH envelope's sub-headers are
     rebuilt from its row table.
+
+    A message flagged :data:`FLAG_LANE` is decoded with ``lane``: it takes
+    the handle record's :class:`BlockHandle` and returns the buffer that
+    holds the body frame, which is then read in its place.
     """
     view = memoryview(payload)
     if view.format != "B" or view.ndim != 1:
@@ -488,9 +553,12 @@ def decode_message(
         return header, None
     rows = bytes(view[start : start + frame_lengths[1]]) if batch else b""
     start += len(rows)
+    frame = view[start:end]
+    if lane is not None:
+        frame = lane(decode_handle(frame))
     try:
         body = deserialize(
-            view[start:end],
+            frame,
             copy=not zero_copy,
             view_registry=view_registry if zero_copy else None,
         )

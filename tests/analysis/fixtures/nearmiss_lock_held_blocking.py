@@ -1,6 +1,7 @@
 """Fixture: near-misses of ``lock-held-blocking-call`` — none may trigger."""
 
 import os
+import socket
 import threading
 import time
 
@@ -25,6 +26,11 @@ class Worker:
         # dict.get(key) is a lookup, not a blocking call.
         with self._lock:
             return table.get(key)
+
+    def nonblocking_recv_under_lock(self, sock):
+        # MSG_DONTWAIT: the read returns at once, with what is there or not.
+        with self._lock:
+            return sock.recv(64, socket.MSG_DONTWAIT)
 
     def timed_wait_under_lock(self, event):
         with self._lock:

@@ -138,6 +138,19 @@ class TestLockHeldBlockingCall:
         )
         assert [finding.rule for finding in findings] == [LOCK_HELD_BLOCKING_CALL]
 
+    def test_a_recv_that_cannot_block_is_clean_and_one_that_can_is_not(self):
+        findings = analyze_source(
+            "import socket\n"
+            "class C:\n"
+            "    def run(self):\n"
+            "        with self._lock:\n"
+            "            self.sock.recv(64, socket.MSG_DONTWAIT)\n"
+            "            self.sock.recv(64)\n"
+        )
+        assert [(finding.rule, finding.line) for finding in findings] == [
+            (LOCK_HELD_BLOCKING_CALL, 6)
+        ]
+
     def test_module_level_with_lock(self):
         findings = analyze_source(
             "import time\nwith lock:\n    time.sleep(1)\n"

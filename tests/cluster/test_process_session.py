@@ -212,6 +212,26 @@ def test_on_policy_algorithms_train_across_processes(algorithm):
     assert report.exit_codes == {"m1": 0, "m2": 0}
 
 
+def test_large_weights_cross_to_the_children_on_the_lane():
+    """A model whose weights are over 256 KiB: every broadcast from the
+    learner's process reaches each child as a shared-memory block handle,
+    every block comes back, and /dev/shm is as it was afterwards."""
+    before = sorted(os.listdir("/dev/shm"))
+    config = _config(steps=1024)
+    config.model_config = {"hidden_sizes": [192, 192]}
+    report = run_process_session(config)
+    assert report.exit_codes == {"m1": 0, "m2": 0}
+    for child in ("m1", "m2"):
+        out = report.link_stats[f"m0.broker->{child}.broker"]
+        assert out["lane_shipments"] > 0, out
+        assert out["lane_bytes"] >= 256 * 1024 * out["lane_shipments"]
+        assert out["lane_fallbacks"] == 0
+        arrived = report.link_stats[f"listen:{child}.broker"]
+        assert 0 < arrived["lane_arrivals"] <= out["lane_shipments"]
+        assert arrived["protocol_errors"] == 0
+    assert sorted(os.listdir("/dev/shm")) == before
+
+
 def test_forks_before_anything_of_the_run_exists(monkeypatch, tmp_path):
     """No thread of this run is alive in the launcher at any fork (a child
     of a threaded parent can inherit a lock somebody held), and the child

@@ -13,6 +13,7 @@ import faulthandler
 import os
 import sys
 import tempfile
+import time
 
 os.environ.setdefault("REPRO_RUNTIME_CHECKS", "1")
 # Crash-path flight-recorder dumps (deliberately triggered by supervision
@@ -60,6 +61,42 @@ def pytest_runtest_protocol(item):
         return (yield)
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+#: where POSIX shared-memory segments live (Linux)
+_SHM = "/dev/shm"
+#: how long a segment may take to go after teardown (a forked child's exit)
+_SHM_GRACE_S = 2.0
+
+
+def _shm_segments() -> set:
+    try:
+        return set(os.listdir(_SHM))
+    except OSError:
+        return set()
+
+
+@pytest.fixture(autouse=True)
+def _no_leftover_shm_segments(request):
+    """Fail the test by name if a shared-memory segment it created outlives
+    its teardown (this fixture is torn down after the test's own).  The
+    leftovers are unlinked, so the next test starts clean."""
+    before = _shm_segments()
+    yield
+    deadline = time.monotonic() + _SHM_GRACE_S
+    while True:
+        left = _shm_segments() - before
+        if not left or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    for name in left:
+        try:
+            os.unlink(os.path.join(_SHM, name))
+        except OSError:
+            pass
+    assert not left, (
+        f"{request.node.nodeid} left shared-memory segments behind: {sorted(left)}"
+    )
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -133,6 +133,7 @@ class TestZeroCopyAcceptance:
     def test_no_copies_and_few_syscalls_for_1mb_bodies(self, listener):
         """The ISSUE acceptance bars, measured on a live socket."""
         link = _link(listener)
+        link._lane = None  # the byte path: these bars are about sendmsg
         try:
             body = np.random.default_rng(0).integers(
                 0, 256, size=1 << 20, dtype=np.uint8
@@ -188,6 +189,7 @@ class TestLargeMessageBuffers:
 
     def test_messages_of_changing_sizes_decode_intact(self, listener):
         link = _link(listener)
+        link._lane = None  # large bodies through the reader's own buffers
         sizes = [300_000, 300_000, 70_000, 1 << 20, 300_000, 70_000]
         try:
             for index, size in enumerate(sizes):
