@@ -113,9 +113,17 @@ class ExplorerProcess:
         )
         self.endpoint.send(message)
         self.fragments_sent += 1
-        if self.agent.algorithm.on_policy:
-            self._awaiting_weights = True
         self._maybe_send_stats()
+        if self.agent.algorithm.on_policy:
+            self._awaiting_weights = True  # the next step blocks on weights
+        else:
+            # An off-policy explorer runs fragments back to back and never
+            # blocks.  Sharing one interpreter with the learner and the
+            # endpoint threads, it hands the GIL over once per fragment:
+            # otherwise a thread coming back from a wait or a BLAS call
+            # queues behind it for whole switch intervals, and the learner's
+            # training sessions stretch from milliseconds to seconds.
+            time.sleep(0)
         return True
 
     def _drain_inbox(self, block: bool) -> bool:
