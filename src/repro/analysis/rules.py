@@ -131,7 +131,6 @@ THREADED_CLASS_NAMES = {
     "MessageBuffer",
     "ThrottledLink",
     "LaneChannel",
-    "WireCompressor",
     "FlowController",
     "SocketLink",
     "SocketListener",

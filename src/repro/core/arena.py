@@ -343,43 +343,6 @@ class SlabArena:
         self._exports: Dict[Tuple[str, int], Dict[int, Optional[memoryview]]] = {}
         self._export_tokens = itertools.count(1)
         self.stale_handle_faults = 0  # generation mismatches caught
-        # Occupancy watermarks (fractions of capacity).  Purely advisory:
-        # the arena latches a pressure flag for the FlowController to poll,
-        # with hysteresis so the signal does not flap around the threshold.
-        self._high_watermark = 1.0
-        self._low_watermark = 1.0
-        self._pressure = False
-        self.pressure_events = 0
-
-    # -- watermarks ------------------------------------------------------------
-    def set_watermarks(self, high_fraction: float, low_fraction: float) -> None:
-        """Arm occupancy watermarks (fractions of ``capacity_bytes``).
-
-        Pressure latches when live allocated bytes cross the high fraction
-        and clears below the low fraction (hysteresis).  Defaults leave the
-        arena unarmed: both at 1.0, so pressure never latches.
-        """
-        if not 0.0 < low_fraction <= high_fraction <= 1.0:
-            raise ArenaError("need 0 < low_fraction <= high_fraction <= 1")
-        with self._lock:
-            self._high_watermark = high_fraction
-            self._low_watermark = low_fraction
-            self._update_pressure()
-
-    def _update_pressure(self) -> None:
-        """Re-evaluate the pressure latch (lock held)."""
-        occupancy = self._allocated_bytes / max(1, self._capacity_bytes)
-        if self._pressure:
-            if occupancy < self._low_watermark:
-                self._pressure = False
-        elif occupancy >= self._high_watermark:
-            self._pressure = True
-            self.pressure_events += 1
-
-    @property
-    def pressure(self) -> bool:
-        with self._lock:
-            return self._pressure
 
     # -- sizing ---------------------------------------------------------------
     def _size_class(self, nbytes: int) -> int:
@@ -430,7 +393,6 @@ class SlabArena:
             self._allocated[(handle.segment, handle.offset)] = handle
             self._allocated_bytes += handle.size
             self.total_alloc += 1
-            self._update_pressure()
             segment = self._slabs[handle.segment]
         view = memoryview(segment.buf)[handle.offset : handle.offset + handle.size]
         return Block(handle, view)
@@ -512,7 +474,6 @@ class SlabArena:
                 )
             self._allocated_bytes -= live.size
             self.total_free += 1
-            self._update_pressure()
             if self._sanitize:
                 self._generations[key] = self._generations.get(key, 0) + 1
                 self._exports.pop(key, None)
@@ -698,8 +659,6 @@ class SlabArena:
                 "total_huge": self.total_huge,
                 "live_exports": sum(len(views) for views in self._exports.values()),
                 "stale_handle_faults": self.stale_handle_faults,
-                "pressure": int(self._pressure),
-                "pressure_events": self.pressure_events,
             }
 
     # -- lifecycle --------------------------------------------------------------

@@ -15,7 +15,6 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..transport.fabric import Fabric
 from .communicator import HeaderQueue, ShareMemCommunicator
-from .compression import WireCompressor, wire_decode
 from .concurrency import make_lock, runtime_checks_enabled
 from .config import CoalescingSpec
 from .errors import LifecycleError
@@ -47,25 +46,10 @@ class Broker:
         #: :class:`~repro.core.config.FlowControlSpec` (or None); when set,
         #: the lanes of the communicator's queues, and of the buffers of
         #: endpoints registered against this broker, have watermarks
-        self.flow = flow if flow is not None and flow.enabled else None
+        self.flow = flow
         self.communicator = ShareMemCommunicator(
             f"{name}.comm", store=store, flow=self.flow
         )
-        #: adaptive fabric-boundary codec the FlowController toggles; None
-        #: without flow control (and a no-op until enabled even with it)
-        self.wire: Optional[WireCompressor] = (
-            WireCompressor(
-                name, min_bytes=self.flow.wire_compression_min_bytes
-            )
-            if self.flow is not None
-            else None
-        )
-        if self.flow is not None:
-            arena = getattr(self.communicator.object_store, "arena", None)
-            if arena is not None and hasattr(arena, "set_watermarks"):
-                arena.set_watermarks(
-                    self.flow.arena_high_watermark, self.flow.arena_low_watermark
-                )
         self._fabric = fabric
         self.router = AlgorithmAgnosticRouter(
             self.communicator,
@@ -160,21 +144,7 @@ class Broker:
         """Ship what the router drained for ``remote_broker``, in order, in
         one fabric call."""
         assert self._fabric is not None
-        if self.wire is not None:
-            shipments = [self._wire_encode(shipment) for shipment in shipments]
         self._fabric.send_many(self.name, remote_broker, shipments)
-
-    def _wire_encode(self, shipment: Shipment) -> Shipment:
-        """Adaptive wire compression, message by message: trade sender CPU
-        for link bytes when the FlowController decides throughput is
-        sagging.  The reduced byte count is what a throttled NIC model
-        charges."""
-        assert self.wire is not None
-        (header, body), nbytes = shipment
-        if not self.wire.wants(header, body, nbytes):
-            return shipment
-        header, body, nbytes = self.wire.encode(header, body, nbytes)
-        return (header, body), nbytes
 
     def _on_fabric_receive(self, item: Tuple[Dict[str, Any], Any]) -> None:
         self._on_fabric_receive_many((item,))
@@ -183,8 +153,4 @@ class Broker:
         self, items: Sequence[Tuple[Dict[str, Any], Any]]
     ) -> None:
         """Everything one read of a fabric link brought, in order."""
-        # Always decode by header, not by local wire state: the *sending*
-        # broker decides whether a body was compressed on the wire.
-        self.router.on_remote_receive_many(
-            [wire_decode(header, body) for header, body in items]
-        )
+        self.router.on_remote_receive_many(items)

@@ -119,9 +119,6 @@ class HeaderQueue:
         """
         return self._channel.drain()
 
-    def set_pressure(self, active: bool) -> None:
-        self._channel.set_pressure(active)
-
     def close(self) -> None:
         self._channel.close()
 
@@ -160,7 +157,7 @@ class ShareMemCommunicator:
         flow: Optional[FlowControlSpec] = None,
     ):
         self.name = name
-        self.flow = flow if flow is not None and flow.enabled else None
+        self.flow = flow
         self.object_store: ObjectStore = store if store is not None else InMemoryObjectStore()
         # Under a spec senders of remote-bound headers feel backpressure
         # here: control blocks with a deadline, bulk sheds its oldest
@@ -245,18 +242,6 @@ class ShareMemCommunicator:
         for name, id_queue in queues.items():
             stats[f"id.{name}"] = id_queue.flow_stats()
         return stats
-
-    def set_pressure(self, active: bool) -> None:
-        """Tighten (or relax) bulk admission on every queue.
-
-        Pulled by the FlowController when arena occupancy crosses its high
-        watermark; lanes without a watermark have nothing to tighten.
-        """
-        with self._lock:
-            queues = list(self._id_queues.values())
-        self.header_queue.set_pressure(active)
-        for id_queue in queues:
-            id_queue.set_pressure(active)
 
     def drain_parked(self) -> List[Dict[str, Any]]:
         """Pop every header still parked in any ID queue (shutdown path).

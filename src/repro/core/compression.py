@@ -10,15 +10,8 @@ same threshold policy.  A null codec disables compression entirely.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Tuple
-
-import numpy as np
-
-from .concurrency import make_lock
-from .flowcontrol import Lane, lane_of
-from .message import TYPE, WIRE_CODEC, MsgType
-from .serialization import deserialize, serialize
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 DEFAULT_THRESHOLD = 1 << 20  # 1 MB, the paper's default
 
@@ -133,99 +126,3 @@ class CompressionPolicy:
 def disabled_policy() -> CompressionPolicy:
     """A policy that never compresses."""
     return CompressionPolicy(enabled=False)
-
-
-class WireCompressor:
-    """A :class:`CompressionPolicy` at the fabric boundary, plus counters.
-
-    Off by default; the FlowController enables it when a link's throughput
-    sags (CPU-for-bandwidth, the same trade the policy makes at rest in the
-    store).  ``encode`` serializes the body, frames it with the policy and
-    rewrites the wire byte count, so a throttled NIC model charges the
-    compressed size; :func:`wire_decode` on the receiving broker restores
-    the original body before routing.  A BATCH envelope keeps its shape:
-    each sub-body is framed on its own, as a ``uint8`` array so the wire
-    carries the blobs in its raw array frame, and the sub-headers are left
-    as they are, for the wire to carry as rows — never serialized.  Only
-    bulk-lane bodies of at least ``min_bytes`` (the policy's threshold) are
-    taken.
-    """
-
-    def __init__(self, name: str, *, codec: str = "zlib", min_bytes: int = 1 << 10):
-        self.name = name
-        self._lock = make_lock(f"wire.{name}")
-        self._policy = CompressionPolicy(
-            enabled=False, threshold=min_bytes, codec=codec
-        )
-        self.compressed_total = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self._policy.enabled
-
-    def set_enabled(self, active: bool) -> None:
-        self._policy = replace(self._policy, enabled=active)
-
-    def wants(self, header: Dict[str, Any], body: Any, nbytes: int) -> bool:
-        return (
-            self._policy.should_compress(nbytes)
-            and body is not None
-            and header.get(WIRE_CODEC) is None
-            and lane_of(header.get(TYPE)) is Lane.BULK
-        )
-
-    def encode(
-        self, header: Dict[str, Any], body: Any, nbytes: int
-    ) -> Tuple[Dict[str, Any], Any, int]:
-        policy = self._policy
-        if header.get(TYPE) == MsgType.BATCH:
-            coded = [policy.encode(serialize(sub_body)) for _, sub_body in body]
-            body = [
-                (sub, np.frombuffer(blob, np.uint8))
-                for (sub, _), (blob, _) in zip(body, coded)
-            ]
-        else:
-            coded = [policy.encode(serialize(body))]
-            body = coded[0][0]
-        size = sum(len(blob) for blob, _ in coded)
-        header = dict(header)
-        header[WIRE_CODEC] = policy.codec
-        with self._lock:
-            self.compressed_total += sum(compressed for _, compressed in coded)
-            self.bytes_in += max(0, int(nbytes))
-            self.bytes_out += size
-        return header, body, size
-
-    def stats(self) -> Dict[str, float]:
-        with self._lock:
-            return {
-                "enabled": float(self.enabled),
-                "compressed_total": float(self.compressed_total),
-                "bytes_in": float(self.bytes_in),
-                "bytes_out": float(self.bytes_out),
-            }
-
-
-def wire_decode(header: Dict[str, Any], body: Any) -> Tuple[Dict[str, Any], Any]:
-    """Restore a body the sending broker framed at the fabric boundary.
-
-    Driven by the header's ``WIRE_CODEC`` stamp and the frame's own prefix
-    byte, so a receiving broker decodes correctly regardless of its own
-    wire-compression state.
-    """
-    codec = header.get(WIRE_CODEC)
-    if codec is None:
-        return header, body
-    policy = CompressionPolicy(codec=codec)
-    if header.get(TYPE) == MsgType.BATCH:
-        restored: Any = [
-            (sub, deserialize(policy.decode(memoryview(blob))))
-            for sub, blob in body
-        ]
-    else:
-        restored = deserialize(policy.decode(body))
-    header = dict(header)
-    header[WIRE_CODEC] = None
-    return header, restored

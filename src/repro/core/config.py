@@ -151,12 +151,11 @@ class FlowControlSpec:
     producer up to ``control_deadline_s`` before failing loudly with
     :class:`~repro.core.errors.BackpressureError`.  A
     :class:`~repro.obs.flowcontroller.FlowController` reads the queues'
-    depths and adapts coalescing/compression/admission at runtime.
+    depths and raises the coalescing threshold while they stay deep.
     ``None`` (the default) leaves both lanes of every queue unbounded —
     nothing sheds, blocks or expires — with no adaptation.
     """
 
-    enabled: bool = True
     #: max queued bulk entries per queue before shed-oldest kicks in
     bulk_watermark: int = 512
     #: max queued control entries before producers block (0 = unbounded)
@@ -166,11 +165,6 @@ class FlowControlSpec:
     low_fraction: float = 0.5
     #: seconds a control/weights producer may block awaiting admission
     control_deadline_s: float = 2.0
-    #: arena occupancy fractions driving admission tightening
-    arena_high_watermark: float = 0.85
-    arena_low_watermark: float = 0.60
-    #: bulk watermark multiplier applied while admission is tightened
-    pressure_scale: float = 0.5
     # -- adaptation loop (FlowController) --
     adapt_interval_s: float = 0.05
     #: bulk depth (as a fraction of bulk_watermark) that counts as pressure
@@ -180,10 +174,6 @@ class FlowControlSpec:
     relax_after: int = 10
     #: ceiling when the controller raises CoalescingSpec.max_message_bytes
     coalescing_max_bytes: int = 1 << 16
-    #: floor when the controller lowers the store compression threshold
-    compression_min_threshold: int = 1 << 14
-    #: bodies below this never get wire-compressed (codec overhead floor)
-    wire_compression_min_bytes: int = 1 << 10
 
     def validate(self) -> None:
         if self.bulk_watermark < 1:
@@ -194,12 +184,6 @@ class FlowControlSpec:
             raise ConfigError("flow_control.low_fraction must be in (0, 1]")
         if self.control_deadline_s <= 0:
             raise ConfigError("flow_control.control_deadline_s must be positive")
-        if not 0.0 < self.arena_low_watermark < self.arena_high_watermark <= 1.0:
-            raise ConfigError(
-                "flow_control arena watermarks need 0 < low < high <= 1"
-            )
-        if not 0.0 < self.pressure_scale <= 1.0:
-            raise ConfigError("flow_control.pressure_scale must be in (0, 1]")
         if self.adapt_interval_s <= 0:
             raise ConfigError("flow_control.adapt_interval_s must be positive")
         if not 0.0 < self.queue_pressure_fraction <= 1.0:
@@ -212,14 +196,6 @@ class FlowControlSpec:
             )
         if self.coalescing_max_bytes < 1:
             raise ConfigError("flow_control.coalescing_max_bytes must be >= 1")
-        if self.compression_min_threshold < 1:
-            raise ConfigError(
-                "flow_control.compression_min_threshold must be >= 1"
-            )
-        if self.wire_compression_min_bytes < 0:
-            raise ConfigError(
-                "flow_control.wire_compression_min_bytes must be >= 0"
-            )
 
 
 @dataclass
@@ -235,7 +211,6 @@ class TelemetrySpec:
     telemetry fully off; the data plane runs the same code either way.
     """
 
-    enabled: bool = True
     sample_interval: float = 0.05
     #: events the tracer keeps — and the hop-log ring size the run asks
     #: for: what span aggregation may leave unread between two sweeps

@@ -98,10 +98,7 @@ Drop = Callable[[str, Sequence[Any]], None]
 class LaneChannel:
     """Two-lane channel with watermark admission control.
 
-    A watermark of 0 leaves its lane unbounded.  ``set_pressure(True)``
-    scales the bulk watermark by ``pressure_scale`` — the
-    admission-tightening hook the FlowController pulls when arena occupancy
-    crosses its watermark.
+    A watermark of 0 leaves its lane unbounded.
 
     Every entry handed to :meth:`offer`/:meth:`offer_many` is either
     enqueued or given back through ``on_drop`` with its terminal outcome
@@ -117,7 +114,6 @@ class LaneChannel:
         bulk_watermark: int = 0,
         control_watermark: int = 0,
         low_fraction: float = 0.5,
-        pressure_scale: float = 0.5,
         on_drop: Optional[Drop] = None,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -133,7 +129,6 @@ class LaneChannel:
             max(0, self._control_high - 1),
             int(self._control_high * low_fraction),
         )
-        self._pressure_scale = pressure_scale
         self._lock = make_lock(f"flow.{name}")
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
@@ -142,7 +137,6 @@ class LaneChannel:
         self._bulk: Deque[Any] = deque()
         self._counters = {_CONTROL: _LaneCounters(), _BULK: _LaneCounters()}
         self._gated = False  # control-lane hysteresis latch
-        self._pressure = False
         self._closed = False
         #: producers waiting for admission or still inside ``on_drop``
         self._inflight = 0
@@ -164,17 +158,11 @@ class LaneChannel:
             bulk_watermark=spec.bulk_watermark,
             control_watermark=spec.control_watermark,
             low_fraction=spec.low_fraction,
-            pressure_scale=spec.pressure_scale,
             on_drop=on_drop,
             clock=clock,
         )
 
     # -- admission -----------------------------------------------------------
-    def _effective_bulk_high(self) -> int:
-        if self._pressure and self._bulk_high:
-            return max(1, int(self._bulk_high * self._pressure_scale))
-        return self._bulk_high
-
     def _control_gated(self) -> bool:
         """Hysteresis: gate at the high watermark, release below the low."""
         depth = len(self._control)
@@ -230,7 +218,7 @@ class LaneChannel:
         with self._lock:
             if not self._closed:
                 if lane is _BULK:
-                    high = self._effective_bulk_high()
+                    high = self._bulk_high
                     if not high or len(self._bulk) < high:
                         self._bulk.append(item)
                         self._counters[_BULK].put += 1
@@ -267,7 +255,7 @@ class LaneChannel:
         with self._lock:
             control, bulk = self._control, self._bulk
             control_put = 0
-            high = self._effective_bulk_high()
+            high = self._bulk_high
             for item, lane in zip(items, lanes):
                 if self._closed:
                     break
@@ -296,7 +284,6 @@ class LaneChannel:
                             break
                         if self._closed:
                             break
-                        high = self._effective_bulk_high()  # lock was released
                     control.append(item)
                     control_put += 1
                 admitted += 1
@@ -398,25 +385,7 @@ class LaneChannel:
             self._not_full.notify_all()
             return items
 
-    # -- pressure / lifecycle -------------------------------------------------
-    def set_pressure(self, active: bool) -> None:
-        """Tighten (or relax) bulk admission, shedding down to the scaled
-        watermark when tightening."""
-        shed: List[Any] = []
-        with self._lock:
-            if self._pressure == active:
-                return
-            self._pressure = active
-            high = self._effective_bulk_high()
-            if active and high:
-                while len(self._bulk) > high:
-                    shed.append(self._bulk.popleft())
-                self._counters[_BULK].shed += len(shed)
-            drops = [(TERMINAL_SHED, shed)] if shed and self._on_drop else []
-            if drops:
-                self._inflight += 1
-        self._hand_back(drops)
-
+    # -- lifecycle ------------------------------------------------------------
     def close(self) -> None:
         """Close and wake every blocked producer and consumer."""
         with self._lock:
@@ -460,7 +429,7 @@ class LaneChannel:
     def flow_stats(self) -> Dict[str, float]:
         """Backpressure accounting for the telemetry sampler."""
         with self._lock:
-            stats: Dict[str, float] = {"pressure": float(self._pressure)}
+            stats: Dict[str, float] = {}
             for lane, depth in (
                 (_CONTROL, len(self._control)), (_BULK, len(self._bulk))
             ):

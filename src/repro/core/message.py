@@ -58,9 +58,6 @@ BATCH_SEQS = "batch_seqs"
 TRACE = "trace"
 SPAN = "span"
 PARENT_SPAN = "parent_span"
-#: codec name set by the broker when a body was compressed at the fabric
-#: boundary (adaptive wire compression; see docs/FLOW_CONTROL.md)
-WIRE_CODEC = "wire_codec"
 #: set on the remote-bound remainder of a header whose local destinations a
 #: sender thread already dispatched: its ``routed`` event is on record, so
 #: the router thread that ships the remainder must not emit a second one

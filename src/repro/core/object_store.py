@@ -259,20 +259,6 @@ class InMemoryObjectStore(ObjectStore):
         with self._lock:
             return self._total_refcounts
 
-    @property
-    def compression(self) -> CompressionPolicy:
-        return self._compression
-
-    def set_compression(self, policy: CompressionPolicy) -> None:
-        """Swap the copy-on-fetch compression policy (atomic ref swap).
-
-        Safe at runtime only because stored blobs are self-describing
-        (codec frame prefix): decode never consults the current policy's
-        threshold, and ``decode`` on any :class:`CompressionPolicy`
-        dispatches on the prefix byte.
-        """
-        self._compression = policy
-
 
 #: Where a SHM entry's bytes live: an arena block or a dedicated segment.
 _Location = Tuple[str, Union[BlockHandle, str]]
@@ -352,19 +338,6 @@ class SharedMemoryObjectStore(ObjectStore):
     @property
     def arena(self) -> Optional[SlabArena]:
         return self._arena
-
-    @property
-    def compression(self) -> CompressionPolicy:
-        return self._compression
-
-    def set_compression(self, policy: CompressionPolicy) -> None:
-        """Swap the at-rest compression policy (FlowController adaptation).
-
-        An atomic reference swap: in-flight puts finish under whichever
-        policy they read; entries already stored are self-describing (the
-        frame prefix byte), so reads never depend on the current policy.
-        """
-        self._compression = policy
 
     def arena_stats(self) -> Dict[str, int]:
         """Occupancy gauges for the telemetry sampler (empty: arena off)."""

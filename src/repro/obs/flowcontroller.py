@@ -1,20 +1,12 @@
 """Adaptation under overload: the flow-control feedback loop.
 
 One supervised thread reads the data plane's own backpressure accounting —
-``communicator.flow_stats()`` (header queue and every local ID queue),
-each endpoint's send buffer, the store's ``arena_stats()`` — and actuates
-three degradation levers when the pipeline falls behind:
-
-* **coalescing** — raise each endpoint's ``CoalescingSpec`` size threshold
-  so more small messages ride per BATCH envelope (fewer headers, fewer
-  routing decisions) while queues are pressured;
-* **wire compression** — enable the broker's
-  :class:`~repro.core.compression.WireCompressor` so bulk bodies cross
-  throttled links compressed (CPU for bandwidth);
-* **admission + at-rest compression** — when arena occupancy trips its
-  watermark, tighten bulk admission (scaled watermarks shed earlier) and
-  lower the store's compression threshold so large bodies move off the
-  arena into compressed overflow segments.
+``communicator.flow_stats()`` (header queue and every local ID queue) and
+each endpoint's send buffer — and pulls one lever when the pipeline falls
+behind: it raises each endpoint's ``CoalescingSpec`` size threshold so
+more small messages ride per BATCH envelope (fewer headers, fewer routing
+decisions, fewer store fetches) while queues are pressured.  Shedding and
+blocking at the watermarks are the lanes' own (:mod:`repro.core.flowcontrol`).
 
 The queue signal is the deepest bulk lane anywhere upstream of a receiver
 thread: the header queue backs up behind a slow link, an ID queue behind a
@@ -41,7 +33,7 @@ from ..core.config import FlowControlSpec
 
 
 class FlowController:
-    """Polls backpressure depths; retunes coalescing/compression/admission."""
+    """Polls backpressure depths; retunes coalescing."""
 
     def __init__(self, spec: FlowControlSpec, *, name: str = "flow-controller"):
         self.spec = spec
@@ -51,14 +43,11 @@ class FlowController:
         #: each yields the endpoints to manage *now* (a cluster's change
         #: when the supervisor replaces a process)
         self._endpoint_sources: List[Callable[[], Iterable[Any]]] = []
-        #: store -> the compression policy it was deployed with
-        self._stores: Dict[Any, Any] = {}
         #: endpoint name -> the coalescing spec it was deployed with
         self._original_coalescing: Dict[str, Any] = {}
         self._pressured_polls = 0
         self._clear_polls = 0
         self._escalated = False
-        self._admission_tight = False
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self.error: Optional[BaseException] = None
@@ -77,12 +66,9 @@ class FlowController:
             self._endpoint_sources.append(cluster.endpoints)
 
     def attach_broker(self, broker: Any) -> None:
-        """Watch a broker's queues and arena; manage its store's codec."""
+        """Watch a broker's header and ID queues."""
         with self._lock:
             self._brokers.append(broker)
-            store = broker.communicator.object_store
-            if getattr(store, "set_compression", None) is not None:
-                self._stores[store] = store.compression
 
     def attach_endpoint(self, endpoint: Any) -> None:
         """Watch an endpoint's send buffer; manage its coalescing spec
@@ -101,18 +87,10 @@ class FlowController:
         queues += [endpoint.send_buffer.flow_stats() for endpoint in endpoints]
         return any(stats["bulk_depth"] >= threshold for stats in queues)
 
-    def _arena_pressured(self) -> bool:
-        for broker in self._brokers:
-            arena_stats = getattr(
-                broker.communicator.object_store, "arena_stats", None
-            )
-            if arena_stats is not None and arena_stats().get("pressure", 0) > 0:
-                return True
-        return False
-
     # -- actuation ------------------------------------------------------------
-    def _escalate(self, endpoints: List[Any], arena_pressured: bool) -> None:
-        """Apply the degradation levers (controller thread only)."""
+    def _escalate(self, endpoints: List[Any]) -> None:
+        """Raise every endpoint's coalescing threshold (controller thread
+        only)."""
         self._escalated = True
         for endpoint in endpoints:
             current = endpoint.coalescing
@@ -127,42 +105,12 @@ class FlowController:
                 endpoint.coalescing = dataclasses.replace(
                     current, max_message_bytes=raised
                 )
-        for broker in self._brokers:
-            wire = getattr(broker, "wire", None)
-            if wire is not None:
-                wire.set_enabled(True)
-        if arena_pressured and not self._admission_tight:
-            self._admission_tight = True
-            for broker in self._brokers:
-                broker.communicator.set_pressure(True)
-            for store in self._stores:
-                current = store.compression
-                lowered = max(
-                    self.spec.compression_min_threshold,
-                    (current.threshold or self.spec.compression_min_threshold)
-                    // 2,
-                )
-                store.set_compression(
-                    dataclasses.replace(
-                        current, enabled=True, threshold=lowered
-                    )
-                )
 
     def _relax(self, endpoints: List[Any]) -> None:
         """Restore the configured baseline (controller thread only)."""
         self._escalated = False
         for endpoint in endpoints:
             endpoint.coalescing = self._original_coalescing[endpoint.name]
-        for broker in self._brokers:
-            wire = getattr(broker, "wire", None)
-            if wire is not None:
-                wire.set_enabled(False)
-        if self._admission_tight:
-            self._admission_tight = False
-            for broker in self._brokers:
-                broker.communicator.set_pressure(False)
-            for store, original in self._stores.items():
-                store.set_compression(original)
 
     # -- control loop ---------------------------------------------------------
     def poll_once(self) -> None:
@@ -177,9 +125,7 @@ class FlowController:
                 self._original_coalescing.setdefault(
                     endpoint.name, endpoint.coalescing
                 )
-            queue_pressured = self._queue_pressured(endpoints)
-            arena_pressured = self._arena_pressured()
-            if queue_pressured or arena_pressured:
+            if self._queue_pressured(endpoints):
                 self._pressured_polls += 1
                 self._clear_polls = 0
             else:
@@ -187,12 +133,10 @@ class FlowController:
                 self._pressured_polls = 0
             if self._pressured_polls >= self.spec.escalate_after:
                 self.escalations += 1
-                self._escalate(endpoints, arena_pressured)
+                self._escalate(endpoints)
                 self._pressured_polls = 0  # re-arm (repeat escalations
                 # keep doubling coalescing up to the configured cap)
-            elif self._clear_polls >= self.spec.relax_after and (
-                self._escalated or self._admission_tight
-            ):
+            elif self._clear_polls >= self.spec.relax_after and self._escalated:
                 self.relaxations += 1
                 self._relax(endpoints)
                 self._clear_polls = 0
@@ -202,11 +146,6 @@ class FlowController:
     def degraded(self) -> bool:
         with self._lock:
             return self._escalated
-
-    @property
-    def admission_tightened(self) -> bool:
-        with self._lock:
-            return self._admission_tight
 
     def _run(self) -> None:
         try:

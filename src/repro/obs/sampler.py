@@ -78,9 +78,8 @@ _FLOW_METRICS = {
 }
 _ARENA_STATS = (
     "allocated_blocks", "allocated_bytes", "slab_bytes", "free_blocks",
-    "capacity_bytes", "pressure", "pressure_events",
+    "capacity_bytes",
 )
-_WIRE_COMPRESSION_STATS = ("enabled", "compressed_total", "bytes_in", "bytes_out")
 #: SocketLink/SocketListener stats mirrored into per-link wire gauges
 _WIRE_LINK_STATS = (
     "bytes_sent", "items_sent", "syscalls_total", "syscalls_per_message",
@@ -105,12 +104,6 @@ _HELP = {
     "arena_slab_bytes": "total shared memory mapped by arena slabs",
     "arena_free_blocks": "recycled blocks parked on arena free lists",
     "arena_capacity_bytes": "arena occupancy bound",
-    "arena_pressure": "1 while arena occupancy is above its watermark",
-    "arena_pressure_events": "times the arena pressure latch tripped",
-    "wire_compression_enabled": "1 while adaptive wire compression is active",
-    "wire_compression_compressed_total": "bodies compressed at the fabric boundary",
-    "wire_compression_bytes_in": "pre-compression bytes offered to the wire codec",
-    "wire_compression_bytes_out": "post-compression bytes sent on the fabric",
     "backpressure_lane_depth": "entries queued in one priority lane",
     "backpressure_shed_total":
         "oldest bulk entries dropped at the watermark (running total)",
@@ -120,8 +113,6 @@ _HELP = {
         "cumulative seconds control producers spent blocked",
     "backpressure_expired_total":
         "control puts abandoned at their deadline (running total)",
-    "backpressure_admission_pressure":
-        "1 while tightened (scaled) bulk admission is active",
     "backpressure_send_expired_total":
         "control-lane sends the sender thread abandoned at their admission "
         "deadline (running total)",
@@ -181,8 +172,7 @@ _HELP = {
     "trainer_train_seconds": "wall time of one training session",
     "flow_adaptations_total": "degradation / recovery steps taken by the flow controller",
     "flow_polls_total": "completed flow-controller polls",
-    "flow_degradation_level": "0 at baseline, 1 while degraded (coalescing raised, compression on)",
-    "flow_admission_tightened": "1 while scaled (pressure) bulk admission is active",
+    "flow_degradation_level": "0 at baseline, 1 while degraded (coalescing raised)",
 }
 
 
@@ -284,16 +274,12 @@ class TelemetrySampler:
                         metric, {**labels, "lane": lane},
                         stats[f"{lane}_{stat}"], timestamp,
                     )
-            self._set(
-                "backpressure_admission_pressure", labels, stats["pressure"], timestamp
-            )
 
     def add_broker(self, broker: Any) -> None:
         """Sample a :class:`repro.core.broker.Broker`'s communicator+store."""
         communicator = broker.communicator
         store = communicator.object_store
         labels = {"broker": broker.name}
-        wire = getattr(broker, "wire", None)
 
         def probe(timestamp: float) -> None:
             self._set(
@@ -318,12 +304,6 @@ class TelemetrySampler:
                     "store_overflow_puts_total", labels,
                     store.total_overflow_put, timestamp,
                 )
-            if wire is not None:  # flow-enabled brokers only
-                wire_stats = wire.stats()
-                for stat in _WIRE_COMPRESSION_STATS:
-                    self._set(
-                        f"wire_compression_{stat}", labels, wire_stats[stat], timestamp
-                    )
             if getattr(communicator, "flow", None) is not None:
                 self._sample_flow(broker.name, communicator.flow_stats(), timestamp)
             for process_name, depth in communicator.queue_depths().items():
@@ -441,9 +421,6 @@ class TelemetrySampler:
 
         def probe(timestamp: float) -> None:
             self._set("flow_degradation_level", {}, controller.degraded, timestamp)
-            self._set(
-                "flow_admission_tightened", {}, controller.admission_tightened, timestamp
-            )
 
         self.add_probe(probe, totals=self._totals_reader(
             (controller, escalations, {"direction": "escalate"}),

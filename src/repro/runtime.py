@@ -82,12 +82,12 @@ class XingTianSession:
         telemetry = controller = None
         spec = self.config.telemetry
         flow = self.config.flow_control
-        if flow is not None and flow.enabled:
+        if flow is not None:
             from .obs.flowcontroller import FlowController
 
             controller = FlowController(flow)
             controller.attach_cluster(cluster)
-        if spec is not None and spec.enabled:
+        if spec is not None:
             from .obs import Telemetry
 
             telemetry = Telemetry.from_spec(spec)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from ..core.concurrency import make_lock, spawn_thread
@@ -111,17 +110,20 @@ class ThrottledLink(Link):
         self._inbox.put((item, max(0, int(nbytes))))
 
     def _run(self) -> None:
-        while True:
+        # A closed link delivers nothing, so it stops at once: the waits
+        # below wake on close() instead of sleeping out the backlog.
+        closed = self._closed
+        while not closed.is_set():
             entry = self._inbox.get()
             if entry is None:
                 return
             item, nbytes = entry
             # Wire occupancy: the NIC is busy for nbytes/bandwidth seconds.
             busy = nbytes / self.bandwidth
-            if busy > 0:
-                time.sleep(busy)
-            if self.latency > 0:
-                time.sleep(self.latency)
+            if busy > 0 and closed.wait(busy):
+                return
+            if self.latency > 0 and closed.wait(self.latency):
+                return
             with self._counters_lock:
                 self.bytes_sent += nbytes
                 self.items_sent += 1

@@ -8,13 +8,10 @@ from repro.core.compression import (
     DEFAULT_THRESHOLD,
     CompressionPolicy,
     NullCodec,
-    WireCompressor,
     ZlibCodec,
     disabled_policy,
     get_codec,
-    wire_decode,
 )
-from repro.core.message import WIRE_CODEC, MsgType, make_header
 
 
 class TestCodecs:
@@ -91,31 +88,3 @@ class TestCompressionPolicy:
         framed, compressed = policy.encode(data)
         assert policy.decode(framed) == data
         assert compressed == (len(data) >= threshold)
-
-
-class TestWireCompressorIsThePolicy:
-    """One compressor: the fabric boundary frames bodies with the same
-    self-describing prefix the store uses (more in test_flowcontrol.py)."""
-
-    def test_frame_is_the_policys(self):
-        wire = WireCompressor("w", min_bytes=16)
-        wire.set_enabled(True)
-        body = {"payload": "z" * 4096}
-        header = make_header("a", ["b"], MsgType.DATA, body_size=5000)
-        stamped, blob, nbytes = wire.encode(header, body, 5000)
-        assert blob[:1] == b"Z" and nbytes == len(blob) < 5000
-        assert stamped[WIRE_CODEC] == "zlib"
-        assert wire_decode(stamped, blob)[1] == body
-        assert wire.stats()["compressed_total"] == 1
-
-    def test_body_serializing_below_the_threshold_rides_raw(self):
-        """The declared size passed ``wants``; the pickled body did not reach
-        the threshold.  The prefix says so, and the receiver needs no flag."""
-        wire = WireCompressor("w", min_bytes=4096)
-        wire.set_enabled(True)
-        header = make_header("a", ["b"], MsgType.DATA, body_size=5000)
-        assert wire.wants(header, "tiny", 5000)
-        stamped, blob, _ = wire.encode(header, "tiny", 5000)
-        assert blob[:1] == b"R"
-        assert wire_decode(stamped, blob)[1] == "tiny"
-        assert wire.stats()["compressed_total"] == 0

@@ -185,6 +185,15 @@ class TestXingTianConfig:
         assert config.num_explorers == 1
         assert config.stop.max_seconds == 10.0
 
+    @pytest.mark.parametrize("block", ["telemetry", "flow_control"])
+    def test_none_is_the_only_off_switch(self, block):
+        assert getattr(_valid_config(), block) is None  # off by default
+        with pytest.raises(ConfigError, match="enabled"):
+            XingTianConfig.from_dict({
+                "algorithm": "ppo", "environment": "CartPole",
+                "model": "actor_critic", block: {"enabled": False},
+            })
+
 
 class TestSingleMachineConfig:
     def test_builds_and_validates(self):

@@ -11,7 +11,6 @@ import pytest
 from repro.core.broker import Broker
 from repro.core.config import FlowControlSpec
 from repro.core.endpoint import ProcessEndpoint
-from repro.core.compression import WireCompressor, wire_decode
 from repro.core.errors import BackpressureError
 from repro.core.flowcontrol import (
     TERMINAL_EXPIRED,
@@ -27,7 +26,6 @@ from repro.core.message import (
     OBJECT_ID,
     SRC,
     TYPE,
-    WIRE_CODEC,
     MsgType,
     make_header,
     make_message,
@@ -81,7 +79,6 @@ class TestLaneChannel:
         channel = LaneChannel("test")
         lanes = [Lane.BULK, Lane.CONTROL] * 500
         assert channel.offer_many(list(range(1000)), lanes) == 1000
-        channel.set_pressure(True)
         assert channel.lane_depths() == {"control": 500, "bulk": 500}
         assert channel.flow_stats()["bulk_shed"] == 0
 
@@ -206,20 +203,6 @@ class TestLaneChannel:
         assert results == [False]  # woken with a clean rejection
         assert self.drops == [(TERMINAL_REJECTED, ["c2"])]
 
-    def test_set_pressure_scales_watermark_and_sheds(self):
-        channel = self.make(bulk_watermark=8, pressure_scale=0.5)
-        for index in range(8):
-            channel.offer(index, Lane.BULK)
-        channel.set_pressure(True)
-        # scaled watermark 4 keeps the newest 4
-        assert self.drops == [(TERMINAL_SHED, [0, 1, 2, 3])]
-        assert channel.qsize() == 4
-        channel.set_pressure(True)  # idempotent
-        assert len(self.drops) == 1
-        channel.set_pressure(False)
-        assert channel.offer(99, Lane.BULK)
-        assert len(self.drops) == 1  # back to the full watermark
-
     def test_lane_depths_and_stats(self):
         channel = self.make()
         channel.offer("b", Lane.BULK)
@@ -227,37 +210,6 @@ class TestLaneChannel:
         assert channel.lane_depths() == {"control": 1, "bulk": 1}
         stats = channel.flow_stats()
         assert stats["bulk_put"] == 1 and stats["control_put"] == 1
-
-
-class TestWireCompressor:
-    def test_disabled_by_default(self):
-        wire = WireCompressor("w")
-        header = make_header("a", ["b"], MsgType.DATA, body_size=1 << 20)
-        assert not wire.wants(header, b"x" * (1 << 20), 1 << 20)
-
-    def test_round_trip(self):
-        wire = WireCompressor("w", min_bytes=16)
-        wire.set_enabled(True)
-        body = {"payload": "z" * 4096}
-        header = make_header("a", ["b"], MsgType.DATA, body_size=5000)
-        assert wire.wants(header, body, 5000)
-        encoded_header, blob, nbytes = wire.encode(header, body, 5000)
-        assert encoded_header[WIRE_CODEC] == "zlib"
-        assert nbytes < 5000  # compressible payload actually shrank
-        decoded_header, restored = wire_decode(encoded_header, blob)
-        assert restored == body
-        assert decoded_header[WIRE_CODEC] is None
-
-    def test_control_lane_never_compressed(self):
-        wire = WireCompressor("w", min_bytes=16)
-        wire.set_enabled(True)
-        header = make_header("a", ["b"], MsgType.WEIGHTS, body_size=4096)
-        assert not wire.wants(header, b"x" * 4096, 4096)
-
-    def test_decode_passthrough_without_stamp(self):
-        header = make_header("a", ["b"], MsgType.DATA)
-        same_header, same_body = wire_decode(header, "body")
-        assert same_header is header and same_body == "body"
 
 
 class TestDegenerateSetting:
@@ -268,7 +220,6 @@ class TestDegenerateSetting:
         assert type(plain.communicator.header_queue) is type(
             bounded.communicator.header_queue
         )
-        assert plain.wire is None
         assert endpoint.flow is None
         queue = plain.communicator.header_queue
         assert queue.put_many(
@@ -279,7 +230,10 @@ class TestDegenerateSetting:
         bounded.communicator.close()
 
     def test_disabled_spec_means_no_watermarks(self):
-        broker = Broker("b", flow=FlowControlSpec(enabled=False))
+        # None is the one off switch: a spec has no ``enabled`` field.
+        with pytest.raises(TypeError):
+            FlowControlSpec(enabled=False)
+        broker = Broker("b", flow=None)
         assert broker.flow is None
         assert broker.communicator.flow is None
         broker.communicator.close()

@@ -200,7 +200,6 @@ class TestHeaderQueueWatermarks:
         reclaimed = []
         queue = HeaderQueue("q", reclaim=reclaimed.append)
         assert queue.put_many(_headers(2000) + _headers(2000, MsgType.COMMAND)) == 4000
-        queue.set_pressure(True)  # nothing to tighten without a watermark
         assert queue.qsize() == 4000 and reclaimed == []
         stats = queue.flow_stats()
         assert stats["bulk_shed"] == stats["control_blocked"] == 0
@@ -252,18 +251,6 @@ class TestHeaderQueueWatermarks:
         assert queue.put_many(_headers(10, MsgType.COMMAND)) == 10
         assert queue.qsize() == 10
         assert never_blocking(None) is None
-
-    def test_set_pressure_sheds_and_reclaims(self):
-        reclaimed = []
-        queue = HeaderQueue(
-            "q", spec(bulk_watermark=8, pressure_scale=0.5),
-            reclaim=reclaimed.append,
-        )
-        headers = _headers(8)
-        queue.put_many(headers)
-        queue.set_pressure(True)
-        assert reclaimed == headers[:4]  # scaled watermark 4 keeps the newest
-        assert queue.qsize() == 4
 
     def test_close_wakes_blocked_put_and_join_sees_its_reclaim(self):
         reclaimed = []
@@ -498,7 +485,7 @@ TYPES = st.sampled_from([MsgType.DATA, MsgType.ROLLOUT, MsgType.COMMAND, MsgType
 
 
 class HeaderQueueMachine(RuleBasedStateMachine):
-    """put / put_many / get / get_many / set_pressure / drain / close in any
+    """put / put_many / get / get_many / drain / close in any
     order, against what the queue promises whatever its watermarks are."""
 
     flow = None
@@ -550,10 +537,6 @@ class HeaderQueueMachine(RuleBasedStateMachine):
         headers = self.queue.get_many(max_items, timeout=0)
         assert len(headers) <= max_items
         self.out.extend(headers)
-
-    @rule(active=st.booleans())
-    def set_pressure(self, active):
-        self.queue.set_pressure(active)
 
     @rule()
     def drain(self):

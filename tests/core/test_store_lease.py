@@ -87,7 +87,10 @@ class LeaseMachine(RuleBasedStateMachine):
         self.puts = 0
         self.expected = {}  # object ID -> the array that was put
         self.stored = {}  # object ID -> stored size
-        self.shares = {}  # object ID -> destination shares not yet released
+        #: object ID -> destination shares not yet released, in put order:
+        #: rules draw from that order, never from the IDs' own, which come
+        #: from a process-wide counter and so differ between replays
+        self.shares = {}
         #: object ID -> weak references to the leased bodies handed out
         self.leases = {}
         self.bodies = []  # (object ID, body) still held by a consumer
@@ -112,7 +115,7 @@ class LeaseMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.shares)
     @rule(data=st.data())
     def get(self, data):
-        object_id = data.draw(st.sampled_from(sorted(self.shares)))
+        object_id = data.draw(st.sampled_from(list(self.shares)))
         body = self.store.get(object_id)
         if self.stored[object_id] >= LEASE_MIN_BYTES:
             assert not body.flags.writeable
@@ -125,7 +128,7 @@ class LeaseMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.shares)
     @rule(data=st.data())
     def release(self, data):
-        object_id = data.draw(st.sampled_from(sorted(self.shares)))
+        object_id = data.draw(st.sampled_from(list(self.shares)))
         self.store.release(object_id)
         self.shares[object_id] -= 1
         if not self.shares[object_id]:

@@ -2,8 +2,9 @@
 
 A delaying :class:`FaultyFabric` link throttles inter-broker traffic; the
 flow-control subsystem must respond by *adapting* — raising the coalescing
-threshold and enabling wire compression — while every queue stays bounded
-by its watermark, instead of growing an unbounded send backlog.
+threshold, so more messages ride each delayed shipment — while every queue
+stays bounded by its watermark, instead of growing an unbounded send
+backlog.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class TestSlowLinkAdaptation:
             escalate_after=1,
             relax_after=1000,  # keep the degraded state for the assertions
             adapt_interval_s=0.01,
-            wire_compression_min_bytes=256,
         )
         fabric = FaultyFabric(
             spec=FaultSpec(delay=1.0, delay_s=0.01), seed=7
@@ -62,7 +62,7 @@ class TestSlowLinkAdaptation:
         controller.attach_broker(broker_a)
         controller.attach_endpoint(alice)
         sampler.add_flow_controller(controller)  # exports its decisions
-        payload = np.zeros(8192, dtype=np.uint8)  # compressible bulk body
+        payload = np.zeros(8192, dtype=np.uint8)  # bulk body over the threshold
         bound = flow.bulk_watermark + flow.control_watermark
 
         def total_shed():
@@ -86,11 +86,11 @@ class TestSlowLinkAdaptation:
                 # Bounded admission: no queue ever outgrows its watermarks.
                 assert broker_a.communicator.header_queue.qsize() <= bound
                 assert alice.send_buffer.qsize() <= bound
-                if (
-                    controller.degraded
-                    and broker_a.wire.stats()["compressed_total"] > 0
-                    and total_shed() > 0
-                ):
+                for broker in (broker_a, broker_b):
+                    for lanes in broker.communicator.lane_depths().values():
+                        assert sum(lanes.values()) <= bound
+                assert bob.receive_buffer.qsize() <= bound
+                if controller.degraded and total_shed() > 0:
                     break
                 time.sleep(0.01)
             # The controller escalated instead of letting the backlog grow...
@@ -100,11 +100,8 @@ class TestSlowLinkAdaptation:
             assert metric_value(
                 registry, "flow_adaptations_total", direction="escalate"
             ) >= 1
-            # ...the degradation levers actually engaged: a larger
-            # coalescing threshold and wire compression on the slow link.
+            # ...the lever actually engaged: a larger coalescing threshold.
             assert alice.coalescing.max_message_bytes > 512
-            assert broker_a.wire.enabled
-            assert broker_a.wire.stats()["compressed_total"] > 0
             # And overload was absorbed by shedding stale bulk, visibly.
             assert total_shed() > 0
         finally:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.core.broker import Broker
-from repro.core.compression import CompressionPolicy
 from repro.core.config import CoalescingSpec, FlowControlSpec
 from repro.core.endpoint import ProcessEndpoint
 from repro.core.message import MsgType, make_header, make_message
@@ -31,7 +30,6 @@ def spec(**overrides) -> FlowControlSpec:
         relax_after=3,
         adapt_interval_s=0.01,
         coalescing_max_bytes=1 << 14,
-        compression_min_threshold=64,
     )
     base.update(overrides)
     return FlowControlSpec(**base)
@@ -47,14 +45,6 @@ def metric_value(registry, name, **labels):
 
 # -- fakes for pure decision-logic tests -------------------------------------
 
-class FakeWire:
-    def __init__(self):
-        self.enabled = False
-
-    def set_enabled(self, enabled):
-        self.enabled = enabled
-
-
 class Dial:
     """A settable reading: ``dial.set(8)`` is what the fakes then report."""
 
@@ -65,44 +55,18 @@ class Dial:
         self.value = value
 
 
-class FakeStore:
-    """Just enough surface for the arena/compression reads."""
-
-    def __init__(self):
-        self.pressure = Dial()
-        self._policy = CompressionPolicy(enabled=False, threshold=1024)
-
-    def arena_stats(self):
-        return {"pressure": self.pressure.value}
-
-    @property
-    def compression(self):
-        return self._policy
-
-    def set_compression(self, policy):
-        self._policy = policy
-
-
 class FakeCommunicator:
-    def __init__(self, store):
-        self.object_store = store
-        self.pressure_calls = []
+    def __init__(self):
         self.bulk_depth = Dial()
 
     def flow_stats(self):
         return {"headers": {"bulk_depth": self.bulk_depth.value}}
 
-    def set_pressure(self, active):
-        self.pressure_calls.append(active)
-
 
 @dataclass
 class FakeBroker:
     name: str = "b"
-    communicator: FakeCommunicator = field(
-        default_factory=lambda: FakeCommunicator(FakeStore())
-    )
-    wire: FakeWire = field(default_factory=FakeWire)
+    communicator: FakeCommunicator = field(default_factory=FakeCommunicator)
 
 
 class FakeSendBuffer:
@@ -122,31 +86,27 @@ class FakeEndpoint:
 
 
 def controller_with_fakes(flow=None):
-    """``(controller, broker, endpoint, header-queue bulk depth dial, arena
-    pressure dial)``."""
+    """``(controller, broker, endpoint, header-queue bulk depth dial)``."""
     controller = FlowController(flow or spec())
     broker = FakeBroker()
     endpoint = FakeEndpoint(CoalescingSpec(max_message_bytes=1024))
     controller.attach_broker(broker)
     controller.attach_endpoint(endpoint)
-    depth = broker.communicator.bulk_depth
-    arena = broker.communicator.object_store.pressure
-    return controller, broker, endpoint, depth, arena
+    return controller, broker, endpoint, broker.communicator.bulk_depth
 
 
 class TestEscalation:
     def test_needs_consecutive_pressured_polls(self):
-        controller, broker, endpoint, depth, _ = controller_with_fakes()
+        controller, _, endpoint, depth = controller_with_fakes()
         depth.set(8)  # >= 0.5 * bulk_watermark
         controller.poll_once()
         assert not controller.degraded  # escalate_after=2: not yet
         controller.poll_once()
         assert controller.degraded
-        assert broker.wire.enabled
         assert endpoint.coalescing.max_message_bytes == 2048
 
     def test_clear_poll_resets_the_streak(self):
-        controller, _, _, depth, _ = controller_with_fakes()
+        controller, _, _, depth = controller_with_fakes()
         depth.set(8)
         controller.poll_once()
         depth.set(0)
@@ -157,41 +117,11 @@ class TestEscalation:
 
     def test_repeat_escalations_cap_at_coalescing_max(self):
         flow = spec(coalescing_max_bytes=4096)
-        controller, _, endpoint, depth, _ = controller_with_fakes(flow)
+        controller, _, endpoint, depth = controller_with_fakes(flow)
         depth.set(8)
         for _ in range(10):  # five escalation opportunities
             controller.poll_once()
         assert endpoint.coalescing.max_message_bytes == 4096  # capped
-
-    def test_queue_pressure_alone_leaves_admission_open(self):
-        controller, broker, _, depth, _ = controller_with_fakes()
-        depth.set(8)
-        controller.poll_once()
-        controller.poll_once()
-        assert controller.degraded
-        assert not controller.admission_tightened
-        assert broker.communicator.pressure_calls == []
-
-    def test_arena_pressure_tightens_admission_and_compression(self):
-        controller, broker, _, _, arena = controller_with_fakes()
-        arena.set(1)
-        controller.poll_once()
-        controller.poll_once()
-        assert controller.admission_tightened
-        assert broker.communicator.pressure_calls == [True]
-        policy = broker.communicator.object_store.compression
-        assert policy.enabled
-        assert policy.threshold == 512  # halved from 1024
-
-    def test_compression_threshold_floor(self):
-        flow = spec(compression_min_threshold=400)
-        controller, broker, _, _, arena = controller_with_fakes(flow)
-        arena.set(1)
-        store = broker.communicator.object_store
-        for _ in range(8):
-            controller.poll_once()
-        assert store.compression.threshold == 512  # one halving applied
-        # (admission tightening is one-shot; the floor guards re-entry)
 
     def test_single_message_spec_left_alone(self):
         controller = FlowController(spec())
@@ -208,37 +138,30 @@ class TestEscalation:
 class TestRelaxation:
     def escalated(self, flow=None):
         parts = controller_with_fakes(flow)
-        controller, _, _, depth, arena = parts
+        controller, _, _, depth = parts
         depth.set(8)
-        arena.set(1)
         controller.poll_once()
         controller.poll_once()
-        assert controller.degraded and controller.admission_tightened
+        assert controller.degraded
         depth.set(0)
-        arena.set(0)
         return parts
 
     def test_needs_consecutive_clear_polls(self):
-        controller, broker, endpoint, _, _ = self.escalated()
+        controller, _, _, _ = self.escalated()
         controller.poll_once()
         controller.poll_once()
         assert controller.degraded  # relax_after=3: not yet
         controller.poll_once()
         assert not controller.degraded
-        assert not controller.admission_tightened
-        assert not broker.wire.enabled
-        assert broker.communicator.pressure_calls == [True, False]
 
     def test_originals_restored_exactly(self):
-        controller, broker, endpoint, _, _ = self.escalated()
+        controller, _, endpoint, _ = self.escalated()
         for _ in range(3):
             controller.poll_once()
-        assert endpoint.coalescing.max_message_bytes == 1024
-        policy = broker.communicator.object_store.compression
-        assert policy.threshold == 1024 and not policy.enabled
+        assert endpoint.coalescing == CoalescingSpec(max_message_bytes=1024)
 
     def test_send_buffer_depth_is_a_queue_signal(self):
-        controller, _, endpoint, _, _ = controller_with_fakes()
+        controller, _, endpoint, _ = controller_with_fakes()
         endpoint.send_buffer.bulk_depth.set(8)
         controller.poll_once()
         controller.poll_once()
@@ -268,7 +191,7 @@ class TestRelaxation:
 
 class TestLifecycle:
     def test_thread_polls_until_stopped(self):
-        controller, _, _, depth, _ = controller_with_fakes()
+        controller, _, _, depth = controller_with_fakes()
         depth.set(8)
         controller.start()
         assert controller.running
@@ -296,7 +219,6 @@ class TestAgainstRealComponents:
                 )
             controller.poll_once()
             assert controller.degraded
-            assert broker.wire.enabled
         finally:
             broker.stop()
 
@@ -394,9 +316,6 @@ class TestAgainstRealComponents:
                 registry, "backpressure_lane_depth",
                 component="b", queue="headers", lane="bulk",
             ) == 1
-            assert metric_value(
-                registry, "wire_compression_enabled", broker="b"
-            ) == 0
         finally:
             alice.stop()
             broker.stop()

@@ -98,9 +98,10 @@ def test_replacement_explorer_continues_the_counter_with_no_hook():
 
 #: ``(name, type, label keys)`` of the smoke run's snapshot at the parent
 #: commit (e72f66b), where endpoints, explorers and the learner each kept a
-#: second set of registry instruments for these names.
+#: second set of registry instruments for these names — less the gauges of
+#: the two flow-control levers deleted since (wire compression and
+#: arena-pressure admission).
 PARENT_CATALOG = {
-    ("backpressure_admission_pressure", "gauge", ("component", "queue")),
     ("backpressure_block_seconds_total", "gauge", ("component", "lane", "queue")),
     ("backpressure_blocked_total", "gauge", ("component", "lane", "queue")),
     ("backpressure_expired_total", "gauge", ("component", "lane", "queue")),
@@ -121,7 +122,6 @@ PARENT_CATALOG = {
     ("explorer_fragments_total", "counter", ("process",)),
     ("explorer_weight_updates_total", "counter", ("process",)),
     ("flow_adaptations_total", "counter", ("direction",)),
-    ("flow_admission_tightened", "gauge", ()),
     ("flow_degradation_level", "gauge", ()),
     ("flow_polls_total", "counter", ()),
     ("message_edge_stage_seconds", "histogram",
@@ -141,10 +141,6 @@ PARENT_CATALOG = {
     ("trainer_train_sessions_total", "counter", ("process",)),
     ("trainer_trained_steps_total", "counter", ("process",)),
     ("trainer_wait_seconds", "histogram", ("process",)),
-    ("wire_compression_bytes_in", "gauge", ("broker",)),
-    ("wire_compression_bytes_out", "gauge", ("broker",)),
-    ("wire_compression_compressed_total", "gauge", ("broker",)),
-    ("wire_compression_enabled", "gauge", ("broker",)),
 }
 
 

@@ -136,13 +136,6 @@ class TestQueueEmitsTerminals:
         for event in shed:
             assert event.detail["trace"]  # context survived to the drop
 
-    def test_set_pressure_shed_emits_terminal_events(self, tracer):
-        queue = HeaderQueue("q", self._spec(bulk_watermark=8))
-        for _ in range(6):
-            queue.put(make_header("a", ["b"], MsgType.DATA))
-        queue.set_pressure(True)  # tightened watermark reclaims the surplus
-        assert tracer.events(kind="shed", source="q")
-
     def test_sheds_feed_span_aggregator_outcomes(self):
         registry = MetricsRegistry()
         spans = SpanAggregator(registry)

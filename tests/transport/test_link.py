@@ -122,6 +122,21 @@ class TestThrottledLink:
         assert received == []
         link.join(timeout=2)
 
+    def test_close_with_a_backlog_ends_the_nic_thread_at_once(self):
+        received = []
+        link = ThrottledLink(
+            received.append, bandwidth=1000.0, latency=0.1, name="backlog"
+        )
+        for index in range(10):  # 1 000 B each: ~11 s of wire time queued
+            link.send(index, nbytes=1000)
+        time.sleep(0.05)  # the worker is mid-way through the first item
+        closed_at = time.monotonic()
+        link.close()
+        link.join(timeout=0.5)
+        assert time.monotonic() - closed_at < 0.5
+        assert "backlog-nic" not in [t.name for t in threading.enumerate()]
+        assert received == []
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ThrottledLink(lambda item: None, bandwidth=0)

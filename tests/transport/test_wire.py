@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.message import (
-    WIRE_CODEC,
     Message,
     MsgType,
     make_header,
@@ -425,36 +424,22 @@ class TestNoHeaderIsUnpickled:
                     body, list
                 ) else np.array_equal(got_body, body)
 
-    @pytest.mark.parametrize("compressed", [False, True])
-    def test_batch_envelope_with_its_body_decodes_without_pickle(
-        self, monkeypatch, compressed
-    ):
+    def test_batch_envelope_with_its_body_decodes_without_pickle(self, monkeypatch):
         import pickle
-
-        from repro.core.compression import WireCompressor, wire_decode
 
         bodies = [np.full(256, index, dtype=np.uint8) for index in range(4)]
         envelope = pack_batch([
             make_message("e0", ["learner"], MsgType.ROLLOUT, body, body_size=256)
             for body in bodies
         ])
-        header, body = envelope.header, envelope.body
-        if compressed:
-            wire = WireCompressor("w", min_bytes=64)
-            wire.set_enabled(True)
-            header, body, _ = wire.encode(header, body, envelope.body_size)
-            assert header[WIRE_CODEC] == "zlib"
-            assert wire.stats()["compressed_total"] == 4
-        frames = _frames(header, body)
+        frames = _frames(envelope.header, envelope.body)
 
         def refuse(*args, **kwargs):
             raise AssertionError("pickle.loads called while decoding")
 
         monkeypatch.setattr(pickle, "loads", refuse)
-        got_header, got_body = wire_decode(*_decode_frames(frames))
-        assert _typed(got_header) == _typed({**envelope.header, **(
-            {WIRE_CODEC: None} if compressed else {}
-        )})
+        got_header, got_body = _decode_frames(frames)
+        assert _typed(got_header) == _typed(envelope.header)
         for (sub, sub_body), message, expected in zip(
             got_body, envelope.body, bodies
         ):
